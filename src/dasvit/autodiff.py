@@ -3,7 +3,15 @@
 Define-by-run: every primitive computes its numpy result eagerly and, when
 any input requires a gradient, records its parents plus a backward closure.
 ``backward(loss)`` replays the recorded graph once in reverse topological
-order; gradients accumulate additively at fan-out points.
+order; gradients accumulate additively at fan-out points. Only leaves keep a
+``.grad`` afterwards: each non-leaf gradient is dropped as soon as its
+closure has consumed it, and closures skip the products an operand that
+requires no gradient would discard.
+
+``frozen(tensors)`` clears ``requires_grad`` on leaves for the length of a
+block, so nothing computed only from them is recorded at all. A phase that
+updates one set of parameters freezes the rest; a forward-only pass freezes
+every parameter and records no graph.
 
 Every primitive checks its output for NaN/Inf and raises ``NonFiniteError``
 so training loops can abort with context instead of silently diverging.
@@ -197,11 +205,33 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
         t.grad = None
 
 
+@contextmanager
+def frozen(tensors: Iterable[Tensor]):
+    """Treat `tensors` as constants inside the block.
+
+    Their ``requires_grad`` flags are cleared on entry and restored on exit,
+    also when the block raises. A primitive none of whose inputs requires a
+    gradient records no parents and no closure, so freezing leaves prunes
+    every subgraph that depends only on them.
+    """
+    saved = [(t, t.requires_grad) for t in tensors]
+    try:
+        for t, _ in saved:
+            t.requires_grad = False
+        yield
+    finally:
+        for t, flag in reversed(saved):
+            t.requires_grad = flag
+
+
 def backward(loss: Tensor) -> None:
     """Populate gradients of every reachable tensor that requires one.
 
     The graph is traversed exactly once in reverse topological order;
-    repeated calls without zeroing accumulate into existing gradients.
+    repeated calls without zeroing accumulate into existing leaf gradients.
+    Non-leaf gradients are per-pass scratch: each is freed as soon as its
+    backward closure has consumed it, so after the pass only leaves hold a
+    ``.grad``.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -227,7 +257,8 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+            g, node.grad = node.grad, None
+            node._backward(g)
 
 
 # -- elementwise arithmetic ------------------------------------------------------
@@ -242,8 +273,10 @@ def add(a, b) -> Tensor:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
 
     def bw(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return Tensor._from_op(out, (a, b), bw, "add")
 
@@ -257,8 +290,10 @@ def sub(a, b) -> Tensor:
         raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast") from None
 
     def bw(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g, b.shape))
 
     return Tensor._from_op(out, (a, b), bw, "sub")
 
@@ -272,8 +307,10 @@ def mul(a, b) -> Tensor:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
 
     def bw(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return Tensor._from_op(out, (a, b), bw, "mul")
 
@@ -300,10 +337,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} are incompatible") from None
 
     def bw(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        _accumulate(a, _unbroadcast(ga, a.shape))
-        _accumulate(b, _unbroadcast(gb, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return Tensor._from_op(out, (a, b), bw, "matmul")
 
@@ -482,7 +519,8 @@ def gelu(a: Tensor) -> Tensor:
     """tanh-approximated GELU; erf-free and deterministic."""
     a = as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + _GELU_K * x**3)
+    # x * x * x, not x**3: numpy's float32 pow is ~100x slower than two multiplies
+    inner = _GELU_C * (x + _GELU_K * (x * x * x))
     t = np.tanh(inner)
     out = 0.5 * x * (1.0 + t)
 

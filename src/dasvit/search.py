@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import backward, cross_entropy, dtype_scope
+from .autodiff import backward, cross_entropy, dtype_scope, frozen
 from .config import RunConfig, save_config
 from .data import (Batch, BatchPlan, Dataset, MetricsWriter, RNG_RETRAIN, RNG_STAGE,
                    epoch_batches, load_checkpoint, make_synthetic, load_cifar10,
@@ -269,6 +269,32 @@ def _unrolled_alpha_grad(state: SearchState, tb: Batch, vb: Batch):
     return g_alpha, float(l_val.data), float(l1.data), float(l2.data)
 
 
+def _alpha_phase(state: SearchState, vb: Batch) -> tuple[float, float, float]:
+    """First-order architecture gradient of validation loss plus fairness.
+
+    Every weight is frozen, so the pass records and computes only what
+    reaches ``alpha.logits.grad``. Returns (loss_val, l1, l2); the graph
+    dies with this frame.
+    """
+    state.zero_all()
+    weights = [p for p in state.all_tensors() if p is not state.alpha.logits]
+    with frozen(weights):
+        l_val = cross_entropy(state.model.forward(vb.images), vb.labels)
+        l1, l2, l_fair = _fairness_terms(state.alpha, state.fairness)
+        backward(l_val + l_fair)
+    return float(l_val.data), float(l1.data), float(l2.data)
+
+
+def _weight_phase(state: SearchState, tb: Batch) -> float:
+    """Weight gradients of the training loss with the architecture frozen;
+    returns the loss, and the graph dies with this frame."""
+    state.zero_all()
+    with frozen([state.alpha.logits]):
+        l_train = cross_entropy(state.model.forward(tb.images), tb.labels)
+        backward(l_train)
+    return float(l_train.data)
+
+
 def bilevel_epoch(state: SearchState, train_batches: list[Batch],
                   val_batches: list[Batch], lr: float | None = None) -> None:
     """One epoch of alternating updates over paired (val, train) batches."""
@@ -287,23 +313,17 @@ def bilevel_epoch(state: SearchState, train_batches: list[Batch],
             state.zero_all()
             state.alpha.logits.grad = grad
         else:
-            state.zero_all()
-            l_val = cross_entropy(state.model.forward(vb.images), vb.labels)
-            l1, l2, l_fair = _fairness_terms(state.alpha, state.fairness)
-            backward(l_val + l_fair)
-            loss_val, l1_v, l2_v = float(l_val.data), float(l1.data), float(l2.data)
+            loss_val, l1_v, l2_v = _alpha_phase(state, vb)
         state.a_opt.step()
 
         # weight update on the training batch, architecture frozen
-        state.zero_all()
-        l_train = cross_entropy(state.model.forward(tb.images), tb.labels)
-        backward(l_train)
+        loss_train = _weight_phase(state, tb)
         state.w_opt.step()
 
         fair = state.fairness
         state.log.append(StepLog(
             stage=state.stage, epoch=state.epoch, step=step,
-            loss_val=loss_val, loss_train=float(l_train.data),
+            loss_val=loss_val, loss_train=loss_train,
             l1=l1_v, l2=l2_v, l_fair=fair.a * l1_v + fair.b * l2_v,
             lr=state.w_opt.lr))
 
@@ -344,16 +364,22 @@ def _norm_stats(cfg: RunConfig):
 
 
 def evaluate(model, dataset: Dataset, batch_size: int, stats=None) -> dict:
-    """Loss/top-1/top-5 of `model` over `dataset`, batched sequentially."""
+    """Loss/top-1/top-5 of `model` over `dataset`, batched sequentially.
+
+    Every tensor of ``model.named_parameters()`` is frozen for the pass, so
+    no autodiff graph is recorded; each ``requires_grad`` flag is restored
+    afterwards.
+    """
     losses, top1, top5, total = 0.0, 0.0, 0.0, 0
-    for batch in sequential_batches(dataset, batch_size, stats=stats):
-        logits = model.forward(batch.images)
-        loss = cross_entropy(logits, batch.labels)
-        n = len(batch.labels)
-        losses += float(loss.data) * n
-        top1 += topk_accuracy(logits.data, batch.labels, 1) * n
-        top5 += topk_accuracy(logits.data, batch.labels, 5) * n
-        total += n
+    with frozen(model.named_parameters().values()):
+        for batch in sequential_batches(dataset, batch_size, stats=stats):
+            logits = model.forward(batch.images)
+            loss = cross_entropy(logits, batch.labels)
+            n = len(batch.labels)
+            losses += float(loss.data) * n
+            top1 += topk_accuracy(logits.data, batch.labels, 1) * n
+            top5 += topk_accuracy(logits.data, batch.labels, 5) * n
+            total += n
     return {"loss": losses / total, "top1": top1 / total, "top5": top5 / total}
 
 
@@ -454,9 +480,7 @@ def run_search(cfg: RunConfig, out_dir, seed: int | None = None,
                              pre_norm=cfg.model.pre_norm,
                              final_norm=cfg.model.final_norm,
                              alpha_init_std=cfg.search.alpha_init_std)
-            named = dict(model.weight_parameters())
-            named["alpha.logits"] = model.alpha.logits
-            for name, p in named.items():
+            for name, p in model.named_parameters().items():
                 p.data = arrays[name].astype(p.data.dtype).copy()
             start_stage = stage_done + 1
             if start_stage > n_stages:
@@ -473,12 +497,6 @@ def run_search(cfg: RunConfig, out_dir, seed: int | None = None,
         history_path = out / "alpha_history.csv"
         log_path = out / "search_log.jsonl"
         fresh_history = not history_path.exists() or history_path.stat().st_size == 0
-        history_fh = open(history_path, "a", newline="")
-        history = csv.writer(history_fh)
-        if fresh_history:
-            history.writerow(["epoch", "layer", "edge", "candidate", "logit",
-                              "softmax_weight"])
-        log_fh = open(log_path, "a")
 
         w_opt, a_opt = _build_optimizers(model, cfg)
         state = SearchState(model=model, alpha=model.alpha, w_opt=w_opt,
@@ -486,54 +504,56 @@ def run_search(cfg: RunConfig, out_dir, seed: int | None = None,
                             unrolled=cfg.search.unrolled, xi=cfg.search.xi)
         schedule: list[tuple[int, int]] = []
 
-        try:
-            for stage in range(start_stage, n_stages + 1):
-                if stage > 1:
-                    survivors = prune_candidates(model.alpha,
-                                                 cfg.search.prune_per_stage[stage - 2],
-                                                 cfg.search.score_mode)
-                    model = advance_stage(model, survivors, layers_for(stage),
-                                          cfg, seed, stage)
-                    w_opt, a_opt = _build_optimizers(model, cfg)
-                    state.model, state.alpha = model, model.alpha
-                    state.w_opt, state.a_opt = w_opt, a_opt
-                state.stage = stage
-                schedule.append((len(model.candidates), model.num_layers))
-                for _ in range(cfg.search.epochs_per_stage):
-                    state.epoch = global_epoch
-                    lr = w_sched.lr_at(global_epoch)
-                    train_b = epoch_batches(train_ds, split.train_indices, plan,
-                                            global_epoch, "train", stats)
-                    val_b = epoch_batches(train_ds, split.val_indices, plan,
-                                          global_epoch, "val", stats)
-                    mark = len(state.log)
-                    bilevel_epoch(state, train_b, val_b, lr=lr)
-                    for entry in state.log[mark:]:
-                        log_fh.write(json.dumps(entry.to_json(), sort_keys=True) + "\n")
-                    _write_alpha_rows(history, global_epoch, model)
-                    history_fh.flush()
-                    log_fh.flush()
-                    global_epoch += 1
-                arrays = model.named_arrays()
-                extras = {
-                    "kind": "search-stage",
-                    "stage": stage,
-                    "layers": model.num_layers,
-                    "global_epoch": global_epoch,
-                    "seed": seed,
-                    "candidates": [s.to_json() for s in model.candidates],
-                }
-                save_checkpoint(out / f"stage_{stage}.ckpt", arrays, extras)
-        except NonFiniteError as exc:
-            dump = _dump_diagnostics(out, state, exc)
-            history_fh.close()
-            log_fh.close()
-            raise SearchAbort(
-                f"search aborted on non-finite loss at stage {state.stage} "
-                f"epoch {state.epoch}; diagnostics at {dump}", dump) from exc
-
-        history_fh.close()
-        log_fh.close()
+        with open(history_path, "a", newline="") as history_fh, \
+                open(log_path, "a") as log_fh:
+            history = csv.writer(history_fh)
+            if fresh_history:
+                history.writerow(["epoch", "layer", "edge", "candidate", "logit",
+                                  "softmax_weight"])
+            try:
+                for stage in range(start_stage, n_stages + 1):
+                    if stage > 1:
+                        survivors = prune_candidates(
+                            model.alpha, cfg.search.prune_per_stage[stage - 2],
+                            cfg.search.score_mode)
+                        model = advance_stage(model, survivors, layers_for(stage),
+                                              cfg, seed, stage)
+                        w_opt, a_opt = _build_optimizers(model, cfg)
+                        state.model, state.alpha = model, model.alpha
+                        state.w_opt, state.a_opt = w_opt, a_opt
+                    state.stage = stage
+                    schedule.append((len(model.candidates), model.num_layers))
+                    for _ in range(cfg.search.epochs_per_stage):
+                        state.epoch = global_epoch
+                        lr = w_sched.lr_at(global_epoch)
+                        train_b = epoch_batches(train_ds, split.train_indices, plan,
+                                                global_epoch, "train", stats)
+                        val_b = epoch_batches(train_ds, split.val_indices, plan,
+                                              global_epoch, "val", stats)
+                        mark = len(state.log)
+                        bilevel_epoch(state, train_b, val_b, lr=lr)
+                        for entry in state.log[mark:]:
+                            log_fh.write(json.dumps(entry.to_json(), sort_keys=True)
+                                         + "\n")
+                        _write_alpha_rows(history, global_epoch, model)
+                        history_fh.flush()
+                        log_fh.flush()
+                        global_epoch += 1
+                    arrays = model.named_arrays()
+                    extras = {
+                        "kind": "search-stage",
+                        "stage": stage,
+                        "layers": model.num_layers,
+                        "global_epoch": global_epoch,
+                        "seed": seed,
+                        "candidates": [s.to_json() for s in model.candidates],
+                    }
+                    save_checkpoint(out / f"stage_{stage}.ckpt", arrays, extras)
+            except NonFiniteError as exc:
+                dump = _dump_diagnostics(out, state, exc)
+                raise SearchAbort(
+                    f"search aborted on non-finite loss at stage {state.stage} "
+                    f"epoch {state.epoch}; diagnostics at {dump}", dump) from exc
 
         genotype = derive_genotype(model.alpha, dims, depth=model.num_layers)
         genotype_path = out / "genotype.json"
@@ -551,7 +571,9 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir, seed: int | None = None
     """Train the derived model from scratch (or resume) with warmup+cosine AdamW.
 
     Token selection is not used; every token participates. Writes metrics.csv
-    and model.ckpt under `out_dir`.
+    and model.ckpt under `out_dir`. A non-finite loss aborts with the
+    mid-epoch weights in abort.ckpt, a checkpoint `resume` refuses; model.ckpt
+    and the epoch checkpoints only ever hold completed epochs.
     """
     cfg = replace(cfg, seed=cfg.seed if seed is None else int(seed)).validate()
     seed = cfg.seed
@@ -581,6 +603,10 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir, seed: int | None = None
         start_epoch = 0
         if resume is not None:
             arrays, extras = load_checkpoint(resume)
+            if extras.get("kind") == "retrain-abort":
+                raise ConfigError(
+                    f"resume: {resume} holds mid-epoch weights of an aborted run; "
+                    "resume from an epoch checkpoint instead")
             if extras.get("kind") != "retrain":
                 raise ConfigError("resume: not a retraining checkpoint")
             if extras.get("genotype") != genotype_to_json(genotype):
@@ -591,13 +617,21 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir, seed: int | None = None
             opt.load_state_arrays(arrays)
             start_epoch = int(extras["epoch"]) + 1
 
-        def checkpoint(epoch: int, name: str = "model.ckpt"):
+        def checkpoint(name: str, **extras):
             arrays = model.named_arrays()
             arrays.update(opt.state_arrays())
             save_checkpoint(out / name, arrays, extras={
-                "kind": "retrain", "epoch": epoch, "seed": seed,
-                "genotype": genotype_to_json(genotype),
-            })
+                "seed": seed, "genotype": genotype_to_json(genotype), **extras})
+
+        def train_step(batch: Batch) -> tuple[float, float, float]:
+            """One update; returns (loss, top-1, top-5) and drops the graph."""
+            logits = model.forward(batch.images)
+            loss = cross_entropy(logits, batch.labels)
+            opt.zero_grad()
+            backward(loss)
+            opt.step()
+            return (float(loss.data), topk_accuracy(logits.data, batch.labels, 1),
+                    topk_accuracy(logits.data, batch.labels, 5))
 
         history: list[dict] = []
         def run_epoch(epoch: int, metrics: MetricsWriter):
@@ -606,21 +640,17 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir, seed: int | None = None
             try:
                 for batch in epoch_batches(train_ds, np.arange(len(train_ds)),
                                            plan, epoch, "train", stats):
-                    logits = model.forward(batch.images)
-                    loss = cross_entropy(logits, batch.labels)
-                    opt.zero_grad()
-                    backward(loss)
-                    opt.step()
+                    loss, t1, t5 = train_step(batch)
                     n = len(batch.labels)
-                    loss_sum += float(loss.data) * n
-                    t1_sum += topk_accuracy(logits.data, batch.labels, 1) * n
-                    t5_sum += topk_accuracy(logits.data, batch.labels, 5) * n
+                    loss_sum += loss * n
+                    t1_sum += t1 * n
+                    t5_sum += t5 * n
                     count += n
             except NonFiniteError as exc:
-                checkpoint(epoch)
+                checkpoint("abort.ckpt", kind="retrain-abort", aborted_in_epoch=epoch)
                 raise SearchAbort(
                     f"retraining aborted on non-finite loss at epoch {epoch}; "
-                    f"checkpoint written to {out / 'model.ckpt'}") from exc
+                    f"mid-epoch weights written to {out / 'abort.ckpt'}") from exc
             row = {"epoch": epoch, "split": "train", "loss": loss_sum / count,
                    "top1": t1_sum / count, "top5": t5_sum / count,
                    "lr": opt.lr}
@@ -631,10 +661,10 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir, seed: int | None = None
                 metrics.write(epoch, "test", ev["loss"], ev["top1"], ev["top5"])
             if cfg.retrain.checkpoint_every and \
                     (epoch + 1) % cfg.retrain.checkpoint_every == 0:
-                checkpoint(epoch, name=f"epoch_{epoch}.ckpt")
+                checkpoint(f"epoch_{epoch}.ckpt", kind="retrain", epoch=epoch)
 
         with MetricsWriter(out / "metrics.csv") as metrics:
             for epoch in range(start_epoch, cfg.retrain.epochs):
                 run_epoch(epoch, metrics)
-        checkpoint(cfg.retrain.epochs - 1)
+        checkpoint("model.ckpt", kind="retrain", epoch=cfg.retrain.epochs - 1)
         return model, history

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
-from .ops import EmbedParams, ModelDims, OpSpec, build_op
+from .ops import EmbedParams, ModelDims, OpSpec, ZeroOp, build_op
 from .selector import Selector
 
 #: (source, target) pairs; nodes 0/1 are the cell inputs, 2/3 intermediates.
@@ -70,7 +70,11 @@ class AlphaTable:
 
 
 def mixed_edge_forward(x: Tensor, ops: list, weights: Tensor) -> Tensor:
-    """Softmax-weighted sum of every candidate's output; no sampling."""
+    """Softmax-weighted sum of every candidate's output; no sampling.
+
+    Zero candidates are skipped: their term and its direct gradient are
+    exactly 0, and their logits still receive gradient through the softmax.
+    """
     if not ops:
         raise ConfigError("mixed edge: empty candidate list")
     if weights.shape != (len(ops),):
@@ -78,8 +82,12 @@ def mixed_edge_forward(x: Tensor, ops: list, weights: Tensor) -> Tensor:
             f"mixed edge: {len(ops)} candidates but weight shape {weights.shape}")
     total = None
     for k, op in enumerate(ops):
+        if isinstance(op, ZeroOp):
+            continue
         term = weights[k] * op.forward(x)
         total = term if total is None else total + term
+    if total is None:  # every candidate is Zero
+        return ops[0].forward(x)
     return total
 
 
@@ -166,7 +174,9 @@ class Supernet:
     def alpha_parameters(self) -> dict[str, Tensor]:
         return {"alpha.logits": self.alpha.logits}
 
+    def named_parameters(self) -> dict[str, Tensor]:
+        """Every parameter: the weights, then the architecture logits."""
+        return {**self.weight_parameters(), **self.alpha_parameters()}
+
     def named_arrays(self) -> dict[str, np.ndarray]:
-        out = {name: p.data for name, p in self.weight_parameters().items()}
-        out["alpha.logits"] = self.alpha.logits.data
-        return out
+        return {name: p.data for name, p in self.named_parameters().items()}

@@ -21,7 +21,21 @@ def analytic_grads(f, wrt):
         t.grad = None
     loss = f()
     backward(loss)
+    assert_nonleaf_grads_freed(loss)
     return [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in wrt]
+
+
+def assert_nonleaf_grads_freed(loss):
+    """After a backward pass only leaves may hold a gradient."""
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._parents:
+            assert node.grad is None, f"non-leaf {node!r} kept its gradient"
+            stack.extend(node._parents)
 
 
 def numerical_grads(f, wrt, h=1e-5):

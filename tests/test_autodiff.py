@@ -248,6 +248,8 @@ def test_backward_visits_every_node_exactly_once():
     assert counts == {0: 1, 1: 1, 2: 1, 3: 1}
     # fan-out through `shared` still accumulates both paths: d/dx = 2 + 6
     np.testing.assert_allclose(x.grad, [8.0, 8.0], atol=1e-12)
+    # non-leaf gradients are freed once consumed
+    assert [node.grad for node in (shared, left, right, loss)] == [None] * 4
 
 
 def test_zero_grad_helper():
@@ -256,3 +258,19 @@ def test_zero_grad_helper():
     assert x.grad is not None
     ad.zero_grads([x])
     assert x.grad is None
+
+
+def test_frozen_records_nothing_and_restores_flags_when_body_raises():
+    w = Tensor(np.ones(3), requires_grad=True)
+    c = Tensor(np.ones(3), requires_grad=False)
+    x = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(RuntimeError, match="boom"):
+        with ad.frozen([w, c, w]):
+            assert not (w.requires_grad or c.requires_grad)
+            out = w * c
+            assert not out.requires_grad and out._parents == ()
+            backward((w * x).sum())
+            raise RuntimeError("boom")
+    assert (w.requires_grad, c.requires_grad, x.requires_grad) == (True, False, True)
+    assert w.grad is None
+    np.testing.assert_array_equal(x.grad, np.ones(3))

@@ -1,15 +1,24 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dasvit
 from dasvit import desk_config, load_config, save_config, searched_encoder_genotype, \
     save_genotype
 from dasvit.cli import main
 from dasvit.config import config_from_json, config_to_json
 from dasvit.errors import ConfigError
+from dasvit.data import make_synthetic
+from dasvit.genotype import DerivedModel
+from dasvit.ops import ModelDims, OpSpec
 from dasvit.search import build_datasets, evaluate
+from dasvit.supernet import Supernet
 from oracles import topk_oracle
 
 
@@ -101,6 +110,15 @@ def _tiny_search_config(tmp_path, seed=1):
     path = tmp_path / "tiny.json"
     save_config(cfg, path)
     return path
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """DASVIT_THREADS only takes effect if numpy loads after main() sets the
+    BLAS variables, so importing the CLI must not load it."""
+    code = "import sys, dasvit.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    src = str(Path(dasvit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_cli_search_writes_artifacts_and_is_seed_stable(tmp_path, capsys):
@@ -234,10 +252,41 @@ def test_evaluate_constant_logits_score_chance():
 
             return Tensor(np.zeros((images.shape[0], 10)))
 
+        def named_parameters(self):
+            return {}
+
     ds = make_synthetic(classes=10, per_class=10, image=8, seed=0)
     scores = evaluate(ConstantModel(), ds, batch_size=25)
     assert scores["top1"] == pytest.approx(0.1)
     assert scores["top5"] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("kind", ["supernet", "derived"])
+def test_evaluate_records_no_graph_and_restores_flags(kind):
+    dims = ModelDims(dim=16, patch=4, image=8, classes=2)
+    rng = np.random.default_rng(0)
+    if kind == "supernet":
+        cands = [OpSpec("zero"), OpSpec("identity"), OpSpec("msa", heads=2),
+                 OpSpec("mlp", ratio=0.5)]
+        model = Supernet(dims, cands, 2, rng)
+    else:
+        model = DerivedModel(searched_encoder_genotype(dims, depth=2, heads=2), rng)
+    params = model.named_parameters()
+    params[sorted(params)[0]].requires_grad = False
+    before = {name: p.requires_grad for name, p in params.items()}
+
+    outputs = []
+    forward = model.forward
+
+    def spy(images):
+        outputs.append(forward(images))
+        return outputs[-1]
+
+    model.forward = spy
+    evaluate(model, make_synthetic(2, 4, 8, seed=0), batch_size=3)
+    assert len(outputs) == 3
+    assert not any(out.requires_grad or out._parents for out in outputs)
+    assert {name: p.requires_grad for name, p in params.items()} == before
 
 
 def test_evaluate_matches_hand_scoring(tmp_path):

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,10 +14,11 @@ from dasvit import autodiff as ad
 from dasvit.config import SyntheticConfig
 from dasvit.data import (BatchPlan, epoch_batches, load_checkpoint, make_synthetic,
                          split_dataset)
-from dasvit.errors import ConfigError, GenotypeError, SearchAbort
+from dasvit import search as search_mod
+from dasvit.errors import ConfigError, GenotypeError, NonFiniteError, SearchAbort
 from dasvit.ops import ModelDims, build_op
-from dasvit.search import (SearchState, _unrolled_alpha_grad, advance_stage,
-                           bilevel_epoch, prune_candidates)
+from dasvit.search import (SearchState, _fairness_terms, _unrolled_alpha_grad,
+                           advance_stage, bilevel_epoch, prune_candidates)
 from dasvit.supernet import mixed_edge_forward
 from oracles import softmax_np
 
@@ -428,6 +431,53 @@ def test_frozen_architecture_reduces_to_plain_training():
                                       state.alpha.logits.data)
 
 
+def test_each_phase_computes_only_the_gradients_it_updates():
+    """The alpha step sees the unfrozen first-order alpha gradient bitwise and
+    no weight gradient; the weight step sees no alpha gradient."""
+    with dtype_scope("float64"):
+        ds = make_synthetic(2, 16, 8, seed=0)
+        split = split_dataset(len(ds), 0.5, 0)
+        plan = BatchPlan(batch_size=8, seed=0)
+        tb = epoch_batches(ds, split.train_indices, plan, 0, "train")[:1]
+        vb = epoch_batches(ds, split.val_indices, plan, 0, "val")[:1]
+        sup = Supernet(DIMS, DESK8, 2, np.random.default_rng(0))
+        state = SearchState(model=sup, alpha=sup.alpha,
+                            w_opt=AdamW(sup.weight_parameters(), lr=0.01),
+                            a_opt=AdamW(sup.alpha_parameters(), lr=0.01),
+                            fairness=FairnessConfig())
+        weights = sup.weight_parameters()
+
+        l_val = ad.cross_entropy(sup.forward(vb[0].images), vb[0].labels)
+        ad.backward(l_val + _fairness_terms(sup.alpha, state.fairness)[2])
+        unfrozen = sup.alpha.logits.grad.copy()
+        assert all(p.grad is not None for p in weights.values())
+        state.zero_all()
+
+        seen = {}
+
+        def spy(opt, key):
+            step = opt.step
+
+            def wrapped():
+                seen[key] = {n: p.grad for n, p in sup.named_parameters().items()
+                             if p.grad is not None}
+                seen[key + "_alpha"] = (None if sup.alpha.logits.grad is None
+                                        else sup.alpha.logits.grad.copy())
+                step()
+
+            opt.step = wrapped
+
+        spy(state.a_opt, "alpha_step")
+        spy(state.w_opt, "weight_step")
+        bilevel_epoch(state, tb, vb)
+
+    assert set(seen["alpha_step"]) == {"alpha.logits"}
+    np.testing.assert_array_equal(seen["alpha_step_alpha"], unfrozen)
+    assert "alpha.logits" not in seen["weight_step"]
+    assert set(seen["weight_step"]) == set(weights)
+    assert all(p.requires_grad for p in sup.named_parameters().values())
+
+
 def test_alpha_and_weight_batches_stay_disjoint(tmp_path):
     cfg = _small_cfg(seed=2, stages=1, epochs_per_stage=2, prune_per_stage=[0, 0, 0])
     result = run_search(cfg, tmp_path / "run")
@@ -537,6 +587,27 @@ def test_nonfinite_loss_aborts_with_diagnostics(tmp_path):
     assert "alpha_logits" in dump and "error" in dump
 
 
+def test_failed_search_closes_its_logs(tmp_path, monkeypatch):
+    """An error other than NonFiniteError (here at the first stage boundary)
+    must still close alpha_history.csv and search_log.jsonl."""
+    def refuse(*args, **kwargs):
+        raise ConfigError("prune refused")
+
+    monkeypatch.setattr(search_mod, "prune_candidates", refuse)
+    cfg = _small_cfg(seed=0, stages=2, epochs_per_stage=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        try:
+            run_search(cfg, tmp_path / "failed")
+        except ConfigError as exc:
+            assert "prune refused" in str(exc)
+        else:
+            raise AssertionError("the injected failure did not propagate")
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert (tmp_path / "failed" / "search_log.jsonl").read_text()
+
+
 FROZEN_FIRST_ORDER_LOGITS = np.array([[
     [0.00037108543625861, -0.00275270614305057, 0.00553066741289079,
      -0.00173400638648354],
@@ -614,6 +685,42 @@ def test_retrain_resume_matches_straight_run(tmp_path):
                      if int(r[0]) >= 3]
     tail_rows = rows(tmp_path / "tail" / "metrics.csv")
     assert tail_rows == straight_rows
+
+
+def test_retrain_abort_writes_a_checkpoint_resume_refuses(tmp_path, monkeypatch):
+    g = searched_encoder_genotype(desk_config().model.dims(), depth=1, heads=4)
+    cfg = _retrain_cfg(3, checkpoint_every=1)
+    out = tmp_path / "run"
+    retrain(g, cfg, out)
+    good = {name: (out / name).read_bytes()
+            for name in ("model.ckpt", "model.ckpt.blob", "epoch_0.ckpt.blob")}
+
+    epochs, epoch_1_losses = [], []
+
+    def batches(*args, **kwargs):
+        epochs.append(args[3])
+        return epoch_batches(*args, **kwargs)
+
+    def nonfinite_at_third_step_of_epoch_1(logits, labels):
+        if epochs[-1] == 1:
+            epoch_1_losses.append(None)
+            if len(epoch_1_losses) == 3:
+                raise NonFiniteError("cross_entropy produced non-finite values")
+        return ad.cross_entropy(logits, labels)
+
+    monkeypatch.setattr(search_mod, "epoch_batches", batches)
+    monkeypatch.setattr(search_mod, "cross_entropy", nonfinite_at_third_step_of_epoch_1)
+    with pytest.raises(SearchAbort, match="abort.ckpt"):
+        retrain(g, cfg, out)
+    monkeypatch.undo()
+
+    _, extras = load_checkpoint(out / "abort.ckpt")
+    assert extras["kind"] == "retrain-abort"
+    assert extras["aborted_in_epoch"] == 1 and "epoch" not in extras
+    # model.ckpt and the completed epoch's checkpoint keep their bytes
+    assert {name: (out / name).read_bytes() for name in good} == good
+    with pytest.raises(ConfigError, match="aborted"):
+        retrain(g, cfg, tmp_path / "resumed", resume=out / "abort.ckpt")
 
 
 def test_retrain_rejects_class_mismatch(tmp_path):

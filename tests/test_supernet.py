@@ -31,6 +31,9 @@ def test_mixed_edge_uniform_over_zero_identity_halves_input(rng):
         w = ad.softmax(Tensor(np.zeros(2)))
         out = mixed_edge_forward(x, ops, w)
         np.testing.assert_allclose(out.data, 0.5 * x.data, atol=1e-12)
+        # an edge of Zero candidates alone still yields zeros of the input's shape
+        only_zero = mixed_edge_forward(x, ops[:1], ad.softmax(Tensor(np.zeros(1))))
+        np.testing.assert_array_equal(only_zero.data, np.zeros_like(x.data))
 
 
 def test_mixed_edge_saturated_identity_passes_input(rng):
