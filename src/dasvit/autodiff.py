@@ -8,6 +8,20 @@ order; gradients accumulate additively at fan-out points. Only leaves keep a
 closure has consumed it, and closures skip the products an operand that
 requires no gradient would discard.
 
+Gradient arrays are never written in place. The first write to a tensor's
+``.grad`` assigns the incoming array instead of adding it to zeros (copying
+it only when its dtype or memory layout differs from the tensor's); every
+later write builds a new array. Closures may hand one array to several
+operands (``add``/``sub``) or pass views of it (``reshape``/``transpose``),
+so this rule is what keeps shared arrays correct. At the end of a pass any
+leaf ``.grad`` that overlaps another leaf's is copied, so no two leaves
+share gradient memory.
+
+A product of an (..., K) tensor with a 2-D (K, H) weight runs as one GEMM
+over the flattened leading dimensions, forward and backward; the weight
+gradient is ``a2ᵀ @ g2`` over all rows at once, with no per-batch
+temporary to sum away.
+
 ``frozen(tensors)`` clears ``requires_grad`` on leaves for the length of a
 block, so nothing computed only from them is recorded at all. A phase that
 updates one set of parameters freezes the rest; a forward-only pass freezes
@@ -182,11 +196,24 @@ def _lift(x, like: Tensor) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add `g` to ``t.grad``; never writes into an existing array (see module doc).
+
+    ``t.grad`` always has ``t.data``'s dtype and memory layout: a first `g`
+    laid out otherwise is copied. Closures reduce and multiply their incoming
+    gradient, and numpy's summation order follows the layout, so this keeps
+    every gradient bitwise what adding into ``zeros_like(t.data)`` gave
+    (except that a lone -0.0 stays -0.0).
+    """
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if t.grad is not None:
+        t.grad = np.add(t.grad, g, out=np.empty_like(t.grad))
+    elif (type(g) is np.ndarray and g.dtype == t.data.dtype
+          and g.strides == t.data.strides and g.shape == t.data.shape):
+        t.grad = g
+    else:
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -255,10 +282,34 @@ def backward(loss: Tensor) -> None:
         if node._backward is not None:
             node.grad = None
     loss.grad = np.ones_like(loss.data)
+    leaves: list[Tensor] = []
     for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
+        if node._backward is None:
+            leaves.append(node)
+        elif node.grad is not None:
             g, node.grad = node.grad, None
             node._backward(g)
+    _unalias_grads(leaves)
+
+
+def _unalias_grads(leaves: list[Tensor]) -> None:
+    """Copy any leaf ``.grad`` that overlaps an earlier leaf's.
+
+    First writes assign arrays that closures may have handed to several
+    tensors, so two leaves can end a pass holding one buffer (``a + b`` on
+    same-shape leaves, or a reshaped leaf beside its sibling).
+    """
+    by_base: dict[int, list[np.ndarray]] = {}
+    for leaf in leaves:
+        g = leaf.grad
+        if g is None:
+            continue
+        owner = g if g.base is None else g.base
+        held = by_base.setdefault(id(owner), [])
+        if held and any(np.shares_memory(g, h) for h in held):
+            leaf.grad = g.copy()
+        else:
+            held.append(g)
 
 
 # -- elementwise arithmetic ------------------------------------------------------
@@ -331,6 +382,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be >= 2-d, got {a.shape} @ {b.shape}")
+    if b.ndim == 2 and a.ndim > 2:
+        return _matmul_rows(a, b)
     try:
         out = a.data @ b.data
     except ValueError:
@@ -341,6 +394,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+
+    return Tensor._from_op(out, (a, b), bw, "matmul")
+
+
+def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
+    """(..., K) @ (K, H) as one (rows, K) @ (K, H) GEMM, forward and backward."""
+    k = a.shape[-1]
+    if b.shape[0] != k:
+        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} are incompatible")
+    out = (a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+
+    def bw(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if a.requires_grad:
+            _accumulate(a, (g2 @ b.data.T).reshape(a.shape))
+        if b.requires_grad:
+            _accumulate(b, a.data.reshape(-1, k).T @ g2)
 
     return Tensor._from_op(out, (a, b), bw, "matmul")
 
@@ -473,8 +543,9 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else np.prod(
-        [a.shape[ax] for ax in ((axis,) if isinstance(axis, int) else tuple(axis))])
+    # a Python int: an np.int64 divisor would promote a float32 gradient to float64
+    count = a.data.size if axis is None else math.prod(
+        a.shape[ax] for ax in ((axis,) if isinstance(axis, int) else tuple(axis)))
 
     def bw(g):
         if axis is not None and not keepdims:
@@ -519,14 +590,14 @@ def gelu(a: Tensor) -> Tensor:
     """tanh-approximated GELU; erf-free and deterministic."""
     a = as_tensor(a)
     x = a.data
-    # x * x * x, not x**3: numpy's float32 pow is ~100x slower than two multiplies
+    # products, not x**3 or x**2: numpy's float32 pow is far slower than multiplies
     inner = _GELU_C * (x + _GELU_K * (x * x * x))
     t = np.tanh(inner)
     out = 0.5 * x * (1.0 + t)
 
     def bw(g):
-        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_K * x**2)
-        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner
+        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_K * (x * x))
+        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
         _accumulate(a, g * local)
 
     return Tensor._from_op(out, (a,), bw, "gelu")
@@ -551,7 +622,7 @@ def layer_norm(a: Tensor, eps: float = 1e-6) -> Tensor:
     a = as_tensor(a)
     mu = a.data.mean(axis=-1, keepdims=True)
     centered = a.data - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     out = centered * inv
 

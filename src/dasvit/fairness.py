@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
@@ -42,7 +44,8 @@ class FairnessConfig:
 
 
 def _scalar_zero() -> Tensor:
-    return ad.Tensor(0.0)
+    # in the default dtype, so adding it to a float32 loss keeps float32
+    return ad.Tensor(np.zeros((), dtype=ad.default_dtype()))
 
 
 def skip_fairness(alpha) -> Tensor:

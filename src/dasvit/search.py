@@ -205,13 +205,15 @@ class SearchState:
     weight_sample_indices: set = field(default_factory=set)
 
     def all_tensors(self):
-        seen = []
-        for p in self.w_opt.params.values():
-            seen.append(p)
-        seen.append(self.alpha.logits)
+        """Each tensor the loop may give a gradient, once: the optimised
+        weights, alpha, then model weights outside ``w_opt`` (the selector
+        projections under ``gather_only``)."""
+        seen = {id(p): p for p in self.w_opt.params.values()}
+        seen.setdefault(id(self.alpha.logits), self.alpha.logits)
         if hasattr(self.model, "weight_parameters"):
-            seen.extend(self.model.weight_parameters().values())
-        return seen
+            for p in self.model.weight_parameters().values():
+                seen.setdefault(id(p), p)
+        return list(seen.values())
 
     def zero_all(self):
         for p in self.all_tensors():

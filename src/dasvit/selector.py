@@ -9,7 +9,8 @@ Two gradient modes exist for the selector projections:
 
 * ``score_scaling`` (default): each kept patch token is multiplied by the
   logistic of its score, so the projections receive gradients.
-* ``gather_only``: tokens are copied unscaled; the projections get none.
+* ``gather_only``: tokens are copied unscaled; the projections get none,
+  and scoring records no graph.
 """
 
 from __future__ import annotations
@@ -62,7 +63,12 @@ class Selector:
                 f"selector: lambda={self.lam} with {n} patch tokens keeps none; "
                 "increase lambda or the token count")
         patches = x[:, 1:]
-        s = self.scores(patches)
+        if self.grad_mode == "score_scaling":
+            s = self.scores(patches)
+        else:
+            # only the order is used, so record no score graph
+            with ad.frozen([self.wq, self.wk]):
+                s = self.scores(patches.detach())
         order = np.argsort(-s.data, axis=1, kind="stable")[:, :k]
         kept = ad.gather_rows(patches, order)
         if self.grad_mode == "score_scaling":

@@ -21,13 +21,14 @@ def analytic_grads(f, wrt):
         t.grad = None
     loss = f()
     backward(loss)
-    assert_nonleaf_grads_freed(loss)
+    assert_grad_contract(loss)
     return [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in wrt]
 
 
-def assert_nonleaf_grads_freed(loss):
-    """After a backward pass only leaves may hold a gradient."""
-    seen, stack = set(), [loss]
+def assert_grad_contract(loss):
+    """After a backward pass only leaves hold a gradient, each in the leaf's
+    shape, dtype and memory layout, and no two gradient arrays share memory."""
+    seen, stack, grads = set(), [loss], []
     while stack:
         node = stack.pop()
         if id(node) in seen:
@@ -36,6 +37,15 @@ def assert_nonleaf_grads_freed(loss):
         if node._parents:
             assert node.grad is None, f"non-leaf {node!r} kept its gradient"
             stack.extend(node._parents)
+        elif node.grad is not None:
+            assert isinstance(node.grad, np.ndarray), f"{node!r} grad is not an array"
+            assert node.grad.shape == node.shape, f"{node!r} grad shape {node.grad.shape}"
+            assert node.grad.dtype == node.dtype, f"{node!r} grad dtype {node.grad.dtype}"
+            assert node.grad.strides == node.data.strides, f"{node!r} grad layout"
+            grads.append((node, node.grad))
+    for i, (a, ga) in enumerate(grads):
+        for b, gb in grads[i + 1:]:
+            assert not np.shares_memory(ga, gb), f"{a!r} and {b!r} share a gradient buffer"
 
 
 def numerical_grads(f, wrt, h=1e-5):

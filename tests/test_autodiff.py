@@ -92,6 +92,18 @@ def test_nonfinite_result_is_an_error():
             big * big
 
 
+def test_mean_backward_builds_no_float64_gradient(monkeypatch):
+    handed = []
+    accumulate = ad._accumulate
+    monkeypatch.setattr(ad, "_accumulate",
+                        lambda t, g: handed.append(g.dtype) or accumulate(t, g))
+    x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+    backward(x.mean(axis=1).sum() + x.mean(axis=(0, 1)))
+    assert set(handed) == {np.dtype(np.float32)}
+    assert x.grad.dtype == np.float32
+    np.testing.assert_allclose(x.grad, np.full((2, 3), 1 / 3 + 1 / 6), rtol=1e-6)
+
+
 def test_gather_rows_accumulates_duplicate_indices():
     with dtype_scope("float64"):
         x = Tensor(np.arange(6.0).reshape(1, 3, 2), requires_grad=True)
@@ -124,7 +136,8 @@ def _proj(rng, shape):
 
 PRIMITIVE_CASES = [
     "add", "add_broadcast", "sub", "mul", "mul_broadcast", "neg",
-    "matmul_2d", "matmul_batched", "matmul_batched_2d", "transpose", "reshape",
+    "matmul_2d", "matmul_batched", "matmul_batched_2d", "matmul_4d_2d",
+    "matmul_transposed_view_2d", "scalar_fanout", "transpose", "reshape",
     "broadcast_to", "concat", "index", "gather_rows_2d", "gather_rows_3d",
     "sum_axis", "mean_axis", "softmax", "layer_norm", "gelu", "relu",
     "sigmoid", "cross_entropy",
@@ -160,6 +173,17 @@ def test_primitive_gradients_match_finite_differences(case, rng):
             a, b = t64(rng, 2, 3, 4), t64(rng, 4, 2)
             p = _proj(rng, (2, 3, 2))
             check_grads(lambda: ((a @ b) * p).sum(), [a, b])
+        elif case == "matmul_4d_2d":
+            a, b = t64(rng, 2, 3, 2, 4), t64(rng, 4, 5)
+            p = _proj(rng, (2, 3, 2, 5))
+            check_grads(lambda: ((a @ b) * p).sum(), [a, b])
+        elif case == "matmul_transposed_view_2d":
+            a, b = t64(rng, 2, 4, 3), t64(rng, 4, 2)
+            p = _proj(rng, (2, 3, 2))
+            check_grads(lambda: ((a.transpose((0, 2, 1)) @ b) * p).sum(), [a, b])
+        elif case == "scalar_fanout":
+            a = Tensor(np.array(0.7), requires_grad=True)
+            check_grads(lambda: a * a + a, [a])
         elif case == "transpose":
             a = t64(rng, 2, 3, 4)
             p = _proj(rng, (4, 2, 3))
@@ -226,6 +250,58 @@ def test_primitive_gradients_match_finite_differences(case, rng):
             check_grads(lambda: ad.cross_entropy(a, labels), [a])
         else:  # pragma: no cover
             raise AssertionError(case)
+
+
+@pytest.mark.parametrize("frozen_side", ["a", "b"])
+def test_matmul_rows_frozen_operand_gets_no_gradient(frozen_side, rng):
+    with dtype_scope("float64"):
+        a, b = t64(rng, 2, 3, 4), t64(rng, 4, 2)
+        p = _proj(rng, (2, 3, 2))
+        dead, live = (a, b) if frozen_side == "a" else (b, a)
+        with ad.frozen([dead]):
+            check_grads(lambda: ((a @ b) * p).sum(), [live])
+        assert dead.grad is None
+
+
+def test_matmul_rows_forward_and_input_gradient_match_numpy_bitwise(rng):
+    a = rng.standard_normal((16, 33, 192)).astype(np.float32)
+    b = rng.standard_normal((192, 768)).astype(np.float32)
+    g = rng.standard_normal((16, 33, 768)).astype(np.float32)
+    ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    out = ta @ tb
+    np.testing.assert_array_equal(out.data, np.matmul(a, b))
+    backward((out * Tensor(g)).sum())
+    np.testing.assert_array_equal(ta.grad, np.matmul(g, b.T))
+    assert ta.grad.dtype == tb.grad.dtype == np.float32
+    # the weight gradient sums all rows in one GEMM: same value, new rounding
+    np.testing.assert_allclose(tb.grad, (np.swapaxes(a, 1, 2) @ g).sum(axis=0),
+                               rtol=1e-4, atol=1e-4 * np.abs(tb.grad).max())
+
+
+def test_matmul_rows_shape_mismatch_names_both_shapes():
+    with pytest.raises(ShapeError, match=r"matmul.*\(2, 3, 4\).*\(5, 6\)"):
+        ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((5, 6))))
+
+
+def test_first_gradient_write_takes_the_tensor_layout():
+    # numpy's reduction order follows memory layout, so a gradient laid out
+    # unlike its tensor would round differently downstream
+    data = np.arange(6.0).reshape(2, 3).T
+    x = Tensor(data, requires_grad=True)
+    backward((x * 2.0).sum())
+    assert x.grad.strides == data.strides
+    np.testing.assert_array_equal(x.grad, np.full((3, 2), 2.0))
+
+
+def test_add_of_two_leaves_gives_unaliased_gradients():
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.ones((2, 3)), requires_grad=True)
+    loss = (a + b).sum()
+    backward(loss)
+    assert not np.shares_memory(a.grad, b.grad)
+    backward(loss)
+    np.testing.assert_array_equal(a.grad, np.full((2, 3), 2.0))
+    np.testing.assert_array_equal(b.grad, np.full((2, 3), 2.0))
 
 
 def test_backward_visits_every_node_exactly_once():

@@ -31,6 +31,10 @@ def test_uniform_eight_ops_skip_weight_is_one_eighth():
 def test_skip_fairness_without_identity_is_zero():
     alpha = _alpha([OpSpec("zero"), OpSpec("mlp", ratio=0.5)])
     assert float(skip_fairness(alpha).data) == 0.0
+    # a float64 zero would promote the float32 search loss it is added to
+    assert skip_fairness(alpha).dtype == np.float32
+    with dtype_scope("float64"):
+        assert skip_fairness(alpha).dtype == np.float64
 
 
 def test_skip_fairness_matches_loop_oracle(rng):

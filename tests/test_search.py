@@ -478,6 +478,19 @@ def test_each_phase_computes_only_the_gradients_it_updates():
     assert all(p.requires_grad for p in sup.named_parameters().values())
 
 
+def test_all_tensors_lists_each_parameter_once():
+    sup = Supernet(DIMS, DESK8, 2, np.random.default_rng(0), grad_mode="gather_only")
+    state = SearchState(
+        model=sup, alpha=sup.alpha,
+        w_opt=AdamW(sup.weight_parameters(include_selector=False), lr=0.01),
+        a_opt=AdamW(sup.alpha_parameters(), lr=0.01), fairness=FairnessConfig())
+    listed = state.all_tensors()
+    assert len({id(p) for p in listed}) == len(listed)
+    # the gather_only selector weights are outside w_opt but still frozen
+    # with the other weights in the alpha phase
+    assert {id(p) for p in listed} == {id(p) for p in sup.named_parameters().values()}
+
+
 def test_alpha_and_weight_batches_stay_disjoint(tmp_path):
     cfg = _small_cfg(seed=2, stages=1, epochs_per_stage=2, prune_per_stage=[0, 0, 0])
     result = run_search(cfg, tmp_path / "run")

@@ -110,8 +110,16 @@ def test_score_scaling_gives_selector_gradients(rng):
 def test_gather_only_gives_no_selector_gradients(rng):
     with dtype_scope("float64"):
         sel = _selector(4, lam=0.5, grad_mode="gather_only")
+        same_weights = _selector(4, lam=0.5, grad_mode="score_scaling")
         x = Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
-        out, _ = sel.select(x)
+        recorded = []
+        scores = sel.scores
+        sel.scores = lambda t: recorded.append(scores(t)) or recorded[-1]
+        out, order = sel.select(x)
+        # the score graph is not recorded, and the order is the scored one
+        assert recorded[0]._parents == () and not recorded[0].requires_grad
+        np.testing.assert_array_equal(order, same_weights.select(x)[1])
+        assert sel.wq.requires_grad and sel.wk.requires_grad
         backward(out.sum())
         assert sel.wq.grad is None and sel.wk.grad is None
         assert x.grad is not None

@@ -9,6 +9,7 @@ from dasvit.genotype import make_genotype
 from dasvit.ops import ModelDims, build_op
 from dasvit.supernet import CELL_EDGES, MixedEdge
 from dasvit.data import make_synthetic
+from dasvit.fairness import skip_fairness
 from oracles import check_grads, softmax_np, walk_dag
 
 DESK8 = [
@@ -218,6 +219,26 @@ def test_alpha_gradients_nonzero_when_all_candidates_parameterized(rng):
         grad = sup.alpha.logits.grad
         assert grad is not None
         assert (np.abs(grad) > 0).all()
+
+
+@pytest.mark.parametrize("grad_mode", ["score_scaling", "gather_only"])
+def test_float32_backward_leaves_every_gradient_float32(grad_mode, monkeypatch):
+    handed = set()
+    accumulate = ad._accumulate
+    monkeypatch.setattr(ad, "_accumulate",
+                        lambda t, g: handed.add(np.asarray(g).dtype) or accumulate(t, g))
+    sup = _supernet(layers=1, grad_mode=grad_mode,
+                    candidates=[OpSpec("zero"), OpSpec("msa", heads=2),
+                                OpSpec("mlp", ratio=0.5)])
+    ds = make_synthetic(2, 3, 8, seed=2)
+    loss = ad.cross_entropy(sup.forward(ds.images), ds.labels) + skip_fairness(sup.alpha)
+    assert loss.dtype == np.float32
+    backward(loss)
+    assert handed == {np.dtype(np.float32)}
+    grads = {n: p.grad for n, p in sup.weight_parameters(
+        include_selector=grad_mode == "score_scaling").items()}
+    grads["alpha.logits"] = sup.alpha.logits.grad
+    assert {n: g.dtype for n, g in grads.items()} == dict.fromkeys(grads, np.float32)
 
 
 def test_hardened_supernet_matches_derived_model(rng):
