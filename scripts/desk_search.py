@@ -43,8 +43,9 @@ def main() -> int:
     args = parser.parse_args()
 
     cfg = desk_config(seed=args.seed)
-    cfg = dataclasses.replace(
-        cfg, retrain=dataclasses.replace(cfg.retrain, epochs=args.retrain_epochs))
+    cfg = dataclasses.replace(cfg, retrain=dataclasses.replace(
+        cfg.retrain, epochs=args.retrain_epochs,
+        warmup_epochs=min(cfg.retrain.warmup_epochs, args.retrain_epochs)))
 
     print("== search ==")
     result = run_search(cfg, args.out / "search")

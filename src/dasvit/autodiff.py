@@ -227,11 +227,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None
-
-
 @contextmanager
 def frozen(tensors: Iterable[Tensor]):
     """Treat `tensors` as constants inside the block.

@@ -9,6 +9,7 @@ inside the handlers, not at module import time.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -69,8 +70,6 @@ def _load_config(path, seed):
 
     cfg = load_config(path) if path is not None else desk_config()
     if seed is not None:
-        import dataclasses
-
         cfg = dataclasses.replace(cfg, seed=int(seed))
     return cfg
 
@@ -112,7 +111,7 @@ def _cmd_retrain(args) -> int:
 def _cmd_eval(args) -> int:
     from .autodiff import dtype_scope
     from .config import ConfigError
-    from .data import load_checkpoint
+    from .data import load_checkpoint, load_parameters
     from .genotype import DerivedModel, genotype_to_json, load_genotype
     from .search import _norm_stats, build_datasets, evaluate
 
@@ -127,8 +126,7 @@ def _cmd_eval(args) -> int:
         model = DerivedModel(genotype, np.random.default_rng(0),
                              pre_norm=cfg.model.pre_norm,
                              final_norm=cfg.model.final_norm)
-        for name, p in model.named_parameters().items():
-            p.data = arrays[name].astype(p.data.dtype).copy()
+        load_parameters(model.named_parameters(), arrays, args.checkpoint)
         train_ds, test_ds = build_datasets(cfg, cfg.seed)
         dataset = train_ds if args.split == "train" else test_ds
         result = evaluate(model, dataset, cfg.retrain.batch_size, _norm_stats(cfg))
@@ -146,10 +144,11 @@ def _cmd_analyze(args) -> int:
     genotype = load_genotype(args.genotype)
     report = cost_report(genotype, pre_norm=not args.no_pre_norm)
     print(report.table())
-    print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+    doc = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
+    print(doc)
     if args.out:
         args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+        args.out.write_text(doc + "\n")
     return 0
 
 

@@ -119,11 +119,15 @@ class RunConfig:
             raise ConfigError(f"selector.grad_mode: must be one of {GRAD_MODES}")
         if not self.candidates:
             raise ConfigError("candidates: must not be empty")
+        names = [spec.name for spec in self.candidates]
         for i, spec in enumerate(self.candidates):
             if spec.kind == "msa" and self.model.dim % spec.heads != 0:
                 raise ConfigError(
                     f"candidates[{i}]: {spec.name} incompatible with embedding dim "
                     f"{self.model.dim}")
+            if spec.name in names[:i]:
+                raise ConfigError(f"candidates[{i}]: {spec.name} duplicates "
+                                  f"candidates[{names.index(spec.name)}]")
         s = self.search
         if s.stages < 1 or s.epochs_per_stage < 1:
             raise ConfigError("search: stages and epochs_per_stage must be >= 1")
@@ -134,6 +138,10 @@ class RunConfig:
             raise ConfigError("search.val_fraction: must lie in (0, 1)")
         if s.score_mode not in ("mean", "max"):
             raise ConfigError("search.score_mode: must be 'mean' or 'max'")
+        if self.retrain.warmup_epochs > self.retrain.epochs:
+            raise ConfigError(
+                f"retrain.warmup_epochs: {self.retrain.warmup_epochs} exceeds "
+                f"retrain.epochs {self.retrain.epochs}")
         if self.data.source not in ("synthetic", "cifar10"):
             raise ConfigError(f"data.source: unknown source {self.data.source!r}")
         if (self.data.normalize_mean is None) != (self.data.normalize_std is None):
@@ -153,9 +161,13 @@ class RunConfig:
 
 # -- json round trip -----------------------------------------------------------------
 
+#: The config class of every field that holds a nested config. Fields carry
+#: string annotations under `from __future__ import annotations`, so nested
+#: configs are found by field name.
 _NESTED = {
-    ModelConfig, SelectorConfig, SearchConfig, RetrainConfig,
-    SyntheticConfig, DataConfig, FairnessConfig, RunConfig,
+    "model": ModelConfig, "selector": SelectorConfig, "search": SearchConfig,
+    "retrain": RetrainConfig, "synthetic": SyntheticConfig, "data": DataConfig,
+    "fairness": FairnessConfig,
 }
 
 
@@ -176,14 +188,12 @@ def _from_dict(cls, doc, path: str):
             continue
         value = doc[key]
         sub = f"{path}.{key}"
-        if f.type in ("list[OpSpec]",) or f.name == "candidates":
+        if f.name == "candidates":
             if not isinstance(value, list):
                 raise ConfigError(f"{sub}: expected a list of op objects")
             value = [OpSpec.from_json(v, f"{sub}[{i}]") for i, v in enumerate(value)]
-        else:
-            target = _nested_type(cls, f.name)
-            if target is not None:
-                value = _from_dict(target, value, sub)
+        elif f.name in _NESTED:
+            value = _from_dict(_NESTED[f.name], value, sub)
         kwargs[f.name] = value
     try:
         obj = cls(**kwargs)
@@ -194,21 +204,10 @@ def _from_dict(cls, doc, path: str):
     return obj
 
 
-def _nested_type(cls, name: str):
-    # dataclass fields carry string annotations under `from __future__ import
-    # annotations`, so map nested configs by field name instead.
-    mapping = {
-        "model": ModelConfig, "selector": SelectorConfig, "search": SearchConfig,
-        "retrain": RetrainConfig, "synthetic": SyntheticConfig, "data": DataConfig,
-        "fairness": FairnessConfig,
-    }
-    return mapping.get(name)
-
-
 def _to_dict(obj):
     if isinstance(obj, OpSpec):
         return obj.to_json()
-    if dataclasses.is_dataclass(obj) and type(obj) in _NESTED:
+    if dataclasses.is_dataclass(obj):
         out = {}
         for f in dataclasses.fields(obj):
             out[_field_key(f)] = _to_dict(getattr(obj, f.name))

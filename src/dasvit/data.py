@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import DataError
 
-# purpose tags for rng_for
-RNG_PARAMS = 0
+# purpose tags for rng_for (0 is retired; the numbering of the rest is fixed)
 RNG_SYNTH = 1
 RNG_SPLIT = 2
 RNG_SHUFFLE = 3
@@ -183,12 +182,6 @@ def normalize(images: np.ndarray, mean, std) -> np.ndarray:
     return (images - mean) / std
 
 
-def denormalize(images: np.ndarray, mean, std) -> np.ndarray:
-    mean = np.asarray(mean, dtype=images.dtype)
-    std = np.asarray(std, dtype=images.dtype)
-    return images * std + mean
-
-
 # -- splits and batching --------------------------------------------------------
 
 
@@ -310,12 +303,27 @@ class MetricsWriter:
 _CKPT_FORMAT = "dasvit-checkpoint"
 
 
+def _replace_file(path: Path, data: bytes) -> None:
+    """Write `data` to a temporary file beside `path`, fsync it, then rename
+    it over `path`: readers see the old file or the new one, never a mix."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(path, arrays: dict[str, np.ndarray], extras: dict | None = None):
-    """Write a JSON manifest at `path` and a raw little-endian blob beside it.
+    """Write a raw little-endian blob and then a JSON manifest at `path`.
 
     The round trip is bit-exact: array bytes land in the blob unmodified
-    (byte-swapped to little-endian if needed), offsets in the manifest.
-    """
+    (byte-swapped to little-endian if needed), offsets in the manifest. Each
+    file is replaced atomically, blob first, so a failed blob write leaves the
+    previous checkpoint at `path` intact."""
     path = Path(path)
     blob_path = path.with_name(path.name + ".blob")
     entries: dict[str, dict] = {}
@@ -341,15 +349,8 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], extras: dict | None = N
         "arrays": entries,
         "extras": extras or {},
     }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    with open(blob_path, "wb") as fh:
-        fh.write(b"".join(chunks))
-        fh.flush()
-        os.fsync(fh.fileno())
+    _replace_file(blob_path, b"".join(chunks))
+    _replace_file(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
@@ -371,3 +372,28 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         arr = np.frombuffer(blob[start:start + nbytes], dtype=np.dtype(entry["dtype"]))
         arrays[name] = arr.reshape(entry["shape"]).copy()
     return arrays, manifest.get("extras", {})
+
+
+def load_parameters(params: dict, arrays: dict[str, np.ndarray], source,
+                    opt_state: dict[str, np.ndarray] | None = None) -> None:
+    """Copy ``arrays[name]`` into each tensor ``params[name]``, cast to its dtype.
+
+    Strict, all or nothing: each parameter and each `opt_state` entry (the
+    optimizer state the caller restores) needs an array of its shape, and an
+    array that is neither nor named ``opt.*`` is surplus. A violation raises
+    DataError naming the array and `source`."""
+    expected = {name: p.data.shape for name, p in params.items()}
+    expected.update((name, a.shape) for name, a in (opt_state or {}).items())
+    for name, shape in expected.items():
+        if name not in arrays:
+            raise DataError(f"{source}: no array {name!r}")
+        if arrays[name].shape != shape:
+            raise DataError(f"{source}: array {name!r} has shape "
+                            f"{arrays[name].shape}, expected {shape}")
+    surplus = [name for name in arrays
+               if name not in expected and not name.startswith("opt.")]
+    if surplus:
+        raise DataError(f"{source}: array {surplus[0]!r} matches no parameter "
+                        f"({len(surplus)} surplus arrays)")
+    for name, p in params.items():
+        p.data = arrays[name].astype(p.data.dtype)

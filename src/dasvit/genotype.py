@@ -22,11 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import GenotypeError, ShapeError
-from .ops import EmbedParams, ModelDims, OpSpec, build_op, mlp_hidden_dim
+from .data import load_parameters
+from .errors import GenotypeError
+from .ops import (CELL_EDGES, INTERMEDIATE_NODES, EmbedParams, ModelDims, OpSpec,
+                  build_op, mlp_hidden_dim, walk_cell)
 
 SCHEMA_VERSION = 1
-FLOPS_PER_MAC = 1
 OPS_PER_ACT_ELEMENT = 5
 
 NodePairs = tuple[tuple[int, OpSpec], ...]
@@ -207,16 +208,13 @@ class DerivedModel:
             self.layers.append(per_node)
 
     def cell(self, layer: int, in0: Tensor, in1: Tensor) -> Tensor:
-        if in0.shape != in1.shape:
-            raise ShapeError(f"cell: input shapes {in0.shape} and {in1.shape} differ")
-        values = [in0, in1]
-        for node_ops in self.layers[layer]:
-            total = None
-            for src, op in node_ops:
-                term = op.forward(values[src])
-                total = term if total is None else total + term
-            values.append(total)
-        return values[2] + values[3]
+        nodes = self.layers[layer]
+
+        def node_terms(target, values):
+            for src, op in nodes[INTERMEDIATE_NODES.index(target)]:
+                yield op.forward(values[src])
+
+        return walk_cell(in0, in1, node_terms)
 
     def forward(self, images) -> Tensor:
         z = self.embed.embed(images)
@@ -226,13 +224,20 @@ class DerivedModel:
             prev2, prev1 = prev1, out
         return self.embed.classify(prev1)
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        out = {f"embed.{n}": p for n, p in self.embed.named_parameters().items()}
+    def _ops(self):
+        """(parameter prefix, supernet bank prefix, op) for every op."""
         for layer, per_node in enumerate(self.layers):
             for j, node_ops in enumerate(per_node):
                 for i, (src, op) in enumerate(node_ops):
-                    for pname, p in op.named_parameters().items():
-                        out[f"layers.{layer}.n{j}.{i}.{op.spec.name}.{pname}"] = p
+                    edge = CELL_EDGES.index((src, INTERMEDIATE_NODES[j]))
+                    yield (f"layers.{layer}.n{j}.{i}.{op.spec.name}",
+                           f"cells.{layer}.e{edge}.{op.spec.name}", op)
+
+    def named_parameters(self) -> dict[str, Tensor]:
+        out = {f"embed.{n}": p for n, p in self.embed.named_parameters().items()}
+        for prefix, _, op in self._ops():
+            for pname, p in op.named_parameters().items():
+                out[f"{prefix}.{pname}"] = p
         return out
 
     def named_arrays(self) -> dict[str, np.ndarray]:
@@ -242,11 +247,10 @@ class DerivedModel:
     def from_supernet(cls, sup, genotype: Genotype) -> "DerivedModel":
         """Instantiate the genotype reusing the supernet's trained banks.
 
-        Embedding/head parameters are copied verbatim; each kept (edge, op)
-        pair copies the matching candidate bank of the matching supernet edge.
+        Embedding/head parameters are copied verbatim; each kept (source, op)
+        pair copies the same candidate's bank on the matching supernet edge.
+        A bank the supernet lacks (a pruned candidate) raises DataError.
         """
-        from .supernet import CELL_EDGES  # local import avoids a cycle
-
         if sup.num_layers != genotype.depth:
             raise GenotypeError(
                 f"from_supernet: supernet depth {sup.num_layers} != genotype depth "
@@ -254,26 +258,16 @@ class DerivedModel:
         model = cls(genotype, np.random.default_rng(0),
                     pre_norm=sup.pre_norm,
                     final_norm=sup.embed.final_g is not None)
-        for name, p in model.embed.named_parameters().items():
-            p.data = sup.embed.named_parameters()[name].data.copy()
-        edge_of = {pair: idx for idx, pair in enumerate(CELL_EDGES)}
-        for layer, per_node in enumerate(model.layers):
-            for j, node_ops in enumerate(per_node):
-                target = 2 + j
-                for src, op in node_ops:
-                    edge = edge_of[(src, target)]
-                    k = sup.candidates.index(op.spec)
-                    source_op = sup.cells[layer][edge].ops[k]
-                    src_params = source_op.named_parameters()
-                    for pname, p in op.named_parameters().items():
-                        p.data = src_params[pname].data.copy()
+        banks = sup.named_arrays()
+        arrays = {f"embed.{n}": banks[f"embed.{n}"]
+                  for n in model.embed.named_parameters()}
+        for prefix, bank, op in model._ops():
+            for pname in op.named_parameters():
+                if f"{bank}.{pname}" in banks:
+                    arrays[f"{prefix}.{pname}"] = banks[f"{bank}.{pname}"]
+        load_parameters(model.named_parameters(), arrays,
+                        f"supernet over {[s.name for s in sup.candidates]}")
         return model
-
-
-def init_derived(genotype: Genotype, seed: int, pre_norm: bool = True,
-                 final_norm: bool = True) -> DerivedModel:
-    return DerivedModel(genotype, np.random.default_rng(seed),
-                        pre_norm=pre_norm, final_norm=final_norm)
 
 
 # -- analytic cost counters ---------------------------------------------------------
@@ -290,17 +284,6 @@ class CostReport:
     flops_overhead: int
     per_layer_params: list[int] = field(default_factory=list)
     per_layer_flops: list[int] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "params": self.params,
-            "flops": self.flops,
-            "peak_activation": self.peak_activation,
-            "params_overhead": self.params_overhead,
-            "flops_overhead": self.flops_overhead,
-            "per_layer_params": self.per_layer_params,
-            "per_layer_flops": self.per_layer_flops,
-        }
 
     def table(self) -> str:
         lines = [
@@ -330,11 +313,11 @@ def _op_flop_count(spec: OpSpec, dim: int, tokens: int, pre_norm: bool) -> int:
     if spec.kind == "msa":
         macs = 4 * tokens * dim * dim + 2 * tokens * tokens * dim
         softmax_elems = spec.heads * tokens * tokens
-        return macs * FLOPS_PER_MAC + OPS_PER_ACT_ELEMENT * (norm_elems + softmax_elems)
+        return macs + OPS_PER_ACT_ELEMENT * (norm_elems + softmax_elems)
     if spec.kind == "mlp":
         hidden = mlp_hidden_dim(spec.ratio, dim)
         macs = 2 * tokens * dim * hidden
-        return macs * FLOPS_PER_MAC + OPS_PER_ACT_ELEMENT * (norm_elems + tokens * hidden)
+        return macs + OPS_PER_ACT_ELEMENT * (norm_elems + tokens * hidden)
     return 0
 
 
@@ -361,7 +344,7 @@ def cost_report(g: Genotype, pre_norm: bool = True, final_norm: bool = True) -> 
         params_overhead += 2 * d
 
     layer_flops = sum(_op_flop_count(spec, d, tokens, pre_norm) for spec in g.ops())
-    flops_overhead = n * patch_in * d * FLOPS_PER_MAC + d * g.dims.classes * FLOPS_PER_MAC
+    flops_overhead = n * patch_in * d + d * g.dims.classes
     if final_norm:
         flops_overhead += OPS_PER_ACT_ELEMENT * d  # class row only
 

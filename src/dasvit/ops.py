@@ -10,7 +10,13 @@ All candidate ops are shape-preserving maps (B, N, D) -> (B, N, D):
                 hidden ratio
 
 Ops are residual-free; the additive aggregation of the surrounding cell DAG
-supplies the residual role.
+supplies the residual role. That DAG is fixed and shared by the supernet and
+every derived model; `CELL_EDGES` holds its topology and `walk_cell` runs it:
+
+    inputs:        in0 (two layers back), in1 (previous layer)
+    intermediates: n0 = e0(in0) + e1(in1)
+                   n1 = e2(in0) + e3(in1) + e4(n0)
+    output:        n0 + n1
 """
 
 from __future__ import annotations
@@ -51,10 +57,6 @@ class OpSpec:
                 raise ConfigError("OpSpec: mlp takes no heads")
         elif self.heads is not None or self.ratio is not None:
             raise ConfigError(f"OpSpec: {self.kind} takes no arguments")
-
-    @property
-    def type_tag(self) -> str:
-        return self.kind
 
     @property
     def name(self) -> str:
@@ -325,3 +327,26 @@ class EmbedParams:
             out["final_g"] = self.final_g
             out["final_b"] = self.final_b
         return out
+
+
+# -- the cell DAG ------------------------------------------------------------------
+
+#: (source, target) pairs; nodes 0/1 are the cell inputs, 2/3 intermediates.
+CELL_EDGES: tuple[tuple[int, int], ...] = ((0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
+NUM_EDGES = len(CELL_EDGES)
+INTERMEDIATE_NODES = (2, 3)
+
+
+def walk_cell(in0: Tensor, in1: Tensor, node_terms) -> Tensor:
+    """Run the cell DAG: each intermediate node sums, in order, the terms
+    ``node_terms(target, values)`` yields from the node values so far, and
+    the cell returns the sum of both intermediates."""
+    if in0.shape != in1.shape:
+        raise ShapeError(f"cell: input shapes {in0.shape} and {in1.shape} differ")
+    values = [in0, in1]
+    for target in INTERMEDIATE_NODES:
+        total = None
+        for term in node_terms(target, values):
+            total = term if total is None else total + term
+        values.append(total)
+    return values[2] + values[3]

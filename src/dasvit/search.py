@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,27 +26,16 @@ from . import autodiff as ad
 from .autodiff import backward, cross_entropy, dtype_scope, frozen
 from .config import RunConfig, save_config
 from .data import (Batch, BatchPlan, Dataset, MetricsWriter, RNG_RETRAIN, RNG_STAGE,
-                   epoch_batches, load_checkpoint, make_synthetic, load_cifar10,
-                   resize_images, rng_for, save_checkpoint, sequential_batches,
-                   split_dataset, topk_accuracy)
+                   epoch_batches, load_checkpoint, load_parameters, make_synthetic,
+                   load_cifar10, resize_images, rng_for, save_checkpoint,
+                   sequential_batches, split_dataset, topk_accuracy)
 from .errors import ConfigError, DataError, GenotypeError, NonFiniteError, SearchAbort
 from .fairness import FairnessConfig, skip_fairness, type_fairness
 from .genotype import (DerivedModel, Genotype, genotype_to_json, make_genotype,
                        save_genotype)
-from .ops import ModelDims, OpSpec
+from .ops import CELL_EDGES, INTERMEDIATE_NODES, NUM_EDGES, ModelDims, OpSpec
 from .optim import AdamW, LrSchedule
-from .supernet import CELL_EDGES, NUM_EDGES, AlphaTable, Supernet
-
-
-@dataclass
-class StagePlan:
-    """One progressive stage: depth, candidate set, epoch budget, prune count."""
-
-    index: int
-    layers: int
-    candidates: list[OpSpec]
-    epochs: int
-    prune: int
+from .supernet import AlphaTable, Supernet
 
 
 def schedule_preview(cfg: RunConfig, stages: int | None = None) -> list[tuple[int, int]]:
@@ -94,23 +83,20 @@ def prune_candidates(alpha: AlphaTable, count: int, mode: str = "mean") -> list[
 
 def advance_stage(old: Supernet, survivors: list[OpSpec], new_layers: int,
                   cfg: RunConfig, seed: int, stage_index: int) -> Supernet:
-    """Build the next-stage supernet, inheriting banks and logits.
+    """Build the next-stage supernet, inheriting weights and logits.
 
-    Layers present in both stages copy every surviving candidate's bank
-    bitwise; new layers initialize fresh. Architecture logits keep the
-    surviving columns; per-layer tables give new layers the mean of the
-    inherited rows.
+    Every weight whose name the old supernet also has (the embedding, the
+    selector, and each surviving candidate's bank in the layers both stages
+    share) is copied bitwise; new layers initialize fresh. Architecture
+    logits keep the surviving columns; per-layer tables give new layers the
+    mean of the inherited rows.
     """
-    rng = rng_for(seed, RNG_STAGE, stage_index)
-    new = Supernet(old.dims, survivors, new_layers, rng,
-                   lam=cfg.selector.lam, grad_mode=cfg.selector.grad_mode,
-                   shared_alpha=cfg.search.shared_alpha, pre_norm=cfg.model.pre_norm,
-                   final_norm=cfg.model.final_norm,
-                   alpha_init_std=cfg.search.alpha_init_std)
-    for name, p in new.embed.named_parameters().items():
-        p.data = old.embed.named_parameters()[name].data.copy()
-    for name, p in new.selector.named_parameters().items():
-        p.data = old.selector.named_parameters()[name].data.copy()
+    new = Supernet.from_config(cfg, survivors, new_layers,
+                               rng_for(seed, RNG_STAGE, stage_index))
+    old_arrays = old.named_arrays()
+    inherited = {n: p for n, p in new.weight_parameters().items() if n in old_arrays}
+    load_parameters(inherited, {n: old_arrays[n] for n in inherited},
+                    f"stage {stage_index - 1} supernet")
     cols = [old.candidates.index(spec) for spec in survivors]
     kept = old.alpha.logits.data[:, :, cols]
     if new.alpha.shared:
@@ -121,13 +107,6 @@ def advance_stage(old: Supernet, survivors: list[OpSpec], new_layers: int,
         rows[:shared_rows] = kept[:shared_rows]
         rows[shared_rows:] = kept.mean(axis=0)
         new.alpha.logits.data = rows
-    for layer in range(min(old.num_layers, new_layers)):
-        for e in range(NUM_EDGES):
-            for k_new, spec in enumerate(survivors):
-                k_old = old.candidates.index(spec)
-                src = old.cells[layer][e].ops[k_old].named_parameters()
-                for pname, p in new.cells[layer][e].ops[k_new].named_parameters().items():
-                    p.data = src[pname].data.copy()
     return new
 
 
@@ -148,7 +127,7 @@ def derive_genotype(alpha: AlphaTable, dims: ModelDims, depth: int) -> Genotype:
         raise GenotypeError("derive: no non-Zero candidate available")
     zero_cols = [k for k, s in enumerate(cands) if s.kind == "zero"]
     nodes = []
-    for target in (2, 3):
+    for target in INTERMEDIATE_NODES:
         incoming = [i for i, (_, t) in enumerate(CELL_EDGES) if t == target]
         if zero_cols and all(
                 max(w[e, k] for k in zero_cols) > max(w[e, k] for k in nonzero)
@@ -180,11 +159,6 @@ class StepLog:
     l2: float
     l_fair: float
     lr: float
-
-    def to_json(self) -> dict:
-        return {"stage": self.stage, "epoch": self.epoch, "step": self.step,
-                "loss_val": self.loss_val, "loss_train": self.loss_train,
-                "l1": self.l1, "l2": self.l2, "l_fair": self.l_fair, "lr": self.lr}
 
 
 @dataclass
@@ -427,11 +401,21 @@ def _dump_diagnostics(out_dir: Path, state: SearchState, exc: Exception) -> Path
         "epoch": state.epoch,
         "alpha_logits": state.alpha.logits.data.tolist(),
         "alpha_weights": state.alpha.weights().tolist(),
-        "last_steps": [entry.to_json() for entry in state.log[-5:]],
+        "last_steps": [asdict(entry) for entry in state.log[-5:]],
     }
     path = out_dir / "diagnostic.json"
     path.write_text(json.dumps(dump, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def _keep_rows(path: Path, keep, header: bool = False) -> None:
+    """Rewrite the log at `path`, if any, with only the rows `keep` accepts;
+    a header line is always kept."""
+    if not path.exists():
+        return
+    lines = path.read_bytes().splitlines(keepends=True)
+    head, rows = (lines[:1], lines[1:]) if header else ([], lines)
+    path.write_bytes(b"".join(head + [row for row in rows if keep(row)]))
 
 
 def run_search(cfg: RunConfig, out_dir, seed: int | None = None,
@@ -457,7 +441,6 @@ def run_search(cfg: RunConfig, out_dir, seed: int | None = None,
         stats = _norm_stats(cfg)
         plan = BatchPlan(batch_size=cfg.search.batch_size, seed=seed,
                          drop_last=cfg.search.drop_last)
-        dims = cfg.model.dims()
 
         total_epochs = cfg.search.epochs_per_stage * n_stages
         w_sched = LrSchedule(base_lr=cfg.search.lr,
@@ -465,39 +448,31 @@ def run_search(cfg: RunConfig, out_dir, seed: int | None = None,
                              warmup_start_lr=cfg.search.warmup_start_lr,
                              total_epochs=total_epochs, min_lr=cfg.search.min_lr)
 
-        def layers_for(stage: int) -> int:
-            return cfg.search.first_layers + (stage - 1) * cfg.search.layer_increment
-
+        depths = [layers for _, layers in schedule_preview(cfg, n_stages)]
         start_stage = 1
         global_epoch = 0
         if resume is not None:
             arrays, extras = load_checkpoint(resume)
-            candidates = [OpSpec.from_json(d) for d in extras["candidates"]]
             stage_done = int(extras["stage"])
             global_epoch = int(extras["global_epoch"])
-            model = Supernet(dims, candidates, int(extras["layers"]),
-                             rng_for(seed, RNG_STAGE, stage_done),
-                             lam=cfg.selector.lam, grad_mode=cfg.selector.grad_mode,
-                             shared_alpha=cfg.search.shared_alpha,
-                             pre_norm=cfg.model.pre_norm,
-                             final_norm=cfg.model.final_norm,
-                             alpha_init_std=cfg.search.alpha_init_std)
-            for name, p in model.named_parameters().items():
-                p.data = arrays[name].astype(p.data.dtype).copy()
+            model = Supernet.from_config(
+                cfg, [OpSpec.from_json(d) for d in extras["candidates"]],
+                int(extras["layers"]), rng_for(seed, RNG_STAGE, stage_done))
+            load_parameters(model.named_parameters(), arrays, resume)
             start_stage = stage_done + 1
             if start_stage > n_stages:
                 raise ConfigError("resume: checkpoint already covers every stage")
         else:
-            model = Supernet(dims, list(cfg.candidates), layers_for(1),
-                             rng_for(seed, RNG_STAGE, 1),
-                             lam=cfg.selector.lam, grad_mode=cfg.selector.grad_mode,
-                             shared_alpha=cfg.search.shared_alpha,
-                             pre_norm=cfg.model.pre_norm,
-                             final_norm=cfg.model.final_norm,
-                             alpha_init_std=cfg.search.alpha_init_std)
+            model = Supernet.from_config(cfg, list(cfg.candidates), depths[0],
+                                         rng_for(seed, RNG_STAGE, 1))
 
+        # drop logged rows of the epochs this run (re)writes, so resuming into
+        # the same directory leaves the logs of an uninterrupted run
         history_path = out / "alpha_history.csv"
         log_path = out / "search_log.jsonl"
+        _keep_rows(history_path, lambda row: int(row.split(b",", 1)[0]) < global_epoch,
+                   header=True)
+        _keep_rows(log_path, lambda row: json.loads(row)["epoch"] < global_epoch)
         fresh_history = not history_path.exists() or history_path.stat().st_size == 0
 
         w_opt, a_opt = _build_optimizers(model, cfg)
@@ -518,7 +493,7 @@ def run_search(cfg: RunConfig, out_dir, seed: int | None = None,
                         survivors = prune_candidates(
                             model.alpha, cfg.search.prune_per_stage[stage - 2],
                             cfg.search.score_mode)
-                        model = advance_stage(model, survivors, layers_for(stage),
+                        model = advance_stage(model, survivors, depths[stage - 1],
                                               cfg, seed, stage)
                         w_opt, a_opt = _build_optimizers(model, cfg)
                         state.model, state.alpha = model, model.alpha
@@ -535,7 +510,7 @@ def run_search(cfg: RunConfig, out_dir, seed: int | None = None,
                         mark = len(state.log)
                         bilevel_epoch(state, train_b, val_b, lr=lr)
                         for entry in state.log[mark:]:
-                            log_fh.write(json.dumps(entry.to_json(), sort_keys=True)
+                            log_fh.write(json.dumps(asdict(entry), sort_keys=True)
                                          + "\n")
                         _write_alpha_rows(history, global_epoch, model)
                         history_fh.flush()
@@ -557,7 +532,7 @@ def run_search(cfg: RunConfig, out_dir, seed: int | None = None,
                     f"search aborted on non-finite loss at stage {state.stage} "
                     f"epoch {state.epoch}; diagnostics at {dump}", dump) from exc
 
-        genotype = derive_genotype(model.alpha, dims, depth=model.num_layers)
+        genotype = derive_genotype(model.alpha, cfg.model.dims(), depth=model.num_layers)
         genotype_path = out / "genotype.json"
         save_genotype(genotype, genotype_path)
         return SearchResult(genotype=genotype, out_dir=out, schedule=schedule,
@@ -614,8 +589,7 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir, seed: int | None = None
             if extras.get("genotype") != genotype_to_json(genotype):
                 raise ConfigError("resume: checkpoint genotype differs from the "
                                   "requested genotype")
-            for name, p in params.items():
-                p.data = arrays[name].astype(p.data.dtype).copy()
+            load_parameters(params, arrays, resume, opt_state=opt.state_arrays())
             opt.load_state_arrays(arrays)
             start_epoch = int(extras["epoch"]) + 1
 

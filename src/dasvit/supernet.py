@@ -1,12 +1,6 @@
 """The continuous-relaxation search network.
 
-Each encoder layer is one cell over a fixed five-edge DAG:
-
-    inputs:        in0 (two layers back), in1 (previous layer)
-    intermediates: n0 = e0(in0) + e1(in1)
-                   n1 = e2(in0) + e3(in1) + e4(n0)
-    output:        n0 + n1
-
+Each encoder layer is one cell over the fixed five-edge DAG of `ops.CELL_EDGES`.
 Every edge is a mixed edge: the softmax-weighted sum of all candidate
 operations, each with its own parameter bank (no sharing between edges).
 Architecture logits default to one table shared by all layers; a per-layer
@@ -20,13 +14,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
-from .ops import EmbedParams, ModelDims, OpSpec, ZeroOp, build_op
+from .ops import (CELL_EDGES, NUM_EDGES, EmbedParams, ModelDims, OpSpec, ZeroOp,
+                  build_op, walk_cell)
 from .selector import Selector
-
-#: (source, target) pairs; nodes 0/1 are the cell inputs, 2/3 intermediates.
-CELL_EDGES: tuple[tuple[int, int], ...] = ((0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
-NUM_EDGES = len(CELL_EDGES)
-INTERMEDIATE_NODES = (2, 3)
 
 
 class AlphaTable:
@@ -47,10 +37,6 @@ class AlphaTable:
         logits = init_std * rng.standard_normal((rows, NUM_EDGES, len(candidates)))
         self.logits = ad.parameter(logits.astype(ad.default_dtype()), "alpha.logits")
 
-    @property
-    def rows(self) -> int:
-        return self.logits.shape[0]
-
     def row_for_layer(self, layer: int) -> int:
         return 0 if self.shared else layer
 
@@ -64,9 +50,6 @@ class AlphaTable:
     def edge_weights(self, layer: int, edge: int) -> Tensor:
         """Differentiable softmax weights for one (layer, edge) slot."""
         return ad.softmax(self.logits[self.row_for_layer(layer), edge])
-
-    def candidate_index(self, spec: OpSpec) -> int:
-        return self.candidates.index(spec)
 
 
 def mixed_edge_forward(x: Tensor, ops: list, weights: Tensor) -> Tensor:
@@ -119,6 +102,9 @@ class Supernet:
                  alpha_init_std: float = 1e-3):
         if num_layers < 1:
             raise ConfigError("Supernet: need at least one layer")
+        names = [spec.name for spec in candidates]
+        if len(set(names)) != len(names):
+            raise ConfigError(f"Supernet: candidate names must be unique, got {names}")
         self.dims = dims
         self.candidates = list(candidates)
         self.num_layers = num_layers
@@ -133,18 +119,28 @@ class Supernet:
             for _ in range(num_layers)
         ]
 
+    @classmethod
+    def from_config(cls, cfg, candidates: list[OpSpec], num_layers: int,
+                    rng: np.random.Generator) -> "Supernet":
+        """The supernet a `RunConfig` describes over `candidates`."""
+        return cls(cfg.model.dims(), candidates, num_layers, rng,
+                   lam=cfg.selector.lam, grad_mode=cfg.selector.grad_mode,
+                   shared_alpha=cfg.search.shared_alpha, pre_norm=cfg.model.pre_norm,
+                   final_norm=cfg.model.final_norm,
+                   alpha_init_std=cfg.search.alpha_init_std)
+
     # -- forward ---------------------------------------------------------------
 
     def cell(self, layer: int, in0: Tensor, in1: Tensor) -> Tensor:
-        if in0.shape != in1.shape:
-            raise ShapeError(
-                f"cell: input shapes {in0.shape} and {in1.shape} differ")
         edges = self.cells[layer]
         w = [self.alpha.edge_weights(layer, e) for e in range(NUM_EDGES)]
-        n0 = edges[0].forward(in0, w[0]) + edges[1].forward(in1, w[1])
-        n1 = (edges[2].forward(in0, w[2]) + edges[3].forward(in1, w[3])
-              + edges[4].forward(n0, w[4]))
-        return n0 + n1
+
+        def node_terms(target, values):
+            for e, (src, dst) in enumerate(CELL_EDGES):
+                if dst == target:
+                    yield edges[e].forward(values[src], w[e])
+
+        return walk_cell(in0, in1, node_terms)
 
     def forward(self, images, use_selection: bool = True) -> Tensor:
         z = self.embed.embed(images)

@@ -328,14 +328,6 @@ def test_backward_visits_every_node_exactly_once():
     assert [node.grad for node in (shared, left, right, loss)] == [None] * 4
 
 
-def test_zero_grad_helper():
-    x = Tensor(np.ones(3), requires_grad=True)
-    backward(x.sum())
-    assert x.grad is not None
-    ad.zero_grads([x])
-    assert x.grad is None
-
-
 def test_frozen_records_nothing_and_restores_flags_when_body_raises():
     w = Tensor(np.ones(3), requires_grad=True)
     c = Tensor(np.ones(3), requires_grad=False)

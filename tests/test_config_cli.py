@@ -95,6 +95,21 @@ def test_candidate_validation_against_embedding_width():
         config_from_json(doc)
 
 
+def test_duplicate_candidates_are_rejected_with_both_paths():
+    doc = config_to_json(desk_config())
+    doc["candidates"].append({"kind": "msa", "heads": 2})
+    with pytest.raises(ConfigError,
+                       match=r"candidates\[8\]: msa_h2 duplicates candidates\[2\]"):
+        config_from_json(doc)
+
+
+def test_retrain_warmup_longer_than_training_is_rejected():
+    doc = config_to_json(desk_config())
+    doc["retrain"]["epochs"] = 1
+    with pytest.raises(ConfigError, match="retrain.warmup_epochs: 5 exceeds"):
+        config_from_json(doc)
+
+
 # -- cli -----------------------------------------------------------------------------
 
 
@@ -214,6 +229,34 @@ def test_cli_retrain_eval_analyze_pipeline(tmp_path, capsys):
                  "--checkpoint", str(out / "model.ckpt")])
     err = capsys.readouterr().err
     assert code == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("trained_pre_norm, message", [
+    (True, "array 'layers.0.n0.0.mlp_r0.5.norm_b' matches no parameter"),
+    (False, "no array 'layers.0.n0.0.mlp_r0.5.norm_g'"),
+])
+def test_cli_eval_refuses_a_checkpoint_of_another_norm_layout(tmp_path, capsys,
+                                                              trained_pre_norm, message):
+    cfg = desk_config(seed=3)
+    cfg = dataclasses.replace(cfg, retrain=dataclasses.replace(
+        cfg.retrain, epochs=1, warmup_epochs=0))
+    paths = {}
+    for pre_norm in (True, False):
+        paths[pre_norm] = tmp_path / f"pre_norm_{pre_norm}.json"
+        save_config(dataclasses.replace(cfg, model=dataclasses.replace(
+            cfg.model, pre_norm=pre_norm)), paths[pre_norm])
+    geno_path = tmp_path / "genotype.json"
+    save_genotype(searched_encoder_genotype(cfg.model.dims(), depth=1, heads=4),
+                  geno_path)
+    out = tmp_path / "retrain"
+    assert main(["retrain", "--config", str(paths[trained_pre_norm]), "--genotype",
+                 str(geno_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["eval", "--config", str(paths[not trained_pre_norm]), "--genotype",
+                 str(geno_path), "--checkpoint", str(out / "model.ckpt")])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.startswith("error:") and message in captured.err
 
 
 def test_cli_retrain_rejects_dim_mismatch(tmp_path, capsys):

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dasvit import Tensor
+from dasvit import data as data_mod
 from dasvit.data import (BatchPlan, MetricsWriter, epoch_batches,
-                         load_checkpoint, load_cifar10, make_synthetic, normalize,
-                         denormalize, resize_images, save_checkpoint,
+                         load_checkpoint, load_cifar10, load_parameters, make_synthetic,
+                         normalize, resize_images, save_checkpoint,
                          split_dataset, topk_accuracy)
 from dasvit.errors import DataError
 
@@ -101,7 +103,7 @@ def test_normalize_roundtrip(seed):
     images = rng.random((2, 4, 4, 3)).astype(np.float32)
     mean = np.array([0.49, 0.48, 0.44], dtype=np.float32)
     std = np.array([0.24, 0.24, 0.26], dtype=np.float32)
-    back = denormalize(normalize(images, mean, std), mean, std)
+    back = normalize(images, mean, std) * std + mean
     assert np.abs(back - images).max() < 1e-6
 
 
@@ -240,3 +242,60 @@ def test_checkpoint_truncated_blob_is_detected(tmp_path):
 def test_checkpoint_missing_manifest(tmp_path):
     with pytest.raises(DataError, match="manifest"):
         load_checkpoint(tmp_path / "missing.ckpt")
+
+
+def test_failed_checkpoint_write_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(path, {"w": np.arange(4.0)}, {"epoch": 0})
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def disk_full(fd):  # the blob is written, and so synced, first
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(data_mod.os, "fsync", disk_full)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(path, {"w": np.arange(8.0)}, {"epoch": 1})
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    arrays, extras = load_checkpoint(path)
+    assert extras == {"epoch": 0} and arrays["w"].tobytes() == np.arange(4.0).tobytes()
+
+    save_checkpoint(path, {"w": np.arange(8.0)}, {"epoch": 1})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ckpt", "state.ckpt.blob"]
+    assert load_checkpoint(path)[1] == {"epoch": 1}
+
+    # the manifest is written last: a first write that fails after its blob
+    # leaves no manifest that could point at a missing blob
+    syncs = []
+
+    def second_sync_fails(fd):
+        syncs.append(fd)
+        if len(syncs) == 2:
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(data_mod.os, "fsync", second_sync_fails)
+    with pytest.raises(OSError):
+        save_checkpoint(tmp_path / "new.ckpt", {"w": np.ones(2)})
+    monkeypatch.undo()
+    assert not (tmp_path / "new.ckpt").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "new.ckpt.blob", "state.ckpt", "state.ckpt.blob"]
+
+
+def test_load_parameters_is_strict_and_all_or_nothing():
+    params = {"a": Tensor(np.zeros(2, dtype=np.float32)), "b": Tensor(np.zeros((2, 3)))}
+    good = {"a": np.ones(2), "b": np.ones((2, 3)), "opt.step": np.array([3])}
+    for arrays, message in [
+        ({"a": np.ones(2)}, "no array 'b'"),
+        ({**good, "b": np.ones((3, 2))}, r"'b' has shape \(3, 2\), expected \(2, 3\)"),
+        ({**good, "c": np.ones(1)}, "'c' matches no parameter"),
+    ]:
+        with pytest.raises(DataError, match=f"ckpt-x: .*{message}"):
+            load_parameters(params, arrays, "ckpt-x")
+        assert not params["a"].data.any() and not params["b"].data.any()
+    with pytest.raises(DataError, match="no array 'opt.m.a'"):
+        load_parameters(params, good, "ckpt-x", opt_state={"opt.m.a": np.zeros(2)})
+    load_parameters(params, good, "ckpt-x", opt_state={"opt.step": np.array([0])})
+    assert params["a"].data.dtype == np.float32
+    np.testing.assert_array_equal(params["a"].data, [1.0, 1.0])
+    assert params["a"].data is not good["a"]

@@ -8,7 +8,7 @@ from dasvit import (DerivedModel, OpSpec, Tensor, classic_encoder_genotype,
                     load_genotype, make_genotype, save_genotype,
                     searched_encoder_genotype)
 from dasvit.errors import GenotypeError
-from dasvit.genotype import genotype_from_json, genotype_to_json, init_derived
+from dasvit.genotype import genotype_from_json, genotype_to_json
 from dasvit.ops import ModelDims
 from dasvit.data import make_synthetic
 from oracles import attention_oracle, layernorm_np, mlp_oracle
@@ -36,7 +36,7 @@ def test_derived_forward_matches_straight_line_oracle(rng):
     """The searched dataflow, written out long-hand in plain numpy."""
     with dtype_scope("float64"):
         g = searched_encoder_genotype(DESK, depth=2, heads=2, ratio=0.5)
-        model = init_derived(g, seed=3)
+        model = DerivedModel(g, np.random.default_rng(3))
         params = {n: p.data for n, p in model.named_parameters().items()}
         images = make_synthetic(2, 2, 8, seed=7).images.astype(np.float64)
 
@@ -82,7 +82,7 @@ def test_derived_forward_matches_straight_line_oracle(rng):
 
 def test_derived_forward_shape_and_determinism():
     g = searched_encoder_genotype(DESK, depth=3, heads=4, ratio=0.5)
-    model = init_derived(g, seed=0)
+    model = DerivedModel(g, np.random.default_rng(0))
     images = make_synthetic(2, 3, 8, seed=0).images
     a = model.forward(images).data
     b = model.forward(images).data

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import gc
 import json
+import shutil
 import warnings
 
 import numpy as np
@@ -12,10 +13,11 @@ from dasvit import (AdamW, AlphaTable, FairnessConfig, OpSpec, Supernet,
                     schedule_preview, score_candidates, searched_encoder_genotype)
 from dasvit import autodiff as ad
 from dasvit.config import SyntheticConfig
-from dasvit.data import (BatchPlan, epoch_batches, load_checkpoint, make_synthetic,
-                         split_dataset)
+from dasvit.data import (RNG_STAGE, BatchPlan, epoch_batches, load_checkpoint,
+                         make_synthetic, rng_for, split_dataset)
 from dasvit import search as search_mod
-from dasvit.errors import ConfigError, GenotypeError, NonFiniteError, SearchAbort
+from dasvit.errors import (ConfigError, DataError, GenotypeError, NonFiniteError,
+                           SearchAbort)
 from dasvit.ops import ModelDims, build_op
 from dasvit.search import (SearchState, _fairness_terms, _unrolled_alpha_grad,
                            advance_stage, bilevel_epoch, prune_candidates)
@@ -90,16 +92,35 @@ def test_prune_keeps_registry_order_and_guards_degeneracy():
         prune_candidates(_table(np.zeros((1, 5, 8))), count=7)
 
 
-def test_advance_stage_inherits_banks_and_drops_pruned():
+def _dims_cfg(**search_overrides):
+    """The desk config at DIMS."""
     cfg = desk_config()
+    return dataclasses.replace(
+        cfg, model=dataclasses.replace(cfg.model, dim=DIMS.dim),
+        search=dataclasses.replace(cfg.search, **search_overrides))
+
+
+def test_advance_stage_inherits_banks_and_drops_pruned():
+    cfg = _dims_cfg()
     with dtype_scope("float32"):
-        old = Supernet(DIMS, DESK8, 2, np.random.default_rng(0))
+        old = Supernet.from_config(cfg, DESK8, 2, np.random.default_rng(0))
         old.alpha.logits.data = np.random.default_rng(1).standard_normal(
             old.alpha.logits.shape).astype(np.float32)
         survivors = prune_candidates(old.alpha, count=3)
         new = advance_stage(old, survivors, new_layers=4, cfg=cfg, seed=0,
                             stage_index=2)
+        fresh = Supernet.from_config(cfg, survivors, 4, rng_for(0, RNG_STAGE, 2))
     assert new.num_layers == 4 and len(new.candidates) == 5
+    old_w, new_w, fresh_w = (net.weight_parameters() for net in (old, new, fresh))
+    assert not np.array_equal(old_w["embed.pos"].data, fresh_w["embed.pos"].data)
+    for name, p in new_w.items():
+        if name.startswith(("embed.", "selector.")):
+            np.testing.assert_array_equal(p.data, old_w[name].data)
+        elif name.startswith(("cells.2.", "cells.3.")):
+            # layers beyond the old depth keep their fresh initialization
+            np.testing.assert_array_equal(p.data, fresh_w[name].data)
+        else:
+            assert name.startswith(("cells.0.", "cells.1.")) and name in old_w
     pruned = {s.name for s in DESK8} - {s.name for s in survivors}
     new_names = set(new.named_arrays())
     assert not any(p in name for name in new_names for p in pruned)
@@ -122,9 +143,8 @@ def test_advance_stage_inherits_banks_and_drops_pruned():
 
 
 def test_advance_stage_per_layer_alpha_fills_new_rows_with_mean():
-    cfg = dataclasses.replace(desk_config(), search=dataclasses.replace(
-        desk_config().search, shared_alpha=False))
-    old = Supernet(DIMS, DESK8, 2, np.random.default_rng(0), shared_alpha=False)
+    cfg = _dims_cfg(shared_alpha=False)
+    old = Supernet.from_config(cfg, DESK8, 2, np.random.default_rng(0))
     rng = np.random.default_rng(2)
     old.alpha.logits.data = rng.standard_normal((2, 5, 8)).astype(np.float32)
     survivors = prune_candidates(old.alpha, count=3)
@@ -589,6 +609,29 @@ def test_resume_from_stage_checkpoint_matches_uninterrupted(tmp_path):
     resumed_rows = rows_from(resumed.history_path, 1)
     assert resumed_rows == full_rows
 
+    # resumed into its own directory, which already logs epochs 0-2, the run
+    # rewrites epochs 1-2 and leaves every file as the uninterrupted run did
+    inplace = tmp_path / "inplace"
+    shutil.copytree(tmp_path / "full", inplace)
+    run_search(cfg, inplace, resume=inplace / "stage_1.ckpt")
+    files = sorted(p.name for p in (tmp_path / "full").iterdir())
+    assert sorted(p.name for p in inplace.iterdir()) == files
+    for name in files:
+        assert (inplace / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+
+
+def test_search_resume_refuses_a_checkpoint_missing_an_array(tmp_path):
+    cfg = _small_cfg(seed=5, stages=1, epochs_per_stage=1, prune_per_stage=[0])
+    run_search(cfg, tmp_path / "run")
+    manifest = tmp_path / "run" / "stage_1.ckpt"
+    doc = json.loads(manifest.read_text())
+    del doc["arrays"]["selector.wq"]
+    manifest.write_text(json.dumps(doc))
+    cfg = dataclasses.replace(cfg, search=dataclasses.replace(
+        cfg.search, stages=2, prune_per_stage=[0, 0]))
+    with pytest.raises(DataError, match=f"{manifest}: no array 'selector.wq'"):
+        run_search(cfg, tmp_path / "resumed", resume=manifest)
+
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_nonfinite_loss_aborts_with_diagnostics(tmp_path):
@@ -698,6 +741,18 @@ def test_retrain_resume_matches_straight_run(tmp_path):
                      if int(r[0]) >= 3]
     tail_rows = rows(tmp_path / "tail" / "metrics.csv")
     assert tail_rows == straight_rows
+
+
+def test_retrain_resume_refuses_a_checkpoint_missing_optimizer_state(tmp_path):
+    g = searched_encoder_genotype(desk_config().model.dims(), depth=1, heads=4)
+    cfg = _retrain_cfg(2, checkpoint_every=1)
+    retrain(g, cfg, tmp_path / "run")
+    manifest = tmp_path / "run" / "epoch_0.ckpt"
+    doc = json.loads(manifest.read_text())
+    del doc["arrays"]["opt.v.embed.pos"]
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="no array 'opt.v.embed.pos'"):
+        retrain(g, cfg, tmp_path / "resumed", resume=manifest)
 
 
 def test_retrain_abort_writes_a_checkpoint_resume_refuses(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from dasvit import (DerivedModel, OpSpec, Supernet, Tensor, backward,
                     dtype_scope, mixed_edge_forward)
 from dasvit import autodiff as ad
-from dasvit.errors import ConfigError, ShapeError
+from dasvit.errors import ConfigError, DataError, ShapeError
 from dasvit.genotype import make_genotype
 from dasvit.ops import ModelDims, build_op
 from dasvit.supernet import CELL_EDGES, MixedEdge
@@ -254,6 +254,22 @@ def test_hardened_supernet_matches_derived_model(rng):
         a = sup.forward(images, use_selection=True).data
         b = derived.forward(images).data
         assert np.abs(a - b).max() < 1e-5
+
+
+def test_from_supernet_refuses_a_pruned_candidate():
+    sup = _supernet(layers=1, candidates=[OpSpec("zero"), OpSpec("identity"),
+                                          OpSpec("mlp", ratio=0.5)])
+    genotype = make_genotype(
+        DIMS, 1, node0=[(0, OpSpec("msa", heads=4)), (1, OpSpec("identity"))],
+        node1=[(2, OpSpec("mlp", ratio=0.5)), (0, OpSpec("identity"))])
+    with pytest.raises(DataError, match="no array 'layers.0.n0.0.msa_h4.wq'"):
+        DerivedModel.from_supernet(sup, genotype)
+
+
+def test_supernet_refuses_duplicate_candidate_names():
+    with pytest.raises(ConfigError, match="unique"):
+        _supernet(candidates=[OpSpec("mlp", ratio=0.5), OpSpec("identity"),
+                              OpSpec("mlp", ratio=0.5)])
 
 
 def test_mixed_edge_and_cell_gradients(rng):
