@@ -129,9 +129,6 @@ class Tensor:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data.reshape(()))
-
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 

@@ -8,6 +8,7 @@ reproduced or resumed without serializing generator state.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -323,7 +324,8 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], extras: dict | None = N
     The round trip is bit-exact: array bytes land in the blob unmodified
     (byte-swapped to little-endian if needed), offsets in the manifest. Each
     file is replaced atomically, blob first, so a failed blob write leaves the
-    previous checkpoint at `path` intact."""
+    previous checkpoint at `path` intact. The manifest records the blob's
+    sha256, so a manifest paired with another write's blob fails to load."""
     path = Path(path)
     blob_path = path.with_name(path.name + ".blob")
     entries: dict[str, dict] = {}
@@ -342,14 +344,16 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], extras: dict | None = N
         }
         chunks.append(raw)
         offset += len(raw)
+    blob = b"".join(chunks)
     manifest = {
         "format": _CKPT_FORMAT,
         "version": 1,
         "blob": blob_path.name,
+        "sha256": hashlib.sha256(blob).hexdigest(),
         "arrays": entries,
         "extras": extras or {},
     }
-    _replace_file(blob_path, b"".join(chunks))
+    _replace_file(blob_path, blob)
     _replace_file(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
@@ -369,8 +373,17 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         start, nbytes = entry["offset"], entry["nbytes"]
         if start + nbytes > len(blob):
             raise DataError(f"checkpoint: blob truncated for array {name!r}")
-        arr = np.frombuffer(blob[start:start + nbytes], dtype=np.dtype(entry["dtype"]))
-        arrays[name] = arr.reshape(entry["shape"]).copy()
+        try:
+            arr = np.frombuffer(blob[start:start + nbytes], dtype=np.dtype(entry["dtype"]))
+            arrays[name] = arr.reshape(entry["shape"]).copy()
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"checkpoint: {path}: array {name!r} ({nbytes} bytes of "
+                            f"{entry['dtype']}) does not fill shape {entry['shape']}: "
+                            f"{exc}") from None
+    digest = hashlib.sha256(blob).hexdigest()
+    if digest != manifest.get("sha256"):
+        raise DataError(f"checkpoint: {path}: blob sha256 {digest} differs from the "
+                        f"manifest's {manifest.get('sha256')}")
     return arrays, manifest.get("extras", {})
 
 

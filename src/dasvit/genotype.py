@@ -16,7 +16,7 @@ and softmax are charged 5 ops per element.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -282,8 +282,6 @@ class CostReport:
     peak_activation: int
     params_overhead: int
     flops_overhead: int
-    per_layer_params: list[int] = field(default_factory=list)
-    per_layer_flops: list[int] = field(default_factory=list)
 
     def table(self) -> str:
         lines = [
@@ -292,8 +290,6 @@ class CostReport:
             f"{'peak activation':<18}{self.peak_activation:>16,}",
             f"{'embed+head params':<18}{self.params_overhead:>16,}",
         ]
-        for i, (p, f) in enumerate(zip(self.per_layer_params, self.per_layer_flops)):
-            lines.append(f"layer {i:<12}{p:>16,}{f:>16,}")
         return "\n".join(lines)
 
 
@@ -357,8 +353,6 @@ def cost_report(g: Genotype, pre_norm: bool = True, final_norm: bool = True) -> 
         peak_activation=peak,
         params_overhead=params_overhead,
         flops_overhead=flops_overhead,
-        per_layer_params=[layer_params] * g.depth,
-        per_layer_flops=[layer_flops] * g.depth,
     )
 
 

@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import backward, cross_entropy, dtype_scope, frozen
 from .config import RunConfig, save_config
 from .data import (Batch, BatchPlan, Dataset, MetricsWriter, RNG_RETRAIN, RNG_STAGE,
@@ -175,100 +174,65 @@ class SearchState:
     stage: int = 1
     epoch: int = 0
     log: list[StepLog] = field(default_factory=list)
-    alpha_sample_indices: set = field(default_factory=set)
-    weight_sample_indices: set = field(default_factory=set)
-
-    def all_tensors(self):
-        """Each tensor the loop may give a gradient, once: the optimised
-        weights, alpha, then model weights outside ``w_opt`` (the selector
-        projections under ``gather_only``)."""
-        seen = {id(p): p for p in self.w_opt.params.values()}
-        seen.setdefault(id(self.alpha.logits), self.alpha.logits)
-        if hasattr(self.model, "weight_parameters"):
-            for p in self.model.weight_parameters().values():
-                seen.setdefault(id(p), p)
-        return list(seen.values())
-
-    def zero_all(self):
-        for p in self.all_tensors():
-            p.grad = None
 
 
-def _fairness_terms(alpha: AlphaTable, cfg: FairnessConfig):
-    l1 = skip_fairness(alpha)
-    l2 = type_fairness(alpha, cfg)
-    return l1, l2, l1 * cfg.a + l2 * cfg.b
+def _grad_pass(state: SearchState, batch: Batch, freeze: AdamW | None = None,
+               fair: bool = False) -> tuple[float, float, float]:
+    """One forward/backward over `batch`, from cleared gradients.
+
+    The tensors of the `freeze` optimizer are constants for the pass, so it
+    records and computes only the other side's gradients; the two optimizers
+    together hold every tensor that can receive one. With `fair` the fairness
+    terms join the cross-entropy. Returns (loss, l1, l2), the fairness terms
+    0.0 without `fair`; the graph dies with this frame.
+    """
+    state.w_opt.zero_grad()
+    state.a_opt.zero_grad()
+    with frozen(freeze.params.values() if freeze is not None else ()):
+        loss = cross_entropy(state.model.forward(batch.images), batch.labels)
+        if not fair:
+            backward(loss)
+            return float(loss.data), 0.0, 0.0
+        l1 = skip_fairness(state.alpha)
+        l2 = type_fairness(state.alpha, state.fairness)
+        backward(loss + (l1 * state.fairness.a + l2 * state.fairness.b))
+    return float(loss.data), float(l1.data), float(l2.data)
 
 
-def _unrolled_alpha_grad(state: SearchState, tb: Batch, vb: Batch):
+def _unrolled_alpha_pass(state: SearchState, tb: Batch,
+                         vb: Batch) -> tuple[float, float, float]:
     """Virtual-step architecture gradient with the finite-difference
-    second-order correction; returns (grad, loss_val, l1, l2)."""
-    model, alpha = state.model, state.alpha
-    w_params = state.w_opt.params
-    xi = state.xi
+    second-order correction, left in ``alpha.logits.grad``; returns the
+    validation pass's (loss, l1, l2).
 
-    state.zero_all()
-    backward(cross_entropy(model.forward(tb.images), tb.labels))
-    g_w = {n: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-           for n, p in w_params.items()}
-
-    originals = {n: p.data.copy() for n, p in w_params.items()}
+    No gradient is copied: a pass clears and reassigns every ``.grad`` and
+    never writes into an array it handed out.
+    """
+    w_params, alpha, xi = state.w_opt.params, state.alpha, state.xi
+    _grad_pass(state, tb, freeze=state.a_opt)
+    originals = {n: p.data for n, p in w_params.items()}
     for n, p in w_params.items():
-        p.data = originals[n] - xi * g_w[n]
+        p.data = originals[n] - xi * p.grad
 
-    state.zero_all()
-    l_val = cross_entropy(model.forward(vb.images), vb.labels)
-    l1, l2, l_fair = _fairness_terms(alpha, state.fairness)
-    backward(l_val + l_fair)
-    g_alpha = alpha.logits.grad.copy()
-    g_wprime = {n: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                for n, p in w_params.items()}
+    loss_val, l1, l2 = _grad_pass(state, vb, fair=True)
+    g_alpha = alpha.logits.grad
+    g_wprime = {n: p.grad for n, p in w_params.items()}
 
     norm = math.sqrt(sum(float((g**2).sum()) for g in g_wprime.values()))
     if norm > 0:
         eps = 0.01 / norm
+        g_pm = []
         for sign in (1.0, -1.0):
             for n, p in w_params.items():
                 p.data = originals[n] + sign * eps * g_wprime[n]
-            state.zero_all()
-            backward(cross_entropy(model.forward(tb.images), tb.labels))
-            g = (alpha.logits.grad.copy() if alpha.logits.grad is not None
-                 else np.zeros_like(alpha.logits.data))
-            if sign > 0:
-                g_plus = g
-            else:
-                g_minus = g
-        g_alpha -= (xi / (2.0 * eps)) * (g_plus - g_minus)
+            _grad_pass(state, tb, freeze=state.w_opt)
+            g_pm.append(alpha.logits.grad)
+        g_alpha = g_alpha - (xi / (2.0 * eps)) * (g_pm[0] - g_pm[1])
 
     for n, p in w_params.items():
         p.data = originals[n]
-    return g_alpha, float(l_val.data), float(l1.data), float(l2.data)
-
-
-def _alpha_phase(state: SearchState, vb: Batch) -> tuple[float, float, float]:
-    """First-order architecture gradient of validation loss plus fairness.
-
-    Every weight is frozen, so the pass records and computes only what
-    reaches ``alpha.logits.grad``. Returns (loss_val, l1, l2); the graph
-    dies with this frame.
-    """
-    state.zero_all()
-    weights = [p for p in state.all_tensors() if p is not state.alpha.logits]
-    with frozen(weights):
-        l_val = cross_entropy(state.model.forward(vb.images), vb.labels)
-        l1, l2, l_fair = _fairness_terms(state.alpha, state.fairness)
-        backward(l_val + l_fair)
-    return float(l_val.data), float(l1.data), float(l2.data)
-
-
-def _weight_phase(state: SearchState, tb: Batch) -> float:
-    """Weight gradients of the training loss with the architecture frozen;
-    returns the loss, and the graph dies with this frame."""
-    state.zero_all()
-    with frozen([state.alpha.logits]):
-        l_train = cross_entropy(state.model.forward(tb.images), tb.labels)
-        backward(l_train)
-    return float(l_train.data)
+    alpha.logits.grad = g_alpha
+    return loss_val, l1, l2
 
 
 def bilevel_epoch(state: SearchState, train_batches: list[Batch],
@@ -280,20 +244,15 @@ def bilevel_epoch(state: SearchState, train_batches: list[Batch],
         if tb.split != "train" or vb.split != "val":
             raise DataError(
                 f"bilevel: expected (train, val) batch pair, got ({tb.split}, {vb.split})")
-        state.alpha_sample_indices.update(int(i) for i in vb.indices)
-        state.weight_sample_indices.update(int(i) for i in tb.indices)
-
         # architecture update on the validation batch
         if state.unrolled and state.xi != 0.0:
-            grad, loss_val, l1_v, l2_v = _unrolled_alpha_grad(state, tb, vb)
-            state.zero_all()
-            state.alpha.logits.grad = grad
+            loss_val, l1_v, l2_v = _unrolled_alpha_pass(state, tb, vb)
         else:
-            loss_val, l1_v, l2_v = _alpha_phase(state, vb)
+            loss_val, l1_v, l2_v = _grad_pass(state, vb, freeze=state.w_opt, fair=True)
         state.a_opt.step()
 
         # weight update on the training batch, architecture frozen
-        loss_train = _weight_phase(state, tb)
+        loss_train, _, _ = _grad_pass(state, tb, freeze=state.a_opt)
         state.w_opt.step()
 
         fair = state.fairness
@@ -431,6 +390,12 @@ def run_search(cfg: RunConfig, out_dir, seed: int | None = None,
     n_stages = cfg.search.stages if stages is None else min(stages, cfg.search.stages)
     if n_stages < 1:
         raise ConfigError("search: need at least one stage")
+    total_epochs = cfg.search.epochs_per_stage * n_stages
+    if cfg.search.warmup_epochs > total_epochs:
+        raise ConfigError(
+            f"search.warmup_epochs: {cfg.search.warmup_epochs} exceeds the "
+            f"{total_epochs} searched epochs ({n_stages} stages of "
+            f"{cfg.search.epochs_per_stage})")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out / "config.json")
@@ -442,7 +407,6 @@ def run_search(cfg: RunConfig, out_dir, seed: int | None = None,
         plan = BatchPlan(batch_size=cfg.search.batch_size, seed=seed,
                          drop_last=cfg.search.drop_last)
 
-        total_epochs = cfg.search.epochs_per_stage * n_stages
         w_sched = LrSchedule(base_lr=cfg.search.lr,
                              warmup_epochs=cfg.search.warmup_epochs,
                              warmup_start_lr=cfg.search.warmup_start_lr,

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -280,6 +282,46 @@ def test_failed_checkpoint_write_keeps_the_previous_checkpoint(tmp_path, monkeyp
     assert not (tmp_path / "new.ckpt").exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "new.ckpt.blob", "state.ckpt", "state.ckpt.blob"]
+
+
+def test_manifest_paired_with_another_writes_blob_is_refused(tmp_path, monkeypatch):
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(path, {"w": np.zeros(3)}, {"epoch": 0})
+    syncs = []
+
+    def manifest_sync_fails(fd):  # the blob is renamed into place, the manifest not
+        syncs.append(fd)
+        if len(syncs) == 2:
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(data_mod.os, "fsync", manifest_sync_fails)
+    with pytest.raises(OSError):
+        save_checkpoint(path, {"w": np.ones(3)}, {"epoch": 1})
+    monkeypatch.undo()
+    with pytest.raises(DataError, match="state.ckpt: blob sha256 .* differs"):
+        load_checkpoint(path)
+
+
+def test_corrupt_checkpoint_raises_data_error(tmp_path):
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(path, {"w": np.arange(4.0)}, {})
+    blob = path.with_name("state.ckpt.blob")
+    raw = bytearray(blob.read_bytes())
+    raw[0] ^= 1
+    blob.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="state.ckpt: blob sha256"):
+        load_checkpoint(path)
+
+    save_checkpoint(path, {"w": np.arange(4.0)}, {})
+    manifest = json.loads(path.read_text())
+    manifest["arrays"]["w"]["shape"] = [5]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match=r"state.ckpt: array 'w' .* shape \[5\]"):
+        load_checkpoint(path)
+    manifest["arrays"]["w"].update(shape=[4], nbytes=28)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match="state.ckpt: array 'w' \\(28 bytes"):
+        load_checkpoint(path)
 
 
 def test_load_parameters_is_strict_and_all_or_nothing():

@@ -7,6 +7,8 @@ from dasvit import (DerivedModel, OpSpec, Tensor, classic_encoder_genotype,
                     cost_report, count_flops, count_params, dtype_scope,
                     load_genotype, make_genotype, save_genotype,
                     searched_encoder_genotype)
+from dasvit import autodiff as ad
+from dasvit import genotype as genotype_mod
 from dasvit.errors import GenotypeError
 from dasvit.genotype import genotype_from_json, genotype_to_json
 from dasvit.ops import ModelDims
@@ -147,11 +149,39 @@ def test_flops_quadratic_token_scaling():
 def test_cost_report_decomposes_per_layer():
     g = searched_encoder_genotype(DESK, depth=3, heads=2, ratio=0.5)
     r = cost_report(g)
-    assert sum(r.per_layer_params) == r.params - r.params_overhead
-    assert sum(r.per_layer_flops) == r.flops - r.flops_overhead
+    one = cost_report(searched_encoder_genotype(DESK, depth=1, heads=2, ratio=0.5))
+    assert (r.params_overhead, r.flops_overhead) == (one.params_overhead,
+                                                     one.flops_overhead)
+    assert r.params - r.params_overhead == 3 * (one.params - one.params_overhead)
+    assert r.flops - r.flops_overhead == 3 * (one.flops - one.flops_overhead)
     assert all(isinstance(v, (int, np.integer)) and v >= 0
                for v in [r.params, r.flops, r.peak_activation])
     assert "parameters" in r.table()
+
+
+def test_cost_report_flops_are_the_forward_matmul_macs(monkeypatch):
+    """With activation elements weighted 0, ``cost_report`` flops are exactly
+    the multiply-accumulates of a DerivedModel forward's matmuls, per image."""
+    monkeypatch.setattr(genotype_mod, "OPS_PER_ACT_ELEMENT", 0)
+    macs = []
+    matmul = ad.matmul
+
+    def counting(a, b):
+        out = matmul(a, b)
+        macs.append(out.data.size * a.shape[-1])
+        return out
+
+    monkeypatch.setattr(ad, "matmul", counting)
+    dims = ModelDims(dim=16, patch=4, image=8, classes=2)
+    batch = 3
+    images = np.zeros((batch, dims.image, dims.image, dims.channels), dtype=np.float32)
+    for g in (searched_encoder_genotype(dims, depth=2, heads=2),
+              classic_encoder_genotype(dims, depth=2, heads=2)):
+        model = DerivedModel(g, np.random.default_rng(0))
+        macs.clear()
+        with ad.frozen(model.named_parameters().values()):
+            model.forward(images)
+        assert sum(macs) == batch * cost_report(g).flops
 
 
 # -- json io ---------------------------------------------------------------------------

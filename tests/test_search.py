@@ -19,7 +19,7 @@ from dasvit import search as search_mod
 from dasvit.errors import (ConfigError, DataError, GenotypeError, NonFiniteError,
                            SearchAbort)
 from dasvit.ops import ModelDims, build_op
-from dasvit.search import (SearchState, _fairness_terms, _unrolled_alpha_grad,
+from dasvit.search import (SearchState, _grad_pass, _unrolled_alpha_pass,
                            advance_stage, bilevel_epoch, prune_candidates)
 from dasvit.supernet import mixed_edge_forward
 from oracles import softmax_np
@@ -304,10 +304,9 @@ def test_unrolled_gradient_with_zero_xi_equals_first_order():
         tb = epoch_batches(ds, split.train_indices, plan, 0, "train")[0]
         vb = epoch_batches(ds, split.val_indices, plan, 0, "val")[0]
         state.xi = 0.0
-        grad, _, _, _ = _unrolled_alpha_grad(state, tb, vb)
-        state.zero_all()
-        loss = ad.cross_entropy(model.forward(vb.images), vb.labels)
-        ad.backward(loss)
+        _unrolled_alpha_pass(state, tb, vb)
+        grad = model.alpha.logits.grad
+        _grad_pass(state, vb)
         direct = model.alpha.logits.grad
         np.testing.assert_allclose(grad, direct, rtol=1e-12, atol=1e-15)
 
@@ -358,15 +357,14 @@ def test_unrolled_gradient_matches_virtual_step_objective():
                             a_opt=AdamW({"alpha.logits": model.alpha.logits}, lr=0.05),
                             fairness=FairnessConfig(a=0.0, b=0.0),
                             unrolled=True, xi=xi)
-        analytic, _, _, _ = _unrolled_alpha_grad(state, tb, vb)
+        _unrolled_alpha_pass(state, tb, vb)
+        analytic = model.alpha.logits.grad
 
         w_params = state.w_opt.params
 
         def objective():
-            state.zero_all()
-            ad.backward(ad.cross_entropy(model.forward(tb.images), tb.labels))
-            g_w = {n: (p.grad.copy() if p.grad is not None
-                       else np.zeros_like(p.data)) for n, p in w_params.items()}
+            _grad_pass(state, tb)
+            g_w = {n: p.grad.copy() for n, p in w_params.items()}
             originals = {n: p.data.copy() for n, p in w_params.items()}
             for n, p in w_params.items():
                 p.data = originals[n] - xi * g_w[n]
@@ -392,9 +390,8 @@ def test_unrolled_gradient_matches_virtual_step_objective():
         assert np.abs(analytic - numeric).max() / scale < 1e-3
 
         # sanity: the correction matters, i.e. first-order alone is worse
-        state.zero_all()
-        ad.backward(ad.cross_entropy(model.forward(vb.images), vb.labels))
-        first_order = model.alpha.logits.grad.copy()
+        _grad_pass(state, vb)
+        first_order = model.alpha.logits.grad
         assert np.abs(first_order - numeric).max() / scale > \
             np.abs(analytic - numeric).max() / scale
 
@@ -415,9 +412,9 @@ def test_unrolled_step_runs_and_differs_from_first_order():
         tb = epoch_batches(ds, split.train_indices, plan, 0, "train")[0]
         vb = epoch_batches(ds, split.val_indices, plan, 0, "val")[0]
         state.xi = 0.05
-        grad, _, _, _ = _unrolled_alpha_grad(state, tb, vb)
-        state.zero_all()
-        ad.backward(ad.cross_entropy(model.forward(vb.images), vb.labels))
+        _unrolled_alpha_pass(state, tb, vb)
+        grad = model.alpha.logits.grad
+        _grad_pass(state, vb)
         assert not np.allclose(grad, model.alpha.logits.grad)
 
 
@@ -452,74 +449,72 @@ def test_frozen_architecture_reduces_to_plain_training():
 
 
 def test_each_phase_computes_only_the_gradients_it_updates():
-    """The alpha step sees the unfrozen first-order alpha gradient bitwise and
-    no weight gradient; the weight step sees no alpha gradient."""
-    with dtype_scope("float64"):
-        ds = make_synthetic(2, 16, 8, seed=0)
-        split = split_dataset(len(ds), 0.5, 0)
-        plan = BatchPlan(batch_size=8, seed=0)
-        tb = epoch_batches(ds, split.train_indices, plan, 0, "train")[:1]
-        vb = epoch_batches(ds, split.val_indices, plan, 0, "val")[:1]
-        sup = Supernet(DIMS, DESK8, 2, np.random.default_rng(0))
-        state = SearchState(model=sup, alpha=sup.alpha,
-                            w_opt=AdamW(sup.weight_parameters(), lr=0.01),
-                            a_opt=AdamW(sup.alpha_parameters(), lr=0.01),
-                            fairness=FairnessConfig())
-        weights = sup.weight_parameters()
+    """The alpha step sees its alpha gradient bitwise (first order: the one an
+    unfrozen pass gives) and no weight gradient; the weight step sees no alpha
+    gradient. Both for the first-order and the unrolled alpha pass."""
+    for unrolled in (False, True):
+        with dtype_scope("float64"):
+            ds = make_synthetic(2, 16, 8, seed=0)
+            split = split_dataset(len(ds), 0.5, 0)
+            plan = BatchPlan(batch_size=8, seed=0)
+            tb = epoch_batches(ds, split.train_indices, plan, 0, "train")[:1]
+            vb = epoch_batches(ds, split.val_indices, plan, 0, "val")[:1]
+            sup = Supernet(DIMS, DESK8, 2, np.random.default_rng(0))
+            state = SearchState(model=sup, alpha=sup.alpha,
+                                w_opt=AdamW(sup.weight_parameters(), lr=0.01),
+                                a_opt=AdamW(sup.alpha_parameters(), lr=0.01),
+                                fairness=FairnessConfig(), unrolled=unrolled, xi=0.01)
+            weights = sup.weight_parameters()
 
-        l_val = ad.cross_entropy(sup.forward(vb[0].images), vb[0].labels)
-        ad.backward(l_val + _fairness_terms(sup.alpha, state.fairness)[2])
-        unfrozen = sup.alpha.logits.grad.copy()
-        assert all(p.grad is not None for p in weights.values())
-        state.zero_all()
+            if unrolled:
+                _unrolled_alpha_pass(state, tb[0], vb[0])
+            else:
+                _grad_pass(state, vb[0], fair=True)
+                assert all(p.grad is not None for p in weights.values())
+            expected = sup.alpha.logits.grad
 
-        seen = {}
+            seen = {}
 
-        def spy(opt, key):
-            step = opt.step
+            def spy(opt, key):
+                step = opt.step
 
-            def wrapped():
-                seen[key] = {n: p.grad for n, p in sup.named_parameters().items()
-                             if p.grad is not None}
-                seen[key + "_alpha"] = (None if sup.alpha.logits.grad is None
-                                        else sup.alpha.logits.grad.copy())
-                step()
+                def wrapped():
+                    seen[key] = {n: p.grad for n, p in sup.named_parameters().items()
+                                 if p.grad is not None}
+                    seen[key + "_alpha"] = (None if sup.alpha.logits.grad is None
+                                            else sup.alpha.logits.grad.copy())
+                    step()
 
-            opt.step = wrapped
+                opt.step = wrapped
 
-        spy(state.a_opt, "alpha_step")
-        spy(state.w_opt, "weight_step")
-        bilevel_epoch(state, tb, vb)
+            spy(state.a_opt, "alpha_step")
+            spy(state.w_opt, "weight_step")
+            bilevel_epoch(state, tb, vb)
 
-    assert set(seen["alpha_step"]) == {"alpha.logits"}
-    np.testing.assert_array_equal(seen["alpha_step_alpha"], unfrozen)
-    assert "alpha.logits" not in seen["weight_step"]
-    assert set(seen["weight_step"]) == set(weights)
-    assert all(p.requires_grad for p in sup.named_parameters().values())
-
-
-def test_all_tensors_lists_each_parameter_once():
-    sup = Supernet(DIMS, DESK8, 2, np.random.default_rng(0), grad_mode="gather_only")
-    state = SearchState(
-        model=sup, alpha=sup.alpha,
-        w_opt=AdamW(sup.weight_parameters(include_selector=False), lr=0.01),
-        a_opt=AdamW(sup.alpha_parameters(), lr=0.01), fairness=FairnessConfig())
-    listed = state.all_tensors()
-    assert len({id(p) for p in listed}) == len(listed)
-    # the gather_only selector weights are outside w_opt but still frozen
-    # with the other weights in the alpha phase
-    assert {id(p) for p in listed} == {id(p) for p in sup.named_parameters().values()}
+        assert set(seen["alpha_step"]) == {"alpha.logits"}
+        np.testing.assert_array_equal(seen["alpha_step_alpha"], expected)
+        assert "alpha.logits" not in seen["weight_step"]
+        assert set(seen["weight_step"]) == set(weights)
+        assert all(p.requires_grad for p in sup.named_parameters().values())
 
 
-def test_alpha_and_weight_batches_stay_disjoint(tmp_path):
+def test_alpha_and_weight_batches_stay_disjoint(tmp_path, monkeypatch):
+    """The alpha passes only ever see validation samples, the weight passes
+    only training samples."""
+    seen = {"alpha": set(), "weight": set()}
+    grad_pass = search_mod._grad_pass
+
+    def spy(state, batch, freeze=None, fair=False):
+        side = "alpha" if freeze is state.w_opt else "weight"
+        seen[side].update(int(i) for i in batch.indices)
+        return grad_pass(state, batch, freeze, fair)
+
+    monkeypatch.setattr(search_mod, "_grad_pass", spy)
     cfg = _small_cfg(seed=2, stages=1, epochs_per_stage=2, prune_per_stage=[0, 0, 0])
-    result = run_search(cfg, tmp_path / "run")
+    run_search(cfg, tmp_path / "run")
     split = split_dataset(64, cfg.search.val_fraction, cfg.seed)
-    val = set(split.val_indices.tolist())
-    train = set(split.train_indices.tolist())
-    assert result.state.alpha_sample_indices <= val
-    assert result.state.weight_sample_indices <= train
-    assert not result.state.alpha_sample_indices & result.state.weight_sample_indices
+    assert seen["alpha"] and seen["alpha"] <= set(split.val_indices.tolist())
+    assert seen["weight"] and seen["weight"] <= set(split.train_indices.tolist())
 
 
 def test_batch_tag_mismatch_is_rejected():
@@ -528,6 +523,15 @@ def test_batch_tag_mismatch_is_rejected():
     batches = epoch_batches(ds, np.arange(len(ds)), plan, 0, "train")
     with pytest.raises(Exception, match="train, val|batch pair"):
         bilevel_epoch(state, batches, batches)
+
+
+def test_search_warmup_beyond_the_searched_epochs_names_its_path(tmp_path):
+    cfg = desk_config()
+    cfg = dataclasses.replace(cfg, search=dataclasses.replace(cfg.search,
+                                                              warmup_epochs=20))
+    with pytest.raises(ConfigError, match=r"search\.warmup_epochs: 20 exceeds"):
+        run_search(cfg, tmp_path / "run", stages=1)
+    assert not (tmp_path / "run").exists()
 
 
 # -- full runs ------------------------------------------------------------------------
