@@ -156,9 +156,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_lift(other, self), self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -358,15 +355,6 @@ def mul(a, b) -> Tensor:
     return Tensor._from_op(out, (a, b), bw, "mul")
 
 
-def neg(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-
-    def bw(g):
-        _accumulate(a, -g)
-
-    return Tensor._from_op(-a.data, (a,), bw, "neg")
-
-
 # -- linear algebra ----------------------------------------------------------------
 
 
@@ -468,52 +456,27 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def index(a: Tensor, key) -> Tensor:
-    """Basic indexing (ints and slices); gradients scatter back into place."""
+    """Indexing by ints, slices and integer arrays; gradients scatter back
+    into place, and repeated array indices accumulate."""
     a = as_tensor(a)
+    parts = key if isinstance(key, tuple) else (key,)
+    gather = any(isinstance(k, (np.ndarray, list)) for k in parts)
     try:
         out = a.data[key]
     except IndexError:
         raise ShapeError(f"index: key {key!r} invalid for shape {a.shape}") from None
-    out = np.array(out)  # detach from the base buffer
+    if not gather:
+        out = np.array(out)  # detach the view from the base buffer
 
     def bw(g):
         full = np.zeros_like(a.data)
-        full[key] += g
+        if gather:
+            np.add.at(full, key, g)
+        else:
+            full[key] += g  # basic keys address each element once
         _accumulate(a, full)
 
     return Tensor._from_op(out, (a,), bw, "index")
-
-
-def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Per-batch row gather along axis 1.
-
-    `a` is (B, N) or (B, N, C); `indices` is an integer (B, k) array. Repeated
-    indices accumulate gradient correctly.
-    """
-    a = as_tensor(a)
-    idx = np.asarray(indices)
-    if idx.ndim != 2 or a.ndim not in (2, 3) or idx.shape[0] != a.shape[0]:
-        raise ShapeError(f"gather_rows: indices {idx.shape} invalid for shape {a.shape}")
-    bsz = a.shape[0]
-    if a.ndim == 2:
-        out = np.take_along_axis(a.data, idx, axis=1)
-
-        def bw(g):
-            full = np.zeros_like(a.data)
-            np.add.at(full, (np.arange(bsz)[:, None], idx), g)
-            _accumulate(a, full)
-
-    else:
-        channels = a.shape[2]
-        out = np.take_along_axis(a.data, idx[:, :, None], axis=1)
-
-        def bw(g):
-            full = np.zeros_like(a.data)
-            np.add.at(full, (np.arange(bsz)[:, None, None], idx[:, :, None],
-                             np.arange(channels)[None, None, :]), g)
-            _accumulate(a, full)
-
-    return Tensor._from_op(out, (a,), bw, "gather_rows")
 
 
 # -- reductions ---------------------------------------------------------------------

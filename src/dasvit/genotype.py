@@ -24,8 +24,8 @@ import numpy as np
 from .autodiff import Tensor
 from .data import load_parameters
 from .errors import GenotypeError
-from .ops import (CELL_EDGES, INTERMEDIATE_NODES, EmbedParams, ModelDims, OpSpec,
-                  build_op, mlp_hidden_dim, walk_cell)
+from .ops import (CELL_EDGES, INTERMEDIATE_NODES, EmbedParams, ModelDims, Module,
+                  OpSpec, build_op, mlp_hidden_dim, walk_cell)
 
 SCHEMA_VERSION = 1
 OPS_PER_ACT_ELEMENT = 5
@@ -190,7 +190,7 @@ def load_genotype(path) -> Genotype:
 # -- the derived model ----------------------------------------------------------
 
 
-class DerivedModel:
+class DerivedModel(Module):
     """Discrete encoder built from a genotype; trains without token selection."""
 
     def __init__(self, genotype: Genotype, rng: np.random.Generator,
@@ -239,9 +239,6 @@ class DerivedModel:
             for pname, p in op.named_parameters().items():
                 out[f"{prefix}.{pname}"] = p
         return out
-
-    def named_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data for name, p in self.named_parameters().items()}
 
     @classmethod
     def from_supernet(cls, sup, genotype: Genotype) -> "DerivedModel":

@@ -139,7 +139,22 @@ def _normed(x: Tensor, gamma: Tensor | None, beta: Tensor | None) -> Tensor:
     return ad.layer_norm(x) * gamma + beta
 
 
-class ZeroOp:
+class Module:
+    """A holder of parameters, each stored as a Tensor attribute.
+
+    A parameter's name is its attribute name, and parameters are listed in
+    the order they were assigned; an attribute set to None (an absent
+    optional norm) holds no parameter. These names are the checkpoint format.
+    """
+
+    def named_parameters(self) -> dict[str, Tensor]:
+        return {name: v for name, v in vars(self).items() if isinstance(v, Tensor)}
+
+    def named_arrays(self) -> dict[str, np.ndarray]:
+        return {name: p.data for name, p in self.named_parameters().items()}
+
+
+class ZeroOp(Module):
     """Outputs a zero tensor; removes the connection it sits on."""
 
     def __init__(self, spec: OpSpec, dim: int, rng=None, pre_norm: bool = True):
@@ -148,11 +163,8 @@ class ZeroOp:
     def forward(self, x: Tensor) -> Tensor:
         return Tensor(np.zeros_like(x.data))
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        return {}
 
-
-class IdentityOp:
+class IdentityOp(Module):
     """Passes the input through unchanged (skip connection)."""
 
     def __init__(self, spec: OpSpec, dim: int, rng=None, pre_norm: bool = True):
@@ -161,11 +173,8 @@ class IdentityOp:
     def forward(self, x: Tensor) -> Tensor:
         return x
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        return {}
 
-
-class MsaOp:
+class MsaOp(Module):
     """Pre-norm multi-head self-attention.
 
     Q/K/V are stored as one fused D x D matrix per role and sliced per head,
@@ -204,30 +213,18 @@ class MsaOp:
             raise ShapeError(f"MsaOp: expected last dim {self.dim}, got {x.shape}")
         head_dim = dim // self.heads
         z = _normed(x, self.norm_g, self.norm_b)
-        q = z @ self.wq
-        k = z @ self.wk
-        v = z @ self.wv
-
-        def split(t):
-            return t.reshape((bsz, n, self.heads, head_dim)).transpose((0, 2, 1, 3))
-
-        q, k, v = split(q), split(k), split(v)
-        scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(head_dim))
+        heads = (bsz, n, self.heads, head_dim)
+        q = (z @ self.wq).reshape(heads).transpose((0, 2, 1, 3))
+        k = (z @ self.wk).reshape(heads).transpose((0, 2, 3, 1))  # (B, H, d, N)
+        v = (z @ self.wv).reshape(heads).transpose((0, 2, 1, 3))
+        scores = (q @ k) * (1.0 / math.sqrt(head_dim))
         self.last_score_elements = scores.size
         attn = ad.softmax(scores)
         mixed = (attn @ v).transpose((0, 2, 1, 3)).reshape((bsz, n, dim))
         return mixed @ self.wo + self.bo
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        out = {"wq": self.wq, "wk": self.wk, "wv": self.wv,
-               "wo": self.wo, "bo": self.bo}
-        if self.norm_g is not None:
-            out["norm_g"] = self.norm_g
-            out["norm_b"] = self.norm_b
-        return out
 
-
-class MlpOp:
+class MlpOp(Module):
     """Pre-norm position-wise feed-forward block: linear, GELU, linear."""
 
     def __init__(self, spec: OpSpec, dim: int, rng: np.random.Generator,
@@ -252,13 +249,6 @@ class MlpOp:
         z = _normed(x, self.norm_g, self.norm_b)
         return ad.gelu(z @ self.w1 + self.b1) @ self.w2 + self.b2
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        out = {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-        if self.norm_g is not None:
-            out["norm_g"] = self.norm_g
-            out["norm_b"] = self.norm_b
-        return out
-
 
 _OP_CLASSES = {"zero": ZeroOp, "identity": IdentityOp, "msa": MsaOp, "mlp": MlpOp}
 
@@ -267,7 +257,7 @@ def build_op(spec: OpSpec, dim: int, rng: np.random.Generator, pre_norm: bool = 
     return _OP_CLASSES[spec.kind](spec, dim, rng, pre_norm)
 
 
-class EmbedParams:
+class EmbedParams(Module):
     """Patch embedding, position table, class token, and classification head.
 
     `embed` turns (B, H, W, C) images into (B, N+1, D) token sequences with
@@ -318,15 +308,6 @@ class EmbedParams:
         cls_row = z[:, 0]
         cls_row = _normed(cls_row, self.final_g, self.final_b)
         return cls_row @ self.head_w + self.head_b
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        out = {"proj_w": self.proj_w, "proj_b": self.proj_b,
-               "pos": self.pos, "cls": self.cls,
-               "head_w": self.head_w, "head_b": self.head_b}
-        if self.final_g is not None:
-            out["final_g"] = self.final_g
-            out["final_b"] = self.final_b
-        return out
 
 
 # -- the cell DAG ------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -377,15 +377,15 @@ def _keep_rows(path: Path, keep, header: bool = False) -> None:
     path.write_bytes(b"".join(head + [row for row in rows if keep(row)]))
 
 
-def run_search(cfg: RunConfig, out_dir, seed: int | None = None,
-               stages: int | None = None, resume=None) -> SearchResult:
+def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
+               resume=None) -> SearchResult:
     """Run the staged search end to end and write every artifact.
 
     Artifacts: config.json (effective), alpha_history.csv, search_log.jsonl,
     stage_<n>.ckpt(+.blob) at each stage end, genotype.json. Resuming points
     at a stage checkpoint and continues from the following stage.
     """
-    cfg = replace(cfg, seed=cfg.seed if seed is None else int(seed)).validate()
+    cfg = cfg.validate()
     seed = cfg.seed
     n_stages = cfg.search.stages if stages is None else min(stages, cfg.search.stages)
     if n_stages < 1:
@@ -507,7 +507,7 @@ def run_search(cfg: RunConfig, out_dir, seed: int | None = None,
 # -- retraining ---------------------------------------------------------------------
 
 
-def retrain(genotype: Genotype, cfg: RunConfig, out_dir, seed: int | None = None,
+def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
             resume=None) -> tuple[DerivedModel, list[dict]]:
     """Train the derived model from scratch (or resume) with warmup+cosine AdamW.
 
@@ -516,7 +516,7 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir, seed: int | None = None
     mid-epoch weights in abort.ckpt, a checkpoint `resume` refuses; model.ckpt
     and the epoch checkpoints only ever hold completed epochs.
     """
-    cfg = replace(cfg, seed=cfg.seed if seed is None else int(seed)).validate()
+    cfg = cfg.validate()
     seed = cfg.seed
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

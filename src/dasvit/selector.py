@@ -22,11 +22,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
+from .ops import Module
 
 GRAD_MODES = ("score_scaling", "gather_only")
 
 
-class Selector:
+class Selector(Module):
     """Scores tokens with a single-head Q/K product and keeps the best k."""
 
     def __init__(self, dim: int, lam: float, grad_mode: str,
@@ -70,11 +71,9 @@ class Selector:
             with ad.frozen([self.wq, self.wk]):
                 s = self.scores(patches.detach())
         order = np.argsort(-s.data, axis=1, kind="stable")[:, :k]
-        kept = ad.gather_rows(patches, order)
+        rows = np.arange(x.shape[0])[:, None]
+        kept = patches[rows, order]
         if self.grad_mode == "score_scaling":
-            gains = ad.sigmoid(ad.gather_rows(s, order))
+            gains = ad.sigmoid(s[rows, order])
             kept = kept * gains.reshape((x.shape[0], k, 1))
         return ad.concat([x[:, 0:1], kept], axis=1), order
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        return {"wq": self.wq, "wk": self.wk}

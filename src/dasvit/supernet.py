@@ -14,8 +14,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
-from .ops import (CELL_EDGES, NUM_EDGES, EmbedParams, ModelDims, OpSpec, ZeroOp,
-                  build_op, walk_cell)
+from .ops import (CELL_EDGES, NUM_EDGES, EmbedParams, ModelDims, Module, OpSpec,
+                  ZeroOp, build_op, walk_cell)
 from .selector import Selector
 
 
@@ -92,7 +92,7 @@ class MixedEdge:
         return out
 
 
-class Supernet:
+class Supernet(Module):
     """Embedding, token selector, stacked mixed cells, and class head."""
 
     def __init__(self, dims: ModelDims, candidates: list[OpSpec], num_layers: int,
@@ -173,6 +173,3 @@ class Supernet:
     def named_parameters(self) -> dict[str, Tensor]:
         """Every parameter: the weights, then the architecture logits."""
         return {**self.weight_parameters(), **self.alpha_parameters()}
-
-    def named_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data for name, p in self.named_parameters().items()}
