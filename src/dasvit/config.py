@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
 from .fairness import FairnessConfig
-from .ops import DEFAULT_CANDIDATES, ModelDims, OpSpec
+from .ops import DEFAULT_CANDIDATES, ModelDims, OpSpec, is_finite_number
 from .selector import GRAD_MODES
 
 
@@ -161,47 +163,51 @@ class RunConfig:
 
 # -- json round trip -----------------------------------------------------------------
 
-#: The config class of every field that holds a nested config. Fields carry
-#: string annotations under `from __future__ import annotations`, so nested
-#: configs are found by field name.
-_NESTED = {
-    "model": ModelConfig, "selector": SelectorConfig, "search": SearchConfig,
-    "retrain": RetrainConfig, "synthetic": SyntheticConfig, "data": DataConfig,
-    "fairness": FairnessConfig,
+def _field_key(f: dataclasses.Field) -> str:
+    return f.metadata.get("json", f.name)
+
+
+#: What a JSON leaf must be to fill a field of each scalar type.
+_SCALARS = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a finite number", is_finite_number),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
 }
 
 
-def _field_key(f: dataclasses.Field) -> str:
-    return f.metadata.get("json", f.name)
+def _from_json_value(hint, value, path: str):
+    """`value` checked against the field type `hint`; nested configs and
+    candidate ops are built from their JSON objects."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        if value is None:
+            return None
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    if hint is OpSpec:
+        return OpSpec.from_json(value, path)
+    if dataclasses.is_dataclass(hint):
+        return _from_dict(hint, value, path)
+    if typing.get_origin(hint) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        (item,) = typing.get_args(hint)
+        return [_from_json_value(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
+    expected, accepts = _SCALARS[hint]
+    if not accepts(value):
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+    return value
 
 
 def _from_dict(cls, doc, path: str):
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected an object")
+    hints = typing.get_type_hints(cls)
     by_key = {_field_key(f): f for f in dataclasses.fields(cls)}
     for key in doc:
         if key not in by_key:
             raise ConfigError(f"{path}.{key}: unknown key")
-    kwargs = {}
-    for key, f in by_key.items():
-        if key not in doc:
-            continue
-        value = doc[key]
-        sub = f"{path}.{key}"
-        if f.name == "candidates":
-            if not isinstance(value, list):
-                raise ConfigError(f"{sub}: expected a list of op objects")
-            value = [OpSpec.from_json(v, f"{sub}[{i}]") for i, v in enumerate(value)]
-        elif f.name in _NESTED:
-            value = _from_dict(_NESTED[f.name], value, sub)
-        kwargs[f.name] = value
-    try:
-        obj = cls(**kwargs)
-    except ConfigError:
-        raise
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    return obj
+    return cls(**{f.name: _from_json_value(hints[f.name], doc[key], f"{path}.{key}")
+                  for key, f in by_key.items() if key in doc})
 
 
 def _to_dict(obj):

@@ -361,30 +361,48 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"checkpoint: manifest not found: {path}")
-    manifest = json.loads(path.read_text())
-    if manifest.get("format") != _CKPT_FORMAT:
+    try:
+        manifest = json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"checkpoint: {path}: invalid JSON: {exc}") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != _CKPT_FORMAT:
         raise DataError(f"checkpoint: {path} is not a {_CKPT_FORMAT} manifest")
-    blob_path = path.with_name(manifest["blob"])
-    if not blob_path.exists():
+
+    def need(doc, key, kind, where="manifest"):
+        if not isinstance(doc, dict) or key not in doc:
+            raise DataError(f"checkpoint: {path}: {where} has no key {key!r}")
+        if not isinstance(doc[key], kind):
+            raise DataError(f"checkpoint: {path}: {where} key {key!r} holds "
+                            f"{doc[key]!r}, not a {kind.__name__}")
+        return doc[key]
+
+    blob_name = need(manifest, "blob", str)
+    if not blob_name or Path(blob_name).name != blob_name:
+        raise DataError(f"checkpoint: {path}: blob {blob_name!r} is not a file name")
+    blob_path = path.with_name(blob_name)
+    if not blob_path.is_file():
         raise DataError(f"checkpoint: blob not found: {blob_path}")
     blob = blob_path.read_bytes()
     arrays: dict[str, np.ndarray] = {}
-    for name, entry in manifest["arrays"].items():
-        start, nbytes = entry["offset"], entry["nbytes"]
+    for name, entry in need(manifest, "arrays", dict).items():
+        where = f"array {name!r}"
+        start, nbytes = need(entry, "offset", int, where), need(entry, "nbytes", int, where)
+        dtype, shape = need(entry, "dtype", str, where), need(entry, "shape", list, where)
+        if start < 0 or nbytes < 0:
+            raise DataError(f"checkpoint: {path}: {where} has a negative offset or size")
         if start + nbytes > len(blob):
             raise DataError(f"checkpoint: blob truncated for array {name!r}")
         try:
-            arr = np.frombuffer(blob[start:start + nbytes], dtype=np.dtype(entry["dtype"]))
-            arrays[name] = arr.reshape(entry["shape"]).copy()
+            arr = np.frombuffer(blob[start:start + nbytes], dtype=np.dtype(dtype))
+            arrays[name] = arr.reshape(shape).copy()
         except (TypeError, ValueError) as exc:
             raise DataError(f"checkpoint: {path}: array {name!r} ({nbytes} bytes of "
-                            f"{entry['dtype']}) does not fill shape {entry['shape']}: "
-                            f"{exc}") from None
+                            f"{dtype}) does not fill shape {shape}: {exc}") from None
     digest = hashlib.sha256(blob).hexdigest()
     if digest != manifest.get("sha256"):
         raise DataError(f"checkpoint: {path}: blob sha256 {digest} differs from the "
                         f"manifest's {manifest.get('sha256')}")
-    return arrays, manifest.get("extras", {})
+    return arrays, need(manifest, "extras", dict)
 
 
 def load_parameters(params: dict, arrays: dict[str, np.ndarray], source,

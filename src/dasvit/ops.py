@@ -34,6 +34,16 @@ OP_KINDS = ("zero", "identity", "msa", "mlp")
 INIT_STD = 0.02
 
 
+def is_finite_number(value) -> bool:
+    """Whether a JSON value is an int or float (not a bool) a float holds finitely."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class OpSpec:
     """One candidate operation: its kind plus the kind-specific knob."""
@@ -46,7 +56,7 @@ class OpSpec:
         if self.kind not in OP_KINDS:
             raise ConfigError(f"OpSpec: unknown kind {self.kind!r}")
         if self.kind == "msa":
-            if not isinstance(self.heads, int) or self.heads < 1:
+            if type(self.heads) is not int or self.heads < 1:
                 raise ConfigError("OpSpec: msa requires a positive integer head count")
             if self.ratio is not None:
                 raise ConfigError("OpSpec: msa takes no ratio")
@@ -84,9 +94,11 @@ class OpSpec:
         kind = doc.get("kind")
         if kind not in OP_KINDS:
             raise ConfigError(f"{path}.kind: expected one of {OP_KINDS}, got {kind!r}")
+        heads = doc.get("heads")
+        ratio = doc.get("ratio")
+        if ratio is not None and not is_finite_number(ratio):
+            raise ConfigError(f"{path}.ratio: expected a finite number, got {ratio!r}")
         try:
-            heads = doc.get("heads")
-            ratio = doc.get("ratio")
             return OpSpec(kind, heads=heads,
                           ratio=float(ratio) if ratio is not None else None)
         except ConfigError as exc:

@@ -417,6 +417,9 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
         global_epoch = 0
         if resume is not None:
             arrays, extras = load_checkpoint(resume)
+            if extras.get("kind") != "search-stage":
+                raise ConfigError(f"resume: {resume} is a {extras.get('kind')!r} "
+                                  "checkpoint, not a search-stage checkpoint")
             stage_done = int(extras["stage"])
             global_epoch = int(extras["global_epoch"])
             model = Supernet.from_config(
@@ -549,7 +552,8 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
                     f"resume: {resume} holds mid-epoch weights of an aborted run; "
                     "resume from an epoch checkpoint instead")
             if extras.get("kind") != "retrain":
-                raise ConfigError("resume: not a retraining checkpoint")
+                raise ConfigError(f"resume: {resume} is a {extras.get('kind')!r} "
+                                  "checkpoint, not a retraining checkpoint")
             if extras.get("genotype") != genotype_to_json(genotype):
                 raise ConfigError("resume: checkpoint genotype differs from the "
                                   "requested genotype")
@@ -603,6 +607,10 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
                     (epoch + 1) % cfg.retrain.checkpoint_every == 0:
                 checkpoint(f"epoch_{epoch}.ckpt", kind="retrain", epoch=epoch)
 
+        # as in run_search: a resume into the same directory rewrites the
+        # epochs it runs, so its log matches an uninterrupted run's
+        _keep_rows(out / "metrics.csv",
+                   lambda row: int(row.split(b",", 1)[0]) < start_epoch, header=True)
         with MetricsWriter(out / "metrics.csv") as metrics:
             for epoch in range(start_epoch, cfg.retrain.epochs):
                 run_epoch(epoch, metrics)

@@ -3,12 +3,14 @@
 Everything here is implemented with plain numpy loops and stays independent
 of the code paths it verifies: central finite differences for gradients,
 explicit per-head attention, double-loop token scores, a full-sort top-k, a
-generic DAG walker, and direct layer math.
+generic DAG walker, and direct layer math. It also holds the Hypothesis
+strategy for arbitrary JSON values that fuzzes the input documents.
 """
 
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from dasvit.autodiff import backward
 
@@ -174,3 +176,29 @@ def walk_dag(inputs, num_nodes, edges):
             raise AssertionError(f"dag oracle: node {node} has no incoming edges")
         values.append(total)
     return values
+
+
+# -- arbitrary JSON input ----------------------------------------------------------
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+def json_paths(doc, prefix=()):
+    """Every key path of a JSON document, objects and lists included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from json_paths(value, prefix + (key,))
+
+
+def set_json_path(doc, path, value):
+    """Replace the value at `path` of `doc` in place."""
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dasvit
 from dasvit import desk_config, load_config, save_config, searched_encoder_genotype, \
@@ -19,7 +21,7 @@ from dasvit.genotype import DerivedModel
 from dasvit.ops import ModelDims, OpSpec
 from dasvit.search import build_datasets, evaluate
 from dasvit.supernet import Supernet
-from oracles import topk_oracle
+from oracles import JSON_VALUES, json_paths, set_json_path, topk_oracle
 
 
 # -- config round trip -----------------------------------------------------------------
@@ -108,6 +110,32 @@ def test_retrain_warmup_longer_than_training_is_rejected():
     doc["retrain"]["epochs"] = 1
     with pytest.raises(ConfigError, match="retrain.warmup_epochs: 5 exceeds"):
         config_from_json(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"model": {"dim": "x"}}, r"config\.model\.dim: expected an integer, got 'x'"),
+    ({"search": {"prune_per_stage": 3}},
+     r"config\.search\.prune_per_stage: expected a list, got 3"),
+    ({"selector": {"lambda": None}},
+     r"config\.selector\.lambda: expected a finite number, got None"),
+], ids=["model.dim", "search.prune_per_stage", "selector.lambda"])
+def test_config_type_errors_name_their_path(doc, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_json(doc)
+
+
+CONFIG_PATHS = list(json_paths(config_to_json(desk_config())))
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(CONFIG_PATHS), JSON_VALUES)
+def test_any_json_value_at_a_config_path_is_accepted_or_a_config_error(path, value):
+    doc = config_to_json(desk_config())
+    set_json_path(doc, path, value)
+    try:
+        config_from_json(doc)
+    except ConfigError:
+        pass
 
 
 # -- cli -----------------------------------------------------------------------------
@@ -257,6 +285,27 @@ def test_cli_eval_refuses_a_checkpoint_of_another_norm_layout(tmp_path, capsys,
     captured = capsys.readouterr()
     assert code == 1 and not captured.out
     assert captured.err.startswith("error:") and message in captured.err
+
+
+def test_cli_search_resume_refuses_a_retraining_checkpoint(tmp_path, capsys):
+    cfg = desk_config(seed=3)
+    cfg = dataclasses.replace(cfg, retrain=dataclasses.replace(
+        cfg.retrain, epochs=1, warmup_epochs=0))
+    cfg_path = tmp_path / "cfg.json"
+    save_config(cfg, cfg_path)
+    geno_path = tmp_path / "genotype.json"
+    save_genotype(searched_encoder_genotype(cfg.model.dims(), depth=1, heads=4),
+                  geno_path)
+    out = tmp_path / "retrain"
+    assert main(["retrain", "--config", str(cfg_path), "--genotype", str(geno_path),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["search", "--config", str(cfg_path), "--out", str(tmp_path / "s"),
+                 "--resume", str(out / "model.ckpt")])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.startswith("error:")
+    assert f"{out / 'model.ckpt'} is a 'retrain' checkpoint" in captured.err
 
 
 def test_cli_retrain_rejects_dim_mismatch(tmp_path, capsys):

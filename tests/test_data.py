@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dasvit import Tensor
@@ -12,6 +12,7 @@ from dasvit.data import (BatchPlan, MetricsWriter, epoch_batches,
                          normalize, resize_images, save_checkpoint,
                          split_dataset, topk_accuracy)
 from dasvit.errors import DataError
+from oracles import JSON_VALUES, set_json_path
 
 
 # -- synthetic -----------------------------------------------------------------------
@@ -322,6 +323,47 @@ def test_corrupt_checkpoint_raises_data_error(tmp_path):
     path.write_text(json.dumps(manifest))
     with pytest.raises(DataError, match="state.ckpt: array 'w' \\(28 bytes"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("truncated", r"state.ckpt: invalid JSON"),
+    ("arrays", r"state.ckpt: manifest has no key 'arrays'"),
+    ("blob", r"state.ckpt: manifest has no key 'blob'"),
+    ("offset", r"state.ckpt: array 'w' has no key 'offset'"),
+], ids=["truncated", "arrays", "blob", "offset"])
+def test_malformed_manifest_raises_data_error_naming_the_key(tmp_path, damage,
+                                                             message):
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(path, {"w": np.arange(4.0)}, {})
+    text = path.read_text()
+    if damage == "truncated":
+        path.write_text(text[:len(text) // 2])
+    else:
+        manifest = json.loads(text)
+        del (manifest["arrays"]["w"] if damage == "offset" else manifest)[damage]
+        path.write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match=message):
+        load_checkpoint(path)
+
+
+MANIFEST_PATHS = [("blob",), ("sha256",), ("extras",), ("format",), ("arrays",),
+                  ("arrays", "w")] + [("arrays", "w", key)
+                                      for key in ("offset", "nbytes", "dtype", "shape")]
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(MANIFEST_PATHS), JSON_VALUES)
+def test_any_json_value_in_a_manifest_loads_or_raises_data_error(tmp_path_factory,
+                                                                  path, value):
+    ckpt = tmp_path_factory.mktemp("fuzz") / "state.ckpt"
+    save_checkpoint(ckpt, {"w": np.arange(4.0)}, {"epoch": 0})
+    manifest = json.loads(ckpt.read_text())
+    set_json_path(manifest, path, value)
+    ckpt.write_text(json.dumps(manifest))
+    try:
+        load_checkpoint(ckpt)
+    except DataError:
+        pass
 
 
 def test_load_parameters_is_strict_and_all_or_nothing():

@@ -1,0 +1,48 @@
+"""The benchmark's timing and span hooks still find every function and method
+they wrap, and put each original back on close."""
+
+import importlib
+import sys
+import tracemalloc
+from pathlib import Path
+
+import dasvit
+
+PERFBENCH = Path(dasvit.__file__).resolve().parents[2] / "perfbench"
+
+
+def _bindings():
+    """Every attribute of every loaded dasvit module and of each class in it."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if mod is None or not (name == "dasvit" or name.startswith("dasvit.")):
+            continue
+        for attr, value in vars(mod).items():
+            out[(name, attr)] = value
+            if isinstance(value, type) and value.__module__ == name:
+                for cattr, cvalue in vars(value).items():
+                    out[(name, attr, cattr)] = cvalue
+    return out
+
+
+def test_traced_instrument_hooks_resolve_and_close_restores_originals(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    instrument = importlib.import_module("instrument")
+    before = _bindings()
+
+    ins = instrument.Instrument(spans=True, memory=True).install()
+    try:
+        assert tracemalloc.is_tracing()
+        for _, cls, attr in instrument.SPAN_METHODS:
+            original = before[(cls.__module__, cls.__name__, attr)]
+            assert cls.__dict__[attr] is not original, f"{cls.__name__}.{attr}"
+        for name, fn in instrument.SPAN_FUNCTIONS.items():
+            assert getattr(sys.modules[fn.__module__], fn.__name__) is not fn, name
+    finally:
+        ins.close()
+
+    assert not tracemalloc.is_tracing()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    moved = [key for key, value in before.items() if after[key] is not value]
+    assert not moved

@@ -747,6 +747,22 @@ def test_retrain_resume_matches_straight_run(tmp_path):
     assert tail_rows == straight_rows
 
 
+def test_retrain_resume_into_its_own_directory_matches_straight_run(tmp_path):
+    g = searched_encoder_genotype(desk_config().model.dims(), depth=1, heads=4)
+    cfg = _retrain_cfg(6, checkpoint_every=3, eval_every=2)
+    retrain(g, cfg, tmp_path / "straight")
+
+    # the copy already logs epochs 0-5; resuming from epoch 2 rewrites 3-5
+    inplace = tmp_path / "inplace"
+    shutil.copytree(tmp_path / "straight", inplace)
+    retrain(g, cfg, inplace, resume=inplace / "epoch_2.ckpt")
+    files = sorted(p.name for p in (tmp_path / "straight").iterdir())
+    assert sorted(p.name for p in inplace.iterdir()) == files
+    for name in files:
+        assert (inplace / name).read_bytes() == \
+            (tmp_path / "straight" / name).read_bytes(), name
+
+
 def test_retrain_resume_refuses_a_checkpoint_missing_optimizer_state(tmp_path):
     g = searched_encoder_genotype(desk_config().model.dims(), depth=1, heads=4)
     cfg = _retrain_cfg(2, checkpoint_every=1)
