@@ -27,8 +27,14 @@ block, so nothing computed only from them is recorded at all. A phase that
 updates one set of parameters freezes the rest; a forward-only pass freezes
 every parameter and records no graph.
 
-Every primitive checks its output for NaN/Inf and raises ``NonFiniteError``
-so training loops can abort with context instead of silently diverging.
+By default every primitive checks its output for NaN/Inf and raises
+``NonFiniteError`` naming itself. A training or evaluation loop instead runs
+each pass through ``finite_pass``: the pass runs with those checks off
+(``primitive_checks(False)``), then only the tensors it returns are checked.
+If one holds NaN/Inf, the pass runs again from the same inputs with the
+checks on; passes are deterministic, so the replay raises at the primitive
+that first produced the value. A non-finite gradient behind a finite loss is
+the optimizer's to refuse (``AdamW.step``).
 
 The default array dtype is float32; gradient-check tests switch to float64
 via ``dtype_scope`` because central finite differences need the headroom.
@@ -70,9 +76,43 @@ def dtype_scope(dtype):
         set_default_dtype(old)
 
 
+_CHECK_PRIMITIVES = True
+
+
+@contextmanager
+def primitive_checks(on: bool):
+    """Turn the per-primitive NaN/Inf check on or off for the block; the
+    previous setting comes back on exit, also when the block raises."""
+    global _CHECK_PRIMITIVES
+    old = _CHECK_PRIMITIVES
+    _CHECK_PRIMITIVES = on
+    try:
+        yield
+    finally:
+        _CHECK_PRIMITIVES = old
+
+
 def _check_finite(data: np.ndarray, op: str) -> None:
     if not np.isfinite(data).all():
         raise NonFiniteError(f"{op} produced non-finite values")
+
+
+def finite_pass(forward: Callable[[], tuple["Tensor", ...]]) -> tuple["Tensor", ...]:
+    """Run `forward` without per-primitive checks and check what it returns.
+
+    `forward` must compute its tensors from inputs it leaves unchanged, so
+    that running it twice gives the same values bit for bit. If a returned
+    tensor holds NaN/Inf, `forward` runs again with the checks on, which
+    raises the ``NonFiniteError`` of the first primitive that produced one.
+    """
+    with primitive_checks(False):
+        outs = forward()
+    if all(np.isfinite(t.data).all() for t in outs):
+        return outs
+    with primitive_checks(True):
+        forward()
+    raise NonFiniteError("a pass returned non-finite values, but its replay with "
+                         "per-primitive checks found no primitive that produced one")
 
 
 class Tensor:
@@ -96,7 +136,8 @@ class Tensor:
     @staticmethod
     def _from_op(data: np.ndarray, parents: Sequence["Tensor"],
                  backward: Callable[[np.ndarray], None], op: str) -> "Tensor":
-        _check_finite(data, op)
+        if _CHECK_PRIMITIVES:
+            _check_finite(data, op)
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None

@@ -130,18 +130,19 @@ def _check_keys(doc: dict, allowed: set[str], path: str):
 def genotype_from_json(doc: dict, path: str = "genotype") -> Genotype:
     _check_keys(doc, {"version", "dims", "nodes"}, path)
     version = _require(doc, "version", path)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise GenotypeError(f"{path}.version: unsupported version {version!r}")
     dims_doc = _require(doc, "dims", path)
     _check_keys(dims_doc, {"embed", "patch", "image", "depth", "classes", "channels"},
                 f"{path}.dims")
-    for key in ("embed", "patch", "image", "depth", "classes"):
+    dims_doc = {"channels": 3, **dims_doc}  # channels is optional
+    for key in ("embed", "patch", "image", "depth", "classes", "channels"):
         value = _require(dims_doc, key, f"{path}.dims")
-        if not isinstance(value, int) or value < 1:
+        if type(value) is not int or value < 1:  # a bool is no integer here
             raise GenotypeError(f"{path}.dims.{key}: expected a positive integer")
     dims = ModelDims(dim=dims_doc["embed"], patch=dims_doc["patch"],
                      image=dims_doc["image"], classes=dims_doc["classes"],
-                     channels=dims_doc.get("channels", 3))
+                     channels=dims_doc["channels"])
     nodes_doc = _require(doc, "nodes", path)
     if not isinstance(nodes_doc, list) or len(nodes_doc) != 2:
         raise GenotypeError(f"{path}.nodes: expected a list of 2 node entries")
@@ -155,7 +156,7 @@ def genotype_from_json(doc: dict, path: str = "genotype") -> Genotype:
             pair_path = f"{node_path}[{i}]"
             _check_keys(pair_doc, {"src", "op"}, pair_path)
             src = _require(pair_doc, "src", pair_path)
-            if not isinstance(src, int):
+            if type(src) is not int:
                 raise GenotypeError(f"{pair_path}.src: expected an integer")
             try:
                 spec = OpSpec.from_json(_require(pair_doc, "op", pair_path),

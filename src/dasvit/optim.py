@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ConfigError, OptimizerError
+from .errors import ConfigError, NonFiniteError, OptimizerError
 
 
 @dataclass
@@ -52,6 +52,8 @@ class AdamW:
 
     Weight decay is decoupled: it multiplies the parameter directly and never
     enters the moment estimates. Moments use the standard bias correction.
+    A step refuses a missing or non-finite gradient before it changes any
+    weight, moment or the step count.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float,
@@ -79,6 +81,8 @@ class AdamW:
         for name, p in self.params.items():
             if p.grad is None:
                 raise OptimizerError(f"AdamW: parameter {name!r} has no gradient")
+            if not np.isfinite(p.grad).all():
+                raise NonFiniteError(f"AdamW: gradient of {name!r} is non-finite")
         self.step_count += 1
         b1, b2 = self.betas
         bc1 = 1.0 - b1**self.step_count

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import backward, cross_entropy, dtype_scope, frozen
+from .autodiff import backward, cross_entropy, dtype_scope, finite_pass, frozen
 from .config import RunConfig, save_config
 from .data import (Batch, BatchPlan, Dataset, MetricsWriter, RNG_RETRAIN, RNG_STAGE,
                    epoch_batches, load_checkpoint, load_parameters, make_synthetic,
@@ -176,6 +176,11 @@ class SearchState:
     log: list[StepLog] = field(default_factory=list)
 
 
+def _logits_and_loss(model, batch: Batch):
+    logits = model.forward(batch.images)
+    return logits, cross_entropy(logits, batch.labels)
+
+
 def _grad_pass(state: SearchState, batch: Batch, freeze: AdamW | None = None,
                fair: bool = False) -> tuple[float, float, float]:
     """One forward/backward over `batch`, from cleared gradients.
@@ -183,20 +188,27 @@ def _grad_pass(state: SearchState, batch: Batch, freeze: AdamW | None = None,
     The tensors of the `freeze` optimizer are constants for the pass, so it
     records and computes only the other side's gradients; the two optimizers
     together hold every tensor that can receive one. With `fair` the fairness
-    terms join the cross-entropy. Returns (loss, l1, l2), the fairness terms
-    0.0 without `fair`; the graph dies with this frame.
+    terms join the cross-entropy. The forward runs as a ``finite_pass``.
+    Returns (loss, l1, l2), the fairness terms 0.0 without `fair`; the graph
+    dies with this frame.
     """
     state.w_opt.zero_grad()
     state.a_opt.zero_grad()
-    with frozen(freeze.params.values() if freeze is not None else ()):
-        loss = cross_entropy(state.model.forward(batch.images), batch.labels)
+
+    def forward():
+        _, loss = _logits_and_loss(state.model, batch)
         if not fair:
-            backward(loss)
-            return float(loss.data), 0.0, 0.0
+            return (loss,)
         l1 = skip_fairness(state.alpha)
         l2 = type_fairness(state.alpha, state.fairness)
-        backward(loss + (l1 * state.fairness.a + l2 * state.fairness.b))
-    return float(loss.data), float(l1.data), float(l2.data)
+        return loss + (l1 * state.fairness.a + l2 * state.fairness.b), loss, l1, l2
+
+    with frozen(freeze.params.values() if freeze is not None else ()):
+        outs = finite_pass(forward)
+        backward(outs[0])
+    if not fair:
+        return float(outs[0].data), 0.0, 0.0
+    return tuple(float(t.data) for t in outs[1:])
 
 
 def _unrolled_alpha_pass(state: SearchState, tb: Batch,
@@ -206,31 +218,33 @@ def _unrolled_alpha_pass(state: SearchState, tb: Batch,
     validation pass's (loss, l1, l2).
 
     No gradient is copied: a pass clears and reassigns every ``.grad`` and
-    never writes into an array it handed out.
+    never writes into an array it handed out. The weights get their original
+    arrays back also when a pass raises.
     """
     w_params, alpha, xi = state.w_opt.params, state.alpha, state.xi
     _grad_pass(state, tb, freeze=state.a_opt)
     originals = {n: p.data for n, p in w_params.items()}
-    for n, p in w_params.items():
-        p.data = originals[n] - xi * p.grad
+    try:
+        for n, p in w_params.items():
+            p.data = originals[n] - xi * p.grad
 
-    loss_val, l1, l2 = _grad_pass(state, vb, fair=True)
-    g_alpha = alpha.logits.grad
-    g_wprime = {n: p.grad for n, p in w_params.items()}
+        loss_val, l1, l2 = _grad_pass(state, vb, fair=True)
+        g_alpha = alpha.logits.grad
+        g_wprime = {n: p.grad for n, p in w_params.items()}
 
-    norm = math.sqrt(sum(float((g**2).sum()) for g in g_wprime.values()))
-    if norm > 0:
-        eps = 0.01 / norm
-        g_pm = []
-        for sign in (1.0, -1.0):
-            for n, p in w_params.items():
-                p.data = originals[n] + sign * eps * g_wprime[n]
-            _grad_pass(state, tb, freeze=state.w_opt)
-            g_pm.append(alpha.logits.grad)
-        g_alpha = g_alpha - (xi / (2.0 * eps)) * (g_pm[0] - g_pm[1])
-
-    for n, p in w_params.items():
-        p.data = originals[n]
+        norm = math.sqrt(sum(float((g**2).sum()) for g in g_wprime.values()))
+        if norm > 0:
+            eps = 0.01 / norm
+            g_pm = []
+            for sign in (1.0, -1.0):
+                for n, p in w_params.items():
+                    p.data = originals[n] + sign * eps * g_wprime[n]
+                _grad_pass(state, tb, freeze=state.w_opt)
+                g_pm.append(alpha.logits.grad)
+            g_alpha = g_alpha - (xi / (2.0 * eps)) * (g_pm[0] - g_pm[1])
+    finally:
+        for n, p in w_params.items():
+            p.data = originals[n]
     alpha.logits.grad = g_alpha
     return loss_val, l1, l2
 
@@ -303,13 +317,13 @@ def evaluate(model, dataset: Dataset, batch_size: int, stats=None) -> dict:
 
     Every tensor of ``model.named_parameters()`` is frozen for the pass, so
     no autodiff graph is recorded; each ``requires_grad`` flag is restored
-    afterwards.
+    afterwards. Each batch's forward is a ``finite_pass`` over its logits
+    and loss.
     """
     losses, top1, top5, total = 0.0, 0.0, 0.0, 0
     with frozen(model.named_parameters().values()):
         for batch in sequential_batches(dataset, batch_size, stats=stats):
-            logits = model.forward(batch.images)
-            loss = cross_entropy(logits, batch.labels)
+            logits, loss = finite_pass(lambda: _logits_and_loss(model, batch))
             n = len(batch.labels)
             losses += float(loss.data) * n
             top1 += topk_accuracy(logits.data, batch.labels, 1) * n
@@ -383,7 +397,8 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
 
     Artifacts: config.json (effective), alpha_history.csv, search_log.jsonl,
     stage_<n>.ckpt(+.blob) at each stage end, genotype.json. Resuming points
-    at a stage checkpoint and continues from the following stage.
+    at a stage checkpoint and continues from the following stage; a refused
+    checkpoint leaves `out_dir` untouched.
     """
     cfg = cfg.validate()
     seed = cfg.seed
@@ -397,8 +412,6 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
             f"{total_epochs} searched epochs ({n_stages} stages of "
             f"{cfg.search.epochs_per_stage})")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, out / "config.json")
 
     with dtype_scope(cfg.model.precision):
         train_ds, _ = build_datasets(cfg, seed)
@@ -433,6 +446,9 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
             model = Supernet.from_config(cfg, list(cfg.candidates), depths[0],
                                          rng_for(seed, RNG_STAGE, 1))
 
+        # nothing is written before the resume checkpoint has been accepted
+        out.mkdir(parents=True, exist_ok=True)
+        save_config(cfg, out / "config.json")
         # drop logged rows of the epochs this run (re)writes, so resuming into
         # the same directory leaves the logs of an uninterrupted run
         history_path = out / "alpha_history.csv"
@@ -496,7 +512,7 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
             except NonFiniteError as exc:
                 dump = _dump_diagnostics(out, state, exc)
                 raise SearchAbort(
-                    f"search aborted on non-finite loss at stage {state.stage} "
+                    f"search aborted on a non-finite value at stage {state.stage} "
                     f"epoch {state.epoch}; diagnostics at {dump}", dump) from exc
 
         genotype = derive_genotype(model.alpha, cfg.model.dims(), depth=model.num_layers)
@@ -515,15 +531,14 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
     """Train the derived model from scratch (or resume) with warmup+cosine AdamW.
 
     Token selection is not used; every token participates. Writes metrics.csv
-    and model.ckpt under `out_dir`. A non-finite loss aborts with the
-    mid-epoch weights in abort.ckpt, a checkpoint `resume` refuses; model.ckpt
-    and the epoch checkpoints only ever hold completed epochs.
+    and model.ckpt under `out_dir`. A non-finite loss, logit or gradient
+    aborts before the update, with the mid-epoch weights in abort.ckpt, a
+    checkpoint `resume` refuses; model.ckpt and the epoch checkpoints only
+    ever hold completed epochs.
     """
     cfg = cfg.validate()
     seed = cfg.seed
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, out / "config.json")
 
     with dtype_scope(cfg.model.precision):
         train_ds, test_ds = build_datasets(cfg, seed)
@@ -560,6 +575,8 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
             load_parameters(params, arrays, resume, opt_state=opt.state_arrays())
             opt.load_state_arrays(arrays)
             start_epoch = int(extras["epoch"]) + 1
+        out.mkdir(parents=True, exist_ok=True)
+        save_config(cfg, out / "config.json")
 
         def checkpoint(name: str, **extras):
             arrays = model.named_arrays()
@@ -569,8 +586,7 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
 
         def train_step(batch: Batch) -> tuple[float, float, float]:
             """One update; returns (loss, top-1, top-5) and drops the graph."""
-            logits = model.forward(batch.images)
-            loss = cross_entropy(logits, batch.labels)
+            logits, loss = finite_pass(lambda: _logits_and_loss(model, batch))
             opt.zero_grad()
             backward(loss)
             opt.step()
@@ -593,7 +609,7 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
             except NonFiniteError as exc:
                 checkpoint("abort.ckpt", kind="retrain-abort", aborted_in_epoch=epoch)
                 raise SearchAbort(
-                    f"retraining aborted on non-finite loss at epoch {epoch}; "
+                    f"retraining aborted on a non-finite value at epoch {epoch}; "
                     f"mid-epoch weights written to {out / 'abort.ckpt'}") from exc
             row = {"epoch": epoch, "split": "train", "loss": loss_sum / count,
                    "top1": t1_sum / count, "top5": t5_sum / count,

@@ -92,6 +92,39 @@ def test_nonfinite_result_is_an_error():
             big * big
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_primitive_checks_come_back_after_a_block_that_raises():
+    big = Tensor(np.array([1e30], dtype=np.float32))
+    with pytest.raises(KeyError):
+        with ad.primitive_checks(False):
+            assert np.isinf((big * big).data).all()
+            with ad.primitive_checks(True), pytest.raises(NonFiniteError, match="mul"):
+                big * big
+            big * big  # the inner block restored "off"
+            raise KeyError("the block fails")
+    with pytest.raises(NonFiniteError, match="mul"):
+        big * big
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_finite_pass_replays_a_nonfinite_pass_with_checks_on():
+    x = Tensor(np.array([1e20], dtype=np.float32), requires_grad=True)
+    checked = []
+
+    def forward():
+        checked.append(ad._CHECK_PRIMITIVES)
+        h = ad.relu(x)
+        return (ad.gelu(h * h).sum(),)
+
+    with pytest.raises(NonFiniteError, match="^mul produced non-finite values$"):
+        ad.finite_pass(forward)
+    assert checked == [False, True] and ad._CHECK_PRIMITIVES
+
+    x.data[...] = 2.0
+    (loss,) = ad.finite_pass(forward)
+    assert checked[2:] == [False] and np.isfinite(loss.data)
+
+
 def test_mean_backward_builds_no_float64_gradient(monkeypatch):
     handed = []
     accumulate = ad._accumulate

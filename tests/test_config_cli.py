@@ -306,6 +306,7 @@ def test_cli_search_resume_refuses_a_retraining_checkpoint(tmp_path, capsys):
     assert code == 1 and not captured.out
     assert captured.err.startswith("error:")
     assert f"{out / 'model.ckpt'} is a 'retrain' checkpoint" in captured.err
+    assert not (tmp_path / "s").exists()
 
 
 def test_cli_retrain_rejects_dim_mismatch(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dasvit import (DerivedModel, OpSpec, Tensor, classic_encoder_genotype,
@@ -13,7 +13,8 @@ from dasvit.errors import GenotypeError
 from dasvit.genotype import genotype_from_json, genotype_to_json
 from dasvit.ops import ModelDims
 from dasvit.data import make_synthetic
-from oracles import attention_oracle, layernorm_np, mlp_oracle
+from oracles import (JSON_VALUES, attention_oracle, json_paths, layernorm_np, mlp_oracle,
+                     set_json_path)
 
 DESK = ModelDims(dim=8, patch=4, image=8, classes=2)
 FULL = ModelDims(dim=768, patch=16, image=224, classes=100)
@@ -217,6 +218,34 @@ def test_unknown_field_rejected_with_path():
     doc["nodes"][0][0]["extra"] = True
     with pytest.raises(GenotypeError, match=r"nodes\[0\]\[0\].extra"):
         genotype_from_json(doc)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("dims", "channels"), None, r"genotype\.dims\.channels: expected a positive integer"),
+    (("dims", "classes"), True, r"genotype\.dims\.classes: expected a positive integer"),
+    (("nodes", 1, 0, "src"), True, r"genotype\.nodes\[1\]\[0\]\.src: expected an integer"),
+    (("version",), True, r"genotype\.version: unsupported version True"),
+], ids=["channels-null", "classes-true", "src-true", "version-true"])
+def test_genotype_type_errors_name_their_path(path, value, message):
+    doc = genotype_to_json(searched_encoder_genotype(DESK, depth=1, heads=2))
+    set_json_path(doc, path, value)
+    with pytest.raises(GenotypeError, match=message):
+        genotype_from_json(doc)
+
+
+GENOTYPE_PATHS = list(json_paths(genotype_to_json(
+    searched_encoder_genotype(DESK, depth=2, heads=2))))
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(GENOTYPE_PATHS), JSON_VALUES)
+def test_any_json_value_at_a_genotype_path_loads_or_raises_genotype_error(path, value):
+    doc = genotype_to_json(searched_encoder_genotype(DESK, depth=2, heads=2))
+    set_json_path(doc, path, value)
+    try:
+        genotype_from_json(doc)
+    except GenotypeError:
+        pass
 
 
 def test_version_and_structure_validation():

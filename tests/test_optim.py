@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dasvit import AdamW, LrSchedule, Tensor, dtype_scope
-from dasvit.errors import ConfigError, OptimizerError
+from dasvit import AdamW, LrSchedule, Tensor, backward, dtype_scope
+from dasvit.errors import ConfigError, NonFiniteError, OptimizerError
 
 
 def _param(value):
@@ -48,6 +48,36 @@ def test_missing_gradient_names_the_parameter():
     opt = AdamW({"encoder.w1": w}, lr=0.1)
     with pytest.raises(OptimizerError, match="encoder.w1"):
         opt.step()
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_nonfinite_gradient_behind_a_finite_loss_is_refused_before_any_update():
+    """(a*b)*c at a=1e30, b=1e-30, c=1e10 has the finite float32 loss 1e10,
+    but d/db = a*c overflows; the step names b and changes nothing."""
+    values = {"a": 1e30, "b": 1e-30, "c": 1e10}
+    params = {name: Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
+              for name in values}
+    opt = AdamW(params, lr=0.1, weight_decay=0.1)
+    for p in params.values():
+        p.grad = np.ones(1, dtype=np.float32)
+    opt.step()  # leaves nonzero moments and a step count behind
+    for name, p in params.items():
+        p.data[...] = values[name]
+    before = ({n: p.data.copy() for n, p in params.items()},
+              {n: m.copy() for n, m in opt.m.items()},
+              {n: v.copy() for n, v in opt.v.items()}, opt.step_count)
+
+    opt.zero_grad()
+    a, b, c = params.values()
+    loss = ((a * b) * c).sum()
+    backward(loss)
+    assert np.isfinite(loss.data) and np.isinf(b.grad).all()
+    with pytest.raises(NonFiniteError, match="'b'"):
+        opt.step()
+    after = ({n: p.data for n, p in params.items()}, opt.m, opt.v, opt.step_count)
+    for was, now in zip(before[:3], after[:3]):
+        assert all(np.array_equal(was[n], now[n]) for n in params)
+    assert after[3] == before[3]
 
 
 def test_step_count_and_moment_shapes():

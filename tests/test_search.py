@@ -8,13 +8,13 @@ import warnings
 import numpy as np
 import pytest
 
-from dasvit import (AdamW, AlphaTable, FairnessConfig, OpSpec, Supernet,
+from dasvit import (AdamW, AlphaTable, DerivedModel, FairnessConfig, OpSpec, Supernet,
                     derive_genotype, desk_config, dtype_scope, run_search, retrain,
                     schedule_preview, score_candidates, searched_encoder_genotype)
 from dasvit import autodiff as ad
 from dasvit.config import SyntheticConfig
 from dasvit.data import (RNG_STAGE, BatchPlan, epoch_batches, load_checkpoint,
-                         make_synthetic, rng_for, split_dataset)
+                         make_synthetic, rng_for, save_checkpoint, split_dataset)
 from dasvit import search as search_mod
 from dasvit.errors import (ConfigError, DataError, GenotypeError, NonFiniteError,
                            SearchAbort)
@@ -418,6 +418,23 @@ def test_unrolled_step_runs_and_differs_from_first_order():
         assert not np.allclose(grad, model.alpha.logits.grad)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_unrolled_pass_restores_the_weights_when_a_pass_raises():
+    ds, model, state = _toy_setup()
+    split = split_dataset(len(ds), 0.5, 0)
+    plan = BatchPlan(batch_size=16, seed=0)
+    held = {n: (p.data, p.data.copy()) for n, p in state.w_opt.params.items()}
+    with dtype_scope("float64"):
+        tb = epoch_batches(ds, split.train_indices, plan, 0, "train")[0]
+        vb = epoch_batches(ds, split.val_indices, plan, 0, "val")[0]
+        vb = dataclasses.replace(vb, images=np.full_like(vb.images, np.nan))
+        state.xi = 0.05
+        with pytest.raises(NonFiniteError, match="^mul produced non-finite values$"):
+            _unrolled_alpha_pass(state, tb, vb)
+    for n, p in state.w_opt.params.items():
+        assert p.data is held[n][0] and np.array_equal(p.data, held[n][1]), n
+
+
 def test_frozen_architecture_reduces_to_plain_training():
     split_seed = 0
     with dtype_scope("float64"):
@@ -641,8 +658,10 @@ def test_search_resume_refuses_a_checkpoint_missing_an_array(tmp_path):
 def test_nonfinite_loss_aborts_with_diagnostics(tmp_path):
     cfg = _small_cfg(seed=0, stages=1, epochs_per_stage=2, lr=1e30,
                      prune_per_stage=[0, 0, 0])
-    with pytest.raises(SearchAbort, match="non-finite"):
+    with pytest.raises(SearchAbort, match="non-finite") as excinfo:
         run_search(cfg, tmp_path / "blowup")
+    # the replay names the primitive where per-primitive checks stop the run
+    assert str(excinfo.value.__cause__) == "matmul produced non-finite values"
     dump = json.loads((tmp_path / "blowup" / "diagnostic.json").read_text())
     assert "alpha_logits" in dump and "error" in dump
 
@@ -809,6 +828,61 @@ def test_retrain_abort_writes_a_checkpoint_resume_refuses(tmp_path, monkeypatch)
     assert {name: (out / name).read_bytes() for name in good} == good
     with pytest.raises(ConfigError, match="aborted"):
         retrain(g, cfg, tmp_path / "resumed", resume=out / "abort.ckpt")
+
+
+def test_retrain_refuses_a_nonfinite_gradient_before_the_update(tmp_path, monkeypatch):
+    g = searched_encoder_genotype(desk_config().model.dims(), depth=1, heads=4)
+    opts, before, passes = [], {}, []
+
+    class Recording(AdamW):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opts.append(self)
+
+    def backward_then_poison(loss):
+        ad.backward(loss)
+        passes.append(None)
+        if len(passes) == 3:
+            params = opts[0].params
+            before.update({n: p.data.copy() for n, p in params.items()})
+            last = params[list(params)[-1]]
+            last.grad = np.full_like(last.grad, np.inf)
+
+    monkeypatch.setattr(search_mod, "AdamW", Recording)
+    monkeypatch.setattr(search_mod, "backward", backward_then_poison)
+    with pytest.raises(SearchAbort, match="abort.ckpt") as excinfo:
+        retrain(g, _retrain_cfg(2), tmp_path / "run")
+    assert "AdamW: gradient of" in str(excinfo.value.__cause__)
+    arrays, extras = load_checkpoint(tmp_path / "run" / "abort.ckpt")
+    assert extras["kind"] == "retrain-abort" and arrays["opt.step"][0] == 2
+    for name, weights in before.items():
+        assert np.isfinite(arrays[name]).all(), name
+        assert np.array_equal(arrays[name], weights), name
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_evaluate_names_the_primitive_behind_a_nonfinite_logit():
+    dims = ModelDims(dim=16, patch=4, image=8, classes=2)
+    model = DerivedModel(searched_encoder_genotype(dims, depth=1, heads=2),
+                         np.random.default_rng(0))
+    model.named_parameters()["embed.cls"].data[...] = np.inf
+    with pytest.raises(NonFiniteError, match="^broadcast_to produced non-finite values$"):
+        search_mod.evaluate(model, make_synthetic(2, 4, 8, seed=0), batch_size=3)
+
+
+@pytest.mark.parametrize("entry", ["search", "retrain"])
+def test_a_refused_resume_leaves_no_run_directory(tmp_path, entry):
+    wrong = "retrain" if entry == "search" else "search-stage"
+    ckpt = tmp_path / "other.ckpt"
+    save_checkpoint(ckpt, {"w": np.zeros(1, dtype=np.float32)}, {"kind": wrong})
+    out = tmp_path / "fresh" / "run"
+    with pytest.raises(ConfigError, match=f"is a '{wrong}' checkpoint"):
+        if entry == "search":
+            run_search(_small_cfg(stages=1, epochs_per_stage=1), out, resume=ckpt)
+        else:
+            g = searched_encoder_genotype(desk_config().model.dims(), depth=1, heads=4)
+            retrain(g, _retrain_cfg(1), out, resume=ckpt)
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_retrain_rejects_class_mismatch(tmp_path):
