@@ -22,6 +22,14 @@ over the flattened leading dimensions, forward and backward; the weight
 gradient is ``a2ᵀ @ g2`` over all rows at once, with no per-batch
 temporary to sum away.
 
+A node's output array lives as long as its graph, whether or not a backward
+closure reads it. So the hot compositions are single nodes: ``matmul`` takes
+a ``bias``, ``layer_norm`` a ``gamma``/``beta`` affine, ``softmax`` a
+``scale``, and ``weighted_sum`` is a mixed edge's whole weighted sum. Each
+computes the same floats in the same order as the chain of primitives it
+replaces, forward and backward, without holding that chain's intermediate
+arrays.
+
 ``frozen(tensors)`` clears ``requires_grad`` on leaves for the length of a
 block, so nothing computed only from them is recorded at all. A phase that
 updates one set of parameters freezes the rest; a forward-only pass freezes
@@ -142,14 +150,15 @@ class Tensor:
         out.data = data
         out.grad = None
         out.name = ""
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
-        else:
-            out.requires_grad = False
-            out._parents = ()
-            out._backward = None
+        out.requires_grad = False
+        out._parents = ()
+        out._backward = None
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = tuple(parents)
+                out._backward = backward
+                break
         return out
 
     # -- basic properties ------------------------------------------------------
@@ -253,6 +262,8 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `g` down to `shape`, inverting numpy broadcasting."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -399,12 +410,15 @@ def mul(a, b) -> Tensor:
 # -- linear algebra ----------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``a @ b``, plus `bias` along the last axis when given (``b`` 2-D only)."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be >= 2-d, got {a.shape} @ {b.shape}")
-    if b.ndim == 2 and a.ndim > 2:
-        return _matmul_rows(a, b)
+    if b.ndim == 2:
+        return _matmul_rows(a, b, bias)
+    if bias is not None:
+        raise ShapeError(f"matmul: a bias needs a 2-d weight, got {b.shape}")
     try:
         out = a.data @ b.data
     except ValueError:
@@ -412,28 +426,39 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+            _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
     return Tensor._from_op(out, (a, b), bw, "matmul")
 
 
-def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
-    """(..., K) @ (K, H) as one (rows, K) @ (K, H) GEMM, forward and backward."""
+def _matmul_rows(a: Tensor, b: Tensor, bias: Tensor | None) -> Tensor:
+    """(..., K) @ (K, H) [+ bias (H,)] as one (rows, K) @ (K, H) GEMM,
+    forward and backward; the bias is added in place and its gradient is
+    the incoming one summed over every row."""
     k = a.shape[-1]
     if b.shape[0] != k:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} are incompatible")
-    out = (a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+    if bias is not None and bias.shape != b.shape[1:]:
+        raise ShapeError(f"matmul: bias shape {bias.shape} does not match {b.shape}")
+    a2 = a.data.reshape(-1, k)
+    out = a2 @ b.data
+    if bias is not None:
+        out += bias.data
+    out = out.reshape(a.shape[:-1] + b.shape[1:])
 
     def bw(g):
         g2 = g.reshape(-1, g.shape[-1])
         if a.requires_grad:
             _accumulate(a, (g2 @ b.data.T).reshape(a.shape))
         if b.requires_grad:
-            _accumulate(b, a.data.reshape(-1, k).T @ g2)
+            _accumulate(b, a2.T @ g2)
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, _unbroadcast(g, bias.shape))
 
-    return Tensor._from_op(out, (a, b), bw, "matmul")
+    parents = (a, b) if bias is None else (a, b, bias)
+    return Tensor._from_op(out, parents, bw, "matmul")
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -441,12 +466,14 @@ def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     if sorted(axes) != list(range(a.ndim)):
         raise ShapeError(f"transpose: axes {axes} invalid for shape {a.shape}")
-    inverse = tuple(np.argsort(axes))
+    inverse = [0] * len(axes)
+    for i, ax in enumerate(axes):
+        inverse[ax] = i
 
     def bw(g):
-        _accumulate(a, np.transpose(g, inverse))
+        _accumulate(a, g.transpose(inverse))
 
-    return Tensor._from_op(np.transpose(a.data, axes), (a,), bw, "transpose")
+    return Tensor._from_op(a.data.transpose(axes), (a,), bw, "transpose")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -599,35 +626,90 @@ def gelu(a: Tensor) -> Tensor:
     return Tensor._from_op(out, (a,), bw, "gelu")
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis, max-shifted for stability."""
+def softmax(a: Tensor, scale: float | None = None) -> Tensor:
+    """Softmax over the last axis of ``a * scale``, max-shifted for stability."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    s = None if scale is None else np.asarray(scale, dtype=a.dtype)
+    x = a.data if s is None else a.data * s
+    # one fresh buffer turns into the output in place: shift, exp, normalize
+    out = x - x.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def bw(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
-        _accumulate(a, out * (g - dot))
+        ga = out * (g - dot)
+        _accumulate(a, ga if s is None else ga * s)
 
     return Tensor._from_op(out, (a,), bw, "softmax")
 
 
-def layer_norm(a: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize over the last axis (no affine); eps stabilizes zero variance."""
+def layer_norm(a: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None,
+               eps: float = 1e-6) -> Tensor:
+    """Normalize over the last axis, then, when given, scale by `gamma` and
+    shift by `beta` (both or neither); eps stabilizes zero variance."""
     a = as_tensor(a)
-    mu = a.data.mean(axis=-1, keepdims=True)
+    if (gamma is None) != (beta is None):
+        raise ShapeError("layer_norm: gamma and beta come together")
+    n = a.shape[-1]
+    mu = np.add.reduce(a.data, axis=-1, keepdims=True) / n
     centered = a.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    out = centered * inv
+    normed = np.multiply(centered, inv, out=centered)
+    out = normed
+    if gamma is not None:
+        out = normed * gamma.data
+        out += beta.data
 
     def bw(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gy = (g * out).mean(axis=-1, keepdims=True)
-        _accumulate(a, inv * (g - gm - out * gy))
+        if gamma is not None:
+            if beta.requires_grad:
+                _accumulate(beta, _unbroadcast(g, beta.shape))
+            if gamma.requires_grad:
+                _accumulate(gamma, _unbroadcast(g * normed, gamma.shape))
+            g = g * gamma.data
+        if a.requires_grad:
+            gm = np.add.reduce(g, axis=-1, keepdims=True) / n
+            gy = np.add.reduce(g * normed, axis=-1, keepdims=True) / n
+            _accumulate(a, inv * (g - gm - normed * gy))
 
-    return Tensor._from_op(out, (a,), bw, "layer_norm")
+    parents = (a,) if gamma is None else (a, gamma, beta)
+    return Tensor._from_op(out, parents, bw, "layer_norm")
+
+
+def weighted_sum(weights: Tensor, terms: Sequence[Tensor], slots: Sequence[int]) -> Tensor:
+    """``weights[slots[0]] * terms[0] + weights[slots[1]] * terms[1] + ...``
+    added left to right, as one node: a mixed edge's output.
+
+    `weights` is 1-D and every term has one shape. Weight ``k`` gets the
+    gradient ``sum(g * term)`` of its term; slots no term uses get 0.
+    """
+    weights = as_tensor(weights)
+    terms = [as_tensor(t) for t in terms]
+    if not terms or len(terms) != len(slots) or weights.ndim != 1:
+        raise ShapeError(f"weighted_sum: {len(terms)} terms for slots {list(slots)} "
+                         f"of weights {weights.shape}")
+    shape = terms[0].shape
+    for t in terms:
+        if t.shape != shape:
+            raise ShapeError(f"weighted_sum: term shapes {shape} and {t.shape} differ")
+    w = weights.data
+    out = w[slots[0]] * terms[0].data
+    for k, t in zip(slots[1:], terms[1:]):
+        out += w[k] * t.data
+
+    def bw(g):
+        if weights.requires_grad:
+            gw = np.zeros_like(w)
+            for k, t in zip(slots, terms):
+                gw[k] = _unbroadcast(g * t.data, ())
+            _accumulate(weights, gw)
+        for k, t in zip(slots, terms):
+            if t.requires_grad:
+                _accumulate(t, g * w[k])
+
+    return Tensor._from_op(out, (weights, *terms), bw, "weighted_sum")
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -146,9 +146,7 @@ class ModelDims:
 
 
 def _normed(x: Tensor, gamma: Tensor | None, beta: Tensor | None) -> Tensor:
-    if gamma is None:
-        return x
-    return ad.layer_norm(x) * gamma + beta
+    return x if gamma is None else ad.layer_norm(x, gamma, beta)
 
 
 class Module:
@@ -229,11 +227,11 @@ class MsaOp(Module):
         q = (z @ self.wq).reshape(heads).transpose((0, 2, 1, 3))
         k = (z @ self.wk).reshape(heads).transpose((0, 2, 3, 1))  # (B, H, d, N)
         v = (z @ self.wv).reshape(heads).transpose((0, 2, 1, 3))
-        scores = (q @ k) * (1.0 / math.sqrt(head_dim))
+        scores = q @ k
         self.last_score_elements = scores.size
-        attn = ad.softmax(scores)
+        attn = ad.softmax(scores, scale=1.0 / math.sqrt(head_dim))
         mixed = (attn @ v).transpose((0, 2, 1, 3)).reshape((bsz, n, dim))
-        return mixed @ self.wo + self.bo
+        return ad.matmul(mixed, self.wo, bias=self.bo)
 
 
 class MlpOp(Module):
@@ -259,7 +257,8 @@ class MlpOp(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         z = _normed(x, self.norm_g, self.norm_b)
-        return ad.gelu(z @ self.w1 + self.b1) @ self.w2 + self.b2
+        hidden = ad.gelu(ad.matmul(z, self.w1, bias=self.b1))
+        return ad.matmul(hidden, self.w2, bias=self.b2)
 
 
 _OP_CLASSES = {"zero": ZeroOp, "identity": IdentityOp, "msa": MsaOp, "mlp": MlpOp}
@@ -312,14 +311,14 @@ class EmbedParams(Module):
         patches = (x.reshape((bsz, gh, p, gw, p, c))
                    .transpose((0, 1, 3, 2, 4, 5))
                    .reshape((bsz, gh * gw, p * p * c)))
-        tokens = patches @ self.proj_w + self.proj_b
+        tokens = ad.matmul(patches, self.proj_w, bias=self.proj_b)
         cls = ad.broadcast_to(self.cls, (bsz, 1, self.dims.dim))
         return ad.concat([cls, tokens], axis=1) + self.pos
 
     def classify(self, z: Tensor) -> Tensor:
         cls_row = z[:, 0]
         cls_row = _normed(cls_row, self.final_g, self.final_b)
-        return cls_row @ self.head_w + self.head_b
+        return ad.matmul(cls_row, self.head_w, bias=self.head_b)
 
 
 # -- the cell DAG ------------------------------------------------------------------

@@ -55,23 +55,20 @@ class AlphaTable:
 def mixed_edge_forward(x: Tensor, ops: list, weights: Tensor) -> Tensor:
     """Softmax-weighted sum of every candidate's output; no sampling.
 
-    Zero candidates are skipped: their term and its direct gradient are
-    exactly 0, and their logits still receive gradient through the softmax.
+    The sum is one ``weighted_sum`` node over the candidates in registry
+    order. Zero candidates are skipped: their term and its direct gradient
+    are exactly 0, and their logits still receive gradient through the
+    softmax.
     """
     if not ops:
         raise ConfigError("mixed edge: empty candidate list")
     if weights.shape != (len(ops),):
         raise ShapeError(
             f"mixed edge: {len(ops)} candidates but weight shape {weights.shape}")
-    total = None
-    for k, op in enumerate(ops):
-        if isinstance(op, ZeroOp):
-            continue
-        term = weights[k] * op.forward(x)
-        total = term if total is None else total + term
-    if total is None:  # every candidate is Zero
+    live = [k for k, op in enumerate(ops) if not isinstance(op, ZeroOp)]
+    if not live:  # every candidate is Zero
         return ops[0].forward(x)
-    return total
+    return ad.weighted_sum(weights, [ops[k].forward(x) for k in live], live)
 
 
 class MixedEdge:

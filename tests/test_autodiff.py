@@ -169,10 +169,11 @@ def _proj(rng, shape):
 PRIMITIVE_CASES = [
     "add", "add_broadcast", "sub", "mul", "mul_broadcast",
     "matmul_2d", "matmul_batched", "matmul_batched_2d", "matmul_4d_2d",
-    "matmul_transposed_view_2d", "scalar_fanout", "transpose", "reshape",
-    "broadcast_to", "concat", "index", "index_array_2d", "index_array_3d",
-    "sum_axis", "mean_axis", "softmax", "layer_norm", "gelu", "relu",
-    "sigmoid", "cross_entropy",
+    "matmul_transposed_view_2d", "matmul_bias_3d", "matmul_bias_2d",
+    "scalar_fanout", "transpose", "reshape", "broadcast_to", "concat", "index",
+    "index_array_2d", "index_array_3d", "sum_axis", "mean_axis", "softmax",
+    "softmax_scaled", "layer_norm", "layer_norm_affine", "weighted_sum_frozen_term",
+    "gelu", "relu", "sigmoid", "cross_entropy",
 ]
 
 
@@ -209,6 +210,11 @@ def test_primitive_gradients_match_finite_differences(case, rng):
             a, b = t64(rng, 2, 4, 3), t64(rng, 4, 2)
             p = _proj(rng, (2, 3, 2))
             check_grads(lambda: ((a.transpose((0, 2, 1)) @ b) * p).sum(), [a, b])
+        elif case in ("matmul_bias_3d", "matmul_bias_2d"):
+            lead = (2, 3) if case == "matmul_bias_3d" else (3,)
+            a, w, c = t64(rng, *lead, 4), t64(rng, 4, 2), t64(rng, 2)
+            p = _proj(rng, lead + (2,))
+            check_grads(lambda: (ad.matmul(a, w, bias=c) * p).sum(), [a, w, c])
         elif case == "scalar_fanout":
             a = Tensor(np.array(0.7), requires_grad=True)
             check_grads(lambda: a * a + a, [a])
@@ -254,10 +260,26 @@ def test_primitive_gradients_match_finite_differences(case, rng):
             a = t64(rng, 2, 5)
             p = _proj(rng, (2, 5))
             check_grads(lambda: (ad.softmax(a) * p).sum(), [a])
+        elif case == "softmax_scaled":
+            a = t64(rng, 2, 3, 5)
+            p = _proj(rng, (2, 3, 5))
+            check_grads(lambda: (ad.softmax(a, scale=0.37) * p).sum(), [a])
         elif case == "layer_norm":
             a = t64(rng, 2, 6)
             p = _proj(rng, (2, 6))
             check_grads(lambda: (ad.layer_norm(a) * p).sum(), [a])
+        elif case == "layer_norm_affine":
+            a, gamma, beta = t64(rng, 2, 3, 6), t64(rng, 6), t64(rng, 6)
+            p = _proj(rng, (2, 3, 6))
+            check_grads(lambda: (ad.layer_norm(a, gamma, beta) * p).sum(), [a, gamma, beta])
+        elif case == "weighted_sum_frozen_term":
+            w = t64(rng, 4)
+            terms = [t64(rng, 2, 3) for _ in range(3)]
+            p = _proj(rng, (2, 3))
+            with ad.frozen([terms[1]]):
+                check_grads(lambda: (ad.weighted_sum(w, terms, [0, 2, 3]) * p).sum(),
+                            [w, terms[0], terms[2]])
+            assert terms[1].grad is None
         elif case == "gelu":
             a = t64(rng, 3, 4)
             p = _proj(rng, (3, 4))
@@ -370,3 +392,51 @@ def test_frozen_records_nothing_and_restores_flags_when_body_raises():
     assert (w.requires_grad, c.requires_grad, x.requires_grad) == (True, False, True)
     assert w.grad is None
     np.testing.assert_array_equal(x.grad, np.ones(3))
+
+
+# -- fused nodes against the primitives they replace --------------------------------
+
+
+def _matmul_bias(rng, lead):
+    a, w, c = (rng.standard_normal(shape).astype(np.float32)
+               for shape in (lead + (24,), (24, 40), (40,)))
+    return ((a, w, c), lambda a, w, c: ad.matmul(a, w, bias=c),
+            lambda a, w, c: a @ w + c)
+
+
+FUSED_CASES = {
+    "matmul_bias_3d": lambda rng: _matmul_bias(rng, (4, 9)),
+    "matmul_bias_2d": lambda rng: _matmul_bias(rng, (9,)),
+    "layer_norm_affine": lambda rng: (
+        tuple(rng.standard_normal(shape).astype(np.float32)
+              for shape in ((4, 9, 32), (32,), (32,))),
+        lambda x, g, b: ad.layer_norm(x, g, b),
+        lambda x, g, b: ad.layer_norm(x) * g + b),
+    "softmax_scaled": lambda rng: (
+        (rng.standard_normal((4, 2, 9, 9)).astype(np.float32),),
+        lambda s: ad.softmax(s, scale=1.0 / np.sqrt(8)),
+        lambda s: ad.softmax(s * (1.0 / np.sqrt(8)))),
+    "weighted_sum": lambda rng: (
+        (rng.standard_normal(5).astype(np.float32),)
+        + tuple(rng.standard_normal((4, 9, 16)).astype(np.float32) for _ in range(3)),
+        lambda w, *ts: ad.weighted_sum(w, ts, [1, 3, 4]),
+        lambda w, *ts: w[1] * ts[0] + w[3] * ts[1] + w[4] * ts[2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FUSED_CASES))
+def test_fused_node_matches_its_unfused_composition_bitwise(case, rng):
+    """float32 output and every input gradient equal the primitive chain's."""
+    arrays, fused, chain = FUSED_CASES[case](rng)
+
+    def run(build):
+        leaves = [Tensor(x.copy(), requires_grad=True) for x in arrays]
+        out = build(*leaves)
+        upstream = Tensor(np.random.default_rng(7).standard_normal(out.shape)
+                          .astype(np.float32))
+        backward((out * upstream).sum())
+        assert out.dtype == np.float32
+        return [out.data] + [t.grad for t in leaves]
+
+    for got, want in zip(run(fused), run(chain)):
+        np.testing.assert_array_equal(got, want)

@@ -167,8 +167,8 @@ def test_cost_report_flops_are_the_forward_matmul_macs(monkeypatch):
     macs = []
     matmul = ad.matmul
 
-    def counting(a, b):
-        out = matmul(a, b)
+    def counting(a, b, bias=None):
+        out = matmul(a, b, bias=bias)
         macs.append(out.data.size * a.shape[-1])
         return out
 

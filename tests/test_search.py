@@ -429,7 +429,7 @@ def test_unrolled_pass_restores_the_weights_when_a_pass_raises():
         vb = epoch_batches(ds, split.val_indices, plan, 0, "val")[0]
         vb = dataclasses.replace(vb, images=np.full_like(vb.images, np.nan))
         state.xi = 0.05
-        with pytest.raises(NonFiniteError, match="^mul produced non-finite values$"):
+        with pytest.raises(NonFiniteError, match="^weighted_sum produced non-finite values$"):
             _unrolled_alpha_pass(state, tb, vb)
     for n, p in state.w_opt.params.items():
         assert p.data is held[n][0] and np.array_equal(p.data, held[n][1]), n

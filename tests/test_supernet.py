@@ -1,9 +1,12 @@
+import collections
+
 import numpy as np
 import pytest
 
 from dasvit import (DerivedModel, OpSpec, Supernet, Tensor, backward,
                     dtype_scope, mixed_edge_forward)
 from dasvit import autodiff as ad
+from dasvit.config import desk_config
 from dasvit.errors import ConfigError, DataError, ShapeError
 from dasvit.genotype import make_genotype
 from dasvit.ops import ModelDims, build_op
@@ -286,3 +289,28 @@ def test_mixed_edge_and_cell_gradients(rng):
             return (edge.forward(x, ad.softmax(alpha)) * proj).sum()
 
         check_grads(loss, wrt)
+
+
+def test_desk_weight_pass_records_a_pinned_node_count(monkeypatch):
+    """One weight pass of the 2-layer desk supernet. A biased projection, an
+    affine norm, a scaled softmax and a mixed edge are one node each; the
+    unfused graph recorded 1,097 nodes, 163 of them `mul` and 222 `add`."""
+    cfg = desk_config()
+    net = Supernet.from_config(cfg, list(cfg.candidates), 2, np.random.default_rng(0))
+    images = np.random.default_rng(1).standard_normal((16, 8, 8, 3)).astype(np.float32)
+    recorded = collections.Counter()
+    from_op = Tensor._from_op
+
+    def spy(data, parents, backward_fn, op):
+        recorded[op] += 1
+        return from_op(data, parents, backward_fn, op)
+
+    monkeypatch.setattr(Tensor, "_from_op", staticmethod(spy))
+    with ad.frozen(net.alpha_parameters().values()):
+        backward(ad.cross_entropy(net.forward(images), np.arange(16) % 2))
+    assert recorded == {
+        "matmul": 245, "reshape": 123, "transpose": 122, "layer_norm": 61,
+        "softmax": 40, "gelu": 30, "index": 15, "weighted_sum": 10, "add": 9,
+        "concat": 2, "mul": 2, "broadcast_to": 1, "mean": 1, "sigmoid": 1,
+        "cross_entropy": 1}
+    assert sum(recorded.values()) == 663
