@@ -90,18 +90,25 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _cmd_retrain(args) -> int:
+def _load_genotype(command: str, path, cfg):
+    """The genotype at `path`, refused when its dims differ from the config's."""
     from .config import ConfigError
     from .genotype import load_genotype
+
+    genotype = load_genotype(path)
+    if genotype.dims != cfg.model.dims():
+        raise ConfigError(
+            f"{command}: genotype dims {genotype.dims} do not match config model dims "
+            f"{cfg.model.dims()}")
+    return genotype
+
+
+def _cmd_retrain(args) -> int:
     from .search import retrain
 
     out = args.out or Path("runs/retrain")
     cfg = _load_config(args.config, args.seed)
-    genotype = load_genotype(args.genotype)
-    if genotype.dims != cfg.model.dims():
-        raise ConfigError(
-            f"retrain: genotype dims {genotype.dims} do not match config model dims "
-            f"{cfg.model.dims()}")
+    genotype = _load_genotype("retrain", args.genotype, cfg)
     _, history = retrain(genotype, cfg, out, resume=args.resume)
     final = history[-1] if history else {}
     print(json.dumps({"out": str(out), "final": final}, indent=2, sort_keys=True))
@@ -112,12 +119,15 @@ def _cmd_eval(args) -> int:
     from .autodiff import dtype_scope
     from .config import ConfigError
     from .data import load_checkpoint, load_parameters
-    from .genotype import DerivedModel, genotype_to_json, load_genotype
+    from .genotype import DerivedModel, genotype_to_json
     from .search import _norm_stats, build_datasets, evaluate
 
     cfg = _load_config(args.config, args.seed)
-    genotype = load_genotype(args.genotype)
+    genotype = _load_genotype("eval", args.genotype, cfg)
     arrays, extras = load_checkpoint(args.checkpoint)
+    if extras.get("kind") != "retrain":
+        raise ConfigError(f"eval: {args.checkpoint} is a {extras.get('kind')!r} "
+                          "checkpoint, not a retraining checkpoint of completed epochs")
     if extras.get("genotype") != genotype_to_json(genotype):
         raise ConfigError("eval: checkpoint was trained for a different genotype")
     with dtype_scope(cfg.model.precision):

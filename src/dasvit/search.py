@@ -67,11 +67,16 @@ def score_candidates(alpha: AlphaTable, mode: str = "mean") -> list[tuple[OpSpec
     return [(alpha.candidates[k], float(scores[k])) for k in order]
 
 
-def prune_candidates(alpha: AlphaTable, count: int, mode: str = "mean") -> list[OpSpec]:
-    """Drop the `count` lowest-ranked candidates; survivors keep registry order."""
+def prune_candidates(alpha: AlphaTable, count: int, mode: str = "mean",
+                     ranking: list[tuple[OpSpec, float]] | None = None) -> list[OpSpec]:
+    """Drop the `count` lowest-ranked candidates; survivors keep registry order.
+
+    `ranking` is ``score_candidates(alpha, mode)`` when the caller has it.
+    """
     if count <= 0:
         return list(alpha.candidates)
-    ranking = score_candidates(alpha, mode)
+    if ranking is None:
+        ranking = score_candidates(alpha, mode)
     kept = {spec for spec, _ in ranking[:len(ranking) - count]}
     survivors = [spec for spec in alpha.candidates if spec in kept]
     if len(survivors) < 2:
@@ -396,7 +401,9 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
     """Run the staged search end to end and write every artifact.
 
     Artifacts: config.json (effective), alpha_history.csv, search_log.jsonl,
-    stage_<n>.ckpt(+.blob) at each stage end, genotype.json. Resuming points
+    prune.jsonl (one line per stage boundary: every candidate's score in rank
+    order and the survivors), stage_<n>.ckpt(+.blob) at each stage end,
+    genotype.json. Resuming points
     at a stage checkpoint and continues from the following stage; a refused
     checkpoint leaves `out_dir` untouched.
     """
@@ -453,9 +460,11 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
         # the same directory leaves the logs of an uninterrupted run
         history_path = out / "alpha_history.csv"
         log_path = out / "search_log.jsonl"
+        prune_path = out / "prune.jsonl"
         _keep_rows(history_path, lambda row: int(row.split(b",", 1)[0]) < global_epoch,
                    header=True)
         _keep_rows(log_path, lambda row: json.loads(row)["epoch"] < global_epoch)
+        _keep_rows(prune_path, lambda row: json.loads(row)["global_epoch"] < global_epoch)
         fresh_history = not history_path.exists() or history_path.stat().st_size == 0
 
         w_opt, a_opt = _build_optimizers(model, cfg)
@@ -465,7 +474,7 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
         schedule: list[tuple[int, int]] = []
 
         with open(history_path, "a", newline="") as history_fh, \
-                open(log_path, "a") as log_fh:
+                open(log_path, "a") as log_fh, open(prune_path, "a") as prune_fh:
             history = csv.writer(history_fh)
             if fresh_history:
                 history.writerow(["epoch", "layer", "edge", "candidate", "logit",
@@ -473,9 +482,19 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
             try:
                 for stage in range(start_stage, n_stages + 1):
                     if stage > 1:
+                        mode = cfg.search.score_mode
+                        ranking = score_candidates(model.alpha, mode)
                         survivors = prune_candidates(
-                            model.alpha, cfg.search.prune_per_stage[stage - 2],
-                            cfg.search.score_mode)
+                            model.alpha, cfg.search.prune_per_stage[stage - 2], mode,
+                            ranking=ranking)
+                        prune_fh.write(json.dumps({
+                            "stage": stage, "global_epoch": global_epoch,
+                            "score_mode": mode,
+                            "scores": [{"candidate": spec.name, "score": score}
+                                       for spec, score in ranking],
+                            "survivors": [spec.name for spec in survivors],
+                        }, sort_keys=True) + "\n")
+                        prune_fh.flush()
                         model = advance_stage(model, survivors, depths[stage - 1],
                                               cfg, seed, stage)
                         w_opt, a_opt = _build_optimizers(model, cfg)

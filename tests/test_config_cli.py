@@ -322,6 +322,65 @@ def test_cli_retrain_rejects_dim_mismatch(tmp_path, capsys):
     assert "dims" in err
 
 
+def _cli_retrained(tmp_path, cfg):
+    """Config and genotype paths of a 1-epoch CLI retrain, and its directory."""
+    cfg = dataclasses.replace(cfg, retrain=dataclasses.replace(
+        cfg.retrain, epochs=1, warmup_epochs=0))
+    cfg_path = tmp_path / "cfg.json"
+    save_config(cfg, cfg_path)
+    geno_path = tmp_path / "genotype.json"
+    save_genotype(searched_encoder_genotype(cfg.model.dims(), depth=1, heads=4),
+                  geno_path)
+    return cfg_path, geno_path, tmp_path / "retrain"
+
+
+def test_cli_eval_refuses_an_abort_checkpoint(tmp_path, capsys, monkeypatch):
+    import dasvit.search as search_mod
+    from dasvit import autodiff as ad
+    from dasvit.errors import NonFiniteError
+
+    cfg_path, geno_path, out = _cli_retrained(tmp_path, desk_config(seed=3))
+    losses = []
+
+    def nonfinite_at_second_step(logits, labels):
+        losses.append(None)
+        if len(losses) == 2:
+            raise NonFiniteError("cross_entropy produced non-finite values")
+        return ad.cross_entropy(logits, labels)
+
+    monkeypatch.setattr(search_mod, "cross_entropy", nonfinite_at_second_step)
+    assert main(["retrain", "--config", str(cfg_path), "--genotype", str(geno_path),
+                 "--out", str(out)]) == 1
+    monkeypatch.undo()
+    capsys.readouterr()
+    code = main(["eval", "--config", str(cfg_path), "--genotype", str(geno_path),
+                 "--checkpoint", str(out / "abort.ckpt")])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.startswith(
+        f"error: eval: {out / 'abort.ckpt'} is a 'retrain-abort' checkpoint")
+
+
+def test_cli_eval_rejects_dim_mismatch(tmp_path, capsys):
+    cfg = desk_config(seed=3)
+    cfg_path, geno_path, out = _cli_retrained(tmp_path, cfg)
+    assert main(["retrain", "--config", str(cfg_path), "--genotype", str(geno_path),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    wide = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, image=16),
+                               data=dataclasses.replace(cfg.data, synthetic=dataclasses
+                                                        .replace(cfg.data.synthetic,
+                                                                 image=16)))
+    wide_path = tmp_path / "image16.json"
+    save_config(wide, wide_path)
+    code = main(["eval", "--config", str(wide_path), "--genotype", str(geno_path),
+                 "--checkpoint", str(out / "model.ckpt")])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.startswith("error: eval: genotype dims")
+    assert "image=8" in captured.err and "image=16" in captured.err
+
+
 def test_cli_analyze_full_scale_matches_reference_costs(tmp_path, capsys):
     genotype = searched_encoder_genotype(
         dataclasses.replace(desk_config().model, dim=768, patch=16, image=224,

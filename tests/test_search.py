@@ -568,6 +568,33 @@ def test_desk_run_schedule_and_genotype(desk_run):
     assert [len(pairs) for pairs in doc["nodes"]] == [2, 2]
 
 
+def test_prune_log_records_each_stage_boundarys_scores_and_survivors(desk_run,
+                                                                    monkeypatch):
+    result, cfg = desk_run
+    entries = [json.loads(line) for line in
+               (result.out_dir / "prune.jsonl").read_text().splitlines()]
+    assert [e["stage"] for e in entries] == [2, 3]
+    for entry in entries:
+        arrays, extras = load_checkpoint(result.out_dir / f"stage_{entry['stage'] - 1}.ckpt")
+        _, entered = load_checkpoint(result.out_dir / f"stage_{entry['stage']}.ckpt")
+        table = _table(arrays["alpha.logits"],
+                       [OpSpec.from_json(d) for d in extras["candidates"]])
+        assert entry["global_epoch"] == extras["global_epoch"]
+        assert entry["score_mode"] == cfg.search.score_mode
+        assert entry["scores"] == [{"candidate": spec.name, "score": score}
+                                   for spec, score in score_candidates(table)]
+        assert entry["survivors"] == [OpSpec.from_json(d).name
+                                      for d in entered["candidates"]]
+
+    # the search scores each boundary once
+    scored = []
+    score = search_mod.score_candidates
+    monkeypatch.setattr(search_mod, "score_candidates",
+                        lambda *args: scored.append(None) or score(*args))
+    run_search(_small_cfg(seed=1, epochs_per_stage=1), result.out_dir.parent / "once")
+    assert len(scored) == 2
+
+
 def test_pruned_candidates_never_reappear(desk_run):
     result, _ = desk_run
     seen = []
