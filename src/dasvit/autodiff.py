@@ -631,7 +631,7 @@ def softmax(a: Tensor, scale: float | None = None) -> Tensor:
     a = as_tensor(a)
     s = None if scale is None else np.asarray(scale, dtype=a.dtype)
     x = a.data if s is None else a.data * s
-    # one fresh buffer turns into the output in place: shift, exp, normalize
+    # shift, exp and normalize in one fresh buffer: no (..., N, N) temporaries
     out = x - x.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)

@@ -322,8 +322,8 @@ def test_cli_retrain_rejects_dim_mismatch(tmp_path, capsys):
     assert "dims" in err
 
 
-def _cli_retrained(tmp_path, cfg):
-    """Config and genotype paths of a 1-epoch CLI retrain, and its directory."""
+def _retrain_inputs(tmp_path, cfg):
+    """Config and genotype files for a 1-epoch CLI retrain, and its out dir."""
     cfg = dataclasses.replace(cfg, retrain=dataclasses.replace(
         cfg.retrain, epochs=1, warmup_epochs=0))
     cfg_path = tmp_path / "cfg.json"
@@ -339,7 +339,7 @@ def test_cli_eval_refuses_an_abort_checkpoint(tmp_path, capsys, monkeypatch):
     from dasvit import autodiff as ad
     from dasvit.errors import NonFiniteError
 
-    cfg_path, geno_path, out = _cli_retrained(tmp_path, desk_config(seed=3))
+    cfg_path, geno_path, out = _retrain_inputs(tmp_path, desk_config(seed=3))
     losses = []
 
     def nonfinite_at_second_step(logits, labels):
@@ -363,14 +363,13 @@ def test_cli_eval_refuses_an_abort_checkpoint(tmp_path, capsys, monkeypatch):
 
 def test_cli_eval_rejects_dim_mismatch(tmp_path, capsys):
     cfg = desk_config(seed=3)
-    cfg_path, geno_path, out = _cli_retrained(tmp_path, cfg)
+    cfg_path, geno_path, out = _retrain_inputs(tmp_path, cfg)
     assert main(["retrain", "--config", str(cfg_path), "--genotype", str(geno_path),
                  "--out", str(out)]) == 0
     capsys.readouterr()
+    synthetic = dataclasses.replace(cfg.data.synthetic, image=16)
     wide = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, image=16),
-                               data=dataclasses.replace(cfg.data, synthetic=dataclasses
-                                                        .replace(cfg.data.synthetic,
-                                                                 image=16)))
+                               data=dataclasses.replace(cfg.data, synthetic=synthetic))
     wide_path = tmp_path / "image16.json"
     save_config(wide, wide_path)
     code = main(["eval", "--config", str(wide_path), "--genotype", str(geno_path),

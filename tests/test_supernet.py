@@ -293,8 +293,9 @@ def test_mixed_edge_and_cell_gradients(rng):
 
 def test_desk_weight_pass_records_a_pinned_node_count(monkeypatch):
     """One weight pass of the 2-layer desk supernet. A biased projection, an
-    affine norm, a scaled softmax and a mixed edge are one node each; the
-    unfused graph recorded 1,097 nodes, 163 of them `mul` and 222 `add`."""
+    affine norm, a scaled softmax and a mixed edge are one node each, and a
+    node's output lives as long as the graph, so the count is pinned: it may
+    move only with a change that means to move it."""
     cfg = desk_config()
     net = Supernet.from_config(cfg, list(cfg.candidates), 2, np.random.default_rng(0))
     images = np.random.default_rng(1).standard_normal((16, 8, 8, 3)).astype(np.float32)
