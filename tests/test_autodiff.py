@@ -333,6 +333,17 @@ def test_matmul_rows_shape_mismatch_names_both_shapes():
         ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((5, 6))))
 
 
+def test_fused_nodes_refuse_mismatched_operands():
+    with pytest.raises(ShapeError, match=r"matmul: bias shape \(5,\)"):
+        ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 6))),
+                  bias=Tensor(np.ones(5)))
+    with pytest.raises(ShapeError, match="gamma and beta"):
+        ad.layer_norm(Tensor(np.ones((2, 4))), gamma=Tensor(np.ones(4)))
+    with pytest.raises(ShapeError, match=r"weighted_sum: term shapes \(2, 3\) and \(3, 2\)"):
+        ad.weighted_sum(Tensor(np.ones(2)), [Tensor(np.ones((2, 3))),
+                                             Tensor(np.ones((3, 2)))], [0, 1])
+
+
 def test_first_gradient_write_takes_the_tensor_layout():
     # numpy's reduction order follows memory layout, so a gradient laid out
     # unlike its tensor would round differently downstream
