@@ -25,10 +25,13 @@ temporary to sum away.
 A node's output array lives as long as its graph, whether or not a backward
 closure reads it. So the hot compositions are single nodes: ``matmul`` takes
 a ``bias``, ``layer_norm`` a ``gamma``/``beta`` affine, ``softmax`` a
-``scale``, and ``weighted_sum`` is a mixed edge's whole weighted sum. Each
-computes the same floats in the same order as the chain of primitives it
-replaces, forward and backward, without holding that chain's intermediate
-arrays.
+``scale``, ``weighted_sum`` is a mixed edge's whole weighted sum, and
+``attention`` is multi-head attention from the q/k/v projections to the
+head-merged output. Each computes the same floats in the same order as the
+chain of primitives it replaces, forward and backward, without holding that
+chain's intermediate arrays; ``attention`` keeps only its softmax output, not
+the (B, H, N, N) pre-softmax scores, the per-head ``attn @ v`` product or its
+head-merge copy.
 
 ``frozen(tensors)`` clears ``requires_grad`` on leaves for the length of a
 block, so nothing computed only from them is recorded at all. A phase that
@@ -642,6 +645,58 @@ def softmax(a: Tensor, scale: float | None = None) -> Tensor:
         _accumulate(a, ga if s is None else ga * s)
 
     return Tensor._from_op(out, (a,), bw, "softmax")
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head ``softmax(q_h k_hᵀ / √d) v_h`` of (B, N, D) projections,
+    heads merged back to (B, N, D), with d = D / heads.
+
+    One node: the pre-softmax scores and the per-head product are
+    temporaries, and the backward keeps only the (B, H, N, N) softmax output.
+    Forward and backward compute the floats of the reshape/transpose/matmul/
+    scaled-softmax/matmul/transpose/reshape chain in its order, and each
+    batched product gets the operand layouts that chain gave it.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} "
+                         f"must share one (B, N, D) shape")
+    bsz, n, dim = q.shape
+    if heads < 1 or dim % heads:
+        raise ShapeError(f"attention: width of {q.shape} is not divisible by {heads} heads")
+    split = (bsz, n, heads, dim // heads)
+    qh = q.data.reshape(split).transpose(0, 2, 1, 3)  # (B, H, N, d)
+    kt = k.data.reshape(split).transpose(0, 2, 3, 1)  # (B, H, d, N)
+    vh = v.data.reshape(split).transpose(0, 2, 1, 3)
+    s = np.asarray(1.0 / math.sqrt(dim // heads), dtype=q.dtype)
+    # the scores become the softmax output in place: one (B, H, N, N) buffer
+    attn = qh @ kt
+    attn *= s
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    out = (attn @ vh).transpose(0, 2, 1, 3).reshape(q.shape)
+
+    def bw(g):
+        # the chain copied the merged-head gradient into (B, H, N, d) order
+        gh = g.reshape(split).transpose(0, 2, 1, 3).copy()
+        if v.requires_grad:
+            gv = attn.swapaxes(-1, -2) @ gh
+            _accumulate(v, gv.transpose(0, 2, 1, 3).reshape(v.shape))
+        if q.requires_grad or k.requires_grad:
+            gs = gh @ vh.swapaxes(-1, -2)
+            dot = (gs * attn).sum(axis=-1, keepdims=True)
+            gs -= dot
+            gs *= attn
+            gs *= s
+            if q.requires_grad:
+                gq = gs @ kt.swapaxes(-1, -2)
+                _accumulate(q, gq.transpose(0, 2, 1, 3).reshape(q.shape))
+            if k.requires_grad:
+                gk = qh.swapaxes(-1, -2) @ gs  # (B, H, d, N)
+                _accumulate(k, gk.transpose(0, 3, 1, 2).reshape(k.shape))
+
+    return Tensor._from_op(out, (q, k, v), bw, "attention")
 
 
 def layer_norm(a: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None,

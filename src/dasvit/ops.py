@@ -221,16 +221,9 @@ class MsaOp(Module):
         bsz, n, dim = x.shape
         if dim != self.dim:
             raise ShapeError(f"MsaOp: expected last dim {self.dim}, got {x.shape}")
-        head_dim = dim // self.heads
         z = _normed(x, self.norm_g, self.norm_b)
-        heads = (bsz, n, self.heads, head_dim)
-        q = (z @ self.wq).reshape(heads).transpose((0, 2, 1, 3))
-        k = (z @ self.wk).reshape(heads).transpose((0, 2, 3, 1))  # (B, H, d, N)
-        v = (z @ self.wv).reshape(heads).transpose((0, 2, 1, 3))
-        scores = q @ k
-        self.last_score_elements = scores.size
-        attn = ad.softmax(scores, scale=1.0 / math.sqrt(head_dim))
-        mixed = (attn @ v).transpose((0, 2, 1, 3)).reshape((bsz, n, dim))
+        self.last_score_elements = bsz * self.heads * n * n
+        mixed = ad.attention(z @ self.wq, z @ self.wk, z @ self.wv, self.heads)
         return ad.matmul(mixed, self.wo, bias=self.bo)
 
 

@@ -172,7 +172,8 @@ PRIMITIVE_CASES = [
     "matmul_transposed_view_2d", "matmul_bias_3d", "matmul_bias_2d",
     "scalar_fanout", "transpose", "reshape", "broadcast_to", "concat", "index",
     "index_array_2d", "index_array_3d", "sum_axis", "mean_axis", "softmax",
-    "softmax_scaled", "layer_norm", "layer_norm_affine", "weighted_sum_frozen_term",
+    "softmax_scaled", "attention", "layer_norm", "layer_norm_affine",
+    "weighted_sum_frozen_term",
     "gelu", "relu", "sigmoid", "cross_entropy",
 ]
 
@@ -264,6 +265,10 @@ def test_primitive_gradients_match_finite_differences(case, rng):
             a = t64(rng, 2, 3, 5)
             p = _proj(rng, (2, 3, 5))
             check_grads(lambda: (ad.softmax(a, scale=0.37) * p).sum(), [a])
+        elif case == "attention":
+            q, k, v = (t64(rng, 2, 3, 6) for _ in range(3))
+            p = _proj(rng, (2, 3, 6))
+            check_grads(lambda: (ad.attention(q, k, v, 2) * p).sum(), [q, k, v])
         elif case == "layer_norm":
             a = t64(rng, 2, 6)
             p = _proj(rng, (2, 6))
@@ -342,6 +347,13 @@ def test_fused_nodes_refuse_mismatched_operands():
     with pytest.raises(ShapeError, match=r"weighted_sum: term shapes \(2, 3\) and \(3, 2\)"):
         ad.weighted_sum(Tensor(np.ones(2)), [Tensor(np.ones((2, 3))),
                                              Tensor(np.ones((3, 2)))], [0, 1])
+    with pytest.raises(ShapeError, match=r"attention: q \(2, 3, 4\), k \(2, 3, 4\) "
+                                         r"and v \(2, 4, 4\)"):
+        ad.attention(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 3, 4))),
+                     Tensor(np.ones((2, 4, 4))), 2)
+    with pytest.raises(ShapeError, match=r"attention: width of \(2, 3, 4\) is not "
+                                         r"divisible by 3 heads"):
+        ad.attention(*(Tensor(np.ones((2, 3, 4))) for _ in range(3)), 3)
 
 
 def test_first_gradient_write_takes_the_tensor_layout():
@@ -415,6 +427,16 @@ def _matmul_bias(rng, lead):
             lambda a, w, c: a @ w + c)
 
 
+def _attention_chain(q, k, v, heads):
+    bsz, n, dim = q.shape
+    split = (bsz, n, heads, dim // heads)
+    qh = q.reshape(split).transpose((0, 2, 1, 3))
+    kt = k.reshape(split).transpose((0, 2, 3, 1))
+    vh = v.reshape(split).transpose((0, 2, 1, 3))
+    attn = ad.softmax(qh @ kt, scale=1.0 / np.sqrt(dim // heads))
+    return (attn @ vh).transpose((0, 2, 1, 3)).reshape((bsz, n, dim))
+
+
 FUSED_CASES = {
     "matmul_bias_3d": lambda rng: _matmul_bias(rng, (4, 9)),
     "matmul_bias_2d": lambda rng: _matmul_bias(rng, (9,)),
@@ -432,6 +454,10 @@ FUSED_CASES = {
         + tuple(rng.standard_normal((4, 9, 16)).astype(np.float32) for _ in range(3)),
         lambda w, *ts: ad.weighted_sum(w, ts, [1, 3, 4]),
         lambda w, *ts: w[1] * ts[0] + w[3] * ts[1] + w[4] * ts[2]),
+    "attention": lambda rng: (
+        tuple(rng.standard_normal((4, 9, 32)).astype(np.float32) for _ in range(3)),
+        lambda q, k, v: ad.attention(q, k, v, 4),
+        lambda q, k, v: _attention_chain(q, k, v, 4)),
 }
 
 
@@ -451,3 +477,25 @@ def test_fused_node_matches_its_unfused_composition_bitwise(case, rng):
 
     for got, want in zip(run(fused), run(chain)):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("frozen_input", [0, 1, 2])
+def test_attention_frozen_input_gets_no_gradient(frozen_input, rng):
+    """Freezing one of q, k, v skips its products and leaves the other two
+    gradients bitwise as they are with nothing frozen."""
+    arrays = [rng.standard_normal((2, 9, 16)).astype(np.float32) for _ in range(3)]
+    upstream = Tensor(rng.standard_normal((2, 9, 16)).astype(np.float32))
+
+    def grads(frozen):
+        qkv = [Tensor(x.copy(), requires_grad=True) for x in arrays]
+        with ad.frozen([qkv[i] for i in frozen]):
+            backward((ad.attention(*qkv, 4) * upstream).sum())
+        return [t.grad for t in qkv]
+
+    want = grads([])
+    got = grads([frozen_input])
+    for i, (g, w) in enumerate(zip(got, want)):
+        if i == frozen_input:
+            assert g is None
+        else:
+            np.testing.assert_array_equal(g, w)

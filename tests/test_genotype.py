@@ -162,17 +162,24 @@ def test_cost_report_decomposes_per_layer():
 
 def test_cost_report_flops_are_the_forward_matmul_macs(monkeypatch):
     """With activation elements weighted 0, ``cost_report`` flops are exactly
-    the multiply-accumulates of a DerivedModel forward's matmuls, per image."""
+    the multiply-accumulates of a DerivedModel forward's matmuls and
+    attention cores (q·kᵀ and attn·v, N·D each per token), per image."""
     monkeypatch.setattr(genotype_mod, "OPS_PER_ACT_ELEMENT", 0)
     macs = []
-    matmul = ad.matmul
+    matmul, attention = ad.matmul, ad.attention
 
     def counting(a, b, bias=None):
         out = matmul(a, b, bias=bias)
         macs.append(out.data.size * a.shape[-1])
         return out
 
+    def counting_attention(q, k, v, heads):
+        out = attention(q, k, v, heads)
+        macs.append(2 * out.data.size * q.shape[1])
+        return out
+
     monkeypatch.setattr(ad, "matmul", counting)
+    monkeypatch.setattr(ad, "attention", counting_attention)
     dims = ModelDims(dim=16, patch=4, image=8, classes=2)
     batch = 3
     images = np.zeros((batch, dims.image, dims.image, dims.channels), dtype=np.float32)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -88,6 +90,24 @@ def test_msa_is_permutation_equivariant(perm):
         out = op.forward(Tensor(x)).data
         out_perm = op.forward(Tensor(x[:, perm])).data
         np.testing.assert_allclose(out_perm, out[:, perm], rtol=1e-9, atol=1e-11)
+
+
+def test_msa_graph_holds_one_attention_matrix(rng):
+    """After a recorded forward the graph keeps the softmax output for the
+    backward, and no second (B, H, N, N) array such as the raw scores."""
+    bsz, n, dim, heads = 2, 64, 16, 8
+    op = MsaOp(OpSpec("msa", heads=heads), dim=dim, rng=rng)
+    x = Tensor(rng.standard_normal((bsz, n, dim)).astype(np.float32), requires_grad=True)
+    op.forward(x)  # warm-up: one-time allocations stay out of the measure
+    tracemalloc.start()
+    try:
+        out = op.forward(x)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    ratio = live / (bsz * heads * n * n * np.dtype(np.float32).itemsize)
+    assert ratio < 1.5, f"live bytes after the forward are {ratio:.2f} attention matrices"
 
 
 def test_mlp_is_position_wise(rng):
