@@ -9,6 +9,9 @@ output directory:
     retrain_searched/  metrics.csv, model.ckpt  (the genotype the desk search
                        found; at this tiny budget it is often attention-free
                        and stuck at chance on the class-token readout)
+                       Absent when the search refuses to derive a genotype
+                       (every edge into a node Zero-dominant): the refusal's
+                       first line is printed and reported under "searched".
     retrain_reference/ metrics.csv, model.ckpt  (the reference encoder
                        structure at desk dims; trains to ~100%)
 
@@ -22,6 +25,7 @@ from pathlib import Path
 
 from dasvit import (desk_config, evaluate, load_genotype, retrain, run_search,
                     searched_encoder_genotype)
+from dasvit.errors import GenotypeError
 from dasvit.genotype import cost_report
 from dasvit.search import build_datasets
 
@@ -48,16 +52,24 @@ def main() -> int:
         warmup_epochs=min(cfg.retrain.warmup_epochs, args.retrain_epochs)))
 
     print("== search ==")
-    result = run_search(cfg, args.out / "search")
-    print(f"schedule: {result.schedule}")
-    print(f"genotype: {result.genotype_path}")
+    try:
+        result = run_search(cfg, args.out / "search")
+    except GenotypeError as exc:
+        # a refused derivation still leaves the reference retrain worth running
+        refusal = str(exc).splitlines()[0]
+        print(f"search refused: {refusal}")
+        searched_scores = {"refused": refusal}
+    else:
+        print(f"schedule: {result.schedule}")
+        print(f"genotype: {result.genotype_path}")
 
-    print("== analyze ==")
-    genotype = load_genotype(result.genotype_path)
-    print(cost_report(genotype).table())
+        print("== analyze ==")
+        genotype = load_genotype(result.genotype_path)
+        print(cost_report(genotype).table())
 
-    print("== retrain: searched genotype ==")
-    searched_scores = _retrain_and_score(genotype, cfg, args.out / "retrain_searched")
+        print("== retrain: searched genotype ==")
+        searched_scores = _retrain_and_score(genotype, cfg,
+                                             args.out / "retrain_searched")
 
     print("== retrain: reference encoder structure ==")
     reference = searched_encoder_genotype(cfg.model.dims(), depth=4, heads=4,
