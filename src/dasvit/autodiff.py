@@ -24,13 +24,13 @@ temporary to sum away.
 
 A node's output array lives as long as its graph, whether or not a backward
 closure reads it. So the hot compositions are single nodes: ``matmul`` takes
-a ``bias``, ``layer_norm`` a ``gamma``/``beta`` affine, ``softmax`` a
-``scale``, ``weighted_sum`` is a mixed edge's whole weighted sum, and
-``attention`` is multi-head attention from the q/k/v projections to the
-head-merged output. Each computes the same floats in the same order as the
-chain of primitives it replaces, forward and backward, without holding that
-chain's intermediate arrays; ``attention`` keeps only its softmax output, not
-the (B, H, N, N) pre-softmax scores, the per-head ``attn @ v`` product or its
+a ``bias``, ``layer_norm`` a ``gamma``/``beta`` affine, ``weighted_sum`` is a
+mixed edge's whole weighted sum, and ``attention`` is multi-head attention
+from the q/k/v projections to the head-merged output, its scaled softmax
+included. Each computes the same floats in the same order as the chain of
+primitives it replaces, forward and backward, without holding that chain's
+intermediate arrays; ``attention`` keeps only its softmax output, not the
+(B, H, N, N) pre-softmax scores, the per-head ``attn @ v`` product or its
 head-merge copy.
 
 ``frozen(tensors)`` clears ``requires_grad`` on leaves for the length of a
@@ -629,20 +629,18 @@ def gelu(a: Tensor) -> Tensor:
     return Tensor._from_op(out, (a,), bw, "gelu")
 
 
-def softmax(a: Tensor, scale: float | None = None) -> Tensor:
-    """Softmax over the last axis of ``a * scale``, max-shifted for stability."""
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis, max-shifted for stability."""
     a = as_tensor(a)
-    s = None if scale is None else np.asarray(scale, dtype=a.dtype)
-    x = a.data if s is None else a.data * s
-    # shift, exp and normalize in one fresh buffer: no (..., N, N) temporaries
+    x = a.data
+    # shift, exp and normalize in one fresh buffer
     out = x - x.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
 
     def bw(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
-        ga = out * (g - dot)
-        _accumulate(a, ga if s is None else ga * s)
+        _accumulate(a, out * (g - dot))
 
     return Tensor._from_op(out, (a,), bw, "softmax")
 

@@ -172,8 +172,7 @@ PRIMITIVE_CASES = [
     "matmul_transposed_view_2d", "matmul_bias_3d", "matmul_bias_2d",
     "scalar_fanout", "transpose", "reshape", "broadcast_to", "concat", "index",
     "index_array_2d", "index_array_3d", "sum_axis", "mean_axis", "softmax",
-    "softmax_scaled", "attention", "layer_norm", "layer_norm_affine",
-    "weighted_sum_frozen_term",
+    "attention", "layer_norm", "layer_norm_affine", "weighted_sum_frozen_term",
     "gelu", "relu", "sigmoid", "cross_entropy",
 ]
 
@@ -261,10 +260,6 @@ def test_primitive_gradients_match_finite_differences(case, rng):
             a = t64(rng, 2, 5)
             p = _proj(rng, (2, 5))
             check_grads(lambda: (ad.softmax(a) * p).sum(), [a])
-        elif case == "softmax_scaled":
-            a = t64(rng, 2, 3, 5)
-            p = _proj(rng, (2, 3, 5))
-            check_grads(lambda: (ad.softmax(a, scale=0.37) * p).sum(), [a])
         elif case == "attention":
             q, k, v = (t64(rng, 2, 3, 6) for _ in range(3))
             p = _proj(rng, (2, 3, 6))
@@ -433,7 +428,7 @@ def _attention_chain(q, k, v, heads):
     qh = q.reshape(split).transpose((0, 2, 1, 3))
     kt = k.reshape(split).transpose((0, 2, 3, 1))
     vh = v.reshape(split).transpose((0, 2, 1, 3))
-    attn = ad.softmax(qh @ kt, scale=1.0 / np.sqrt(dim // heads))
+    attn = ad.softmax((qh @ kt) * (1.0 / np.sqrt(dim // heads)))
     return (attn @ vh).transpose((0, 2, 1, 3)).reshape((bsz, n, dim))
 
 
@@ -445,10 +440,6 @@ FUSED_CASES = {
               for shape in ((4, 9, 32), (32,), (32,))),
         lambda x, g, b: ad.layer_norm(x, g, b),
         lambda x, g, b: ad.layer_norm(x) * g + b),
-    "softmax_scaled": lambda rng: (
-        (rng.standard_normal((4, 2, 9, 9)).astype(np.float32),),
-        lambda s: ad.softmax(s, scale=1.0 / np.sqrt(8)),
-        lambda s: ad.softmax(s * (1.0 / np.sqrt(8)))),
     "weighted_sum": lambda rng: (
         (rng.standard_normal(5).astype(np.float32),)
         + tuple(rng.standard_normal((4, 9, 16)).astype(np.float32) for _ in range(3)),
