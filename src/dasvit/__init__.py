@@ -19,10 +19,10 @@ _SOURCES = {
     "config": ("RunConfig", "desk_config", "load_config", "paper_defaults",
                "save_config"),
     "errors": ("DasvitError",),
-    "fairness": ("FairnessConfig", "fairness_loss", "skip_fairness", "type_fairness"),
+    "fairness": ("FairnessConfig", "skip_fairness", "type_fairness"),
     "genotype": ("CostReport", "DerivedModel", "Genotype", "classic_encoder_genotype",
-                 "cost_report", "count_flops", "count_params", "load_genotype",
-                 "make_genotype", "save_genotype", "searched_encoder_genotype"),
+                 "cost_report", "load_genotype", "make_genotype", "save_genotype",
+                 "searched_encoder_genotype"),
     "ops": ("DEFAULT_CANDIDATES", "ModelDims", "OpSpec"),
     "optim": ("AdamW", "LrSchedule"),
     "search": ("SearchResult", "bilevel_epoch", "derive_genotype", "evaluate",

@@ -57,11 +57,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("train", "test"), default="test")
 
     p = sub.add_parser("analyze", help="closed-form cost report for a genotype")
+    p.add_argument("--config", type=Path, default=None,
+                   help="JSON run config whose model.pre_norm and model.final_norm "
+                        "apply; defaults to the desk preset")
     p.add_argument("--genotype", type=Path, required=True)
     p.add_argument("--out", type=Path, default=None,
                    help="also write the report as JSON to this file")
-    p.add_argument("--no-pre-norm", action="store_true",
-                   help="count without per-op pre-norm parameters")
     return parser
 
 
@@ -151,8 +152,10 @@ def _cmd_eval(args) -> int:
 def _cmd_analyze(args) -> int:
     from .genotype import cost_report, load_genotype
 
+    cfg = _load_config(args.config, None)
     genotype = load_genotype(args.genotype)
-    report = cost_report(genotype, pre_norm=not args.no_pre_norm)
+    report = cost_report(genotype, pre_norm=cfg.model.pre_norm,
+                         final_norm=cfg.model.final_norm)
     print(report.table())
     doc = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
     print(doc)

@@ -62,8 +62,6 @@ class SearchConfig:
     val_fraction: float = 0.5
     shared_alpha: bool = True
     alpha_init_std: float = 1e-3
-    score_mode: str = "mean"
-    drop_last: bool = True
 
 
 @dataclass
@@ -77,7 +75,6 @@ class RetrainConfig:
     min_lr: float = 0.0
     checkpoint_every: int = 0  # 0: final checkpoint only
     eval_every: int = 0        # 0: never run the held-out split during training
-    drop_last: bool = False
 
 
 @dataclass
@@ -96,8 +93,7 @@ class DataConfig:
     synthetic: SyntheticConfig = field(default_factory=SyntheticConfig)
     normalize_mean: list[float] | None = None
     normalize_std: list[float] | None = None
-    resize: int | None = None  # resize images to this side length when set
-    resize_method: str = "bilinear"
+    resize: int | None = None  # bilinear resize to this side length when set
 
 
 @dataclass
@@ -138,8 +134,6 @@ class RunConfig:
                 f"search.prune_per_stage: need at least {s.stages} entries")
         if not 0 < s.val_fraction < 1:
             raise ConfigError("search.val_fraction: must lie in (0, 1)")
-        if s.score_mode not in ("mean", "max"):
-            raise ConfigError("search.score_mode: must be 'mean' or 'max'")
         if self.retrain.warmup_epochs > self.retrain.epochs:
             raise ConfigError(
                 f"retrain.warmup_epochs: {self.retrain.warmup_epochs} exceeds "
@@ -148,9 +142,6 @@ class RunConfig:
             raise ConfigError(f"data.source: unknown source {self.data.source!r}")
         if (self.data.normalize_mean is None) != (self.data.normalize_std is None):
             raise ConfigError("data: normalize_mean and normalize_std go together")
-        if self.data.resize_method not in ("bilinear", "nearest"):
-            raise ConfigError(
-                f"data.resize_method: unknown method {self.data.resize_method!r}")
         if self.data.source == "cifar10" and self.data.normalize_mean is None:
             # the dataset's computed per-channel statistics become part of the
             # effective config so the echoed file reproduces the run

@@ -52,9 +52,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.images[indices], self.labels[indices], self.classes)
-
 
 # -- synthetic generator -----------------------------------------------------------
 
@@ -142,22 +139,15 @@ def load_cifar10(directory) -> tuple[Dataset, Dataset]:
 # -- resizing --------------------------------------------------------------------
 
 
-def resize_images(images: np.ndarray, size: int, method: str = "bilinear") -> np.ndarray:
-    """Resize a (M, H, W, C) batch to (M, size, size, C).
+def resize_images(images: np.ndarray, size: int) -> np.ndarray:
+    """Bilinearly resize a (M, H, W, C) batch to (M, size, size, C).
 
-    Nearest keeps exact pixel values; bilinear uses half-pixel centers. Both
-    stay inside the input value range.
+    Half-pixel centers; the result stays inside the input value range.
     """
-    if method not in ("nearest", "bilinear"):
-        raise DataError(f"resize: unknown method {method!r}")
     m, h, w, c = images.shape
     if (h, w) == (size, size):
         return images
-    if method == "nearest":
-        rows = np.clip(((np.arange(size) + 0.5) * h / size).astype(np.int64), 0, h - 1)
-        cols = np.clip(((np.arange(size) + 0.5) * w / size).astype(np.int64), 0, w - 1)
-        return images[:, rows][:, :, cols]
-    # bilinear with half-pixel alignment
+
     def grid(n_src):
         src = (np.arange(size) + 0.5) * n_src / size - 0.5
         lo = np.clip(np.floor(src).astype(np.int64), 0, n_src - 1)
@@ -357,6 +347,21 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], extras: dict | None = N
     _replace_file(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
+def manifest_value(path, doc, key: str, kind: type, where: str = "extras"):
+    """``doc[key]`` of the checkpoint manifest at `path`, refused with a
+    DataError naming the checkpoint and the key unless it is there and is a
+    `kind`; an int must also be no bool and not negative."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise DataError(f"checkpoint: {path}: {where} has no key {key!r}")
+    value = doc[key]
+    if not isinstance(value, kind) or (
+            kind is int and (isinstance(value, bool) or value < 0)):
+        noun = "nonnegative int" if kind is int else kind.__name__
+        raise DataError(f"checkpoint: {path}: {where} key {key!r} holds "
+                        f"{value!r}, not a {noun}")
+    return value
+
+
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     path = Path(path)
     if not path.exists():
@@ -369,12 +374,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         raise DataError(f"checkpoint: {path} is not a {_CKPT_FORMAT} manifest")
 
     def need(doc, key, kind, where="manifest"):
-        if not isinstance(doc, dict) or key not in doc:
-            raise DataError(f"checkpoint: {path}: {where} has no key {key!r}")
-        if not isinstance(doc[key], kind):
-            raise DataError(f"checkpoint: {path}: {where} key {key!r} holds "
-                            f"{doc[key]!r}, not a {kind.__name__}")
-        return doc[key]
+        return manifest_value(path, doc, key, kind, where)
 
     blob_name = need(manifest, "blob", str)
     if not blob_name or Path(blob_name).name != blob_name:
@@ -388,8 +388,6 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         where = f"array {name!r}"
         start, nbytes = need(entry, "offset", int, where), need(entry, "nbytes", int, where)
         dtype, shape = need(entry, "dtype", str, where), need(entry, "shape", list, where)
-        if start < 0 or nbytes < 0:
-            raise DataError(f"checkpoint: {path}: {where} has a negative offset or size")
         if start + nbytes > len(blob):
             raise DataError(f"checkpoint: blob truncated for array {name!r}")
         try:

@@ -82,8 +82,3 @@ def type_fairness(alpha, cfg: FairnessConfig) -> Tensor:
         term = (over + under).sum()
         total = term if total is None else total + term
     return total if total is not None else _scalar_zero()
-
-
-def fairness_loss(alpha, cfg: FairnessConfig) -> Tensor:
-    """a * skip term + b * type term."""
-    return skip_fairness(alpha) * cfg.a + type_fairness(alpha, cfg) * cfg.b

@@ -352,11 +352,3 @@ def cost_report(g: Genotype, pre_norm: bool = True, final_norm: bool = True) -> 
         params_overhead=params_overhead,
         flops_overhead=flops_overhead,
     )
-
-
-def count_params(g: Genotype, pre_norm: bool = True, final_norm: bool = True) -> int:
-    return cost_report(g, pre_norm, final_norm).params
-
-
-def count_flops(g: Genotype, pre_norm: bool = True, final_norm: bool = True) -> int:
-    return cost_report(g, pre_norm, final_norm).flops

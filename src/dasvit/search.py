@@ -26,8 +26,8 @@ from .autodiff import backward, cross_entropy, dtype_scope, finite_pass, frozen
 from .config import RunConfig, save_config
 from .data import (Batch, BatchPlan, Dataset, MetricsWriter, RNG_RETRAIN, RNG_STAGE,
                    epoch_batches, load_checkpoint, load_parameters, make_synthetic,
-                   load_cifar10, resize_images, rng_for, save_checkpoint,
-                   sequential_batches, split_dataset, topk_accuracy)
+                   load_cifar10, manifest_value, resize_images, rng_for,
+                   save_checkpoint, sequential_batches, split_dataset, topk_accuracy)
 from .errors import ConfigError, DataError, GenotypeError, NonFiniteError, SearchAbort
 from .fairness import FairnessConfig, skip_fairness, type_fairness
 from .genotype import (DerivedModel, Genotype, genotype_to_json, make_genotype,
@@ -51,32 +51,23 @@ def schedule_preview(cfg: RunConfig, stages: int | None = None) -> list[tuple[in
 # -- candidate scoring and pruning -----------------------------------------------
 
 
-def score_candidates(alpha: AlphaTable, mode: str = "mean") -> list[tuple[OpSpec, float]]:
-    """Rank candidates by softmax weight aggregated over every (layer, edge).
+def score_candidates(alpha: AlphaTable) -> list[tuple[OpSpec, float]]:
+    """Rank candidates by softmax weight averaged over every (layer, edge).
 
     Descending score; ties resolve to registry order.
     """
-    w = alpha.weights()
-    if mode == "mean":
-        scores = w.mean(axis=(0, 1))
-    elif mode == "max":
-        scores = w.max(axis=(0, 1))
-    else:
-        raise ConfigError(f"score_candidates: unknown mode {mode!r}")
+    scores = alpha.weights().mean(axis=(0, 1))
     order = sorted(range(len(alpha.candidates)), key=lambda k: (-scores[k], k))
     return [(alpha.candidates[k], float(scores[k])) for k in order]
 
 
-def prune_candidates(alpha: AlphaTable, count: int, mode: str = "mean",
-                     ranking: list[tuple[OpSpec, float]] | None = None) -> list[OpSpec]:
-    """Drop the `count` lowest-ranked candidates; survivors keep registry order.
-
-    `ranking` is ``score_candidates(alpha, mode)`` when the caller has it.
+def prune_candidates(alpha: AlphaTable, count: int,
+                     ranking: list[tuple[OpSpec, float]]) -> list[OpSpec]:
+    """Drop the `count` lowest-ranked candidates of ``score_candidates(alpha)``,
+    given as `ranking`; survivors keep registry order.
     """
     if count <= 0:
         return list(alpha.candidates)
-    if ranking is None:
-        ranking = score_candidates(alpha, mode)
     kept = {spec for spec, _ in ranking[:len(ranking) - count]}
     survivors = [spec for spec in alpha.candidates if spec in kept]
     if len(survivors) < 2:
@@ -298,11 +289,9 @@ def build_datasets(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
             raise DataError("data.dir: required for cifar10")
         train, test = load_cifar10(cfg.data.dir)
     if cfg.data.resize is not None:
-        train = Dataset(resize_images(train.images, cfg.data.resize,
-                                      cfg.data.resize_method),
+        train = Dataset(resize_images(train.images, cfg.data.resize),
                         train.labels, train.classes)
-        test = Dataset(resize_images(test.images, cfg.data.resize,
-                                     cfg.data.resize_method),
+        test = Dataset(resize_images(test.images, cfg.data.resize),
                        test.labels, test.classes)
     return train, test
 
@@ -424,8 +413,7 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
         train_ds, _ = build_datasets(cfg, seed)
         split = split_dataset(len(train_ds), cfg.search.val_fraction, seed)
         stats = _norm_stats(cfg)
-        plan = BatchPlan(batch_size=cfg.search.batch_size, seed=seed,
-                         drop_last=cfg.search.drop_last)
+        plan = BatchPlan(batch_size=cfg.search.batch_size, seed=seed, drop_last=True)
 
         w_sched = LrSchedule(base_lr=cfg.search.lr,
                              warmup_epochs=cfg.search.warmup_epochs,
@@ -440,11 +428,14 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
             if extras.get("kind") != "search-stage":
                 raise ConfigError(f"resume: {resume} is a {extras.get('kind')!r} "
                                   "checkpoint, not a search-stage checkpoint")
-            stage_done = int(extras["stage"])
-            global_epoch = int(extras["global_epoch"])
+            stage_done = manifest_value(resume, extras, "stage", int)
+            global_epoch = manifest_value(resume, extras, "global_epoch", int)
+            candidates = [
+                OpSpec.from_json(d, f"checkpoint: {resume}: extras.candidates[{i}]")
+                for i, d in enumerate(manifest_value(resume, extras, "candidates", list))]
             model = Supernet.from_config(
-                cfg, [OpSpec.from_json(d) for d in extras["candidates"]],
-                int(extras["layers"]), rng_for(seed, RNG_STAGE, stage_done))
+                cfg, candidates, manifest_value(resume, extras, "layers", int),
+                rng_for(seed, RNG_STAGE, stage_done))
             load_parameters(model.named_parameters(), arrays, resume)
             start_stage = stage_done + 1
             if start_stage > n_stages:
@@ -482,14 +473,11 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
             try:
                 for stage in range(start_stage, n_stages + 1):
                     if stage > 1:
-                        mode = cfg.search.score_mode
-                        ranking = score_candidates(model.alpha, mode)
+                        ranking = score_candidates(model.alpha)
                         survivors = prune_candidates(
-                            model.alpha, cfg.search.prune_per_stage[stage - 2], mode,
-                            ranking=ranking)
+                            model.alpha, cfg.search.prune_per_stage[stage - 2], ranking)
                         prune_fh.write(json.dumps({
                             "stage": stage, "global_epoch": global_epoch,
-                            "score_mode": mode,
                             "scores": [{"candidate": spec.name, "score": score}
                                        for spec, score in ranking],
                             "survivors": [spec.name for spec in survivors],
@@ -575,8 +563,7 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
                            warmup_epochs=cfg.retrain.warmup_epochs,
                            warmup_start_lr=cfg.retrain.warmup_start_lr,
                            total_epochs=cfg.retrain.epochs, min_lr=cfg.retrain.min_lr)
-        plan = BatchPlan(batch_size=cfg.retrain.batch_size, seed=seed,
-                         drop_last=cfg.retrain.drop_last)
+        plan = BatchPlan(batch_size=cfg.retrain.batch_size, seed=seed)
 
         start_epoch = 0
         if resume is not None:
@@ -591,9 +578,9 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
             if extras.get("genotype") != genotype_to_json(genotype):
                 raise ConfigError("resume: checkpoint genotype differs from the "
                                   "requested genotype")
+            start_epoch = manifest_value(resume, extras, "epoch", int) + 1
             load_parameters(params, arrays, resume, opt_state=opt.state_arrays())
             opt.load_state_arrays(arrays)
-            start_epoch = int(extras["epoch"]) + 1
         out.mkdir(parents=True, exist_ok=True)
         save_config(cfg, out / "config.json")
 

@@ -12,9 +12,9 @@ import numpy as np
 
 from dasvit import (AdamW, AlphaTable, DerivedModel, FairnessConfig, OpSpec,
                     Selector, Supernet, Tensor, classic_encoder_genotype,
-                    count_flops, count_params, derive_genotype, desk_config,
-                    dtype_scope, evaluate, retrain, run_search,
-                    searched_encoder_genotype, type_fairness)
+                    cost_report, derive_genotype, desk_config, dtype_scope, evaluate,
+                    retrain, run_search, searched_encoder_genotype, skip_fairness,
+                    type_fairness)
 from dasvit import autodiff as ad
 from dasvit.config import SyntheticConfig
 from dasvit.data import (BatchPlan, epoch_batches, load_checkpoint, make_synthetic,
@@ -92,10 +92,10 @@ def test_criterion_1_gradient_fidelity():
         # fairness loss over a two-layer table, away from hinge kinks
         table = AlphaTable(DESK8, layers=2, rng=np.random.default_rng(3), shared=False)
         table.logits.data = 0.05 * rng.standard_normal((2, 5, 8))
-        from dasvit import fairness_loss
-
+        fair = FairnessConfig()
         errors["fairness"] = fd_error(
-            lambda: fairness_loss(table, FairnessConfig()), [table.logits])
+            lambda: skip_fairness(table) * fair.a + type_fairness(table, fair) * fair.b,
+            [table.logits])
 
     worst = max(errors.values())
     ok = worst < GRAD_TOL
@@ -113,10 +113,10 @@ def test_criterion_2_cost_counters_hit_reference_table():
     baseline = classic_encoder_genotype(full, depth=12, heads=12, ratio=4.0)
 
     checks = {
-        "searched params 50.4M +-3%": (count_params(searched), 50.4e6, 0.03),
-        "baseline params 85.8M +-3%": (count_params(baseline), 85.8e6, 0.03),
-        "searched flops 9.9G +-10%": (count_flops(searched), 9.9e9, 0.10),
-        "baseline flops 12.0G +-10%": (count_flops(baseline), 12.0e9, 0.10),
+        "searched params 50.4M +-3%": (cost_report(searched).params, 50.4e6, 0.03),
+        "baseline params 85.8M +-3%": (cost_report(baseline).params, 85.8e6, 0.03),
+        "searched flops 9.9G +-10%": (cost_report(searched).flops, 9.9e9, 0.10),
+        "baseline flops 12.0G +-10%": (cost_report(baseline).flops, 12.0e9, 0.10),
     }
     results = {name: abs(got - target) / target <= tol
                for name, (got, target, tol) in checks.items()}

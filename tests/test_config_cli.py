@@ -16,8 +16,8 @@ from dasvit import desk_config, load_config, save_config, searched_encoder_genot
 from dasvit.cli import main
 from dasvit.config import config_from_json, config_to_json
 from dasvit.errors import ConfigError
-from dasvit.data import make_synthetic
-from dasvit.genotype import DerivedModel
+from dasvit.data import Dataset, load_checkpoint, make_synthetic, save_checkpoint
+from dasvit.genotype import DerivedModel, genotype_to_json
 from dasvit.ops import ModelDims, OpSpec
 from dasvit.search import build_datasets, evaluate
 from dasvit.supernet import Supernet
@@ -83,7 +83,7 @@ def test_resize_flag_reshapes_datasets():
 
     cfg = desk_config()
     cfg = dataclasses.replace(cfg, data=dataclasses.replace(
-        cfg.data, resize=16, resize_method="nearest")).validate()
+        cfg.data, resize=16)).validate()
     train, test = build_datasets(cfg, 0)
     assert train.images.shape[1:3] == (16, 16)
     assert test.images.shape[1:3] == (16, 16)
@@ -199,7 +199,11 @@ def test_cli_analyze_pre_norm_toggle_changes_counts(tmp_path, capsys):
     assert main(["analyze", "--genotype", str(path)]) == 0
     out = capsys.readouterr().out
     with_norms = json.loads(out[out.index("{"):])["params"]
-    assert main(["analyze", "--genotype", str(path), "--no-pre-norm"]) == 0
+    cfg = desk_config()
+    cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, pre_norm=False))
+    save_config(cfg, tmp_path / "no_pre_norm.json")
+    assert main(["analyze", "--genotype", str(path),
+                 "--config", str(tmp_path / "no_pre_norm.json")]) == 0
     out = capsys.readouterr().out
     without = json.loads(out[out.index("{"):])["params"]
     # each of the 8 parameterized ops in the 2-layer model drops a 2*D norm
@@ -307,6 +311,84 @@ def test_cli_search_resume_refuses_a_retraining_checkpoint(tmp_path, capsys):
     assert captured.err.startswith("error:")
     assert f"{out / 'model.ckpt'} is a 'retrain' checkpoint" in captured.err
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("search", "layers", ...),     # ...: the key is missing
+    ("search", "stage", "x"),
+    ("search", "global_epoch", -1),
+    ("search", "candidates", None),
+    ("search", "candidates", [None]),
+    ("retrain", "epoch", ...),
+    ("retrain", "epoch", True),
+], ids=["no-layers", "stage-x", "negative-global-epoch", "null-candidates",
+        "null-candidate", "no-epoch", "bool-epoch"])
+def test_cli_resume_refuses_malformed_checkpoint_extras(tmp_path, capsys, command,
+                                                        key, value):
+    cfg = desk_config()
+    genotype = searched_encoder_genotype(cfg.model.dims(), depth=1, heads=4)
+    geno_path = tmp_path / "genotype.json"
+    save_genotype(genotype, geno_path)
+    extras = {
+        "search": {"kind": "search-stage", "stage": 1, "layers": 2, "global_epoch": 3,
+                   "seed": 0, "candidates": [s.to_json() for s in cfg.candidates]},
+        "retrain": {"kind": "retrain", "seed": 0, "epoch": 0,
+                    "genotype": genotype_to_json(genotype)},
+    }[command]
+    if value is ...:
+        del extras[key]
+    else:
+        extras[key] = value
+    ckpt = tmp_path / "damaged.ckpt"
+    save_checkpoint(ckpt, {"w": np.zeros(1, dtype=np.float32)}, extras)
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), "--resume", str(ckpt)]
+    if command == "retrain":
+        argv += ["--genotype", str(geno_path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert f"checkpoint: {ckpt}: extras" in captured.err
+    assert key in captured.err
+    assert not out.exists()
+
+
+def test_final_norm_false_retrains_analyzes_and_refuses_a_final_norm_eval(tmp_path,
+                                                                          capsys):
+    cfg = desk_config(seed=2)
+    cfg = dataclasses.replace(cfg, retrain=dataclasses.replace(
+        cfg.retrain, epochs=1, warmup_epochs=0))
+    paths = {}
+    for final_norm in (True, False):
+        paths[final_norm] = tmp_path / f"final_norm_{final_norm}.json"
+        save_config(dataclasses.replace(cfg, model=dataclasses.replace(
+            cfg.model, final_norm=final_norm)), paths[final_norm])
+    genotype = searched_encoder_genotype(cfg.model.dims(), depth=1, heads=4)
+    geno_path = tmp_path / "genotype.json"
+    save_genotype(genotype, geno_path)
+    out = tmp_path / "retrain"
+    assert main(["retrain", "--config", str(paths[False]), "--genotype",
+                 str(geno_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    arrays, _ = load_checkpoint(out / "model.ckpt")
+    assert "embed.cls" in arrays
+    assert not {"embed.final_g", "embed.final_b"} & set(arrays)
+
+    assert main(["analyze", "--config", str(paths[False]), "--genotype",
+                 str(geno_path)]) == 0
+    report = capsys.readouterr().out
+    model = DerivedModel(genotype, np.random.default_rng(0), final_norm=False)
+    assert json.loads(report[report.index("{"):])["params"] == sum(
+        p.size for p in model.named_parameters().values())
+
+    code = main(["eval", "--config", str(paths[True]), "--genotype", str(geno_path),
+                 "--checkpoint", str(out / "model.ckpt")])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.startswith("error:")
+    assert "no array 'embed.final_g'" in captured.err
 
 
 def test_cli_retrain_rejects_dim_mismatch(tmp_path, capsys):
@@ -449,7 +531,7 @@ def test_evaluate_matches_hand_scoring(tmp_path):
     genotype = searched_encoder_genotype(cfg.model.dims(), depth=1, heads=4)
     model, _ = retrain(genotype, cfg, tmp_path / "run")
     train_ds, _ = build_datasets(cfg, cfg.seed)
-    subset = train_ds.subset(np.arange(20))
+    subset = Dataset(train_ds.images[:20], train_ds.labels[:20], train_ds.classes)
     got = evaluate(model, subset, batch_size=20)
     logits = model.forward(subset.images).data
     hits1 = hits5 = 0

@@ -113,18 +113,10 @@ def test_normalize_roundtrip(seed):
 # -- resizing --------------------------------------------------------------------------
 
 
-def test_resize_nearest_upscale_repeats_pixels():
-    images = np.arange(4, dtype=np.float32).reshape(1, 2, 2, 1)
-    big = resize_images(images, 4, method="nearest")
-    assert big.shape == (1, 4, 4, 1)
-    np.testing.assert_array_equal(big[0, :2, :2, 0], images[0, 0, 0, 0])
-    np.testing.assert_array_equal(big[0, 2:, 2:, 0], images[0, 1, 1, 0])
-
-
 def test_resize_bilinear_preserves_constants_and_range():
     rng = np.random.default_rng(0)
     images = rng.random((2, 8, 8, 3)).astype(np.float32)
-    out = resize_images(images, 12, method="bilinear")
+    out = resize_images(images, 12)
     assert out.shape == (2, 12, 12, 3)
     assert out.min() >= images.min() - 1e-6 and out.max() <= images.max() + 1e-6
     flat = np.full((1, 8, 8, 3), 0.37, dtype=np.float32)
@@ -134,8 +126,6 @@ def test_resize_bilinear_preserves_constants_and_range():
 def test_resize_same_size_is_identity():
     images = np.random.default_rng(1).random((1, 8, 8, 3)).astype(np.float32)
     assert resize_images(images, 8) is images
-    with pytest.raises(DataError, match="method"):
-        resize_images(images, 4, method="bicubic")
 
 
 # -- splits and batching ---------------------------------------------------------------

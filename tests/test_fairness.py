@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dasvit import AlphaTable, FairnessConfig, OpSpec, backward, \
-    dtype_scope, fairness_loss, skip_fairness, type_fairness
+from dasvit import AdamW, AlphaTable, FairnessConfig, OpSpec, Tensor, backward, \
+    dtype_scope, skip_fairness, type_fairness
+from dasvit import autodiff as ad
+from dasvit.data import Batch
+from dasvit.search import SearchState, _grad_pass
 from dasvit.errors import ConfigError
 from oracles import check_grads, softmax_np
 
@@ -89,12 +92,42 @@ def test_type_fairness_zero_iff_sums_in_range(rng):
         assert float(type_fairness(outside, cfg).data) > 0.0
 
 
-def test_fairness_loss_combines_terms():
-    with dtype_scope("float64"):
-        alpha = _alpha(DESK8, scale=np.zeros((1, 5, 8)))
-        assert float(fairness_loss(alpha, FairnessConfig(a=0.0, b=0.0)).data) == 0.0
-        got = float(fairness_loss(alpha, FairnessConfig(a=1.0, b=0.0)).data)
-        assert got == pytest.approx(0.125, abs=1e-12)
+def _fairness_loss(alpha, cfg):
+    return skip_fairness(alpha) * cfg.a + type_fairness(alpha, cfg) * cfg.b
+
+
+class _AlphaFreeModel:
+    """Logits that do not depend on alpha: the search's alpha gradient is then
+    the gradient of its fairness term alone."""
+
+    def __init__(self):
+        self.w = ad.parameter(np.zeros((4 * 4 * 3, 2)), "w")
+
+    def forward(self, images):
+        return ad.matmul(Tensor(images.reshape(len(images), -1)), self.w)
+
+
+def test_fairness_loss_combines_terms(rng):
+    """The alpha pass adds a * skip term + b * type term to the cross-entropy."""
+    batch = Batch(images=rng.random((2, 4, 4, 3)), labels=np.array([0, 1]),
+                  indices=np.arange(2), split="val")
+    logits = rng.standard_normal((1, 5, 8))
+    for cfg in (FairnessConfig(a=0.0, b=0.0), FairnessConfig(a=1.0, b=0.0),
+                FairnessConfig(a=0.3, b=0.7)):
+        with dtype_scope("float64"):
+            alpha = _alpha(DESK8, scale=logits.copy())
+            model = _AlphaFreeModel()
+            state = SearchState(model=model, alpha=alpha,
+                                w_opt=AdamW({"w": model.w}, lr=0.1),
+                                a_opt=AdamW({"alpha.logits": alpha.logits}, lr=0.1),
+                                fairness=cfg)
+            _, l1, l2 = _grad_pass(state, batch, freeze=state.w_opt, fair=True)
+            got = alpha.logits.grad
+            expected = _alpha(DESK8, scale=logits.copy())
+            backward(_fairness_loss(expected, cfg))
+        assert l1 == float(skip_fairness(expected).data)
+        assert l2 == float(type_fairness(expected, cfg).data)
+        np.testing.assert_allclose(got, expected.logits.grad, rtol=1e-12, atol=1e-15)
 
 
 def test_fairness_gradients_match_finite_differences(rng):
@@ -105,7 +138,7 @@ def test_fairness_gradients_match_finite_differences(rng):
         cfg = FairnessConfig()
         # stay away from hinge kinks: with near-uniform weights the type sums
         # sit at ~(0.125, 0.125, 0.375, 0.375), far from 0.05 / 0.5
-        check_grads(lambda: fairness_loss(alpha, cfg), [alpha.logits])
+        check_grads(lambda: _fairness_loss(alpha, cfg), [alpha.logits])
 
 
 @given(st.floats(min_value=-5, max_value=5))

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dasvit import (DerivedModel, OpSpec, Tensor, classic_encoder_genotype,
-                    cost_report, count_flops, count_params, dtype_scope,
-                    load_genotype, make_genotype, save_genotype,
+                    cost_report, dtype_scope, load_genotype, make_genotype, save_genotype,
                     searched_encoder_genotype)
 from dasvit import autodiff as ad
 from dasvit import genotype as genotype_mod
@@ -98,13 +97,13 @@ def test_derived_forward_shape_and_determinism():
 
 def test_param_count_hits_searched_reference():
     g = searched_encoder_genotype(FULL, depth=12, heads=12, ratio=0.5)
-    params = count_params(g)
+    params = cost_report(g).params
     assert abs(params - 50.4e6) / 50.4e6 < 0.03
 
 
 def test_param_count_hits_classic_reference():
     g = classic_encoder_genotype(FULL, depth=12, heads=12, ratio=4.0)
-    params = count_params(g)
+    params = cost_report(g).params
     assert abs(params - 85.8e6) / 85.8e6 < 0.03
 
 
@@ -114,12 +113,12 @@ def test_param_count_equals_instantiated_manifest():
         g = searched_encoder_genotype(DESK, depth=depth, heads=heads, ratio=ratio)
         model = DerivedModel(g, np.random.default_rng(0), pre_norm=pre_norm)
         manifest = sum(p.size for p in model.named_parameters().values())
-        assert count_params(g, pre_norm=pre_norm) == manifest
+        assert cost_report(g, pre_norm=pre_norm).params == manifest
 
 
 def test_param_count_independent_of_head_count():
-    a = count_params(searched_encoder_genotype(DESK, depth=2, heads=2))
-    b = count_params(searched_encoder_genotype(DESK, depth=2, heads=4))
+    a = cost_report(searched_encoder_genotype(DESK, depth=2, heads=2)).params
+    b = cost_report(searched_encoder_genotype(DESK, depth=2, heads=4)).params
     assert a == b
 
 
@@ -139,8 +138,8 @@ def test_flops_quadratic_token_scaling():
     small_dims = ModelDims(dim=16, patch=4, image=16, classes=2)
     big_dims = ModelDims(dim=16, patch=4, image=32, classes=2)
     assert big_dims.n_patches == 4 * small_dims.n_patches
-    f_small = count_flops(searched_encoder_genotype(small_dims, depth=1, heads=2))
-    f_big = count_flops(searched_encoder_genotype(big_dims, depth=1, heads=2))
+    f_small = cost_report(searched_encoder_genotype(small_dims, depth=1, heads=2)).flops
+    f_big = cost_report(searched_encoder_genotype(big_dims, depth=1, heads=2)).flops
     assert f_small == rederived(small_dims, 1, 2, 0.5)
     assert f_big == rederived(big_dims, 1, 2, 0.5)
     # the token-squared attention terms push growth past the 4x patch growth

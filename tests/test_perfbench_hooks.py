@@ -1,12 +1,17 @@
 """The benchmark's timing and span hooks still find every function and method
-they wrap, and put each original back on close."""
+they wrap, and put each original back on close; its workloads still build
+their config and rebuild a supernet from a stage checkpoint."""
 
+import dataclasses
 import importlib
 import sys
 import tracemalloc
 from pathlib import Path
 
 import dasvit
+from dasvit import desk_config, run_search
+from dasvit.config import SyntheticConfig
+from dasvit.data import load_checkpoint
 
 PERFBENCH = Path(dasvit.__file__).resolve().parents[2] / "perfbench"
 
@@ -46,3 +51,22 @@ def test_traced_instrument_hooks_resolve_and_close_restores_originals(monkeypatc
     assert after.keys() == before.keys()
     moved = [key for key, value in before.items() if after[key] is not value]
     assert not moved
+
+
+def test_workloads_config_and_stage_supernet_match_the_program(tmp_path, monkeypatch):
+    """A config field or Supernet keyword the benchmark reads and the program
+    no longer has fails here, not in a benchmark run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    assert workloads.mid_config(0).validate().model.dim == 192
+
+    cfg = desk_config(seed=1)
+    cfg = dataclasses.replace(
+        cfg, search=dataclasses.replace(cfg.search, stages=1, epochs_per_stage=1,
+                                        batch_size=8),
+        data=dataclasses.replace(cfg.data, synthetic=SyntheticConfig(per_class=16)))
+    run_search(cfg, tmp_path / "run")
+    net, complete = workloads._stage_supernet(
+        cfg, *load_checkpoint(tmp_path / "run" / "stage_1.ckpt"))
+    assert complete
+    assert net.num_layers == cfg.search.first_layers

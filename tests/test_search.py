@@ -85,11 +85,13 @@ def test_scores_match_loop_oracle(rng):
 def test_prune_keeps_registry_order_and_guards_degeneracy():
     logits = np.zeros((1, 5, 8))
     logits[:, :, [1, 4, 6]] = -5.0  # push identity, msa_h8, mlp_r3 to the bottom
-    survivors = prune_candidates(_table(logits), count=3)
+    table = _table(logits)
+    survivors = prune_candidates(table, 3, score_candidates(table))
     assert [s.name for s in survivors] == ["zero", "msa_h2", "msa_h4", "mlp_r0.5",
                                            "mlp_r4"]
+    table = _table(np.zeros((1, 5, 8)))
     with pytest.raises(ConfigError, match="degenerate"):
-        prune_candidates(_table(np.zeros((1, 5, 8))), count=7)
+        prune_candidates(table, 7, score_candidates(table))
 
 
 def _dims_cfg(**search_overrides):
@@ -106,7 +108,7 @@ def test_advance_stage_inherits_banks_and_drops_pruned():
         old = Supernet.from_config(cfg, DESK8, 2, np.random.default_rng(0))
         old.alpha.logits.data = np.random.default_rng(1).standard_normal(
             old.alpha.logits.shape).astype(np.float32)
-        survivors = prune_candidates(old.alpha, count=3)
+        survivors = prune_candidates(old.alpha, 3, score_candidates(old.alpha))
         new = advance_stage(old, survivors, new_layers=4, cfg=cfg, seed=0,
                             stage_index=2)
         fresh = Supernet.from_config(cfg, survivors, 4, rng_for(0, RNG_STAGE, 2))
@@ -147,7 +149,7 @@ def test_advance_stage_per_layer_alpha_fills_new_rows_with_mean():
     old = Supernet.from_config(cfg, DESK8, 2, np.random.default_rng(0))
     rng = np.random.default_rng(2)
     old.alpha.logits.data = rng.standard_normal((2, 5, 8)).astype(np.float32)
-    survivors = prune_candidates(old.alpha, count=3)
+    survivors = prune_candidates(old.alpha, 3, score_candidates(old.alpha))
     new = advance_stage(old, survivors, new_layers=4, cfg=cfg, seed=0, stage_index=2)
     assert new.alpha.logits.shape == (4, 5, 5)
     cols = [old.candidates.index(s) for s in survivors]
@@ -168,20 +170,6 @@ def test_per_layer_alpha_search_completes(tmp_path):
     last = [r for r in rows if int(r["epoch"]) == 2 and int(r["edge"]) == 0
             and r["candidate"] == rows[-1]["candidate"]]
     assert len({r["logit"] for r in last}) > 1  # layers now carry distinct logits
-
-
-def test_score_mode_max_ranks_by_peak_weight():
-    table = AlphaTable(DESK8, layers=1, rng=np.random.default_rng(0))
-    logits = np.zeros((1, 5, 8))
-    logits[0, 0, 3] = 3.0   # msa_h4 peaks on one edge
-    logits[0, :, 5] = 1.0   # mlp_r0.5 is uniformly strong
-    table.logits.data = logits
-    by_mean = score_candidates(table, mode="mean")[0][0].name
-    by_max = score_candidates(table, mode="max")[0][0].name
-    assert by_mean == "mlp_r0.5"
-    assert by_max == "msa_h4"
-    with pytest.raises(ConfigError, match="mode"):
-        score_candidates(table, mode="median")
 
 
 # -- genotype derivation ---------------------------------------------------------------
@@ -580,7 +568,7 @@ def test_prune_log_records_each_stage_boundarys_scores_and_survivors(desk_run,
         table = _table(arrays["alpha.logits"],
                        [OpSpec.from_json(d) for d in extras["candidates"]])
         assert entry["global_epoch"] == extras["global_epoch"]
-        assert entry["score_mode"] == cfg.search.score_mode
+        assert set(entry) == {"stage", "global_epoch", "scores", "survivors"}
         assert entry["scores"] == [{"candidate": spec.name, "score": score}
                                    for spec, score in score_candidates(table)]
         assert entry["survivors"] == [OpSpec.from_json(d).name
