@@ -4,8 +4,8 @@
 Runs in a few minutes on one CPU core and leaves every artifact under the
 output directory:
 
-    search/            alpha_history.csv, search_log.jsonl, stage_*.ckpt,
-                       genotype.json
+    search/            alpha_history.csv, search_log.jsonl, prune.jsonl,
+                       stage_*.ckpt, genotype.json
     retrain_searched/  metrics.csv, model.ckpt  (the genotype the desk search
                        found; at this tiny budget it is often attention-free
                        and stuck at chance on the class-token readout)

@@ -118,19 +118,14 @@ def _cmd_retrain(args) -> int:
 
 def _cmd_eval(args) -> int:
     from .autodiff import dtype_scope
-    from .config import ConfigError
-    from .data import load_checkpoint, load_parameters
-    from .genotype import DerivedModel, genotype_to_json
-    from .search import _norm_stats, build_datasets, evaluate
+    from .data import load_parameters
+    from .genotype import DerivedModel
+    from .search import _norm_stats, build_datasets, evaluate, load_run_checkpoint
 
     cfg = _load_config(args.config, args.seed)
     genotype = _load_genotype("eval", args.genotype, cfg)
-    arrays, extras = load_checkpoint(args.checkpoint)
-    if extras.get("kind") != "retrain":
-        raise ConfigError(f"eval: {args.checkpoint} is a {extras.get('kind')!r} "
-                          "checkpoint, not a retraining checkpoint of completed epochs")
-    if extras.get("genotype") != genotype_to_json(genotype):
-        raise ConfigError("eval: checkpoint was trained for a different genotype")
+    # no seed check: scoring a model on another seed's split is legitimate
+    arrays, _ = load_run_checkpoint(args.checkpoint, "eval", "retrain", genotype=genotype)
     with dtype_scope(cfg.model.precision):
         import numpy as np
 

@@ -258,32 +258,60 @@ def topk_accuracy(logits: np.ndarray, labels: np.ndarray, k: int) -> float:
     return float((order == labels[:, None]).any(axis=1).mean())
 
 
-class MetricsWriter:
-    """Append-safe CSV metrics log with the fixed header epoch,split,loss,top1,top5."""
+class RunLog:
+    """An append-only run log whose rows each carry their epoch: a CSV row
+    (`header` given; ``\\r\\n`` line ends, as ``csv.writer`` writes) in its
+    first field, a JSONL row under `epoch_key`. Constructing a log only reads
+    and checks the file. Entering it cuts the file, atomically and only if
+    rows go, to the rows of epochs before `start_epoch` (to nothing, unread,
+    if that is 0) and writes the header into an empty file. A cut-short last
+    line is dropped; a complete line without a readable epoch is a DataError
+    naming the file and line. Writes are flushed; closing fsyncs."""
 
-    HEADER = ("epoch", "split", "loss", "top1", "top5")
+    def __init__(self, path, start_epoch: int, header: tuple[str, ...] | None = None,
+                 epoch_key: str = "epoch"):
+        self.path, self.header, self.epoch_key = Path(path), header, epoch_key
+        self._old = self.path.read_bytes() if self.path.exists() else b""
+        kept = []
+        if start_epoch > 0:
+            # the piece after the last newline is empty or a cut-short line
+            lines = [line + b"\n" for line in self._old.split(b"\n")[:-1]]
+            for number, line in enumerate(lines, 1):
+                if (header and number == 1) or self._epoch(line, number) < start_epoch:
+                    kept.append(line)
+        self._kept = b"".join(kept)
 
-    def __init__(self, path):
-        self.path = Path(path)
-        new = not self.path.exists() or self.path.stat().st_size == 0
-        self._fh = open(self.path, "a", newline="")
-        self._writer = csv.writer(self._fh)
-        if new:
-            self._writer.writerow(self.HEADER)
-            self._fh.flush()
+    def _epoch(self, line: bytes, number: int) -> int:
+        try:
+            epoch = (int(line.split(b",", 1)[0]) if self.header
+                     else json.loads(line)[self.epoch_key])
+        except (ValueError, KeyError, TypeError):
+            epoch = None
+        if not isinstance(epoch, int) or isinstance(epoch, bool):
+            raise DataError(f"log: {self.path}: line {number} has no readable epoch: "
+                            f"{line.rstrip()[:80]!r}")
+        return epoch
 
-    def write(self, epoch: int, split: str, loss: float, top1: float, top5: float):
-        self._writer.writerow([epoch, split, repr(float(loss)),
-                               repr(float(top1)), repr(float(top5))])
+    def write(self, *rows) -> None:
+        if self.header:
+            self._csv.writerows(rows)
+        else:
+            self._fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
         self._fh.flush()
+
+    def __enter__(self):
+        if self._kept != self._old:
+            _replace_file(self.path, self._kept)
+        self._fh = open(self.path, "a", newline="")
+        self._csv = csv.writer(self._fh)
+        if self.header and not self._kept:
+            self.write(self.header)
+        return self
 
     def close(self):
         self._fh.flush()
         os.fsync(self._fh.fileno())
         self._fh.close()
-
-    def __enter__(self):
-        return self
 
     def __exit__(self, *exc):
         self.close()

@@ -14,7 +14,6 @@ correction) sits behind ``search.unrolled``.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -24,7 +23,7 @@ import numpy as np
 
 from .autodiff import backward, cross_entropy, dtype_scope, finite_pass, frozen
 from .config import RunConfig, save_config
-from .data import (Batch, BatchPlan, Dataset, MetricsWriter, RNG_RETRAIN, RNG_STAGE,
+from .data import (Batch, BatchPlan, Dataset, RNG_RETRAIN, RNG_STAGE, RunLog,
                    epoch_batches, load_checkpoint, load_parameters, make_synthetic,
                    load_cifar10, manifest_value, resize_images, rng_for,
                    save_checkpoint, sequential_batches, split_dataset, topk_accuracy)
@@ -340,16 +339,14 @@ class SearchResult:
     log_path: Path
 
 
-def _write_alpha_rows(writer, epoch: int, model: Supernet) -> None:
-    logits = model.alpha.logits.data
-    weights = model.alpha.weights()
+def _alpha_rows(epoch: int, model: Supernet):
+    logits, weights = model.alpha.logits.data, model.alpha.weights()
     for layer in range(model.num_layers):
         row = model.alpha.row_for_layer(layer)
         for e in range(NUM_EDGES):
             for k, spec in enumerate(model.alpha.candidates):
-                writer.writerow([epoch, layer, e, spec.name,
-                                 repr(float(logits[row, e, k])),
-                                 repr(float(weights[row, e, k]))])
+                yield [epoch, layer, e, spec.name, repr(float(logits[row, e, k])),
+                       repr(float(weights[row, e, k]))]
 
 
 def _build_optimizers(model: Supernet, cfg: RunConfig) -> tuple[AdamW, AdamW]:
@@ -375,26 +372,34 @@ def _dump_diagnostics(out_dir: Path, state: SearchState, exc: Exception) -> Path
     return path
 
 
-def _keep_rows(path: Path, keep, header: bool = False) -> None:
-    """Rewrite the log at `path`, if any, with only the rows `keep` accepts;
-    a header line is always kept."""
-    if not path.exists():
-        return
-    lines = path.read_bytes().splitlines(keepends=True)
-    head, rows = (lines[:1], lines[1:]) if header else ([], lines)
-    path.write_bytes(b"".join(head + [row for row in rows if keep(row)]))
+def load_run_checkpoint(path, command: str, kind: str, seed: int | None = None,
+                        genotype: Genotype | None = None) -> tuple[dict, dict]:
+    """The arrays and extras of the checkpoint at `path`, refused with an
+    error prefixed `command` unless its kind is `kind` and, where given, its
+    seed is `seed` and its genotype `genotype`."""
+    arrays, extras = load_checkpoint(path)
+    got = extras.get("kind")
+    if got != kind:
+        aborted = " (mid-epoch weights of an aborted run)" if got == "retrain-abort" else ""
+        raise ConfigError(f"{command}: {path} is a {got!r} checkpoint{aborted}, "
+                          f"not a {kind} checkpoint")
+    if seed is not None and manifest_value(path, extras, "seed", int) != seed:
+        raise ConfigError(f"{command}: {path} was written under seed {extras['seed']}, "
+                          f"not the config's seed {seed}")
+    if genotype is not None and extras.get("genotype") != genotype_to_json(genotype):
+        raise ConfigError(f"{command}: {path}: checkpoint genotype differs from the "
+                          "requested genotype")
+    return arrays, extras
 
 
 def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
                resume=None) -> SearchResult:
     """Run the staged search end to end and write every artifact.
 
-    Artifacts: config.json (effective), alpha_history.csv, search_log.jsonl,
-    prune.jsonl (one line per stage boundary: every candidate's score in rank
-    order and the survivors), stage_<n>.ckpt(+.blob) at each stage end,
-    genotype.json. Resuming points
-    at a stage checkpoint and continues from the following stage; a refused
-    checkpoint leaves `out_dir` untouched.
+    Artifacts (README §Artifacts): config.json, alpha_history.csv,
+    search_log.jsonl, prune.jsonl, stage_<n>.ckpt(+.blob), genotype.json.
+    Resuming points at a stage checkpoint and continues from the following
+    stage; a refused checkpoint or log leaves `out_dir` untouched.
     """
     cfg = cfg.validate()
     seed = cfg.seed
@@ -424,10 +429,7 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
         start_stage = 1
         global_epoch = 0
         if resume is not None:
-            arrays, extras = load_checkpoint(resume)
-            if extras.get("kind") != "search-stage":
-                raise ConfigError(f"resume: {resume} is a {extras.get('kind')!r} "
-                                  "checkpoint, not a search-stage checkpoint")
+            arrays, extras = load_run_checkpoint(resume, "resume", "search-stage", seed)
             stage_done = manifest_value(resume, extras, "stage", int)
             global_epoch = manifest_value(resume, extras, "global_epoch", int)
             candidates = [
@@ -444,19 +446,15 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
             model = Supernet.from_config(cfg, list(cfg.candidates), depths[0],
                                          rng_for(seed, RNG_STAGE, 1))
 
-        # nothing is written before the resume checkpoint has been accepted
+        # a resume into its own directory rewrites the epochs it runs, so its
+        # logs end as an uninterrupted run's
+        history = RunLog(out / "alpha_history.csv", global_epoch, header=(
+            "epoch", "layer", "edge", "candidate", "logit", "softmax_weight"))
+        log = RunLog(out / "search_log.jsonl", global_epoch)
+        prune = RunLog(out / "prune.jsonl", global_epoch, epoch_key="global_epoch")
+        # nothing is written before the checkpoint and every log are accepted
         out.mkdir(parents=True, exist_ok=True)
         save_config(cfg, out / "config.json")
-        # drop logged rows of the epochs this run (re)writes, so resuming into
-        # the same directory leaves the logs of an uninterrupted run
-        history_path = out / "alpha_history.csv"
-        log_path = out / "search_log.jsonl"
-        prune_path = out / "prune.jsonl"
-        _keep_rows(history_path, lambda row: int(row.split(b",", 1)[0]) < global_epoch,
-                   header=True)
-        _keep_rows(log_path, lambda row: json.loads(row)["epoch"] < global_epoch)
-        _keep_rows(prune_path, lambda row: json.loads(row)["global_epoch"] < global_epoch)
-        fresh_history = not history_path.exists() or history_path.stat().st_size == 0
 
         w_opt, a_opt = _build_optimizers(model, cfg)
         state = SearchState(model=model, alpha=model.alpha, w_opt=w_opt,
@@ -464,25 +462,19 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
                             unrolled=cfg.search.unrolled, xi=cfg.search.xi)
         schedule: list[tuple[int, int]] = []
 
-        with open(history_path, "a", newline="") as history_fh, \
-                open(log_path, "a") as log_fh, open(prune_path, "a") as prune_fh:
-            history = csv.writer(history_fh)
-            if fresh_history:
-                history.writerow(["epoch", "layer", "edge", "candidate", "logit",
-                                  "softmax_weight"])
+        with history, log, prune:
             try:
                 for stage in range(start_stage, n_stages + 1):
                     if stage > 1:
                         ranking = score_candidates(model.alpha)
                         survivors = prune_candidates(
                             model.alpha, cfg.search.prune_per_stage[stage - 2], ranking)
-                        prune_fh.write(json.dumps({
+                        prune.write({
                             "stage": stage, "global_epoch": global_epoch,
                             "scores": [{"candidate": spec.name, "score": score}
                                        for spec, score in ranking],
                             "survivors": [spec.name for spec in survivors],
-                        }, sort_keys=True) + "\n")
-                        prune_fh.flush()
+                        })
                         model = advance_stage(model, survivors, depths[stage - 1],
                                               cfg, seed, stage)
                         w_opt, a_opt = _build_optimizers(model, cfg)
@@ -499,12 +491,8 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
                                               global_epoch, "val", stats)
                         mark = len(state.log)
                         bilevel_epoch(state, train_b, val_b, lr=lr)
-                        for entry in state.log[mark:]:
-                            log_fh.write(json.dumps(asdict(entry), sort_keys=True)
-                                         + "\n")
-                        _write_alpha_rows(history, global_epoch, model)
-                        history_fh.flush()
-                        log_fh.flush()
+                        log.write(*(asdict(entry) for entry in state.log[mark:]))
+                        history.write(*_alpha_rows(global_epoch, model))
                         global_epoch += 1
                     arrays = model.named_arrays()
                     extras = {
@@ -527,7 +515,7 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
         save_genotype(genotype, genotype_path)
         return SearchResult(genotype=genotype, out_dir=out, schedule=schedule,
                             state=state, genotype_path=genotype_path,
-                            history_path=history_path, log_path=log_path)
+                            history_path=history.path, log_path=log.path)
 
 
 # -- retraining ---------------------------------------------------------------------
@@ -567,20 +555,13 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
 
         start_epoch = 0
         if resume is not None:
-            arrays, extras = load_checkpoint(resume)
-            if extras.get("kind") == "retrain-abort":
-                raise ConfigError(
-                    f"resume: {resume} holds mid-epoch weights of an aborted run; "
-                    "resume from an epoch checkpoint instead")
-            if extras.get("kind") != "retrain":
-                raise ConfigError(f"resume: {resume} is a {extras.get('kind')!r} "
-                                  "checkpoint, not a retraining checkpoint")
-            if extras.get("genotype") != genotype_to_json(genotype):
-                raise ConfigError("resume: checkpoint genotype differs from the "
-                                  "requested genotype")
+            arrays, extras = load_run_checkpoint(resume, "resume", "retrain", seed,
+                                                 genotype)
             start_epoch = manifest_value(resume, extras, "epoch", int) + 1
             load_parameters(params, arrays, resume, opt_state=opt.state_arrays())
             opt.load_state_arrays(arrays)
+        metrics = RunLog(out / "metrics.csv", start_epoch,
+                         header=("epoch", "split", "loss", "top1", "top5"))
         out.mkdir(parents=True, exist_ok=True)
         save_config(cfg, out / "config.json")
 
@@ -600,7 +581,7 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
                     topk_accuracy(logits.data, batch.labels, 5))
 
         history: list[dict] = []
-        def run_epoch(epoch: int, metrics: MetricsWriter):
+        def run_epoch(epoch: int):
             opt.set_lr(sched.lr_at(epoch))
             loss_sum, t1_sum, t5_sum, count = 0.0, 0.0, 0.0, 0
             try:
@@ -618,23 +599,18 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
                     f"retraining aborted on a non-finite value at epoch {epoch}; "
                     f"mid-epoch weights written to {out / 'abort.ckpt'}") from exc
             row = {"epoch": epoch, "split": "train", "loss": loss_sum / count,
-                   "top1": t1_sum / count, "top5": t5_sum / count,
-                   "lr": opt.lr}
-            metrics.write(epoch, "train", row["loss"], row["top1"], row["top5"])
+                   "top1": t1_sum / count, "top5": t5_sum / count, "lr": opt.lr}
+            metrics.write([epoch, "train", row["loss"], row["top1"], row["top5"]])
             history.append(row)
             if cfg.retrain.eval_every and (epoch + 1) % cfg.retrain.eval_every == 0:
                 ev = evaluate(model, test_ds, cfg.retrain.batch_size, stats)
-                metrics.write(epoch, "test", ev["loss"], ev["top1"], ev["top5"])
+                metrics.write([epoch, "test", ev["loss"], ev["top1"], ev["top5"]])
             if cfg.retrain.checkpoint_every and \
                     (epoch + 1) % cfg.retrain.checkpoint_every == 0:
                 checkpoint(f"epoch_{epoch}.ckpt", kind="retrain", epoch=epoch)
 
-        # as in run_search: a resume into the same directory rewrites the
-        # epochs it runs, so its log matches an uninterrupted run's
-        _keep_rows(out / "metrics.csv",
-                   lambda row: int(row.split(b",", 1)[0]) < start_epoch, header=True)
-        with MetricsWriter(out / "metrics.csv") as metrics:
+        with metrics:
             for epoch in range(start_epoch, cfg.retrain.epochs):
-                run_epoch(epoch, metrics)
+                run_epoch(epoch)
         checkpoint("model.ckpt", kind="retrain", epoch=cfg.retrain.epochs - 1)
         return model, history

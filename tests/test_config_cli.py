@@ -319,10 +319,12 @@ def test_cli_search_resume_refuses_a_retraining_checkpoint(tmp_path, capsys):
     ("search", "global_epoch", -1),
     ("search", "candidates", None),
     ("search", "candidates", [None]),
+    ("search", "seed", ...),
     ("retrain", "epoch", ...),
     ("retrain", "epoch", True),
+    ("retrain", "seed", True),
 ], ids=["no-layers", "stage-x", "negative-global-epoch", "null-candidates",
-        "null-candidate", "no-epoch", "bool-epoch"])
+        "null-candidate", "no-seed", "no-epoch", "bool-epoch", "bool-seed"])
 def test_cli_resume_refuses_malformed_checkpoint_extras(tmp_path, capsys, command,
                                                         key, value):
     cfg = desk_config()
@@ -352,6 +354,26 @@ def test_cli_resume_refuses_malformed_checkpoint_extras(tmp_path, capsys, comman
     assert f"checkpoint: {ckpt}: extras" in captured.err
     assert key in captured.err
     assert not out.exists()
+
+
+def test_cli_resume_refuses_a_malformed_log_line_and_changes_nothing(tmp_path, capsys):
+    cfg_path = _tiny_search_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["search", "--config", str(cfg_path), "--out", str(out),
+                 "--stages", "1"]) == 0
+    capsys.readouterr()
+    log = out / "search_log.jsonl"
+    lines = log.read_bytes().splitlines(keepends=True)
+    assert len(lines) >= 3
+    log.write_bytes(lines[0] + b'{"step": 1}\n' + b"".join(lines[2:]))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    code = main(["search", "--config", str(cfg_path), "--out", str(out),
+                 "--resume", str(out / "stage_1.ckpt")])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.startswith(f"error: log: {log}: line 2 has no readable epoch")
+    assert captured.err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_final_norm_false_retrains_analyzes_and_refuses_a_final_norm_eval(tmp_path,

@@ -1,4 +1,6 @@
 import json
+import os
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from dasvit import Tensor
 from dasvit import data as data_mod
-from dasvit.data import (BatchPlan, MetricsWriter, epoch_batches,
+from dasvit.data import (BatchPlan, RunLog, epoch_batches,
                          load_checkpoint, load_cifar10, load_parameters, make_synthetic,
                          normalize, resize_images, save_checkpoint,
                          split_dataset, topk_accuracy)
@@ -175,17 +177,90 @@ def test_batch_split_tag_and_normalization():
 # -- metrics ---------------------------------------------------------------------------
 
 
+METRICS_HEADER = ("epoch", "split", "loss", "top1", "top5")
+
+
 def test_metrics_csv_header_and_rows(tmp_path):
     path = tmp_path / "metrics.csv"
-    with MetricsWriter(path) as w:
-        w.write(0, "train", 1.25, 0.5, 1.0)
+    with RunLog(path, 0, header=METRICS_HEADER) as w:
+        w.write([0, "train", 1.25, 0.5, 1.0])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,split,loss,top1,top5"
     assert lines[1].startswith("0,train,1.25,0.5,1.0")
-    with MetricsWriter(path) as w:  # append-safe: no second header
-        w.write(1, "train", 1.0, 0.6, 1.0)
+    with RunLog(path, 1, header=METRICS_HEADER) as w:  # append-safe: no second header
+        w.write([1, "train", 1.0, 0.6, 1.0])
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 3 and lines[2].startswith("1,train")
+
+
+def test_run_log_line_ends_flush_and_fsync_on_close(tmp_path, monkeypatch):
+    synced, fsync = [], os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), fsync(fd)))
+    csv_path, json_path = tmp_path / "a.csv", tmp_path / "b.jsonl"
+    with RunLog(csv_path, 0, header=("epoch", "x")) as csv_log, \
+            RunLog(json_path, 0) as json_log:
+        csv_log.write([0, 1.5], [1, 2.5])
+        json_log.write({"x": 1.5, "epoch": 0})
+        assert csv_path.read_bytes() == b"epoch,x\r\n0,1.5\r\n1,2.5\r\n"
+        assert json_path.read_bytes() == b'{"epoch": 0, "x": 1.5}\n'
+        assert not synced
+    assert len(synced) == 2
+
+
+def _jsonl(rows) -> bytes:
+    return b"".join(json.dumps(r, sort_keys=True).encode() + b"\n" for r in rows)
+
+
+def test_run_log_cut_keeps_earlier_epochs_and_drops_a_cut_short_line(tmp_path):
+    path = tmp_path / "log.jsonl"
+    rows = [{"epoch": e, "step": s} for e in range(3) for s in range(2)]
+    path.write_bytes(_jsonl(rows) + b'{"epoch": 3, "l1": 0.')
+    with RunLog(path, 2) as log:
+        log.write({"epoch": 2, "step": 0})
+    assert path.read_bytes() == _jsonl(rows[:4] + [{"epoch": 2, "step": 0}])
+
+    csv_path = tmp_path / "log.csv"
+    csv_path.write_bytes(b"epoch,x\r\n0,a\r\n1,b\r\n1")  # "1" was "12,c"
+    with RunLog(csv_path, 2, header=("epoch", "x")) as log:
+        log.write([2, "c"])
+    assert csv_path.read_bytes() == b"epoch,x\r\n0,a\r\n1,b\r\n2,c\r\n"
+
+
+def test_run_log_rewrites_only_when_rows_go(tmp_path, monkeypatch):
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(_jsonl([{"epoch": 0}, {"epoch": 1}]))
+    replaced = []
+    monkeypatch.setattr(data_mod, "_replace_file", lambda p, _: replaced.append(p))
+    with RunLog(path, 2):
+        pass
+    assert replaced == []
+    with RunLog(path, 1):
+        pass
+    assert replaced == [path]
+
+
+@pytest.mark.parametrize("header, key, bad", [
+    (None, "epoch", b"not json"),
+    (None, "epoch", b'{"step": 1}'),
+    (None, "epoch", b'{"epoch": true}'),
+    (None, "epoch", b'[0]'),
+    (None, "global_epoch", b'{"epoch": 1}'),
+    (("epoch", "x"), "epoch", b"x,1\r"),
+    (("epoch", "x"), "epoch", b"\r"),
+], ids=["not-json", "no-key", "bool-epoch", "list", "other-key", "csv-text", "csv-blank"])
+def test_run_log_refuses_a_line_without_an_epoch(tmp_path, header, key, bad):
+    path = tmp_path / "log"
+    first = b"epoch,x\r\n" if header else b""
+    row = b"0,1\r\n" if header else _jsonl([{"epoch": 0, "global_epoch": 0}])
+    text = first + row + bad + b"\n" + row
+    path.write_bytes(text)
+    line = 3 if header else 2
+    with pytest.raises(DataError, match=f"^log: {re.escape(str(path))}: line {line} "):
+        RunLog(path, 1, header=header, epoch_key=key)
+    assert path.read_bytes() == text
+    with RunLog(path, 0, header=header, epoch_key=key):  # a fresh run: unread
+        pass
+    assert path.read_bytes() == first
 
 
 def test_topk_accuracy_chance_and_ordering():

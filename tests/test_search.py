@@ -2,12 +2,16 @@ import csv
 import dataclasses
 import gc
 import json
+import os
+import re
 import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dasvit
 from dasvit import (AdamW, AlphaTable, DerivedModel, FairnessConfig, OpSpec, Supernet,
                     derive_genotype, desk_config, dtype_scope, run_search, retrain,
                     schedule_preview, score_candidates, searched_encoder_genotype)
@@ -645,10 +649,16 @@ def test_resume_from_stage_checkpoint_matches_uninterrupted(tmp_path):
     resumed_rows = rows_from(resumed.history_path, 1)
     assert resumed_rows == full_rows
 
-    # resumed into its own directory, which already logs epochs 0-2, the run
-    # rewrites epochs 1-2 and leaves every file as the uninterrupted run did
+    # resumed into its own directory, which already logs epochs 0-2 and ends
+    # each log in a line cut short by a kill, the run rewrites epochs 1-2 and
+    # leaves every file as the uninterrupted run did
     inplace = tmp_path / "inplace"
     shutil.copytree(tmp_path / "full", inplace)
+    for name, tail in (("alpha_history.csv", b"1"),
+                       ("search_log.jsonl", b'{"epoch": 2, "l1": 0.'),
+                       ("prune.jsonl", b'{"global_epoch": 2, "sc')):
+        with open(inplace / name, "ab") as fh:
+            fh.write(tail)
     run_search(cfg, inplace, resume=inplace / "stage_1.ckpt")
     files = sorted(p.name for p in (tmp_path / "full").iterdir())
     assert sorted(p.name for p in inplace.iterdir()) == files
@@ -786,15 +796,39 @@ def test_retrain_resume_into_its_own_directory_matches_straight_run(tmp_path):
     cfg = _retrain_cfg(6, checkpoint_every=3, eval_every=2)
     retrain(g, cfg, tmp_path / "straight")
 
-    # the copy already logs epochs 0-5; resuming from epoch 2 rewrites 3-5
+    # the copy already logs epochs 0-5 and ends in a line cut short by a kill;
+    # resuming from epoch 2 rewrites 3-5
     inplace = tmp_path / "inplace"
     shutil.copytree(tmp_path / "straight", inplace)
+    with open(inplace / "metrics.csv", "ab") as fh:
+        fh.write(b"1")
     retrain(g, cfg, inplace, resume=inplace / "epoch_2.ckpt")
     files = sorted(p.name for p in (tmp_path / "straight").iterdir())
     assert sorted(p.name for p in inplace.iterdir()) == files
     for name in files:
         assert (inplace / name).read_bytes() == \
             (tmp_path / "straight" / name).read_bytes(), name
+
+
+def test_a_failed_log_cut_keeps_the_log(tmp_path, monkeypatch):
+    g = searched_encoder_genotype(desk_config().model.dims(), depth=1, heads=4)
+    cfg = _retrain_cfg(4, checkpoint_every=2)
+    out = tmp_path / "run"
+    retrain(g, cfg, out)
+    before = (out / "metrics.csv").read_bytes()
+    calls = []
+
+    def refuse(src, dst):
+        calls.append(Path(dst).name)
+        raise OSError("injected rename failure")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="injected"):
+        retrain(g, cfg, out, resume=out / "epoch_1.ckpt")
+    monkeypatch.undo()
+    assert calls == ["metrics.csv"]
+    assert (out / "metrics.csv").read_bytes() == before
+    assert not list(out.glob("*.tmp"))
 
 
 def test_retrain_resume_refuses_a_checkpoint_missing_optimizer_state(tmp_path):
@@ -887,17 +921,35 @@ def test_evaluate_names_the_primitive_behind_a_nonfinite_logit():
 
 @pytest.mark.parametrize("entry", ["search", "retrain"])
 def test_a_refused_resume_leaves_no_run_directory(tmp_path, entry):
+    kind = "search-stage" if entry == "search" else "retrain"
     wrong = "retrain" if entry == "search" else "search-stage"
-    ckpt = tmp_path / "other.ckpt"
-    save_checkpoint(ckpt, {"w": np.zeros(1, dtype=np.float32)}, {"kind": wrong})
-    out = tmp_path / "fresh" / "run"
-    with pytest.raises(ConfigError, match=f"is a '{wrong}' checkpoint"):
-        if entry == "search":
-            run_search(_small_cfg(stages=1, epochs_per_stage=1), out, resume=ckpt)
-        else:
-            g = searched_encoder_genotype(desk_config().model.dims(), depth=1, heads=4)
-            retrain(g, _retrain_cfg(1), out, resume=ckpt)
-    assert not (tmp_path / "fresh").exists()
+    for extras, message in (
+            ({"kind": wrong}, f"is a '{wrong}' checkpoint"),
+            ({"kind": kind, "seed": 1}, "was written under seed 1, not the config's seed 7")):
+        ckpt = tmp_path / "other.ckpt"
+        save_checkpoint(ckpt, {"w": np.zeros(1, dtype=np.float32)}, extras)
+        out = tmp_path / "fresh" / "run"
+        with pytest.raises(ConfigError, match=f"^resume: {ckpt} {message}"):
+            if entry == "search":
+                run_search(_small_cfg(seed=7, stages=1, epochs_per_stage=1), out,
+                           resume=ckpt)
+            else:
+                g = searched_encoder_genotype(desk_config().model.dims(), depth=1, heads=4)
+                retrain(g, _retrain_cfg(1, seed=7), out, resume=ckpt)
+        assert not (tmp_path / "fresh").exists()
+
+
+def test_every_artifact_a_run_writes_is_in_the_readme_tables(tmp_path):
+    readme = (Path(dasvit.__file__).resolve().parents[2] / "README.md").read_text()
+    artifacts = readme[readme.index("\n## Artifacts\n"):]
+    artifacts = artifacts[:artifacts.index("\n## ", 1)]
+    run_search(_small_cfg(seed=5, stages=1, epochs_per_stage=1, prune_per_stage=[0]),
+               tmp_path / "search")
+    g = searched_encoder_genotype(desk_config().model.dims(), depth=1, heads=4)
+    retrain(g, _retrain_cfg(1, checkpoint_every=1), tmp_path / "retrain")
+    names = {re.sub(r"_\d+\.", "_<n>.", p.name) for p in tmp_path.glob("*/*")}
+    assert {"stage_<n>.ckpt.blob", "epoch_<n>.ckpt", "metrics.csv"} <= names
+    assert sorted(n for n in names if f"`{n}`" not in artifacts) == []
 
 
 def test_retrain_rejects_class_mismatch(tmp_path):
