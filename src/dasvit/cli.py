@@ -120,7 +120,7 @@ def _cmd_eval(args) -> int:
     from .autodiff import dtype_scope
     from .data import load_parameters
     from .genotype import DerivedModel
-    from .search import _norm_stats, build_datasets, evaluate, load_run_checkpoint
+    from .search import build_datasets, evaluate, load_run_checkpoint
 
     cfg = _load_config(args.config, args.seed)
     genotype = _load_genotype("eval", args.genotype, cfg)
@@ -135,7 +135,7 @@ def _cmd_eval(args) -> int:
         load_parameters(model.named_parameters(), arrays, args.checkpoint)
         train_ds, test_ds = build_datasets(cfg, cfg.seed)
         dataset = train_ds if args.split == "train" else test_ds
-        result = evaluate(model, dataset, cfg.retrain.batch_size, _norm_stats(cfg))
+        result = evaluate(model, dataset, cfg.retrain.batch_size)
     doc = {"split": args.split, **result}
     print(json.dumps(doc, indent=2, sort_keys=True))
     if args.out:

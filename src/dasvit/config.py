@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import types
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
 from .fairness import FairnessConfig
-from .ops import DEFAULT_CANDIDATES, ModelDims, OpSpec, is_finite_number
+from .ops import DEFAULT_CANDIDATES, ModelDims, OpSpec, json_key, read_json
 from .selector import GRAD_MODES
 
 
@@ -134,6 +132,9 @@ class RunConfig:
                 f"search.prune_per_stage: need at least {s.stages} entries")
         if not 0 < s.val_fraction < 1:
             raise ConfigError("search.val_fraction: must lie in (0, 1)")
+        for key, size in (("search", s.batch_size), ("retrain", self.retrain.batch_size)):
+            if size < 1:
+                raise ConfigError(f"{key}.batch_size: must be >= 1, got {size}")
         if self.retrain.warmup_epochs > self.retrain.epochs:
             raise ConfigError(
                 f"retrain.warmup_epochs: {self.retrain.warmup_epochs} exceeds "
@@ -149,57 +150,18 @@ class RunConfig:
 
             self.data.normalize_mean = list(CIFAR10_MEAN)
             self.data.normalize_std = list(CIFAR10_STD)
+        mean, std = self.data.normalize_mean, self.data.normalize_std
+        if mean is not None:
+            for key, values in (("mean", mean), ("std", std)):
+                if len(values) != self.model.channels:
+                    raise ConfigError(f"data.normalize_{key}: {len(values)} entries, but "
+                                      f"model.channels is {self.model.channels}")
+            if min(std) <= 0:
+                raise ConfigError(f"data.normalize_std: entries must be > 0, got {std}")
         return self
 
 
 # -- json round trip -----------------------------------------------------------------
-
-def _field_key(f: dataclasses.Field) -> str:
-    return f.metadata.get("json", f.name)
-
-
-#: What a JSON leaf must be to fill a field of each scalar type.
-_SCALARS = {
-    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: ("a finite number", is_finite_number),
-    bool: ("true or false", lambda v: isinstance(v, bool)),
-    str: ("a string", lambda v: isinstance(v, str)),
-}
-
-
-def _from_json_value(hint, value, path: str):
-    """`value` checked against the field type `hint`; nested configs and
-    candidate ops are built from their JSON objects."""
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
-        if value is None:
-            return None
-        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
-    if hint is OpSpec:
-        return OpSpec.from_json(value, path)
-    if dataclasses.is_dataclass(hint):
-        return _from_dict(hint, value, path)
-    if typing.get_origin(hint) is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}: expected a list, got {value!r}")
-        (item,) = typing.get_args(hint)
-        return [_from_json_value(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
-    expected, accepts = _SCALARS[hint]
-    if not accepts(value):
-        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
-    return value
-
-
-def _from_dict(cls, doc, path: str):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected an object")
-    hints = typing.get_type_hints(cls)
-    by_key = {_field_key(f): f for f in dataclasses.fields(cls)}
-    for key in doc:
-        if key not in by_key:
-            raise ConfigError(f"{path}.{key}: unknown key")
-    return cls(**{f.name: _from_json_value(hints[f.name], doc[key], f"{path}.{key}")
-                  for key, f in by_key.items() if key in doc})
-
 
 def _to_dict(obj):
     if isinstance(obj, OpSpec):
@@ -207,7 +169,7 @@ def _to_dict(obj):
     if dataclasses.is_dataclass(obj):
         out = {}
         for f in dataclasses.fields(obj):
-            out[_field_key(f)] = _to_dict(getattr(obj, f.name))
+            out[json_key(f)] = _to_dict(getattr(obj, f.name))
         return out
     if isinstance(obj, (list, tuple)):
         return [_to_dict(v) for v in obj]
@@ -219,7 +181,7 @@ def config_to_json(cfg: RunConfig) -> dict:
 
 
 def config_from_json(doc: dict) -> RunConfig:
-    return _from_dict(RunConfig, doc, "config").validate()
+    return read_json(RunConfig, doc, "config").validate()
 
 
 def load_config(path) -> RunConfig:

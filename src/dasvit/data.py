@@ -34,9 +34,10 @@ def rng_for(seed: int, *tags: int) -> np.random.Generator:
 
 @dataclass
 class Dataset:
-    """Images in [0, 1] with integer labels; normalization happens at batch time."""
+    """Images with integer labels: in [0, 1] as loaded or generated, and
+    normalized by `search.build_datasets` when the config asks for it."""
 
-    images: np.ndarray  # (M, H, W, C) float32 in [0, 1]
+    images: np.ndarray  # (M, H, W, C) float32
     labels: np.ndarray  # (M,) int64 in [0, classes)
     classes: int
 
@@ -210,7 +211,7 @@ _SPLIT_IDS = {"train": 0, "val": 1, "test": 2}
 
 
 def epoch_batches(dataset: Dataset, indices: np.ndarray, plan: BatchPlan,
-                  epoch: int, split: str, stats=None) -> list[Batch]:
+                  epoch: int, split: str) -> list[Batch]:
     """Seeded per-epoch shuffle of `indices`, chunked into batches.
 
     The order is a pure function of (seed, split, epoch), so resumed runs see
@@ -223,24 +224,17 @@ def epoch_batches(dataset: Dataset, indices: np.ndarray, plan: BatchPlan,
         chunk = order[start:start + plan.batch_size]
         if plan.drop_last and len(chunk) < plan.batch_size:
             break
-        images = dataset.images[chunk]
-        if stats is not None:
-            images = normalize(images, stats[0], stats[1])
-        batches.append(Batch(images=images, labels=dataset.labels[chunk],
+        batches.append(Batch(images=dataset.images[chunk], labels=dataset.labels[chunk],
                              indices=chunk, split=split))
     return batches
 
 
-def sequential_batches(dataset: Dataset, batch_size: int, split: str = "test",
-                       stats=None) -> list[Batch]:
+def sequential_batches(dataset: Dataset, batch_size: int, split: str = "test") -> list[Batch]:
     idx = np.arange(len(dataset))
     batches = []
     for start in range(0, len(idx), batch_size):
         chunk = idx[start:start + batch_size]
-        images = dataset.images[chunk]
-        if stats is not None:
-            images = normalize(images, stats[0], stats[1])
-        batches.append(Batch(images=images, labels=dataset.labels[chunk],
+        batches.append(Batch(images=dataset.images[chunk], labels=dataset.labels[chunk],
                              indices=chunk, split=split))
     return batches
 

@@ -37,10 +37,10 @@ class FairnessConfig:
     def __post_init__(self):
         if not 0 <= self.gamma_min <= self.gamma_max <= 1:
             raise ConfigError(
-                f"fairness: need 0 <= gamma_min <= gamma_max <= 1, "
+                f"FairnessConfig: need 0 <= gamma_min <= gamma_max <= 1, "
                 f"got ({self.gamma_min}, {self.gamma_max})")
         if min(self.a, self.b, self.zeta1, self.zeta2) < 0:
-            raise ConfigError("fairness: a, b, zeta1, zeta2 must be nonnegative")
+            raise ConfigError("FairnessConfig: a, b, zeta1, zeta2 must be nonnegative")
 
 
 def _scalar_zero() -> Tensor:

@@ -23,9 +23,9 @@ import numpy as np
 
 from .autodiff import Tensor
 from .data import load_parameters
-from .errors import GenotypeError
+from .errors import DasvitError, GenotypeError
 from .ops import (CELL_EDGES, INTERMEDIATE_NODES, EmbedParams, ModelDims, Module,
-                  OpSpec, build_op, mlp_hidden_dim, walk_cell)
+                  OpSpec, build_op, mlp_hidden_dim, read_json, walk_cell)
 
 SCHEMA_VERSION = 1
 OPS_PER_ACT_ELEMENT = 5
@@ -43,20 +43,20 @@ class Genotype:
 
     def __post_init__(self):
         if self.depth < 1:
-            raise GenotypeError("genotype: depth must be >= 1")
+            raise GenotypeError("Genotype: depth must be >= 1")
         if len(self.nodes) != 2:
-            raise GenotypeError("genotype: exactly two intermediate nodes required")
+            raise GenotypeError("Genotype: exactly two intermediate nodes required")
         for j, pairs in enumerate(self.nodes):
             node_id = 2 + j
             if len(pairs) != 2:
                 raise GenotypeError(
-                    f"genotype: node {node_id} must keep exactly 2 edges, got {len(pairs)}")
+                    f"Genotype: node {node_id} must keep exactly 2 edges, got {len(pairs)}")
             for src, spec in pairs:
                 if not 0 <= src < node_id:
                     raise GenotypeError(
-                        f"genotype: node {node_id} has invalid source {src}")
+                        f"Genotype: node {node_id} has invalid source {src}")
                 if spec.kind == "zero":
-                    raise GenotypeError("genotype: zero op cannot be retained")
+                    raise GenotypeError("Genotype: zero op cannot be retained")
 
     def ops(self) -> list[OpSpec]:
         return [spec for pairs in self.nodes for _, spec in pairs]
@@ -113,63 +113,47 @@ def genotype_to_json(g: Genotype) -> dict:
     }
 
 
-def _require(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise GenotypeError(f"{path}.{key}: missing required key")
-    return doc[key]
+@dataclass
+class _DimsDoc:
+    embed: int
+    patch: int
+    image: int
+    depth: int
+    classes: int
+    channels: int = 3
 
 
-def _check_keys(doc: dict, allowed: set[str], path: str):
-    if not isinstance(doc, dict):
-        raise GenotypeError(f"{path}: expected an object")
-    for key in doc:
-        if key not in allowed:
-            raise GenotypeError(f"{path}.{key}: unknown key")
+@dataclass
+class _PairDoc:
+    src: int
+    op: OpSpec
+
+
+@dataclass
+class _GenotypeDoc:
+    """The JSON document `genotype_to_json` writes, field for field."""
+
+    version: int
+    dims: _DimsDoc
+    nodes: list[list[_PairDoc]]
 
 
 def genotype_from_json(doc: dict, path: str = "genotype") -> Genotype:
-    _check_keys(doc, {"version", "dims", "nodes"}, path)
-    version = _require(doc, "version", path)
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise GenotypeError(f"{path}.version: unsupported version {version!r}")
-    dims_doc = _require(doc, "dims", path)
-    _check_keys(dims_doc, {"embed", "patch", "image", "depth", "classes", "channels"},
-                f"{path}.dims")
-    dims_doc = {"channels": 3, **dims_doc}  # channels is optional
-    for key in ("embed", "patch", "image", "depth", "classes", "channels"):
-        value = _require(dims_doc, key, f"{path}.dims")
-        if type(value) is not int or value < 1:  # a bool is no integer here
+    g = read_json(_GenotypeDoc, doc, path, GenotypeError)
+    if g.version != SCHEMA_VERSION:
+        raise GenotypeError(f"{path}.version: unsupported version {g.version!r}")
+    for key, value in vars(g.dims).items():
+        if value < 1:
             raise GenotypeError(f"{path}.dims.{key}: expected a positive integer")
-    dims = ModelDims(dim=dims_doc["embed"], patch=dims_doc["patch"],
-                     image=dims_doc["image"], classes=dims_doc["classes"],
-                     channels=dims_doc["channels"])
-    nodes_doc = _require(doc, "nodes", path)
-    if not isinstance(nodes_doc, list) or len(nodes_doc) != 2:
-        raise GenotypeError(f"{path}.nodes: expected a list of 2 node entries")
-    nodes = []
-    for j, pairs_doc in enumerate(nodes_doc):
-        node_path = f"{path}.nodes[{j}]"
-        if not isinstance(pairs_doc, list) or len(pairs_doc) != 2:
-            raise GenotypeError(f"{node_path}: expected exactly 2 (src, op) pairs")
-        pairs = []
-        for i, pair_doc in enumerate(pairs_doc):
-            pair_path = f"{node_path}[{i}]"
-            _check_keys(pair_doc, {"src", "op"}, pair_path)
-            src = _require(pair_doc, "src", pair_path)
-            if type(src) is not int:
-                raise GenotypeError(f"{pair_path}.src: expected an integer")
-            try:
-                spec = OpSpec.from_json(_require(pair_doc, "op", pair_path),
-                                        f"{pair_path}.op")
-            except Exception as exc:
-                raise GenotypeError(str(exc)) from None
-            pairs.append((src, spec))
-        nodes.append(_canonical_pairs(pairs))
+    if len(g.nodes) != 2 or any(len(pairs) != 2 for pairs in g.nodes):
+        raise GenotypeError(f"{path}.nodes: expected 2 nodes of 2 (src, op) pairs each")
+    d = g.dims
     try:
-        return Genotype(dims, dims_doc["depth"], (nodes[0], nodes[1]))
-    except GenotypeError:
-        raise
-    except Exception as exc:  # dims validation errors surface with path
+        dims = ModelDims(dim=d.embed, patch=d.patch, image=d.image, classes=d.classes,
+                         channels=d.channels)
+        return Genotype(dims, d.depth, tuple(
+            _canonical_pairs((pair.src, pair.op) for pair in pairs) for pairs in g.nodes))
+    except DasvitError as exc:
         raise GenotypeError(f"{path}: {exc}") from None
 
 

@@ -21,14 +21,17 @@ every derived model; `CELL_EDGES` holds its topology and `walk_cell` runs it:
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import types
+import typing
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DasvitError, ShapeError
 
 OP_KINDS = ("zero", "identity", "msa", "mlp")
 INIT_STD = 0.02
@@ -42,6 +45,66 @@ def is_finite_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         return False
+
+
+# -- the JSON reader -----------------------------------------------------------------
+
+def json_key(f: dataclasses.Field) -> str:
+    return f.metadata.get("json", f.name)
+
+
+#: What a JSON leaf must be to fill a field of each scalar type.
+_SCALARS = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a finite number", is_finite_number),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _read_value(hint, value, path: str, error: type[DasvitError]):
+    """`value` checked against the field type `hint`; nested dataclasses are
+    built from their JSON objects and a float field holds a Python float."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        if value is None:
+            return None
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    if dataclasses.is_dataclass(hint):
+        return read_json(hint, value, path, error)
+    if typing.get_origin(hint) is list:
+        if not isinstance(value, list):
+            raise error(f"{path}: expected a list, got {value!r}")
+        (item,) = typing.get_args(hint)
+        return [_read_value(item, v, f"{path}[{i}]", error) for i, v in enumerate(value)]
+    expected, accepts = _SCALARS[hint]
+    if not accepts(value):
+        raise error(f"{path}: expected {expected}, got {value!r}")
+    return float(value) if hint is float else value
+
+
+def read_json(cls, doc, path: str, error: type[DasvitError] = ConfigError):
+    """The dataclass `cls` built from the JSON object `doc` at `path`, each
+    field read by its type annotation under its JSON key. An unknown key, a
+    missing key of a field without a default, a value of the wrong type and
+    a `DasvitError` of the dataclass's own checks raise `error` naming the
+    JSON path."""
+    if not isinstance(doc, dict):
+        raise error(f"{path}: expected an object")
+    hints = typing.get_type_hints(cls)
+    by_key = {json_key(f): f for f in dataclasses.fields(cls)}
+    for key in doc:
+        if key not in by_key:
+            raise error(f"{path}.{key}: unknown key")
+    kwargs = {}
+    for key, f in by_key.items():
+        if key in doc:
+            kwargs[f.name] = _read_value(hints[f.name], doc[key], f"{path}.{key}", error)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise error(f"{path}.{key}: missing required key")
+    try:
+        return cls(**kwargs)
+    except DasvitError as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -77,32 +140,11 @@ class OpSpec:
         return self.kind
 
     def to_json(self) -> dict:
-        if self.kind == "msa":
-            return {"kind": "msa", "heads": self.heads}
-        if self.kind == "mlp":
-            return {"kind": "mlp", "ratio": self.ratio}
-        return {"kind": self.kind}
+        return {key: value for key, value in vars(self).items() if value is not None}
 
     @staticmethod
     def from_json(doc, path: str = "op") -> "OpSpec":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}: expected an object")
-        known = {"kind", "heads", "ratio"}
-        for key in doc:
-            if key not in known:
-                raise ConfigError(f"{path}.{key}: unknown key")
-        kind = doc.get("kind")
-        if kind not in OP_KINDS:
-            raise ConfigError(f"{path}.kind: expected one of {OP_KINDS}, got {kind!r}")
-        heads = doc.get("heads")
-        ratio = doc.get("ratio")
-        if ratio is not None and not is_finite_number(ratio):
-            raise ConfigError(f"{path}.ratio: expected a finite number, got {ratio!r}")
-        try:
-            return OpSpec(kind, heads=heads,
-                          ratio=float(ratio) if ratio is not None else None)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+        return read_json(OpSpec, doc, path)
 
 
 #: The full eight-operation registry used when the embedding width permits it.

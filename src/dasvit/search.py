@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .autodiff import backward, cross_entropy, dtype_scope, finite_pass, frozen
 from .config import RunConfig, save_config
 from .data import (Batch, BatchPlan, Dataset, RNG_RETRAIN, RNG_STAGE, RunLog,
                    epoch_batches, load_checkpoint, load_parameters, make_synthetic,
-                   load_cifar10, manifest_value, resize_images, rng_for,
+                   load_cifar10, manifest_value, normalize, resize_images, rng_for,
                    save_checkpoint, sequential_batches, split_dataset, topk_accuracy)
 from .errors import ConfigError, DataError, GenotypeError, NonFiniteError, SearchAbort
 from .fairness import FairnessConfig, skip_fairness, type_fairness
@@ -276,7 +277,8 @@ def bilevel_epoch(state: SearchState, train_batches: list[Batch],
 
 
 def build_datasets(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
-    """(train, held-out) datasets per the data config."""
+    """(train, held-out) datasets per the data config, resized and then
+    normalized when it says so."""
     if cfg.data.source == "synthetic":
         syn = cfg.data.synthetic
         train = make_synthetic(syn.classes, syn.per_class, syn.image, seed,
@@ -287,25 +289,18 @@ def build_datasets(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
         if cfg.data.dir is None:
             raise DataError("data.dir: required for cifar10")
         train, test = load_cifar10(cfg.data.dir)
-    if cfg.data.resize is not None:
-        train = Dataset(resize_images(train.images, cfg.data.resize),
-                        train.labels, train.classes)
-        test = Dataset(resize_images(test.images, cfg.data.resize),
-                       test.labels, test.classes)
+    for ds in (train, test):
+        if cfg.data.resize is not None:
+            ds.images = resize_images(ds.images, cfg.data.resize)
+        if cfg.data.normalize_mean is not None:
+            ds.images = normalize(ds.images, cfg.data.normalize_mean, cfg.data.normalize_std)
     return train, test
-
-
-def _norm_stats(cfg: RunConfig):
-    if cfg.data.normalize_mean is None:
-        return None
-    return (np.asarray(cfg.data.normalize_mean, dtype=np.float32),
-            np.asarray(cfg.data.normalize_std, dtype=np.float32))
 
 
 # -- evaluation ----------------------------------------------------------------------
 
 
-def evaluate(model, dataset: Dataset, batch_size: int, stats=None) -> dict:
+def evaluate(model, dataset: Dataset, batch_size: int) -> dict:
     """Loss/top-1/top-5 of `model` over `dataset`, batched sequentially.
 
     Every tensor of ``model.named_parameters()`` is frozen for the pass, so
@@ -315,7 +310,7 @@ def evaluate(model, dataset: Dataset, batch_size: int, stats=None) -> dict:
     """
     losses, top1, top5, total = 0.0, 0.0, 0.0, 0
     with frozen(model.named_parameters().values()):
-        for batch in sequential_batches(dataset, batch_size, stats=stats):
+        for batch in sequential_batches(dataset, batch_size):
             logits, loss = finite_pass(lambda: _logits_and_loss(model, batch))
             n = len(batch.labels)
             losses += float(loss.data) * n
@@ -392,6 +387,17 @@ def load_run_checkpoint(path, command: str, kind: str, seed: int | None = None,
     return arrays, extras
 
 
+def _remove_stale(out: Path, resume, numbered: str, start: int, names) -> None:
+    """Delete from `out` what an earlier run left that a run resumed from
+    `resume` writes again: ``<numbered>_<n>.ckpt(.blob)`` for n >= `start`,
+    and `names`. The checkpoint `resume` itself stays."""
+    keep = {Path(resume).resolve(), Path(f"{resume}.blob").resolve()}
+    for path in out.glob("*"):
+        n = re.fullmatch(rf"{numbered}_(\d+)\.ckpt(\.blob)?", path.name)
+        if (path.name in names or n and int(n[1]) >= start) and path.resolve() not in keep:
+            path.unlink()
+
+
 def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
                resume=None) -> SearchResult:
     """Run the staged search end to end and write every artifact.
@@ -399,7 +405,9 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
     Artifacts (README §Artifacts): config.json, alpha_history.csv,
     search_log.jsonl, prune.jsonl, stage_<n>.ckpt(+.blob), genotype.json.
     Resuming points at a stage checkpoint and continues from the following
-    stage; a refused checkpoint or log leaves `out_dir` untouched.
+    stage, first deleting the later stages' checkpoints, genotype.json and
+    diagnostic.json from `out_dir`; a refused checkpoint or log leaves
+    `out_dir` untouched.
     """
     cfg = cfg.validate()
     seed = cfg.seed
@@ -417,7 +425,6 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
     with dtype_scope(cfg.model.precision):
         train_ds, _ = build_datasets(cfg, seed)
         split = split_dataset(len(train_ds), cfg.search.val_fraction, seed)
-        stats = _norm_stats(cfg)
         plan = BatchPlan(batch_size=cfg.search.batch_size, seed=seed, drop_last=True)
 
         w_sched = LrSchedule(base_lr=cfg.search.lr,
@@ -453,6 +460,9 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
         log = RunLog(out / "search_log.jsonl", global_epoch)
         prune = RunLog(out / "prune.jsonl", global_epoch, epoch_key="global_epoch")
         # nothing is written before the checkpoint and every log are accepted
+        if resume is not None:
+            _remove_stale(out, resume, "stage", start_stage,
+                          ("genotype.json", "diagnostic.json"))
         out.mkdir(parents=True, exist_ok=True)
         save_config(cfg, out / "config.json")
 
@@ -486,9 +496,9 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
                         state.epoch = global_epoch
                         lr = w_sched.lr_at(global_epoch)
                         train_b = epoch_batches(train_ds, split.train_indices, plan,
-                                                global_epoch, "train", stats)
+                                                global_epoch, "train")
                         val_b = epoch_batches(train_ds, split.val_indices, plan,
-                                              global_epoch, "val", stats)
+                                              global_epoch, "val")
                         mark = len(state.log)
                         bilevel_epoch(state, train_b, val_b, lr=lr)
                         log.write(*(asdict(entry) for entry in state.log[mark:]))
@@ -529,7 +539,8 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
     and model.ckpt under `out_dir`. A non-finite loss, logit or gradient
     aborts before the update, with the mid-epoch weights in abort.ckpt, a
     checkpoint `resume` refuses; model.ckpt and the epoch checkpoints only
-    ever hold completed epochs.
+    ever hold completed epochs. A resume first deletes from `out_dir` the
+    checkpoints of the epochs it runs, model.ckpt and abort.ckpt.
     """
     cfg = cfg.validate()
     seed = cfg.seed
@@ -541,7 +552,6 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
             raise ConfigError(
                 f"retrain: dataset has {train_ds.classes} classes but genotype "
                 f"expects {genotype.dims.classes}")
-        stats = _norm_stats(cfg)
         model = DerivedModel(genotype, rng_for(seed, RNG_RETRAIN),
                              pre_norm=cfg.model.pre_norm,
                              final_norm=cfg.model.final_norm)
@@ -562,6 +572,9 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
             opt.load_state_arrays(arrays)
         metrics = RunLog(out / "metrics.csv", start_epoch,
                          header=("epoch", "split", "loss", "top1", "top5"))
+        if resume is not None:
+            _remove_stale(out, resume, "epoch", start_epoch,
+                          ("model.ckpt", "model.ckpt.blob", "abort.ckpt", "abort.ckpt.blob"))
         out.mkdir(parents=True, exist_ok=True)
         save_config(cfg, out / "config.json")
 
@@ -586,7 +599,7 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
             loss_sum, t1_sum, t5_sum, count = 0.0, 0.0, 0.0, 0
             try:
                 for batch in epoch_batches(train_ds, np.arange(len(train_ds)),
-                                           plan, epoch, "train", stats):
+                                           plan, epoch, "train"):
                     loss, t1, t5 = train_step(batch)
                     n = len(batch.labels)
                     loss_sum += loss * n
@@ -603,7 +616,7 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
             metrics.write([epoch, "train", row["loss"], row["top1"], row["top5"]])
             history.append(row)
             if cfg.retrain.eval_every and (epoch + 1) % cfg.retrain.eval_every == 0:
-                ev = evaluate(model, test_ds, cfg.retrain.batch_size, stats)
+                ev = evaluate(model, test_ds, cfg.retrain.batch_size)
                 metrics.write([epoch, "test", ev["loss"], ev["top1"], ev["top5"]])
             if cfg.retrain.checkpoint_every and \
                     (epoch + 1) % cfg.retrain.checkpoint_every == 0:

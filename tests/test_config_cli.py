@@ -118,10 +118,25 @@ def test_retrain_warmup_longer_than_training_is_rejected():
      r"config\.search\.prune_per_stage: expected a list, got 3"),
     ({"selector": {"lambda": None}},
      r"config\.selector\.lambda: expected a finite number, got None"),
-], ids=["model.dim", "search.prune_per_stage", "selector.lambda"])
+    ({"candidates": [{"kind": "zero"}, {"kind": "msa"}]},
+     r"config\.candidates\[1\]: OpSpec: msa requires a positive integer head count"),
+    # accepted: an integer given for a float field is read and echoed as a float
+    ({"search": {"lr": 1}}, None),
+    ({"candidates": [{"kind": "zero"}, {"kind": "mlp", "ratio": 4}]}, None),
+], ids=["model.dim", "search.prune_per_stage", "selector.lambda", "msa-without-heads",
+        "search.lr-integer", "mlp-ratio-integer"])
 def test_config_type_errors_name_their_path(doc, message):
-    with pytest.raises(ConfigError, match=message):
-        config_from_json(doc)
+    if message is not None:
+        with pytest.raises(ConfigError, match=message):
+            config_from_json(doc)
+        return
+    echoed = config_to_json(config_from_json(doc))
+    for path in json_paths(doc):
+        given, got = doc, echoed
+        for key in path:
+            given, got = given[key], got[key]
+        if type(given) is int:
+            assert type(got) is float and got == given, path
 
 
 CONFIG_PATHS = list(json_paths(config_to_json(desk_config())))
@@ -221,6 +236,34 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:")
     assert "directory" in err
+
+
+@pytest.mark.parametrize("command, changes, message", [
+    ("search", {"data": {"normalize_mean": [0.5, 0.5], "normalize_std": [0.2] * 3}},
+     "data.normalize_mean: 2 entries, but model.channels is 3"),
+    ("search", {"data": {"normalize_mean": [0.5] * 3, "normalize_std": [0.2, 0, 0.2]}},
+     "data.normalize_std: entries must be > 0"),
+    ("search", {"search": {"batch_size": 0}}, "search.batch_size: must be >= 1, got 0"),
+    ("retrain", {"retrain": {"batch_size": 0}}, "retrain.batch_size: must be >= 1, got 0"),
+], ids=["mean-length", "std-zero", "search-batch-size", "retrain-batch-size"])
+def test_cli_refuses_a_config_the_run_cannot_use(tmp_path, capsys, command, changes,
+                                                 message):
+    doc = config_to_json(desk_config())
+    for section, leaves in changes.items():
+        doc[section].update(leaves)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg_path), "--out", str(out)]
+    if command == "retrain":
+        save_genotype(searched_encoder_genotype(desk_config().model.dims(), depth=1,
+                                                heads=4), tmp_path / "genotype.json")
+        argv += ["--genotype", str(tmp_path / "genotype.json")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_retrain_eval_analyze_pipeline(tmp_path, capsys):

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dasvit import Tensor
+from dasvit import Tensor, desk_config
 from dasvit import data as data_mod
 from dasvit.data import (BatchPlan, RunLog, epoch_batches,
                          load_checkpoint, load_cifar10, load_parameters, make_synthetic,
                          normalize, resize_images, save_checkpoint,
                          split_dataset, topk_accuracy)
 from dasvit.errors import DataError
+from dasvit.search import build_datasets
 from oracles import JSON_VALUES, set_json_path
 
 
@@ -164,13 +165,13 @@ def test_epoch_batches_drop_last():
 
 
 def test_batch_split_tag_and_normalization():
-    ds = make_synthetic(2, 8, 8, seed=0)
-    idx = np.arange(len(ds))
-    stats = (np.array([0.5, 0.5, 0.5], dtype=np.float32),
-             np.array([0.25, 0.25, 0.25], dtype=np.float32))
-    batches = epoch_batches(ds, idx, BatchPlan(8, 0), 0, "val", stats)
+    cfg = desk_config()
+    plain, _ = build_datasets(cfg, 0)
+    cfg.data.normalize_mean, cfg.data.normalize_std = [0.5] * 3, [0.25] * 3
+    ds, _ = build_datasets(cfg.validate(), 0)
+    batches = epoch_batches(ds, np.arange(len(ds)), BatchPlan(8, 0), 0, "val")
     assert all(b.split == "val" for b in batches)
-    raw = ds.images[batches[0].indices]
+    raw = plain.images[batches[0].indices]
     np.testing.assert_allclose(batches[0].images, (raw - 0.5) / 0.25, atol=1e-6)
 
 

@@ -227,11 +227,16 @@ def test_unknown_field_rejected_with_path():
 
 
 @pytest.mark.parametrize("path, value, message", [
-    (("dims", "channels"), None, r"genotype\.dims\.channels: expected a positive integer"),
-    (("dims", "classes"), True, r"genotype\.dims\.classes: expected a positive integer"),
+    (("dims", "channels"), None, r"genotype\.dims\.channels: expected an integer, got None"),
+    (("dims", "classes"), True, r"genotype\.dims\.classes: expected an integer, got True"),
     (("nodes", 1, 0, "src"), True, r"genotype\.nodes\[1\]\[0\]\.src: expected an integer"),
-    (("version",), True, r"genotype\.version: unsupported version True"),
-], ids=["channels-null", "classes-true", "src-true", "version-true"])
+    (("version",), True, r"genotype\.version: expected an integer, got True"),
+    (("dims",), {"patch": 4, "image": 8, "depth": 1, "classes": 2},
+     r"genotype\.dims\.embed: missing required key"),
+    (("nodes", 1, 1, "op"), {"kind": "msa"},
+     r"genotype\.nodes\[1\]\[1\]\.op: OpSpec: msa requires a positive integer head count"),
+], ids=["channels-null", "classes-true", "src-true", "version-true", "embed-missing",
+        "msa-without-heads"])
 def test_genotype_type_errors_name_their_path(path, value, message):
     doc = genotype_to_json(searched_encoder_genotype(DESK, depth=1, heads=2))
     set_json_path(doc, path, value)

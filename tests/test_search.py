@@ -939,6 +939,54 @@ def test_a_refused_resume_leaves_no_run_directory(tmp_path, entry):
         assert not (tmp_path / "fresh").exists()
 
 
+@pytest.mark.parametrize("entry", ["search", "retrain"])
+def test_a_failed_resume_in_place_leaves_no_later_artifact(tmp_path, monkeypatch, entry):
+    """Before it writes, a resume deletes the earlier run's artifacts it would
+    write again, so one that fails keeps none of them but the checkpoint."""
+    out = tmp_path / "run"
+    if entry == "search":
+        cfg = _small_cfg(seed=5, epochs_per_stage=1)
+        run_search(cfg, out)
+        resume, later = out / "stage_1.ckpt", {"stage_2", "stage_3", "genotype"}
+    else:
+        g = searched_encoder_genotype(desk_config().model.dims(), depth=1, heads=4)
+        cfg = _retrain_cfg(4, checkpoint_every=1)
+        retrain(g, cfg, out)
+        resume, later = out / "epoch_1.ckpt", {"epoch_2", "epoch_3", "model"}
+
+    def stems():
+        return {p.name.split(".")[0] for p in out.iterdir()}
+
+    assert later <= stems()
+    kept = {p.name: p.read_bytes() for p in out.glob(f"{resume.name}*")}
+
+    def nonfinite(*args, **kwargs):
+        raise NonFiniteError("injected")
+
+    with pytest.raises(SearchAbort):
+        if entry == "search":  # the first epoch of stage 2
+            monkeypatch.setattr(search_mod, "bilevel_epoch", nonfinite)
+            run_search(cfg, out, resume=resume)
+        else:  # the first step of epoch 2
+            monkeypatch.setattr(search_mod, "cross_entropy", nonfinite)
+            retrain(g, cfg, out, resume=resume)
+    assert not later & stems()
+    assert {name: (out / name).read_bytes() for name in kept} == kept
+
+
+def test_remove_stale_spares_the_resumed_checkpoint_and_earlier_stages(tmp_path):
+    files = ["stage_1.ckpt", "stage_1.ckpt.blob", "stage_2.ckpt", "stage_10.ckpt.blob",
+             "stage_3.ckpt", "stage_3.ckpt.blob", "stage_3.ckpt.tmp", "genotype.json",
+             "config.json"]
+    for name in files:
+        (tmp_path / name).write_bytes(b"")
+    search_mod._remove_stale(tmp_path, tmp_path / "stage_3.ckpt", "stage", 2,
+                             ("genotype.json",))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "stage_1.ckpt", "stage_1.ckpt.blob", "stage_3.ckpt",
+        "stage_3.ckpt.blob", "stage_3.ckpt.tmp"]
+
+
 def test_every_artifact_a_run_writes_is_in_the_readme_tables(tmp_path):
     readme = (Path(dasvit.__file__).resolve().parents[2] / "README.md").read_text()
     artifacts = readme[readme.index("\n## Artifacts\n"):]
