@@ -79,7 +79,7 @@ class RetrainConfig:
 class SyntheticConfig:
     classes: int = 2
     per_class: int = 128
-    image: int = 8
+    image: int = 224  # equals model.image unless data.resize is set
     channels: int = 3
     noise: float = 0.05
 
@@ -141,6 +141,14 @@ class RunConfig:
                 f"retrain.epochs {self.retrain.epochs}")
         if self.data.source not in ("synthetic", "cifar10"):
             raise ConfigError(f"data.source: unknown source {self.data.source!r}")
+        if self.data.source == "synthetic":
+            syn = self.data.synthetic
+            if syn.channels != self.model.channels:
+                raise ConfigError(f"data.synthetic.channels: {syn.channels}, but "
+                                  f"model.channels is {self.model.channels}")
+            if self.data.resize is None and syn.image != self.model.image:
+                raise ConfigError(f"data.synthetic.image: {syn.image}, but model.image "
+                                  f"is {self.model.image} and data.resize is unset")
         if (self.data.normalize_mean is None) != (self.data.normalize_std is None):
             raise ConfigError("data: normalize_mean and normalize_std go together")
         if self.data.source == "cifar10" and self.data.normalize_mean is None:

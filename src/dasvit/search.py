@@ -388,10 +388,12 @@ def load_run_checkpoint(path, command: str, kind: str, seed: int | None = None,
 
 
 def _remove_stale(out: Path, resume, numbered: str, start: int, names) -> None:
-    """Delete from `out` what an earlier run left that a run resumed from
-    `resume` writes again: ``<numbered>_<n>.ckpt(.blob)`` for n >= `start`,
-    and `names`. The checkpoint `resume` itself stays."""
-    keep = {Path(resume).resolve(), Path(f"{resume}.blob").resolve()}
+    """Delete from `out` what an earlier run left that this run, fresh
+    (`resume` None, `start` 0 or 1) or resumed from `resume`, writes again:
+    ``<numbered>_<n>.ckpt(.blob)`` for n >= `start`, and `names`. The
+    checkpoint `resume` itself stays."""
+    keep = set() if resume is None else {Path(resume).resolve(),
+                                         Path(f"{resume}.blob").resolve()}
     for path in out.glob("*"):
         n = re.fullmatch(rf"{numbered}_(\d+)\.ckpt(\.blob)?", path.name)
         if (path.name in names or n and int(n[1]) >= start) and path.resolve() not in keep:
@@ -405,9 +407,9 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
     Artifacts (README §Artifacts): config.json, alpha_history.csv,
     search_log.jsonl, prune.jsonl, stage_<n>.ckpt(+.blob), genotype.json.
     Resuming points at a stage checkpoint and continues from the following
-    stage, first deleting the later stages' checkpoints, genotype.json and
-    diagnostic.json from `out_dir`; a refused checkpoint or log leaves
-    `out_dir` untouched.
+    stage. A run first deletes from `out_dir` the checkpoints of the stages
+    it runs (every stage when fresh), genotype.json and diagnostic.json; a
+    refused config, checkpoint or log leaves `out_dir` untouched.
     """
     cfg = cfg.validate()
     seed = cfg.seed
@@ -460,16 +462,13 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
         log = RunLog(out / "search_log.jsonl", global_epoch)
         prune = RunLog(out / "prune.jsonl", global_epoch, epoch_key="global_epoch")
         # nothing is written before the checkpoint and every log are accepted
-        if resume is not None:
-            _remove_stale(out, resume, "stage", start_stage,
-                          ("genotype.json", "diagnostic.json"))
+        _remove_stale(out, resume, "stage", start_stage, ("genotype.json", "diagnostic.json"))
         out.mkdir(parents=True, exist_ok=True)
         save_config(cfg, out / "config.json")
 
-        w_opt, a_opt = _build_optimizers(model, cfg)
-        state = SearchState(model=model, alpha=model.alpha, w_opt=w_opt,
-                            a_opt=a_opt, fairness=cfg.fairness,
-                            unrolled=cfg.search.unrolled, xi=cfg.search.xi)
+        state = SearchState(model, model.alpha, *_build_optimizers(model, cfg),
+                            fairness=cfg.fairness, unrolled=cfg.search.unrolled,
+                            xi=cfg.search.xi)
         schedule: list[tuple[int, int]] = []
 
         with history, log, prune:
@@ -487,9 +486,10 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
                         })
                         model = advance_stage(model, survivors, depths[stage - 1],
                                               cfg, seed, stage)
-                        w_opt, a_opt = _build_optimizers(model, cfg)
                         state.model, state.alpha = model, model.alpha
-                        state.w_opt, state.a_opt = w_opt, a_opt
+                        # the old optimizers' memory goes before the new ones take theirs
+                        state.w_opt = state.a_opt = None
+                        state.w_opt, state.a_opt = _build_optimizers(model, cfg)
                     state.stage = stage
                     schedule.append((len(model.candidates), model.num_layers))
                     for _ in range(cfg.search.epochs_per_stage):
@@ -539,8 +539,8 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
     and model.ckpt under `out_dir`. A non-finite loss, logit or gradient
     aborts before the update, with the mid-epoch weights in abort.ckpt, a
     checkpoint `resume` refuses; model.ckpt and the epoch checkpoints only
-    ever hold completed epochs. A resume first deletes from `out_dir` the
-    checkpoints of the epochs it runs, model.ckpt and abort.ckpt.
+    ever hold completed epochs. A run, fresh or resumed, first deletes from
+    `out_dir` the checkpoints of the epochs it runs, model.ckpt and abort.ckpt.
     """
     cfg = cfg.validate()
     seed = cfg.seed
@@ -572,9 +572,8 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
             opt.load_state_arrays(arrays)
         metrics = RunLog(out / "metrics.csv", start_epoch,
                          header=("epoch", "split", "loss", "top1", "top5"))
-        if resume is not None:
-            _remove_stale(out, resume, "epoch", start_epoch,
-                          ("model.ckpt", "model.ckpt.blob", "abort.ckpt", "abort.ckpt.blob"))
+        _remove_stale(out, resume, "epoch", start_epoch,
+                      ("model.ckpt", "model.ckpt.blob", "abort.ckpt", "abort.ckpt.blob"))
         out.mkdir(parents=True, exist_ok=True)
         save_config(cfg, out / "config.json")
 

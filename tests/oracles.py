@@ -3,8 +3,9 @@
 Everything here is implemented with plain numpy loops and stays independent
 of the code paths it verifies: central finite differences for gradients,
 explicit per-head attention, double-loop token scores, a full-sort top-k, a
-generic DAG walker, and direct layer math. It also holds the Hypothesis
-strategy for arbitrary JSON values that fuzzes the input documents.
+generic DAG walker, direct layer math and a per-tensor AdamW step. It also
+holds the Hypothesis strategy for arbitrary JSON values that fuzzes the input
+documents.
 """
 
 import math
@@ -176,6 +177,29 @@ def walk_dag(inputs, num_nodes, edges):
             raise AssertionError(f"dag oracle: node {node} has no incoming edges")
         values.append(total)
     return values
+
+
+# -- per-tensor AdamW step ----------------------------------------------------------
+
+
+def adamw_step_oracle(params, m, v, step_count, lr, betas=(0.9, 0.999), eps=1e-8,
+                      weight_decay=0.0):
+    """One AdamW update of each tensor in `params` in turn, with its own
+    moment arrays ``m[name]``/``v[name]`` updated in place; `step_count`
+    counts this step."""
+    b1, b2 = betas
+    bc1 = 1.0 - b1**step_count
+    bc2 = 1.0 - b2**step_count
+    for name, p in params.items():
+        g = p.grad
+        if weight_decay:
+            p.data *= 1.0 - lr * weight_decay
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+        p.data -= lr * update
 
 
 # -- arbitrary JSON input ----------------------------------------------------------

@@ -245,7 +245,12 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
      "data.normalize_std: entries must be > 0"),
     ("search", {"search": {"batch_size": 0}}, "search.batch_size: must be >= 1, got 0"),
     ("retrain", {"retrain": {"batch_size": 0}}, "retrain.batch_size: must be >= 1, got 0"),
-], ids=["mean-length", "std-zero", "search-batch-size", "retrain-batch-size"])
+    ("search", {"data": {"synthetic": {"channels": 1, "image": 8}}},
+     "data.synthetic.channels: 1, but model.channels is 3"),
+    ("retrain", {"data": {"synthetic": {"image": 12}}},
+     "data.synthetic.image: 12, but model.image is 8 and data.resize is unset"),
+], ids=["mean-length", "std-zero", "search-batch-size", "retrain-batch-size",
+        "synthetic-channels", "synthetic-image"])
 def test_cli_refuses_a_config_the_run_cannot_use(tmp_path, capsys, command, changes,
                                                  message):
     doc = config_to_json(desk_config())

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dasvit import AdamW, LrSchedule, Tensor, backward, dtype_scope
 from dasvit.errors import ConfigError, NonFiniteError, OptimizerError
+from dasvit.optim import CHUNK
+from oracles import adamw_step_oracle
 
 
 def _param(value):
@@ -53,13 +55,17 @@ def test_missing_gradient_names_the_parameter():
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_nonfinite_gradient_behind_a_finite_loss_is_refused_before_any_update():
     """(a*b)*c at a=1e30, b=1e-30, c=1e10 has the finite float32 loss 1e10,
-    but d/db = a*c overflows; the step names b and changes nothing."""
-    values = {"a": 1e30, "b": 1e-30, "c": 1e10}
-    params = {name: Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
+    but d/db = a*c overflows; the step names b and changes nothing. b sits in
+    the middle of a run of small tensors that follows a tensor larger than
+    CHUNK, so the refusal comes from a gathered block after a sliced one."""
+    values = {"big": 0.0, "a": 1e30, "b": 1e-30, "c": 1e10, "tail": 0.0}
+    sizes = {"big": CHUNK + 5, "tail": 7}
+    params = {name: Tensor(np.zeros(sizes.get(name, 1), dtype=np.float32),
+                           requires_grad=True)
               for name in values}
     opt = AdamW(params, lr=0.1, weight_decay=0.1)
     for p in params.values():
-        p.grad = np.ones(1, dtype=np.float32)
+        p.grad = np.ones_like(p.data)
     opt.step()  # leaves nonzero moments and a step count behind
     for name, p in params.items():
         p.data[...] = values[name]
@@ -68,9 +74,11 @@ def test_nonfinite_gradient_behind_a_finite_loss_is_refused_before_any_update():
               {n: v.copy() for n, v in opt.v.items()}, opt.step_count)
 
     opt.zero_grad()
-    a, b, c = params.values()
+    a, b, c = params["a"], params["b"], params["c"]
     loss = ((a * b) * c).sum()
     backward(loss)
+    for name in ("big", "tail"):
+        params[name].grad = np.ones_like(params[name].data)
     assert np.isfinite(loss.data) and np.isinf(b.grad).all()
     with pytest.raises(NonFiniteError, match="'b'"):
         opt.step()
@@ -78,6 +86,82 @@ def test_nonfinite_gradient_behind_a_finite_loss_is_refused_before_any_update():
     for was, now in zip(before[:3], after[:3]):
         assert all(np.array_equal(was[n], now[n]) for n in params)
     assert after[3] == before[3]
+
+
+def test_nonfinite_gradient_in_a_later_slice_of_a_large_tensor_is_named():
+    params = {"small": _param(np.zeros(3)), "big": _param(np.zeros(2 * CHUNK + 3))}
+    for p in params.values():
+        p.grad = np.ones_like(p.data)
+    params["big"].grad[-2] = np.nan
+    opt = AdamW(params, lr=0.1)
+    with pytest.raises(NonFiniteError, match="'big'"):
+        opt.step()
+    assert opt.step_count == 0
+    assert all(not p.data.any() for p in params.values())
+
+
+def test_parameters_of_mixed_dtypes_are_refused_by_name():
+    params = {"w": _param([1.0]),
+              "b": Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)}
+    with pytest.raises(OptimizerError, match="'b' is float32"):
+        AdamW(params, lr=0.1)
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("opt.v.b", None, "no array 'opt.v.b'"),
+    ("opt.m.w", np.zeros(1), r"'opt.m.w' has shape \(1,\), expected \(2, 3\)"),
+    ("opt.step", None, "no array 'opt.step'"),
+])
+def test_load_state_arrays_refuses_a_missing_or_misshapen_moment(key, value, match):
+    params = {"w": _param(np.zeros((2, 3))), "b": _param(np.zeros(3))}
+    saved = AdamW(params, lr=0.1)
+    for p in params.values():
+        p.grad = np.ones_like(p.data)
+    saved.step()
+    arrays = {k: v.copy() for k, v in saved.state_arrays().items()}
+    if value is None:
+        del arrays[key]
+    else:
+        arrays[key] = value
+    fresh = AdamW(params, lr=0.1)
+    with pytest.raises(OptimizerError, match=match):
+        fresh.load_state_arrays(arrays)
+    assert fresh.step_count == 0
+    assert not fresh.m["b"].any() and not fresh.v["w"].any()
+
+
+_SIZES = st.lists(st.integers(1, 40) | st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1]),
+                  min_size=1, max_size=12)
+
+
+@settings(max_examples=30, deadline=None)
+@example(sizes=[3] * 30 + [2 * CHUNK + 5, 7, CHUNK - 20, 30], decay=True,
+         dtype="float32", seed=0)
+@given(sizes=_SIZES, decay=st.booleans(), dtype=st.sampled_from(["float32", "float64"]),
+       seed=st.integers(0, 2**16))
+def test_flat_step_matches_the_per_tensor_oracle_bitwise(sizes, decay, dtype, seed):
+    """Parameters, moments and step count after 3 steps equal a per-tensor
+    update's, bit for bit, however the sizes fall around CHUNK."""
+    rng = np.random.default_rng(seed)
+    shapes = [(2, n // 2) if n % 2 == 0 else (n,) for n in sizes]
+    init = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
+    flat = {f"p{i}": Tensor(x.copy(), requires_grad=True) for i, x in enumerate(init)}
+    ref = {f"p{i}": Tensor(x.copy(), requires_grad=True) for i, x in enumerate(init)}
+    wd = 0.05 if decay else 0.0
+    opt = AdamW(flat, lr=1e-2, weight_decay=wd)
+    m = {n: np.zeros_like(p.data) for n, p in ref.items()}
+    v = {n: np.zeros_like(p.data) for n, p in ref.items()}
+    for step in (1, 2, 3):
+        for name, p in flat.items():
+            g = rng.standard_normal(p.data.shape).astype(dtype)
+            p.grad, ref[name].grad = g, g.copy()
+        opt.step()
+        adamw_step_oracle(ref, m, v, step, lr=1e-2, weight_decay=wd)
+    assert opt.step_count == 3
+    for name in flat:
+        np.testing.assert_array_equal(flat[name].data, ref[name].data)
+        np.testing.assert_array_equal(opt.m[name], m[name])
+        np.testing.assert_array_equal(opt.v[name], v[name])
 
 
 def test_step_count_and_moment_shapes():

@@ -1,6 +1,7 @@
 """The benchmark's timing and span hooks still find every function and method
-they wrap, and put each original back on close; its workloads still build
-their config and rebuild a supernet from a stage checkpoint."""
+they wrap, and put each original back on close; its step boundaries still
+come from the optimizer; its workloads still build their config and rebuild a
+supernet from a stage checkpoint."""
 
 import dataclasses
 import importlib
@@ -9,9 +10,10 @@ import tracemalloc
 from pathlib import Path
 
 import dasvit
-from dasvit import desk_config, run_search
+from dasvit import Supernet, desk_config, dtype_scope, run_search, search
 from dasvit.config import SyntheticConfig
-from dasvit.data import load_checkpoint
+from dasvit.data import (RNG_STAGE, BatchPlan, epoch_batches, load_checkpoint, rng_for,
+                         split_dataset)
 
 PERFBENCH = Path(dasvit.__file__).resolve().parents[2] / "perfbench"
 
@@ -53,6 +55,33 @@ def test_traced_instrument_hooks_resolve_and_close_restores_originals(monkeypatc
     assert not moved
 
 
+def test_timed_instrument_counts_two_bilevel_steps_and_every_updated_element(monkeypatch):
+    """Two bilevel steps under the timing hooks end exactly two steps, and the
+    elements counted as updated are both optimizers' parameters, once per step."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    instrument = importlib.import_module("instrument")
+    cfg = desk_config(seed=2).validate()
+    with dtype_scope(cfg.model.precision):
+        train, _ = search.build_datasets(cfg, cfg.seed)
+        split = split_dataset(len(train), cfg.search.val_fraction, cfg.seed)
+        plan = BatchPlan(batch_size=cfg.search.batch_size, seed=cfg.seed, drop_last=True)
+        net = Supernet.from_config(cfg, list(cfg.candidates), cfg.search.first_layers,
+                                   rng_for(cfg.seed, RNG_STAGE, 1))
+        w_opt, a_opt = search._build_optimizers(net, cfg)
+        state = search.SearchState(model=net, alpha=net.alpha, w_opt=w_opt,
+                                   a_opt=a_opt, fairness=cfg.fairness)
+        train_b = epoch_batches(train, split.train_indices, plan, 0, "train")[:2]
+        val_b = epoch_batches(train, split.val_indices, plan, 0, "val")[:2]
+        ins = instrument.Instrument().install()
+        try:
+            search.bilevel_epoch(state, train_b, val_b)
+        finally:
+            ins.close()
+    assert len(ins.steps) == 2
+    sizes = sum(p.data.size for opt in (w_opt, a_opt) for p in opt.params.values())
+    assert ins.counts["optim.updated_elements"] == 2 * sizes
+
+
 def test_workloads_config_and_stage_supernet_match_the_program(tmp_path, monkeypatch):
     """A config field or Supernet keyword the benchmark reads and the program
     no longer has fails here, not in a benchmark run."""
@@ -64,7 +93,7 @@ def test_workloads_config_and_stage_supernet_match_the_program(tmp_path, monkeyp
     cfg = dataclasses.replace(
         cfg, search=dataclasses.replace(cfg.search, stages=1, epochs_per_stage=1,
                                         batch_size=8),
-        data=dataclasses.replace(cfg.data, synthetic=SyntheticConfig(per_class=16)))
+        data=dataclasses.replace(cfg.data, synthetic=SyntheticConfig(per_class=16, image=8)))
     run_search(cfg, tmp_path / "run")
     net, complete = workloads._stage_supernet(
         cfg, *load_checkpoint(tmp_path / "run" / "stage_1.ckpt"))

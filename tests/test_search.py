@@ -848,8 +848,7 @@ def test_retrain_abort_writes_a_checkpoint_resume_refuses(tmp_path, monkeypatch)
     cfg = _retrain_cfg(3, checkpoint_every=1)
     out = tmp_path / "run"
     retrain(g, cfg, out)
-    good = {name: (out / name).read_bytes()
-            for name in ("model.ckpt", "model.ckpt.blob", "epoch_0.ckpt.blob")}
+    good = {name: (out / name).read_bytes() for name in ("epoch_0.ckpt", "epoch_0.ckpt.blob")}
 
     epochs, epoch_1_losses = [], []
 
@@ -873,8 +872,11 @@ def test_retrain_abort_writes_a_checkpoint_resume_refuses(tmp_path, monkeypatch)
     _, extras = load_checkpoint(out / "abort.ckpt")
     assert extras["kind"] == "retrain-abort"
     assert extras["aborted_in_epoch"] == 1 and "epoch" not in extras
-    # model.ckpt and the completed epoch's checkpoint keep their bytes
+    # the fresh rerun removed the first run's model.ckpt and later epochs; its
+    # own completed epoch rewrote epoch_0.ckpt with the same bytes
     assert {name: (out / name).read_bytes() for name in good} == good
+    for name in ("model.ckpt", "model.ckpt.blob", "epoch_1.ckpt", "epoch_2.ckpt"):
+        assert not (out / name).exists(), name
     with pytest.raises(ConfigError, match="aborted"):
         retrain(g, cfg, tmp_path / "resumed", resume=out / "abort.ckpt")
 
@@ -939,32 +941,35 @@ def test_a_refused_resume_leaves_no_run_directory(tmp_path, entry):
         assert not (tmp_path / "fresh").exists()
 
 
-@pytest.mark.parametrize("entry", ["search", "retrain"])
+@pytest.mark.parametrize("entry", ["search", "retrain", "fresh-search"])
 def test_a_failed_resume_in_place_leaves_no_later_artifact(tmp_path, monkeypatch, entry):
     """Before it writes, a resume deletes the earlier run's artifacts it would
-    write again, so one that fails keeps none of them but the checkpoint."""
+    write again, so one that fails keeps none of them but the checkpoint; a
+    fresh run deletes every one of them."""
     out = tmp_path / "run"
-    if entry == "search":
-        cfg = _small_cfg(seed=5, epochs_per_stage=1)
-        run_search(cfg, out)
-        resume, later = out / "stage_1.ckpt", {"stage_2", "stage_3", "genotype"}
-    else:
+    if entry == "retrain":
         g = searched_encoder_genotype(desk_config().model.dims(), depth=1, heads=4)
         cfg = _retrain_cfg(4, checkpoint_every=1)
         retrain(g, cfg, out)
         resume, later = out / "epoch_1.ckpt", {"epoch_2", "epoch_3", "model"}
+    else:
+        cfg = _small_cfg(seed=5, epochs_per_stage=1)
+        run_search(cfg, out)
+        resume, later = out / "stage_1.ckpt", {"stage_2", "stage_3", "genotype"}
+        if entry == "fresh-search":
+            resume, later = None, later | {"stage_1"}
 
     def stems():
         return {p.name.split(".")[0] for p in out.iterdir()}
 
     assert later <= stems()
-    kept = {p.name: p.read_bytes() for p in out.glob(f"{resume.name}*")}
+    kept = {p.name: p.read_bytes() for p in out.glob(f"{resume.name}*")} if resume else {}
 
     def nonfinite(*args, **kwargs):
         raise NonFiniteError("injected")
 
     with pytest.raises(SearchAbort):
-        if entry == "search":  # the first epoch of stage 2
+        if entry != "retrain":  # the first epoch of the first stage it runs
             monkeypatch.setattr(search_mod, "bilevel_epoch", nonfinite)
             run_search(cfg, out, resume=resume)
         else:  # the first step of epoch 2
