@@ -33,6 +33,18 @@ intermediate arrays; ``attention`` keeps only its softmax output, not the
 (B, H, N, N) pre-softmax scores, the per-head ``attn @ v`` product or its
 head-merge copy.
 
+``gelu`` keeps its input and ``t = tanh(c·(x + k·x³))`` for the backward;
+its forward and its backward each run in three input-sized buffers. The
+``layer_norm`` backward reads ``normed`` and the (..., 1) reciprocal
+deviation ``inv`` and runs in two. Each writes step by step in place, doing
+the plain expression's operations in its order (at most with an operand
+swapped, which IEEE arithmetic leaves exact), so the floats are the
+expression's. Every ``layer_norm`` of one input may share a ``NormStats``
+holder: the first call fills it with ``normed`` and ``inv``, later calls
+read them. Each call still records its own node with its own affine and
+backward, and those read nothing else, so sharing moves no bit. The models
+hand one holder to every pre-norm op that reads the same cell input.
+
 ``frozen(tensors)`` clears ``requires_grad`` on leaves for the length of a
 block, so nothing computed only from them is recorded at all. A phase that
 updates one set of parameters freezes the rest; a forward-only pass freezes
@@ -598,8 +610,8 @@ def relu(a: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     a = as_tensor(a)
     x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = out.astype(x.dtype)
 
     def bw(g):
@@ -613,18 +625,43 @@ _GELU_K = 0.044715
 
 
 def gelu(a: Tensor) -> Tensor:
-    """tanh-approximated GELU; erf-free and deterministic."""
+    """tanh-approximated GELU; erf-free and deterministic.
+
+    ``0.5·x·(1 + tanh(c·(x + k·x³)))`` in three (x-sized) buffers, forward and
+    backward: the backward keeps only ``t = tanh(...)`` beside the input.
+    Each in-place step is the operation the plain expression performs at
+    that point, with at most its operands swapped, so the floats are the
+    expression's (``tests/oracles.py`` keeps it).
+    """
     a = as_tensor(a)
     x = a.data
     # products, not x**3 or x**2: numpy's float32 pow is far slower than multiplies
-    inner = _GELU_C * (x + _GELU_K * (x * x * x))
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    t = x * x
+    t *= x
+    t *= _GELU_K
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = np.multiply(x, 0.5)
+    out *= np.add(t, 1.0)
 
     def bw(g):
-        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_K * (x * x))
-        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-        _accumulate(a, g * local)
+        # d_inner = c·(1 + 3k·x²)
+        d_inner = x * x
+        d_inner *= 3.0 * _GELU_K
+        d_inner += 1.0
+        d_inner *= _GELU_C
+        # 0.5·x·(1 - t²)·d_inner
+        slope = t * t
+        np.subtract(1.0, slope, out=slope)
+        np.multiply(np.multiply(x, 0.5), slope, out=slope)
+        slope *= d_inner
+        # g·(0.5·(1 + t) + slope)
+        local = np.add(t, 1.0)
+        local *= 0.5
+        local += slope
+        local *= g
+        _accumulate(a, local)
 
     return Tensor._from_op(out, (a,), bw, "gelu")
 
@@ -697,19 +734,55 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     return Tensor._from_op(out, (q, k, v), bw, "attention")
 
 
+class NormStats:
+    """The normalization of one input, filled by the first ``layer_norm``
+    that is handed it and read by every later one.
+
+    ``normed`` is the input centered and scaled to unit variance over its
+    last axis, ``inv`` the (..., 1) reciprocal standard deviation that
+    scaled it. Hand one holder only to calls on the same unchanging input
+    with the same eps.
+    """
+
+    __slots__ = ("normed", "inv")
+
+    def __init__(self):
+        self.normed: np.ndarray | None = None
+        self.inv: np.ndarray | None = None
+
+
+def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(normed, inv)`` of `x` over its last axis (see `NormStats`)."""
+    n = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / n
+    centered = x - mu
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + eps)
+    return np.multiply(centered, inv, out=centered), inv
+
+
 def layer_norm(a: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None,
-               eps: float = 1e-6) -> Tensor:
+               eps: float = 1e-6, stats: NormStats | None = None) -> Tensor:
     """Normalize over the last axis, then, when given, scale by `gamma` and
-    shift by `beta` (both or neither); eps stabilizes zero variance."""
+    shift by `beta` (both or neither); eps stabilizes zero variance.
+
+    With `stats`, the normalization is computed only if the holder is
+    empty, and stored there; each call still records its own node, with its
+    own affine and backward, over the shared arrays.
+    """
     a = as_tensor(a)
     if (gamma is None) != (beta is None):
         raise ShapeError("layer_norm: gamma and beta come together")
     n = a.shape[-1]
-    mu = np.add.reduce(a.data, axis=-1, keepdims=True) / n
-    centered = a.data - mu
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
-    normed = np.multiply(centered, inv, out=centered)
+    if stats is None:
+        normed, inv = _normalize(a.data, eps)
+    else:
+        if stats.normed is None:
+            stats.normed, stats.inv = _normalize(a.data, eps)
+        elif stats.normed.shape != a.shape:
+            raise ShapeError(f"layer_norm: statistics of shape {stats.normed.shape} "
+                             f"for an input of shape {a.shape}")
+        normed, inv = stats.normed, stats.inv
     out = normed
     if gamma is not None:
         out = normed * gamma.data
@@ -721,11 +794,16 @@ def layer_norm(a: Tensor, gamma: Tensor | None = None, beta: Tensor | None = Non
                 _accumulate(beta, _unbroadcast(g, beta.shape))
             if gamma.requires_grad:
                 _accumulate(gamma, _unbroadcast(g * normed, gamma.shape))
-            g = g * gamma.data
+            g = g * gamma.data  # this closure's own array from here on
         if a.requires_grad:
+            # inv·(g - mean(g) - normed·mean(g·normed)), in two x-sized buffers
             gm = np.add.reduce(g, axis=-1, keepdims=True) / n
-            gy = np.add.reduce(g * normed, axis=-1, keepdims=True) / n
-            _accumulate(a, inv * (g - gm - normed * gy))
+            tmp = g * normed
+            gy = np.add.reduce(tmp, axis=-1, keepdims=True) / n
+            ga = np.subtract(g, gm, out=None if gamma is None else g)
+            ga -= np.multiply(normed, gy, out=tmp)
+            ga *= inv
+            _accumulate(a, ga)
 
     parents = (a,) if gamma is None else (a, gamma, beta)
     return Tensor._from_op(out, parents, bw, "layer_norm")
@@ -749,8 +827,10 @@ def weighted_sum(weights: Tensor, terms: Sequence[Tensor], slots: Sequence[int])
             raise ShapeError(f"weighted_sum: term shapes {shape} and {t.shape} differ")
     w = weights.data
     out = w[slots[0]] * terms[0].data
+    scratch = None  # one term buffer, reused
     for k, t in zip(slots[1:], terms[1:]):
-        out += w[k] * t.data
+        scratch = np.multiply(w[k], t.data, out=scratch)
+        out += scratch
 
     def bw(g):
         if weights.requires_grad:
@@ -776,10 +856,11 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ShapeError("cross_entropy: label out of range")
     bsz = logits.shape[0]
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
+    e = np.exp(shifted)
+    lse = np.log(e.sum(axis=1))
     nll = lse - shifted[np.arange(bsz), y]
     out = np.asarray(nll.mean(), dtype=logits.dtype)
-    probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    probs = e / e.sum(axis=1, keepdims=True)
 
     def bw(g):
         grad = probs.copy()

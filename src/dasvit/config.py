@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .data import CIFAR10_IMAGE, CIFAR10_MEAN, CIFAR10_STD
 from .errors import ConfigError
 from .fairness import FairnessConfig
 from .ops import DEFAULT_CANDIDATES, ModelDims, OpSpec, json_key, read_json
@@ -141,12 +142,19 @@ class RunConfig:
                 f"retrain.epochs {self.retrain.epochs}")
         if self.data.source not in ("synthetic", "cifar10"):
             raise ConfigError(f"data.source: unknown source {self.data.source!r}")
+        resize = self.data.resize
+        if resize is not None and resize != self.model.image:
+            raise ConfigError(f"data.resize: {resize}, but model.image is {self.model.image}")
+        if (self.data.source == "cifar10" and resize is None
+                and self.model.image != CIFAR10_IMAGE):
+            raise ConfigError(f"model.image: {self.model.image}, but cifar10 images are "
+                              f"{CIFAR10_IMAGE} and data.resize is unset")
         if self.data.source == "synthetic":
             syn = self.data.synthetic
             if syn.channels != self.model.channels:
                 raise ConfigError(f"data.synthetic.channels: {syn.channels}, but "
                                   f"model.channels is {self.model.channels}")
-            if self.data.resize is None and syn.image != self.model.image:
+            if resize is None and syn.image != self.model.image:
                 raise ConfigError(f"data.synthetic.image: {syn.image}, but model.image "
                                   f"is {self.model.image} and data.resize is unset")
         if (self.data.normalize_mean is None) != (self.data.normalize_std is None):
@@ -154,8 +162,6 @@ class RunConfig:
         if self.data.source == "cifar10" and self.data.normalize_mean is None:
             # the dataset's computed per-channel statistics become part of the
             # effective config so the echoed file reproduces the run
-            from .data import CIFAR10_MEAN, CIFAR10_STD
-
             self.data.normalize_mean = list(CIFAR10_MEAN)
             self.data.normalize_std = list(CIFAR10_STD)
         mean, std = self.data.normalize_mean, self.data.normalize_std

@@ -92,6 +92,8 @@ _CIFAR_RECORDS_PER_FILE = 10000
 _CIFAR_TRAIN_FILES = tuple(f"data_batch_{i}" for i in range(1, 6))
 _CIFAR_TEST_FILE = "test_batch"
 
+#: Side length of every CIFAR-10 image.
+CIFAR10_IMAGE = 32
 #: Train-split per-channel statistics of the [0, 1]-scaled pixels.
 CIFAR10_MEAN = (0.4914, 0.4822, 0.4465)
 CIFAR10_STD = (0.2470, 0.2435, 0.2616)
@@ -117,7 +119,8 @@ def _read_cifar_batch(path: Path) -> tuple[np.ndarray, np.ndarray]:
     if labels.max() > 9:
         raise DataError(f"cifar10: {path} contains a label byte > 9")
     # channel-planar R,G,B planes, each 32x32 row-major
-    pixels = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
+    pixels = (records[:, 1:].reshape(-1, 3, CIFAR10_IMAGE, CIFAR10_IMAGE)
+              .transpose(0, 2, 3, 1))
     return (pixels.astype(np.float32) / 255.0), labels
 
 

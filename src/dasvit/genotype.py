@@ -25,7 +25,7 @@ from .autodiff import Tensor
 from .data import load_parameters
 from .errors import DasvitError, GenotypeError
 from .ops import (CELL_EDGES, INTERMEDIATE_NODES, EmbedParams, ModelDims, Module,
-                  OpSpec, build_op, mlp_hidden_dim, read_json, walk_cell)
+                  OpSpec, build_op, mlp_hidden_dim, read_json, stack_cells, walk_cell)
 
 SCHEMA_VERSION = 1
 OPS_PER_ACT_ELEMENT = 5
@@ -192,22 +192,19 @@ class DerivedModel(Module):
                                  for src, spec in pairs])
             self.layers.append(per_node)
 
-    def cell(self, layer: int, in0: Tensor, in1: Tensor) -> Tensor:
+    def cell(self, layer: int, in0: Tensor, in1: Tensor, stats=None) -> Tensor:
+        """One derived cell; `stats` as in `ops.walk_cell`."""
         nodes = self.layers[layer]
 
-        def node_terms(target, values):
+        def node_terms(target, values, stats):
             for src, op in nodes[INTERMEDIATE_NODES.index(target)]:
-                yield op.forward(values[src])
+                yield op.forward(values[src], stats[src])
 
-        return walk_cell(in0, in1, node_terms)
+        return walk_cell(in0, in1, node_terms, stats)
 
     def forward(self, images) -> Tensor:
         z = self.embed.embed(images)
-        prev2 = prev1 = z
-        for layer in range(self.genotype.depth):
-            out = self.cell(layer, prev2, prev1)
-            prev2, prev1 = prev1, out
-        return self.embed.classify(prev1)
+        return self.embed.classify(stack_cells(z, self.genotype.depth, self.cell))
 
     def _ops(self):
         """(parameter prefix, supernet bank prefix, op) for every op."""

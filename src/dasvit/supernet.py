@@ -15,7 +15,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 from .ops import (CELL_EDGES, NUM_EDGES, EmbedParams, ModelDims, Module, OpSpec,
-                  ZeroOp, build_op, walk_cell)
+                  ZeroOp, build_op, stack_cells, walk_cell)
 from .selector import Selector
 
 
@@ -52,13 +52,15 @@ class AlphaTable:
         return ad.softmax(self.logits[self.row_for_layer(layer), edge])
 
 
-def mixed_edge_forward(x: Tensor, ops: list, weights: Tensor) -> Tensor:
+def mixed_edge_forward(x: Tensor, ops: list, weights: Tensor,
+                       stats: ad.NormStats | None = None) -> Tensor:
     """Softmax-weighted sum of every candidate's output; no sampling.
 
     The sum is one ``weighted_sum`` node over the candidates in registry
     order. Zero candidates are skipped: their term and its direct gradient
     are exactly 0, and their logits still receive gradient through the
-    softmax.
+    softmax. Every candidate is handed `stats` (a fresh holder by default),
+    so the pre-norm candidates normalize `x` once between them.
     """
     if not ops:
         raise ConfigError("mixed edge: empty candidate list")
@@ -68,7 +70,9 @@ def mixed_edge_forward(x: Tensor, ops: list, weights: Tensor) -> Tensor:
     live = [k for k, op in enumerate(ops) if not isinstance(op, ZeroOp)]
     if not live:  # every candidate is Zero
         return ops[0].forward(x)
-    return ad.weighted_sum(weights, [ops[k].forward(x) for k in live], live)
+    if stats is None:
+        stats = ad.NormStats()
+    return ad.weighted_sum(weights, [ops[k].forward(x, stats) for k in live], live)
 
 
 class MixedEdge:
@@ -78,8 +82,9 @@ class MixedEdge:
                  rng: np.random.Generator, pre_norm: bool = True):
         self.ops = [build_op(spec, dim, rng, pre_norm) for spec in candidates]
 
-    def forward(self, x: Tensor, weights: Tensor) -> Tensor:
-        return mixed_edge_forward(x, self.ops, weights)
+    def forward(self, x: Tensor, weights: Tensor,
+                stats: ad.NormStats | None = None) -> Tensor:
+        return mixed_edge_forward(x, self.ops, weights, stats)
 
     def named_parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -128,26 +133,23 @@ class Supernet(Module):
 
     # -- forward ---------------------------------------------------------------
 
-    def cell(self, layer: int, in0: Tensor, in1: Tensor) -> Tensor:
+    def cell(self, layer: int, in0: Tensor, in1: Tensor, stats=None) -> Tensor:
+        """One mixed cell; `stats` as in `ops.walk_cell`."""
         edges = self.cells[layer]
         w = [self.alpha.edge_weights(layer, e) for e in range(NUM_EDGES)]
 
-        def node_terms(target, values):
+        def node_terms(target, values, stats):
             for e, (src, dst) in enumerate(CELL_EDGES):
                 if dst == target:
-                    yield edges[e].forward(values[src], w[e])
+                    yield edges[e].forward(values[src], w[e], stats[src])
 
-        return walk_cell(in0, in1, node_terms)
+        return walk_cell(in0, in1, node_terms, stats)
 
     def forward(self, images, use_selection: bool = True) -> Tensor:
         z = self.embed.embed(images)
         if use_selection:
             z, _ = self.selector.select(z)
-        prev2 = prev1 = z
-        for layer in range(self.num_layers):
-            out = self.cell(layer, prev2, prev1)
-            prev2, prev1 = prev1, out
-        return self.embed.classify(prev1)
+        return self.embed.classify(stack_cells(z, self.num_layers, self.cell))
 
     # -- parameter access --------------------------------------------------------
 

@@ -3,7 +3,8 @@
 Everything here is implemented with plain numpy loops and stays independent
 of the code paths it verifies: central finite differences for gradients,
 explicit per-head attention, double-loop token scores, a full-sort top-k, a
-generic DAG walker, direct layer math and a per-tensor AdamW step. It also
+generic DAG walker, direct layer math, the whole-expression forms of the
+primitives that run in place, and a per-tensor AdamW step. It also
 holds the Hypothesis strategy for arbitrary JSON values that fuzzes the input
 documents.
 """
@@ -110,6 +111,43 @@ def layernorm_np(x, gamma=None, beta=None, eps=1e-6):
 def gelu_np(x):
     c = math.sqrt(2.0 / math.pi)
     return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+
+
+# -- the plain expressions of the in-place primitives ---------------------------------
+# ``autodiff.gelu`` and the ``autodiff.layer_norm`` backward run these in reused
+# buffers; written out whole, with the same association, they give the same bits.
+
+GELU_C = math.sqrt(2.0 / math.pi)
+GELU_K = 0.044715
+
+
+def gelu_expression(x):
+    """(output, tanh term) of the tanh-GELU."""
+    t = np.tanh(GELU_C * (x + GELU_K * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
+def gelu_grad_expression(x, t, g):
+    d_inner = GELU_C * (1.0 + 3.0 * GELU_K * (x * x))
+    local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
+    return g * local
+
+
+def layer_norm_expression(x, gamma, beta, g, eps=1e-6):
+    """(output, grad x, grad gamma, grad beta) of the affine layer norm of
+    `x` under the upstream gradient `g`."""
+    n = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / n
+    centered = x - mu
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + eps)
+    normed = centered * inv
+    lead = tuple(range(x.ndim - 1))
+    gs = g * gamma
+    gm = np.add.reduce(gs, axis=-1, keepdims=True) / n
+    gy = np.add.reduce(gs * normed, axis=-1, keepdims=True) / n
+    return (normed * gamma + beta, inv * (gs - gm - normed * gy),
+            (g * normed).sum(axis=lead), g.sum(axis=lead))
 
 
 def attention_oracle(x, wq, wk, wv, wo, bo, heads, gamma=None, beta=None):

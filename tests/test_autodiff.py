@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from dasvit import Tensor, backward, dtype_scope
 from dasvit import autodiff as ad
 from dasvit.errors import NonFiniteError, ShapeError
-from oracles import check_grads
+from oracles import (check_grads, gelu_expression, gelu_grad_expression,
+                     layer_norm_expression)
 
 
 def t64(rng, *shape):
@@ -490,3 +491,81 @@ def test_attention_frozen_input_gets_no_gradient(frozen_input, rng):
             assert g is None
         else:
             np.testing.assert_array_equal(g, w)
+
+
+# -- in-place primitives against their plain expressions ------------------------------
+
+
+def _edge_values(rng, dtype, shape):
+    """Normal draws with 0, ±1e-30 and ±30 planted in every row."""
+    x = rng.standard_normal(shape)
+    x[..., :5] = [0.0, 1e-30, -1e-30, 30.0, -30.0]
+    return x.astype(dtype)
+
+
+def _leaf_grads(out, leaves, upstream):
+    """Every leaf's gradient under `upstream`, which reaches `out` bit for bit."""
+    backward((out * Tensor(upstream)).sum())
+    return [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_forward_and_backward_equal_the_plain_expression(dtype, rng):
+    x = _edge_values(rng, dtype, (3, 7, 16))
+    g = rng.standard_normal(x.shape).astype(dtype)
+    a = Tensor(x.copy(), requires_grad=True)
+    out = ad.gelu(a)
+    (grad,) = _leaf_grads(out, [a], g)
+    want, t = gelu_expression(x)
+    assert out.dtype == grad.dtype == dtype
+    np.testing.assert_array_equal(out.data, want)
+    np.testing.assert_array_equal(grad, gelu_grad_expression(x, t, g))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_backward_equals_the_plain_expression(dtype, rng):
+    x = _edge_values(rng, dtype, (3, 7, 16))
+    x[0, 0] = 0.0  # a zero-variance row: eps alone keeps it finite
+    gamma, beta, g = (rng.standard_normal(shape).astype(dtype)
+                      for shape in ((16,), (16,), x.shape))
+    leaves = [Tensor(v.copy(), requires_grad=True) for v in (x, gamma, beta)]
+    out = ad.layer_norm(*leaves)
+    got = [out.data] + _leaf_grads(out, leaves, g)
+    for have, want in zip(got, layer_norm_expression(x, gamma, beta, g)):
+        assert have.dtype == dtype
+        np.testing.assert_array_equal(have, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_over_shared_statistics_is_bitwise_unshared(dtype, rng):
+    """Two affine norms of one input, the second reading the statistics the
+    first stored, give the outputs and all three gradients of each of them
+    computed alone."""
+    x = _edge_values(rng, dtype, (2, 5, 8))
+    affines = [tuple(rng.standard_normal(8).astype(dtype) for _ in range(2))
+               for _ in range(2)]
+    g = rng.standard_normal(x.shape).astype(dtype)
+
+    def run(stats):
+        a = Tensor(x.copy(), requires_grad=True)
+        results = []
+        for gamma, beta in affines:
+            gb = [Tensor(v.copy(), requires_grad=True) for v in (gamma, beta)]
+            out = ad.layer_norm(a, *gb, stats=stats)
+            a.grad = None
+            results.append([out.data] + _leaf_grads(out, [a, *gb], g))
+        return results
+
+    stats = ad.NormStats()
+    shared = run(stats)
+    assert stats.normed is not None and stats.inv is not None
+    for got, want in zip(shared, run(None)):
+        for have, expected in zip(got, want):
+            np.testing.assert_array_equal(have, expected)
+
+
+def test_layer_norm_refuses_statistics_of_another_shape():
+    stats = ad.NormStats()
+    ad.layer_norm(Tensor(np.ones((2, 4))), stats=stats)
+    with pytest.raises(ShapeError, match=r"\(2, 4\).*\(3, 4\)"):
+        ad.layer_norm(Tensor(np.ones((3, 4))), stats=stats)

@@ -71,7 +71,7 @@ def test_cifar_source_fills_normalization_stats():
 
     cfg = desk_config()
     cfg = dataclasses.replace(cfg, data=dataclasses.replace(
-        cfg.data, source="cifar10", dir="/tmp/anything")).validate()
+        cfg.data, source="cifar10", dir="/tmp/anything", resize=cfg.model.image)).validate()
     assert cfg.data.normalize_mean == list(CIFAR10_MEAN)
     assert cfg.data.normalize_std == list(CIFAR10_STD)
     echoed = config_to_json(cfg)
@@ -82,8 +82,8 @@ def test_resize_flag_reshapes_datasets():
     from dasvit.search import build_datasets
 
     cfg = desk_config()
-    cfg = dataclasses.replace(cfg, data=dataclasses.replace(
-        cfg.data, resize=16)).validate()
+    cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, image=16),
+                              data=dataclasses.replace(cfg.data, resize=16)).validate()
     train, test = build_datasets(cfg, 0)
     assert train.images.shape[1:3] == (16, 16)
     assert test.images.shape[1:3] == (16, 16)
@@ -228,7 +228,7 @@ def test_cli_analyze_pre_norm_toggle_changes_counts(tmp_path, capsys):
 def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
     cfg = desk_config()
     cfg = dataclasses.replace(cfg, data=dataclasses.replace(
-        cfg.data, source="cifar10", dir=str(tmp_path / "absent")))
+        cfg.data, source="cifar10", dir=str(tmp_path / "absent"), resize=cfg.model.image))
     path = tmp_path / "cfg.json"
     save_config(cfg, path)
     code = main(["search", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -249,8 +249,11 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
      "data.synthetic.channels: 1, but model.channels is 3"),
     ("retrain", {"data": {"synthetic": {"image": 12}}},
      "data.synthetic.image: 12, but model.image is 8 and data.resize is unset"),
+    ("search", {"data": {"resize": 16}}, "data.resize: 16, but model.image is 8"),
+    ("search", {"data": {"source": "cifar10", "dir": "absent"}},
+     "model.image: 8, but cifar10 images are 32 and data.resize is unset"),
 ], ids=["mean-length", "std-zero", "search-batch-size", "retrain-batch-size",
-        "synthetic-channels", "synthetic-image"])
+        "synthetic-channels", "synthetic-image", "resize-image", "cifar-image"])
 def test_cli_refuses_a_config_the_run_cannot_use(tmp_path, capsys, command, changes,
                                                  message):
     doc = config_to_json(desk_config())

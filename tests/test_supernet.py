@@ -8,7 +8,7 @@ from dasvit import (DerivedModel, OpSpec, Supernet, Tensor, backward,
 from dasvit import autodiff as ad
 from dasvit.config import desk_config
 from dasvit.errors import ConfigError, DataError, ShapeError
-from dasvit.genotype import make_genotype
+from dasvit.genotype import make_genotype, searched_encoder_genotype
 from dasvit.ops import ModelDims, build_op
 from dasvit.supernet import CELL_EDGES, MixedEdge
 from dasvit.data import make_synthetic
@@ -180,7 +180,7 @@ def test_cell_is_linear_in_one_edge_output(rng):
         class Doubler:
             spec = OpSpec("identity")
 
-            def forward(self, x):
+            def forward(self, x, stats=None):
                 return x * 2.0
 
             def named_parameters(self):
@@ -315,3 +315,64 @@ def test_desk_weight_pass_records_a_pinned_node_count(monkeypatch):
         "concat": 2, "mul": 2, "broadcast_to": 1, "mean": 1, "sigmoid": 1,
         "cross_entropy": 1}
     assert sum(recorded.values()) == 363
+
+
+def _desk_models(pre_norm=True, final_norm=True):
+    """A 2-layer desk supernet and a depth-2 searched encoder, float32."""
+    cfg = desk_config()
+    sup = Supernet(cfg.model.dims(), list(cfg.candidates), 2, np.random.default_rng(0),
+                   pre_norm=pre_norm, final_norm=final_norm)
+    derived = DerivedModel(searched_encoder_genotype(cfg.model.dims(), 2, heads=4),
+                           np.random.default_rng(1), pre_norm=pre_norm,
+                           final_norm=final_norm)
+    return {"supernet": sup, "derived": derived}
+
+
+def _normalized_inputs(monkeypatch, model, images, labels):
+    """(inputs `_normalize` saw, logits, parameter gradients) of one pass."""
+    seen = []
+    original = ad._normalize
+
+    def counting(x, eps):
+        seen.append(x)
+        return original(x, eps)
+
+    monkeypatch.setattr(ad, "_normalize", counting)
+    params = model.named_parameters()
+    for p in params.values():
+        p.grad = None
+    logits = model.forward(images)
+    backward(ad.cross_entropy(logits, labels))
+    monkeypatch.setattr(ad, "_normalize", original)
+    return seen, logits.data, {n: p.grad for n, p in params.items()}
+
+
+@pytest.mark.parametrize("kind", ["supernet", "derived"])
+def test_each_distinct_cell_input_is_normalized_once_and_bitwise(kind, monkeypatch):
+    """A 2-layer forward normalizes the embedding, both first-node sums and
+    the first cell's output once each, plus the class row; every output and
+    gradient equals, bit for bit, the pass where each op normalizes alone."""
+    model = _desk_models()[kind]
+    images = np.random.default_rng(2).standard_normal((4, 8, 8, 3)).astype(np.float32)
+    labels = np.arange(4) % 2
+    seen, logits, grads = _normalized_inputs(monkeypatch, model, images, labels)
+    assert len(seen) == 5
+    assert len({id(x) for x in seen}) == 5
+    # one holder-free norm per pre-norm op, as before sharing
+    monkeypatch.setattr(ad, "NormStats", lambda: None)
+    alone, logits_alone, grads_alone = _normalized_inputs(monkeypatch, model, images,
+                                                          labels)
+    ops_per_layer = 6 * 5 if kind == "supernet" else 4
+    assert len(alone) == 2 * ops_per_layer + 1
+    np.testing.assert_array_equal(logits, logits_alone)
+    assert grads.keys() == grads_alone.keys()
+    for name, g in grads.items():
+        np.testing.assert_array_equal(g, grads_alone[name], err_msg=name)
+
+
+@pytest.mark.parametrize("kind", ["supernet", "derived"])
+def test_models_without_norms_compute_no_statistics(kind, monkeypatch):
+    model = _desk_models(pre_norm=False, final_norm=False)[kind]
+    images = np.random.default_rng(2).standard_normal((4, 8, 8, 3)).astype(np.float32)
+    seen, _, _ = _normalized_inputs(monkeypatch, model, images, np.arange(4) % 2)
+    assert seen == []
