@@ -118,7 +118,7 @@ def _cmd_retrain(args) -> int:
 
 def _cmd_eval(args) -> int:
     from .autodiff import dtype_scope
-    from .data import load_parameters
+    from .data import load_parameters, write_json
     from .genotype import DerivedModel
     from .search import build_datasets, evaluate, load_run_checkpoint
 
@@ -140,11 +140,12 @@ def _cmd_eval(args) -> int:
     print(json.dumps(doc, indent=2, sort_keys=True))
     if args.out:
         args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        write_json(args.out, doc)
     return 0
 
 
 def _cmd_analyze(args) -> int:
+    from .data import write_json
     from .genotype import cost_report, load_genotype
 
     cfg = _load_config(args.config, None)
@@ -152,11 +153,11 @@ def _cmd_analyze(args) -> int:
     report = cost_report(genotype, pre_norm=cfg.model.pre_norm,
                          final_norm=cfg.model.final_norm)
     print(report.table())
-    doc = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
-    print(doc)
+    doc = dataclasses.asdict(report)
+    print(json.dumps(doc, indent=2, sort_keys=True))
     if args.out:
         args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(doc + "\n")
+        write_json(args.out, doc)
     return 0
 
 

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .data import CIFAR10_IMAGE, CIFAR10_MEAN, CIFAR10_STD
+from .data import CIFAR10_MEAN, CIFAR10_STD, write_json
 from .errors import ConfigError
 from .fairness import FairnessConfig
 from .ops import DEFAULT_CANDIDATES, ModelDims, OpSpec, json_key, read_json
@@ -78,10 +78,9 @@ class RetrainConfig:
 
 @dataclass
 class SyntheticConfig:
-    classes: int = 2
+    classes: int = 10
     per_class: int = 128
-    image: int = 224  # equals model.image unless data.resize is set
-    channels: int = 3
+    image: int = 224  # generated at this side length, then resized to model.image
     noise: float = 0.05
 
 
@@ -92,7 +91,6 @@ class DataConfig:
     synthetic: SyntheticConfig = field(default_factory=SyntheticConfig)
     normalize_mean: list[float] | None = None
     normalize_std: list[float] | None = None
-    resize: int | None = None  # bilinear resize to this side length when set
 
 
 @dataclass
@@ -128,6 +126,9 @@ class RunConfig:
         s = self.search
         if s.stages < 1 or s.epochs_per_stage < 1:
             raise ConfigError("search: stages and epochs_per_stage must be >= 1")
+        if s.warmup_epochs > s.stages * s.epochs_per_stage:
+            raise ConfigError(f"search.warmup_epochs: {s.warmup_epochs} exceeds the "
+                              f"{s.stages * s.epochs_per_stage} searched epochs")
         if len(s.prune_per_stage) < s.stages:
             raise ConfigError(
                 f"search.prune_per_stage: need at least {s.stages} entries")
@@ -142,21 +143,14 @@ class RunConfig:
                 f"retrain.epochs {self.retrain.epochs}")
         if self.data.source not in ("synthetic", "cifar10"):
             raise ConfigError(f"data.source: unknown source {self.data.source!r}")
-        resize = self.data.resize
-        if resize is not None and resize != self.model.image:
-            raise ConfigError(f"data.resize: {resize}, but model.image is {self.model.image}")
-        if (self.data.source == "cifar10" and resize is None
-                and self.model.image != CIFAR10_IMAGE):
-            raise ConfigError(f"model.image: {self.model.image}, but cifar10 images are "
-                              f"{CIFAR10_IMAGE} and data.resize is unset")
-        if self.data.source == "synthetic":
-            syn = self.data.synthetic
-            if syn.channels != self.model.channels:
-                raise ConfigError(f"data.synthetic.channels: {syn.channels}, but "
-                                  f"model.channels is {self.model.channels}")
-            if resize is None and syn.image != self.model.image:
-                raise ConfigError(f"data.synthetic.image: {syn.image}, but model.image "
-                                  f"is {self.model.image} and data.resize is unset")
+        m = self.model
+        if self.data.source == "synthetic" and self.data.synthetic.classes != m.classes:
+            raise ConfigError(f"data.synthetic.classes: {self.data.synthetic.classes}, "
+                              f"but model.classes is {m.classes}")
+        if self.data.source == "cifar10":
+            for key, have, need in (("classes", m.classes, 10), ("channels", m.channels, 3)):
+                if have != need:
+                    raise ConfigError(f"model.{key}: {have}, but cifar10 has {need} {key}")
         if (self.data.normalize_mean is None) != (self.data.normalize_std is None):
             raise ConfigError("data: normalize_mean and normalize_std go together")
         if self.data.source == "cifar10" and self.data.normalize_mean is None:
@@ -210,7 +204,7 @@ def load_config(path) -> RunConfig:
 
 
 def save_config(cfg: RunConfig, path) -> None:
-    Path(path).write_text(json.dumps(config_to_json(cfg), indent=2, sort_keys=True) + "\n")
+    write_json(path, config_to_json(cfg))
 
 
 # -- presets ----------------------------------------------------------------------

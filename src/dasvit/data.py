@@ -317,15 +317,18 @@ class RunLog:
 # -- checkpoints ---------------------------------------------------------------------
 
 _CKPT_FORMAT = "dasvit-checkpoint"
+_CKPT_VERSION = 2
 
 
-def _replace_file(path: Path, data: bytes) -> None:
-    """Write `data` to a temporary file beside `path`, fsync it, then rename
-    it over `path`: readers see the old file or the new one, never a mix."""
+def _replace_file(path, *chunks) -> None:
+    """Write `chunks` (bytes or C-contiguous arrays) to a temporary file beside
+    `path`, fsync it, then rename it over `path`: readers see the old file or
+    the new one, never a mix."""
+    path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -333,43 +336,45 @@ def _replace_file(path: Path, data: bytes) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def save_checkpoint(path, arrays: dict[str, np.ndarray], extras: dict | None = None):
-    """Write a raw little-endian blob and then a JSON manifest at `path`.
+def write_json(path, doc) -> None:
+    """Write `doc` to `path` as indented, key-sorted JSON, atomically."""
+    _replace_file(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
 
-    The round trip is bit-exact: array bytes land in the blob unmodified
-    (byte-swapped to little-endian if needed), offsets in the manifest. Each
-    file is replaced atomically, blob first, so a failed blob write leaves the
-    previous checkpoint at `path` intact. The manifest records the blob's
-    sha256, so a manifest paired with another write's blob fails to load."""
-    path = Path(path)
-    blob_path = path.with_name(path.name + ".blob")
+
+def save_checkpoint(path, arrays: dict[str, np.ndarray], extras: dict | None = None):
+    """Write one file at `path`: a one-line JSON manifest, then each array's
+    little-endian bytes in sorted-name order.
+
+    The round trip is bit-exact. The manifest gives each array's shape, dtype,
+    offset and size in the data section, the section's sha256 and `extras`.
+    The arrays are written as they are, uncopied, and the file is replaced
+    atomically, so a failed write leaves the previous checkpoint intact."""
     entries: dict[str, dict] = {}
-    chunks: list[bytes] = []
+    chunks: list[np.ndarray] = []
+    digest = hashlib.sha256()
     offset = 0
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
         if arr.dtype.byteorder == ">":
             arr = arr.astype(arr.dtype.newbyteorder("<"))
-        raw = arr.tobytes()
         entries[name] = {
             "shape": list(arr.shape),
             "dtype": np.dtype(arr.dtype).newbyteorder("<").str,
             "offset": offset,
-            "nbytes": len(raw),
+            "nbytes": arr.nbytes,
         }
-        chunks.append(raw)
-        offset += len(raw)
-    blob = b"".join(chunks)
+        digest.update(arr)
+        chunks.append(arr)
+        offset += arr.nbytes
     manifest = {
         "format": _CKPT_FORMAT,
-        "version": 1,
-        "blob": blob_path.name,
-        "sha256": hashlib.sha256(blob).hexdigest(),
+        "version": _CKPT_VERSION,
+        "sha256": digest.hexdigest(),
         "arrays": entries,
         "extras": extras or {},
     }
-    _replace_file(blob_path, blob)
-    _replace_file(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+    head = json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
+    _replace_file(path, head.encode(), *chunks)
 
 
 def manifest_value(path, doc, key: str, kind: type, where: str = "extras"):
@@ -389,42 +394,43 @@ def manifest_value(path, doc, key: str, kind: type, where: str = "extras"):
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"checkpoint: manifest not found: {path}")
+    if not path.is_file():
+        raise DataError(f"checkpoint: file not found: {path}")
+    raw = path.read_bytes()
+    end = raw.find(b"\n")
+    end = len(raw) if end < 0 else end  # the manifest is line 1
+    if raw[:end] == b"{":  # line 1 of a version-1 manifest, indented JSON
+        raise DataError(f"checkpoint: {path} is a version-1 manifest+blob pair, not read")
     try:
-        manifest = json.loads(path.read_text())
+        manifest = json.loads(raw[:end])
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"checkpoint: {path}: invalid JSON: {exc}") from None
-    if not isinstance(manifest, dict) or manifest.get("format") != _CKPT_FORMAT:
-        raise DataError(f"checkpoint: {path} is not a {_CKPT_FORMAT} manifest")
+        raise DataError(f"checkpoint: {path}: invalid JSON manifest: {exc}") from None
+    if not (isinstance(manifest, dict) and manifest.get("format") == _CKPT_FORMAT
+            and manifest.get("version") == _CKPT_VERSION):
+        raise DataError(f"checkpoint: {path} is not a {_CKPT_FORMAT} "
+                        f"version-{_CKPT_VERSION} file")
 
     def need(doc, key, kind, where="manifest"):
         return manifest_value(path, doc, key, kind, where)
 
-    blob_name = need(manifest, "blob", str)
-    if not blob_name or Path(blob_name).name != blob_name:
-        raise DataError(f"checkpoint: {path}: blob {blob_name!r} is not a file name")
-    blob_path = path.with_name(blob_name)
-    if not blob_path.is_file():
-        raise DataError(f"checkpoint: blob not found: {blob_path}")
-    blob = blob_path.read_bytes()
+    data = memoryview(raw)[end + 1:]
     arrays: dict[str, np.ndarray] = {}
     for name, entry in need(manifest, "arrays", dict).items():
         where = f"array {name!r}"
         start, nbytes = need(entry, "offset", int, where), need(entry, "nbytes", int, where)
         dtype, shape = need(entry, "dtype", str, where), need(entry, "shape", list, where)
-        if start + nbytes > len(blob):
-            raise DataError(f"checkpoint: blob truncated for array {name!r}")
+        if start + nbytes > len(data):
+            raise DataError(f"checkpoint: {path}: data truncated for array {name!r}")
         try:
-            arr = np.frombuffer(blob[start:start + nbytes], dtype=np.dtype(dtype))
+            arr = np.frombuffer(data[start:start + nbytes], dtype=np.dtype(dtype))
             arrays[name] = arr.reshape(shape).copy()
         except (TypeError, ValueError) as exc:
             raise DataError(f"checkpoint: {path}: array {name!r} ({nbytes} bytes of "
                             f"{dtype}) does not fill shape {shape}: {exc}") from None
-    digest = hashlib.sha256(blob).hexdigest()
-    if digest != manifest.get("sha256"):
-        raise DataError(f"checkpoint: {path}: blob sha256 {digest} differs from the "
-                        f"manifest's {manifest.get('sha256')}")
+    digest = hashlib.sha256(data).hexdigest()
+    if digest != need(manifest, "sha256", str):
+        raise DataError(f"checkpoint: {path}: data sha256 {digest} differs from the "
+                        f"manifest's {manifest['sha256']}")
     return arrays, need(manifest, "extras", dict)
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .data import load_parameters
+from .data import load_parameters, write_json
 from .errors import DasvitError, GenotypeError
 from .ops import (CELL_EDGES, INTERMEDIATE_NODES, EmbedParams, ModelDims, Module,
                   OpSpec, build_op, mlp_hidden_dim, read_json, stack_cells, walk_cell)
@@ -158,7 +158,7 @@ def genotype_from_json(doc: dict, path: str = "genotype") -> Genotype:
 
 
 def save_genotype(g: Genotype, path) -> None:
-    Path(path).write_text(json.dumps(genotype_to_json(g), indent=2, sort_keys=True) + "\n")
+    write_json(path, genotype_to_json(g))
 
 
 def load_genotype(path) -> Genotype:

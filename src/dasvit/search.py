@@ -14,7 +14,6 @@ correction) sits behind ``search.unrolled``.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import asdict, dataclass, field
@@ -27,7 +26,8 @@ from .config import RunConfig, save_config
 from .data import (Batch, BatchPlan, Dataset, RNG_RETRAIN, RNG_STAGE, RunLog,
                    epoch_batches, load_checkpoint, load_parameters, make_synthetic,
                    load_cifar10, manifest_value, normalize, resize_images, rng_for,
-                   save_checkpoint, sequential_batches, split_dataset, topk_accuracy)
+                   save_checkpoint, sequential_batches, split_dataset, topk_accuracy,
+                   write_json)
 from .errors import ConfigError, DataError, GenotypeError, NonFiniteError, SearchAbort
 from .fairness import FairnessConfig, skip_fairness, type_fairness
 from .genotype import (DerivedModel, Genotype, genotype_to_json, make_genotype,
@@ -277,21 +277,20 @@ def bilevel_epoch(state: SearchState, train_batches: list[Batch],
 
 
 def build_datasets(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
-    """(train, held-out) datasets per the data config, resized and then
-    normalized when it says so."""
+    """(train, held-out) datasets per the data config, resized to
+    ``model.image`` and then normalized when it says so."""
     if cfg.data.source == "synthetic":
-        syn = cfg.data.synthetic
+        syn, channels = cfg.data.synthetic, cfg.model.channels
         train = make_synthetic(syn.classes, syn.per_class, syn.image, seed,
-                               channels=syn.channels, noise=syn.noise)
+                               channels=channels, noise=syn.noise)
         test = make_synthetic(syn.classes, max(1, syn.per_class // 4), syn.image,
-                              seed + 1, channels=syn.channels, noise=syn.noise)
+                              seed + 1, channels=channels, noise=syn.noise)
     else:
         if cfg.data.dir is None:
             raise DataError("data.dir: required for cifar10")
         train, test = load_cifar10(cfg.data.dir)
     for ds in (train, test):
-        if cfg.data.resize is not None:
-            ds.images = resize_images(ds.images, cfg.data.resize)
+        ds.images = resize_images(ds.images, cfg.model.image)
         if cfg.data.normalize_mean is not None:
             ds.images = normalize(ds.images, cfg.data.normalize_mean, cfg.data.normalize_std)
     return train, test
@@ -363,7 +362,7 @@ def _dump_diagnostics(out_dir: Path, state: SearchState, exc: Exception) -> Path
         "last_steps": [asdict(entry) for entry in state.log[-5:]],
     }
     path = out_dir / "diagnostic.json"
-    path.write_text(json.dumps(dump, indent=2, sort_keys=True) + "\n")
+    write_json(path, dump)
     return path
 
 
@@ -390,13 +389,12 @@ def load_run_checkpoint(path, command: str, kind: str, seed: int | None = None,
 def _remove_stale(out: Path, resume, numbered: str, start: int, names) -> None:
     """Delete from `out` what an earlier run left that this run, fresh
     (`resume` None, `start` 0 or 1) or resumed from `resume`, writes again:
-    ``<numbered>_<n>.ckpt(.blob)`` for n >= `start`, and `names`. The
-    checkpoint `resume` itself stays."""
-    keep = set() if resume is None else {Path(resume).resolve(),
-                                         Path(f"{resume}.blob").resolve()}
+    ``<numbered>_<n>.ckpt`` for n >= `start`, and `names`. The checkpoint
+    `resume` itself stays."""
+    keep = None if resume is None else Path(resume).resolve()
     for path in out.glob("*"):
-        n = re.fullmatch(rf"{numbered}_(\d+)\.ckpt(\.blob)?", path.name)
-        if (path.name in names or n and int(n[1]) >= start) and path.resolve() not in keep:
+        n = re.fullmatch(rf"{numbered}_(\d+)\.ckpt", path.name)
+        if (path.name in names or n and int(n[1]) >= start) and path.resolve() != keep:
             path.unlink()
 
 
@@ -405,7 +403,7 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
     """Run the staged search end to end and write every artifact.
 
     Artifacts (README §Artifacts): config.json, alpha_history.csv,
-    search_log.jsonl, prune.jsonl, stage_<n>.ckpt(+.blob), genotype.json.
+    search_log.jsonl, prune.jsonl, stage_<n>.ckpt, genotype.json.
     Resuming points at a stage checkpoint and continues from the following
     stage. A run first deletes from `out_dir` the checkpoints of the stages
     it runs (every stage when fresh), genotype.json and diagnostic.json; a
@@ -416,12 +414,6 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
     n_stages = cfg.search.stages if stages is None else min(stages, cfg.search.stages)
     if n_stages < 1:
         raise ConfigError("search: need at least one stage")
-    total_epochs = cfg.search.epochs_per_stage * n_stages
-    if cfg.search.warmup_epochs > total_epochs:
-        raise ConfigError(
-            f"search.warmup_epochs: {cfg.search.warmup_epochs} exceeds the "
-            f"{total_epochs} searched epochs ({n_stages} stages of "
-            f"{cfg.search.epochs_per_stage})")
     out = Path(out_dir)
 
     with dtype_scope(cfg.model.precision):
@@ -429,10 +421,12 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
         split = split_dataset(len(train_ds), cfg.search.val_fraction, seed)
         plan = BatchPlan(batch_size=cfg.search.batch_size, seed=seed, drop_last=True)
 
+        # spans every configured stage: a run capped by `stages` is a prefix
         w_sched = LrSchedule(base_lr=cfg.search.lr,
                              warmup_epochs=cfg.search.warmup_epochs,
                              warmup_start_lr=cfg.search.warmup_start_lr,
-                             total_epochs=total_epochs, min_lr=cfg.search.min_lr)
+                             total_epochs=cfg.search.stages * cfg.search.epochs_per_stage,
+                             min_lr=cfg.search.min_lr)
 
         depths = [layers for _, layers in schedule_preview(cfg, n_stages)]
         start_stage = 1
@@ -572,8 +566,7 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
             opt.load_state_arrays(arrays)
         metrics = RunLog(out / "metrics.csv", start_epoch,
                          header=("epoch", "split", "loss", "top1", "top5"))
-        _remove_stale(out, resume, "epoch", start_epoch,
-                      ("model.ckpt", "model.ckpt.blob", "abort.ckpt", "abort.ckpt.blob"))
+        _remove_stale(out, resume, "epoch", start_epoch, ("model.ckpt", "abort.ckpt"))
         out.mkdir(parents=True, exist_ok=True)
         save_config(cfg, out / "config.json")
 

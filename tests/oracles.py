@@ -6,10 +6,12 @@ explicit per-head attention, double-loop token scores, a full-sort top-k, a
 generic DAG walker, direct layer math, the whole-expression forms of the
 primitives that run in place, and a per-tensor AdamW step. It also
 holds the Hypothesis strategy for arbitrary JSON values that fuzzes the input
-documents.
+documents, and a checkpoint-manifest editor for damaging checkpoints.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -264,3 +266,12 @@ def set_json_path(doc, path, value):
     for key in path[:-1]:
         doc = doc[key]
     doc[path[-1]] = value
+
+
+def edit_manifest(path, edit):
+    """Apply `edit` to the JSON manifest on line 1 of the checkpoint at `path`
+    and write it back in front of the unchanged data section."""
+    head, _, data = Path(path).read_bytes().partition(b"\n")
+    manifest = json.loads(head)
+    edit(manifest)
+    Path(path).write_bytes(json.dumps(manifest).encode() + b"\n" + data)

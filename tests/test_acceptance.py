@@ -320,8 +320,7 @@ def test_criterion_8_bitwise_determinism(tmp_path):
                                                            image=8)))
 
     search_files = ["genotype.json", "alpha_history.csv", "search_log.jsonl",
-                    "config.json", "stage_1.ckpt", "stage_1.ckpt.blob",
-                    "stage_3.ckpt", "stage_3.ckpt.blob"]
+                    "config.json", "stage_1.ckpt", "stage_3.ckpt"]
     run_search(cfg, tmp_path / "s1")
     run_search(cfg, tmp_path / "s2")
     search_same = {
@@ -333,7 +332,7 @@ def test_criterion_8_bitwise_determinism(tmp_path):
     genotype = searched_encoder_genotype(cfg.model.dims(), depth=2, heads=4)
     retrain(genotype, cfg, tmp_path / "r1")
     retrain(genotype, cfg, tmp_path / "r2")
-    retrain_files = ["metrics.csv", "model.ckpt", "model.ckpt.blob"]
+    retrain_files = ["metrics.csv", "model.ckpt"]
     retrain_same = {
         name: (tmp_path / "r1" / name).read_bytes() ==
               (tmp_path / "r2" / name).read_bytes()

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -64,14 +65,16 @@ def test_paper_scale_defaults_hold_reference_hyperparameters():
     assert (cfg.retrain.epochs, cfg.retrain.warmup_epochs) == (500, 20)
     assert cfg.retrain.warmup_start_lr == 1e-6
     assert len(cfg.candidates) == 8
+    assert cfg.data.synthetic.classes == cfg.model.classes == 10
 
 
 def test_cifar_source_fills_normalization_stats():
     from dasvit.data import CIFAR10_MEAN, CIFAR10_STD
 
     cfg = desk_config()
-    cfg = dataclasses.replace(cfg, data=dataclasses.replace(
-        cfg.data, source="cifar10", dir="/tmp/anything", resize=cfg.model.image)).validate()
+    cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, classes=10),
+                              data=dataclasses.replace(cfg.data, source="cifar10",
+                                                       dir="/tmp/anything")).validate()
     assert cfg.data.normalize_mean == list(CIFAR10_MEAN)
     assert cfg.data.normalize_std == list(CIFAR10_STD)
     echoed = config_to_json(cfg)
@@ -79,14 +82,16 @@ def test_cifar_source_fills_normalization_stats():
 
 
 def test_resize_flag_reshapes_datasets():
+    """Every split is resized to model.image; synthetic images are generated
+    at data.synthetic.image with model.channels channels."""
     from dasvit.search import build_datasets
 
     cfg = desk_config()
-    cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, image=16),
-                              data=dataclasses.replace(cfg.data, resize=16)).validate()
+    cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, image=16,
+                                                             channels=1)).validate()
+    assert cfg.data.synthetic.image == 8
     train, test = build_datasets(cfg, 0)
-    assert train.images.shape[1:3] == (16, 16)
-    assert test.images.shape[1:3] == (16, 16)
+    assert train.images.shape[1:] == test.images.shape[1:] == (16, 16, 1)
 
 
 def test_candidate_validation_against_embedding_width():
@@ -227,8 +232,9 @@ def test_cli_analyze_pre_norm_toggle_changes_counts(tmp_path, capsys):
 
 def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
     cfg = desk_config()
-    cfg = dataclasses.replace(cfg, data=dataclasses.replace(
-        cfg.data, source="cifar10", dir=str(tmp_path / "absent"), resize=cfg.model.image))
+    cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, classes=10),
+                              data=dataclasses.replace(cfg.data, source="cifar10",
+                                                       dir=str(tmp_path / "absent")))
     path = tmp_path / "cfg.json"
     save_config(cfg, path)
     code = main(["search", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -245,20 +251,35 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
      "data.normalize_std: entries must be > 0"),
     ("search", {"search": {"batch_size": 0}}, "search.batch_size: must be >= 1, got 0"),
     ("retrain", {"retrain": {"batch_size": 0}}, "retrain.batch_size: must be >= 1, got 0"),
-    ("search", {"data": {"synthetic": {"channels": 1, "image": 8}}},
-     "data.synthetic.channels: 1, but model.channels is 3"),
-    ("retrain", {"data": {"synthetic": {"image": 12}}},
-     "data.synthetic.image: 12, but model.image is 8 and data.resize is unset"),
-    ("search", {"data": {"resize": 16}}, "data.resize: 16, but model.image is 8"),
+    # keys since removed, each with a value it once accepted
+    ("search", {"search": {"score_mode": "mean"}}, "config.search.score_mode: unknown key"),
+    ("search", {"search": {"drop_last": True}}, "config.search.drop_last: unknown key"),
+    ("search", {"retrain": {"drop_last": False}}, "config.retrain.drop_last: unknown key"),
+    ("search", {"data": {"resize_method": "bilinear"}},
+     "config.data.resize_method: unknown key"),
+    ("search", {"data": {"resize": 8}}, "config.data.resize: unknown key"),
+    ("search", {"data": {"synthetic": {"channels": 3}}},
+     "config.data.synthetic.channels: unknown key"),
+    ("search", {"data": {"synthetic": {"classes": 3}}},
+     "data.synthetic.classes: 3, but model.classes is 2"),
+    ("retrain", {"data": {"synthetic": {"classes": 1}}},
+     "data.synthetic.classes: 1, but model.classes is 2"),
     ("search", {"data": {"source": "cifar10", "dir": "absent"}},
-     "model.image: 8, but cifar10 images are 32 and data.resize is unset"),
+     "model.classes: 2, but cifar10 has 10 classes"),
+    ("retrain", {"model": {"classes": 10, "channels": 1},
+                 "data": {"source": "cifar10", "dir": "absent"}},
+     "model.channels: 1, but cifar10 has 3 channels"),
 ], ids=["mean-length", "std-zero", "search-batch-size", "retrain-batch-size",
-        "synthetic-channels", "synthetic-image", "resize-image", "cifar-image"])
+        "score-mode", "search-drop-last", "retrain-drop-last", "resize-method",
+        "resize-image", "synthetic-channels", "synthetic-classes", "synthetic-one-class",
+        "cifar-classes", "cifar-channels"])
 def test_cli_refuses_a_config_the_run_cannot_use(tmp_path, capsys, command, changes,
                                                  message):
     doc = config_to_json(desk_config())
     for section, leaves in changes.items():
         doc[section].update(leaves)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        config_from_json(doc)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     out = tmp_path / "out"

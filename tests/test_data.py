@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -15,7 +16,7 @@ from dasvit.data import (BatchPlan, RunLog, epoch_batches,
                          split_dataset, topk_accuracy)
 from dasvit.errors import DataError
 from dasvit.search import build_datasets
-from oracles import JSON_VALUES, set_json_path
+from oracles import JSON_VALUES, edit_manifest, set_json_path
 
 
 # -- synthetic -----------------------------------------------------------------------
@@ -290,7 +291,11 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     extras = {"stage": 2, "candidates": [{"kind": "zero"}]}
     path = tmp_path / "state.ckpt"
     save_checkpoint(path, arrays, extras)
-    assert path.exists() and path.with_name("state.ckpt.blob").exists()
+    # one file: a one-line manifest, then the arrays' bytes in name order
+    assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
+    head, data = path.read_bytes().split(b"\n", 1)
+    assert json.loads(head)["version"] == 2
+    assert data == b"".join(arrays[name].tobytes() for name in sorted(arrays))
     loaded, got_extras = load_checkpoint(path)
     assert got_extras == extras
     for name, arr in arrays.items():
@@ -302,15 +307,33 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
 def test_checkpoint_truncated_blob_is_detected(tmp_path):
     path = tmp_path / "state.ckpt"
     save_checkpoint(path, {"w": np.ones(8)}, {})
-    blob = path.with_name("state.ckpt.blob")
-    blob.write_bytes(blob.read_bytes()[:-8])
-    with pytest.raises(DataError, match="truncated"):
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(DataError, match="state.ckpt: data truncated for array 'w'"):
         load_checkpoint(path)
 
 
 def test_checkpoint_missing_manifest(tmp_path):
-    with pytest.raises(DataError, match="manifest"):
+    with pytest.raises(DataError, match="checkpoint: file not found: .*missing.ckpt"):
         load_checkpoint(tmp_path / "missing.ckpt")
+
+
+def test_a_version_1_manifest_and_blob_pair_is_refused(tmp_path):
+    path = tmp_path / "state.ckpt"
+    w = np.arange(4.0)
+    path.with_name("state.ckpt.blob").write_bytes(w.tobytes())
+    path.write_text(json.dumps({
+        "format": "dasvit-checkpoint", "version": 1, "blob": "state.ckpt.blob",
+        "sha256": hashlib.sha256(w.tobytes()).hexdigest(), "extras": {},
+        "arrays": {"w": {"shape": [4], "dtype": "<f8", "offset": 0, "nbytes": 32}},
+    }, indent=2, sort_keys=True) + "\n")
+    with pytest.raises(DataError, match=f"^checkpoint: {re.escape(str(path))} is a "
+                                        "version-1 manifest\\+blob pair, not read$"):
+        load_checkpoint(path)
+
+    save_checkpoint(path, {"w": w})
+    edit_manifest(path, lambda manifest: manifest.update(version=3))
+    with pytest.raises(DataError, match="state.ckpt is not a dasvit-checkpoint version-2"):
+        load_checkpoint(path)
 
 
 def test_failed_checkpoint_write_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
@@ -318,101 +341,64 @@ def test_failed_checkpoint_write_keeps_the_previous_checkpoint(tmp_path, monkeyp
     save_checkpoint(path, {"w": np.arange(4.0)}, {"epoch": 0})
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
-    def disk_full(fd):  # the blob is written, and so synced, first
+    def disk_full(fd):
         raise OSError("no space left on device")
 
     monkeypatch.setattr(data_mod.os, "fsync", disk_full)
     with pytest.raises(OSError, match="no space"):
         save_checkpoint(path, {"w": np.arange(8.0)}, {"epoch": 1})
+    # a first write that fails leaves no file behind
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(tmp_path / "new.ckpt", {"w": np.ones(2)})
     monkeypatch.undo()
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     arrays, extras = load_checkpoint(path)
     assert extras == {"epoch": 0} and arrays["w"].tobytes() == np.arange(4.0).tobytes()
 
     save_checkpoint(path, {"w": np.arange(8.0)}, {"epoch": 1})
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ckpt", "state.ckpt.blob"]
+    assert [p.name for p in tmp_path.iterdir()] == ["state.ckpt"]
     assert load_checkpoint(path)[1] == {"epoch": 1}
-
-    # the manifest is written last: a first write that fails after its blob
-    # leaves no manifest that could point at a missing blob
-    syncs = []
-
-    def second_sync_fails(fd):
-        syncs.append(fd)
-        if len(syncs) == 2:
-            raise OSError("no space left on device")
-
-    monkeypatch.setattr(data_mod.os, "fsync", second_sync_fails)
-    with pytest.raises(OSError):
-        save_checkpoint(tmp_path / "new.ckpt", {"w": np.ones(2)})
-    monkeypatch.undo()
-    assert not (tmp_path / "new.ckpt").exists()
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "new.ckpt.blob", "state.ckpt", "state.ckpt.blob"]
-
-
-def test_manifest_paired_with_another_writes_blob_is_refused(tmp_path, monkeypatch):
-    path = tmp_path / "state.ckpt"
-    save_checkpoint(path, {"w": np.zeros(3)}, {"epoch": 0})
-    syncs = []
-
-    def manifest_sync_fails(fd):  # the blob is renamed into place, the manifest not
-        syncs.append(fd)
-        if len(syncs) == 2:
-            raise OSError("no space left on device")
-
-    monkeypatch.setattr(data_mod.os, "fsync", manifest_sync_fails)
-    with pytest.raises(OSError):
-        save_checkpoint(path, {"w": np.ones(3)}, {"epoch": 1})
-    monkeypatch.undo()
-    with pytest.raises(DataError, match="state.ckpt: blob sha256 .* differs"):
-        load_checkpoint(path)
 
 
 def test_corrupt_checkpoint_raises_data_error(tmp_path):
     path = tmp_path / "state.ckpt"
     save_checkpoint(path, {"w": np.arange(4.0)}, {})
-    blob = path.with_name("state.ckpt.blob")
-    raw = bytearray(blob.read_bytes())
-    raw[0] ^= 1
-    blob.write_bytes(bytes(raw))
-    with pytest.raises(DataError, match="state.ckpt: blob sha256"):
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="state.ckpt: data sha256 .* differs"):
         load_checkpoint(path)
 
     save_checkpoint(path, {"w": np.arange(4.0)}, {})
-    manifest = json.loads(path.read_text())
-    manifest["arrays"]["w"]["shape"] = [5]
-    path.write_text(json.dumps(manifest))
+    edit_manifest(path, lambda manifest: manifest["arrays"]["w"].update(shape=[5]))
     with pytest.raises(DataError, match=r"state.ckpt: array 'w' .* shape \[5\]"):
         load_checkpoint(path)
-    manifest["arrays"]["w"].update(shape=[4], nbytes=28)
-    path.write_text(json.dumps(manifest))
+    edit_manifest(path, lambda manifest: manifest["arrays"]["w"].update(shape=[4],
+                                                                        nbytes=28))
     with pytest.raises(DataError, match="state.ckpt: array 'w' \\(28 bytes"):
         load_checkpoint(path)
 
 
 @pytest.mark.parametrize("damage, message", [
-    ("truncated", r"state.ckpt: invalid JSON"),
+    ("truncated", r"state.ckpt: invalid JSON manifest"),
     ("arrays", r"state.ckpt: manifest has no key 'arrays'"),
-    ("blob", r"state.ckpt: manifest has no key 'blob'"),
     ("offset", r"state.ckpt: array 'w' has no key 'offset'"),
-], ids=["truncated", "arrays", "blob", "offset"])
+], ids=["truncated", "arrays", "offset"])
 def test_malformed_manifest_raises_data_error_naming_the_key(tmp_path, damage,
                                                              message):
     path = tmp_path / "state.ckpt"
     save_checkpoint(path, {"w": np.arange(4.0)}, {})
-    text = path.read_text()
-    if damage == "truncated":
-        path.write_text(text[:len(text) // 2])
+    if damage == "truncated":  # cut inside the manifest line
+        raw = path.read_bytes()
+        path.write_bytes(raw[:raw.index(b"\n") // 2])
     else:
-        manifest = json.loads(text)
-        del (manifest["arrays"]["w"] if damage == "offset" else manifest)[damage]
-        path.write_text(json.dumps(manifest))
+        edit_manifest(path, lambda manifest: (
+            manifest["arrays"]["w"] if damage == "offset" else manifest).pop(damage))
     with pytest.raises(DataError, match=message):
         load_checkpoint(path)
 
 
-MANIFEST_PATHS = [("blob",), ("sha256",), ("extras",), ("format",), ("arrays",),
+MANIFEST_PATHS = [("version",), ("sha256",), ("extras",), ("format",), ("arrays",),
                   ("arrays", "w")] + [("arrays", "w", key)
                                       for key in ("offset", "nbytes", "dtype", "shape")]
 
@@ -423,9 +409,7 @@ def test_any_json_value_in_a_manifest_loads_or_raises_data_error(tmp_path_factor
                                                                   path, value):
     ckpt = tmp_path_factory.mktemp("fuzz") / "state.ckpt"
     save_checkpoint(ckpt, {"w": np.arange(4.0)}, {"epoch": 0})
-    manifest = json.loads(ckpt.read_text())
-    set_json_path(manifest, path, value)
-    ckpt.write_text(json.dumps(manifest))
+    edit_manifest(ckpt, lambda manifest: set_json_path(manifest, path, value))
     try:
         load_checkpoint(ckpt)
     except DataError:

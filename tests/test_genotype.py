@@ -201,6 +201,24 @@ def test_genotype_roundtrip(tmp_path):
     assert load_genotype(path) == g
 
 
+def test_a_failed_genotype_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    from dasvit import data as data_mod
+
+    path = tmp_path / "genotype.json"
+    save_genotype(searched_encoder_genotype(DESK, depth=1, heads=4), path)
+    before = path.read_bytes()
+
+    def disk_full(fd):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(data_mod.os, "fsync", disk_full)
+    with pytest.raises(OSError, match="no space"):
+        save_genotype(searched_encoder_genotype(DESK, depth=3, heads=2), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["genotype.json"]
+
+
 @given(st.integers(min_value=1, max_value=6), st.sampled_from([2, 4]),
        st.sampled_from([0.5, 3.0, 4.0]))
 def test_genotype_roundtrip_property(depth, heads, ratio):

@@ -93,7 +93,8 @@ def test_workloads_config_and_stage_supernet_match_the_program(tmp_path, monkeyp
     cfg = dataclasses.replace(
         cfg, search=dataclasses.replace(cfg.search, stages=1, epochs_per_stage=1,
                                         batch_size=8),
-        data=dataclasses.replace(cfg.data, synthetic=SyntheticConfig(per_class=16, image=8)))
+        data=dataclasses.replace(cfg.data, synthetic=SyntheticConfig(
+            classes=2, per_class=16, image=8)))
     run_search(cfg, tmp_path / "run")
     net, complete = workloads._stage_supernet(
         cfg, *load_checkpoint(tmp_path / "run" / "stage_1.ckpt"))

@@ -26,7 +26,7 @@ from dasvit.ops import ModelDims, build_op
 from dasvit.search import (SearchState, _grad_pass, _unrolled_alpha_pass,
                            advance_stage, bilevel_epoch, prune_candidates)
 from dasvit.supernet import mixed_edge_forward
-from oracles import softmax_np
+from oracles import edit_manifest, softmax_np
 
 DESK8 = [
     OpSpec("zero"), OpSpec("identity"),
@@ -628,35 +628,39 @@ def test_search_log_carries_loss_components(desk_run):
 
 
 def test_resume_from_stage_checkpoint_matches_uninterrupted(tmp_path):
-    cfg = _small_cfg(seed=5, epochs_per_stage=1)
+    # two epochs a stage: the capped run's lr at epoch 1 is that of the full
+    # schedule only if it is built over every configured stage
+    cfg = _small_cfg(seed=1, epochs_per_stage=2)
     full = run_search(cfg, tmp_path / "full")
 
     partial_dir = tmp_path / "partial"
     run_search(cfg, partial_dir, stages=1)
+    assert (partial_dir / "stage_1.ckpt").read_bytes() == \
+        (tmp_path / "full" / "stage_1.ckpt").read_bytes()
     resumed = run_search(cfg, tmp_path / "resumed",
                          resume=partial_dir / "stage_1.ckpt")
 
     assert resumed.genotype == full.genotype
-    full_blob = (tmp_path / "full" / "stage_3.ckpt.blob").read_bytes()
-    resumed_blob = (tmp_path / "resumed" / "stage_3.ckpt.blob").read_bytes()
-    assert full_blob == resumed_blob
+    for name in ("stage_2.ckpt", "stage_3.ckpt"):
+        assert (tmp_path / "resumed" / name).read_bytes() == \
+            (tmp_path / "full" / name).read_bytes(), name
 
-    def rows_from(path, min_epoch):
+    def rows_from(path):
         with open(path) as fh:
             return [r for r in csv.reader(fh)][1:]
 
-    full_rows = [r for r in rows_from(full.history_path, 1) if int(r[0]) >= 1]
-    resumed_rows = rows_from(resumed.history_path, 1)
+    full_rows = [r for r in rows_from(full.history_path) if int(r[0]) >= 2]
+    resumed_rows = rows_from(resumed.history_path)
     assert resumed_rows == full_rows
 
-    # resumed into its own directory, which already logs epochs 0-2 and ends
-    # each log in a line cut short by a kill, the run rewrites epochs 1-2 and
+    # resumed into its own directory, which already logs epochs 0-5 and ends
+    # each log in a line cut short by a kill, the run rewrites epochs 2-5 and
     # leaves every file as the uninterrupted run did
     inplace = tmp_path / "inplace"
     shutil.copytree(tmp_path / "full", inplace)
     for name, tail in (("alpha_history.csv", b"1"),
-                       ("search_log.jsonl", b'{"epoch": 2, "l1": 0.'),
-                       ("prune.jsonl", b'{"global_epoch": 2, "sc')):
+                       ("search_log.jsonl", b'{"epoch": 5, "l1": 0.'),
+                       ("prune.jsonl", b'{"global_epoch": 4, "sc')):
         with open(inplace / name, "ab") as fh:
             fh.write(tail)
     run_search(cfg, inplace, resume=inplace / "stage_1.ckpt")
@@ -670,9 +674,7 @@ def test_search_resume_refuses_a_checkpoint_missing_an_array(tmp_path):
     cfg = _small_cfg(seed=5, stages=1, epochs_per_stage=1, prune_per_stage=[0])
     run_search(cfg, tmp_path / "run")
     manifest = tmp_path / "run" / "stage_1.ckpt"
-    doc = json.loads(manifest.read_text())
-    del doc["arrays"]["selector.wq"]
-    manifest.write_text(json.dumps(doc))
+    edit_manifest(manifest, lambda doc: doc["arrays"].pop("selector.wq"))
     cfg = dataclasses.replace(cfg, search=dataclasses.replace(
         cfg.search, stages=2, prune_per_stage=[0, 0]))
     with pytest.raises(DataError, match=f"{manifest}: no array 'selector.wq'"):
@@ -777,9 +779,8 @@ def test_retrain_resume_matches_straight_run(tmp_path):
     retrain(g, cfg, tmp_path / "tail",
             resume=tmp_path / "straight" / "epoch_2.ckpt")
 
-    straight_blob = (tmp_path / "straight" / "model.ckpt.blob").read_bytes()
-    tail_blob = (tmp_path / "tail" / "model.ckpt.blob").read_bytes()
-    assert straight_blob == tail_blob
+    assert (tmp_path / "straight" / "model.ckpt").read_bytes() == \
+        (tmp_path / "tail" / "model.ckpt").read_bytes()
 
     def rows(path):
         with open(path) as fh:
@@ -816,9 +817,11 @@ def test_a_failed_log_cut_keeps_the_log(tmp_path, monkeypatch):
     out = tmp_path / "run"
     retrain(g, cfg, out)
     before = (out / "metrics.csv").read_bytes()
-    calls = []
+    calls, rename = [], os.replace
 
     def refuse(src, dst):
+        if Path(dst).name != "metrics.csv":
+            return rename(src, dst)
         calls.append(Path(dst).name)
         raise OSError("injected rename failure")
 
@@ -836,9 +839,7 @@ def test_retrain_resume_refuses_a_checkpoint_missing_optimizer_state(tmp_path):
     cfg = _retrain_cfg(2, checkpoint_every=1)
     retrain(g, cfg, tmp_path / "run")
     manifest = tmp_path / "run" / "epoch_0.ckpt"
-    doc = json.loads(manifest.read_text())
-    del doc["arrays"]["opt.v.embed.pos"]
-    manifest.write_text(json.dumps(doc))
+    edit_manifest(manifest, lambda doc: doc["arrays"].pop("opt.v.embed.pos"))
     with pytest.raises(DataError, match="no array 'opt.v.embed.pos'"):
         retrain(g, cfg, tmp_path / "resumed", resume=manifest)
 
@@ -848,7 +849,7 @@ def test_retrain_abort_writes_a_checkpoint_resume_refuses(tmp_path, monkeypatch)
     cfg = _retrain_cfg(3, checkpoint_every=1)
     out = tmp_path / "run"
     retrain(g, cfg, out)
-    good = {name: (out / name).read_bytes() for name in ("epoch_0.ckpt", "epoch_0.ckpt.blob")}
+    good = {"epoch_0.ckpt": (out / "epoch_0.ckpt").read_bytes()}
 
     epochs, epoch_1_losses = [], []
 
@@ -875,7 +876,7 @@ def test_retrain_abort_writes_a_checkpoint_resume_refuses(tmp_path, monkeypatch)
     # the fresh rerun removed the first run's model.ckpt and later epochs; its
     # own completed epoch rewrote epoch_0.ckpt with the same bytes
     assert {name: (out / name).read_bytes() for name in good} == good
-    for name in ("model.ckpt", "model.ckpt.blob", "epoch_1.ckpt", "epoch_2.ckpt"):
+    for name in ("model.ckpt", "epoch_1.ckpt", "epoch_2.ckpt"):
         assert not (out / name).exists(), name
     with pytest.raises(ConfigError, match="aborted"):
         retrain(g, cfg, tmp_path / "resumed", resume=out / "abort.ckpt")
@@ -980,16 +981,14 @@ def test_a_failed_resume_in_place_leaves_no_later_artifact(tmp_path, monkeypatch
 
 
 def test_remove_stale_spares_the_resumed_checkpoint_and_earlier_stages(tmp_path):
-    files = ["stage_1.ckpt", "stage_1.ckpt.blob", "stage_2.ckpt", "stage_10.ckpt.blob",
-             "stage_3.ckpt", "stage_3.ckpt.blob", "stage_3.ckpt.tmp", "genotype.json",
-             "config.json"]
+    files = ["stage_1.ckpt", "stage_2.ckpt", "stage_10.ckpt", "stage_3.ckpt",
+             "stage_3.ckpt.tmp", "genotype.json", "config.json"]
     for name in files:
         (tmp_path / name).write_bytes(b"")
     search_mod._remove_stale(tmp_path, tmp_path / "stage_3.ckpt", "stage", 2,
                              ("genotype.json",))
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "config.json", "stage_1.ckpt", "stage_1.ckpt.blob", "stage_3.ckpt",
-        "stage_3.ckpt.blob", "stage_3.ckpt.tmp"]
+        "config.json", "stage_1.ckpt", "stage_3.ckpt", "stage_3.ckpt.tmp"]
 
 
 def test_every_artifact_a_run_writes_is_in_the_readme_tables(tmp_path):
@@ -1001,7 +1000,8 @@ def test_every_artifact_a_run_writes_is_in_the_readme_tables(tmp_path):
     g = searched_encoder_genotype(desk_config().model.dims(), depth=1, heads=4)
     retrain(g, _retrain_cfg(1, checkpoint_every=1), tmp_path / "retrain")
     names = {re.sub(r"_\d+\.", "_<n>.", p.name) for p in tmp_path.glob("*/*")}
-    assert {"stage_<n>.ckpt.blob", "epoch_<n>.ckpt", "metrics.csv"} <= names
+    assert {"stage_<n>.ckpt", "epoch_<n>.ckpt", "metrics.csv"} <= names
+    assert not [n for n in names if n.endswith(".blob")]
     assert sorted(n for n in names if f"`{n}`" not in artifacts) == []
 
 
