@@ -8,6 +8,14 @@ order; gradients accumulate additively at fan-out points. Only leaves keep a
 closure has consumed it, and closures skip the products an operand that
 requires no gradient would discard.
 
+A graph is consumed by its backward. Once a node's closure has run, the
+node lets go of its parents and its closure, so the arrays the closure
+saved, and interior outputs nothing else holds, are freed while the pass
+goes on, not when the caller drops the loss. A second ``backward`` through a
+consumed node raises ``DasvitError``. Leaf gradients still accumulate
+across separate graphs: a forward and backward per micro-batch, without
+zeroing in between, sums their gradients.
+
 Gradient arrays are never written in place. The first write to a tensor's
 ``.grad`` assigns the incoming array instead of adding it to zeros (copying
 it only when its dtype or memory layout differs from the tensor's); every
@@ -61,20 +69,59 @@ the optimizer's to refuse (``AdamW.step``).
 
 The default array dtype is float32; gradient-check tests switch to float64
 via ``dtype_scope`` because central finite differences need the headroom.
+
+Importing the module has glibc's malloc keep freed heap pages in the
+process (``_keep_freed_pages``): a step frees and reallocates the same
+arrays, and handing their pages back to the kernel in between would fault
+every one of them in again on the next step. The resident set therefore
+does not shrink between steps.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError
+from .errors import DasvitError, NonFiniteError, ShapeError
 
 _DEFAULT_DTYPE = np.dtype(np.float32)
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+# glibc's mallopt parameter numbers, and the largest threshold an int holds
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_INT_MAX = 2**31 - 1
+
+
+def _keep_freed_pages(libc) -> bool:
+    """Have `libc`'s malloc serve every array from the heap and never trim
+    the heap's top back to the kernel; True when both settings took.
+
+    Both thresholds or neither: setting either one turns off glibc's dynamic
+    mmap threshold, and with only the trim threshold raised every array
+    above 128 KiB would be mmapped and faulted in afresh on each allocation.
+    A libc without ``mallopt`` is left as it is.
+    """
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, _INT_MAX) and mallopt(_M_TRIM_THRESHOLD, _INT_MAX))
+
+
+def _process_libc():
+    try:
+        return ctypes.CDLL(None)
+    except (OSError, TypeError):  # no C library loadable by name here
+        return None
+
+
+_keep_freed_pages(_process_libc())
 
 
 def default_dtype() -> np.dtype:
@@ -307,14 +354,22 @@ def frozen(tensors: Iterable[Tensor]):
             t.requires_grad = flag
 
 
+def _consumed(g: np.ndarray) -> None:
+    raise DasvitError("backward: this graph was consumed by an earlier backward; "
+                      "run the forward again")
+
+
 def backward(loss: Tensor) -> None:
     """Populate gradients of every reachable tensor that requires one.
 
-    The graph is traversed exactly once in reverse topological order;
-    repeated calls without zeroing accumulate into existing leaf gradients.
-    Non-leaf gradients are per-pass scratch: each is freed as soon as its
-    backward closure has consumed it, so after the pass only leaves hold a
-    ``.grad``.
+    The graph is traversed exactly once in reverse topological order, and a
+    graph is consumed by its backward: each non-leaf node drops its parents
+    and its closure once the pass reaches it, so what the closure saved is
+    freed as the pass goes on, and a second call through the same graph
+    raises ``DasvitError``. Leaf gradients accumulate across graphs until
+    zeroed. Non-leaf gradients are per-pass scratch: each is freed as soon as
+    its backward closure has consumed it, so after the pass only leaves hold
+    a ``.grad``.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -335,16 +390,22 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
     # non-leaf grads are per-pass scratch; only leaves accumulate across calls
     for node in topo:
+        if node._backward is _consumed:
+            _consumed(node.grad)  # refused before any gradient moves
         if node._backward is not None:
             node.grad = None
     loss.grad = np.ones_like(loss.data)
     leaves: list[Tensor] = []
-    for node in reversed(topo):
+    # popping, not iterating, so the list drops each node as the pass leaves it
+    while topo:
+        node = topo.pop()
         if node._backward is None:
             leaves.append(node)
-        elif node.grad is not None:
+            continue
+        if node.grad is not None:
             g, node.grad = node.grad, None
             node._backward(g)
+        node._parents, node._backward = (), _consumed
     _unalias_grads(leaves)
 
 

@@ -137,6 +137,10 @@ class RunConfig:
         for key, size in (("search", s.batch_size), ("retrain", self.retrain.batch_size)):
             if size < 1:
                 raise ConfigError(f"{key}.batch_size: must be >= 1, got {size}")
+        for key, warmup in (("search", s.warmup_epochs),
+                            ("retrain", self.retrain.warmup_epochs)):
+            if warmup < 0:
+                raise ConfigError(f"{key}.warmup_epochs: must be >= 0, got {warmup}")
         if self.retrain.warmup_epochs > self.retrain.epochs:
             raise ConfigError(
                 f"retrain.warmup_epochs: {self.retrain.warmup_epochs} exceeds "

@@ -26,23 +26,37 @@ def analytic_grads(f, wrt):
     for t in wrt:
         t.grad = None
     loss = f()
+    nodes = graph_nodes(loss)
     backward(loss)
-    assert_grad_contract(loss)
+    assert_grad_contract(nodes)
     return [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in wrt]
 
 
-def assert_grad_contract(loss):
-    """After a backward pass only leaves hold a gradient, each in the leaf's
-    shape, dtype and memory layout, and no two gradient arrays share memory."""
-    seen, stack, grads = set(), [loss], []
+def graph_nodes(loss):
+    """Every tensor `loss` was computed from, itself included, and whether
+    each is interior (recorded by a primitive) rather than a leaf. Taken
+    before the backward pass, which consumes the graph."""
+    seen, stack, nodes = set(), [loss], []
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
-        if node._parents:
+        nodes.append((node, bool(node._parents)))
+        stack.extend(node._parents)
+    return nodes
+
+
+def assert_grad_contract(nodes):
+    """After a backward pass every interior node of `nodes` (`graph_nodes`
+    before the pass) has let go of its parents and holds no gradient; each
+    leaf gradient has the leaf's shape, dtype and memory layout, and no two
+    gradient arrays share memory."""
+    grads = []
+    for node, interior in nodes:
+        if interior:
             assert node.grad is None, f"non-leaf {node!r} kept its gradient"
-            stack.extend(node._parents)
+            assert node._parents == (), f"non-leaf {node!r} kept its parents"
         elif node.grad is not None:
             assert isinstance(node.grad, np.ndarray), f"{node!r} grad is not an array"
             assert node.grad.shape == node.shape, f"{node!r} grad shape {node.grad.shape}"

@@ -1,3 +1,7 @@
+import gc
+import weakref
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,7 +9,7 @@ from hypothesis import strategies as st
 
 from dasvit import Tensor, backward, dtype_scope
 from dasvit import autodiff as ad
-from dasvit.errors import NonFiniteError, ShapeError
+from dasvit.errors import DasvitError, NonFiniteError, ShapeError
 from oracles import (check_grads, gelu_expression, gelu_grad_expression,
                      layer_norm_expression)
 
@@ -57,10 +61,30 @@ def test_backward_rejects_nonscalar():
 
 def test_repeated_backward_accumulates():
     x = Tensor(np.array([3.0]), requires_grad=True)
-    loss = (x * x).sum()
-    backward(loss)
-    backward(loss)
+    for _ in range(2):  # one graph per pass
+        loss = (x * x).sum()
+        backward(loss)
     np.testing.assert_allclose(x.grad, [12.0], atol=1e-12)
+    # a graph is consumed by its backward
+    with pytest.raises(DasvitError, match="consumed by an earlier backward"):
+        backward(loss)
+    # also through a fresh graph, before any gradient moves
+    with pytest.raises(DasvitError, match="consumed by an earlier backward"):
+        backward((x * x).sum() + loss)
+    np.testing.assert_allclose(x.grad, [12.0], atol=1e-12)
+
+
+def test_backward_frees_an_intermediate_before_the_loss_is_dropped():
+    x = Tensor(np.arange(4.0), requires_grad=True)
+    h = x * 2.0
+    loss = (h * h).sum()
+    held = weakref.ref(h.data)
+    del h
+    gc.collect()
+    assert held() is not None  # the graph still holds it
+    backward(loss)
+    assert held() is None
+    np.testing.assert_array_equal(x.grad, 8.0 * np.arange(4.0))
 
 
 def test_fanout_accumulation_matches_per_path_sum(rng):
@@ -365,10 +389,9 @@ def test_first_gradient_write_takes_the_tensor_layout():
 def test_add_of_two_leaves_gives_unaliased_gradients():
     a = Tensor(np.ones((2, 3)), requires_grad=True)
     b = Tensor(np.ones((2, 3)), requires_grad=True)
-    loss = (a + b).sum()
-    backward(loss)
+    backward((a + b).sum())
     assert not np.shares_memory(a.grad, b.grad)
-    backward(loss)
+    backward((a + b).sum())
     np.testing.assert_array_equal(a.grad, np.full((2, 3), 2.0))
     np.testing.assert_array_equal(b.grad, np.full((2, 3), 2.0))
 
@@ -395,6 +418,27 @@ def test_backward_visits_every_node_exactly_once():
     np.testing.assert_allclose(x.grad, [8.0, 8.0], atol=1e-12)
     # non-leaf gradients are freed once consumed
     assert [node.grad for node in (shared, left, right, loss)] == [None] * 4
+
+
+def test_keeping_freed_pages_sets_both_thresholds_or_leaves_a_libc_alone():
+    # no loadable libc, or one without mallopt (macOS, other libcs)
+    assert ad._keep_freed_pages(None) is False
+    assert ad._keep_freed_pages(SimpleNamespace()) is False
+
+    class Mallopt:
+        def __init__(self, *results):
+            self.calls, self.results = [], list(results)
+
+        def __call__(self, param, value):
+            self.calls.append((param, value))
+            return self.results.pop(0)
+
+    both = [(ad._M_MMAP_THRESHOLD, 2**31 - 1), (ad._M_TRIM_THRESHOLD, 2**31 - 1)]
+    libc = SimpleNamespace(mallopt=Mallopt(1, 1))
+    assert ad._keep_freed_pages(libc) is True and libc.mallopt.calls == both
+    # a refused mmap threshold leaves the trim threshold alone
+    libc = SimpleNamespace(mallopt=Mallopt(0))
+    assert ad._keep_freed_pages(libc) is False and libc.mallopt.calls == both[:1]
 
 
 def test_frozen_records_nothing_and_restores_flags_when_body_raises():

@@ -251,6 +251,10 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
      "data.normalize_std: entries must be > 0"),
     ("search", {"search": {"batch_size": 0}}, "search.batch_size: must be >= 1, got 0"),
     ("retrain", {"retrain": {"batch_size": 0}}, "retrain.batch_size: must be >= 1, got 0"),
+    ("search", {"search": {"warmup_epochs": -1}},
+     "search.warmup_epochs: must be >= 0, got -1"),
+    ("retrain", {"retrain": {"warmup_epochs": -2}},
+     "retrain.warmup_epochs: must be >= 0, got -2"),
     # keys since removed, each with a value it once accepted
     ("search", {"search": {"score_mode": "mean"}}, "config.search.score_mode: unknown key"),
     ("search", {"search": {"drop_last": True}}, "config.search.drop_last: unknown key"),
@@ -270,6 +274,7 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
                  "data": {"source": "cifar10", "dir": "absent"}},
      "model.channels: 1, but cifar10 has 3 channels"),
 ], ids=["mean-length", "std-zero", "search-batch-size", "retrain-batch-size",
+        "search-warmup-negative", "retrain-warmup-negative",
         "score-mode", "search-drop-last", "retrain-drop-last", "resize-method",
         "resize-image", "synthetic-channels", "synthetic-classes", "synthetic-one-class",
         "cifar-classes", "cifar-channels"])

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -377,6 +378,48 @@ def test_corrupt_checkpoint_raises_data_error(tmp_path):
                                                                         nbytes=28))
     with pytest.raises(DataError, match="state.ckpt: array 'w' \\(28 bytes"):
         load_checkpoint(path)
+
+
+def test_bytes_no_array_covers_still_go_into_the_checksum(tmp_path):
+    path = tmp_path / "state.ckpt"
+    a, b = np.arange(4.0), np.arange(4.0, 8.0)
+    save_checkpoint(path, {"a": a, "b": b})
+    with open(path, "ab") as fh:  # padded
+        fh.write(b"\0")
+    with pytest.raises(DataError, match="state.ckpt: data sha256 .* differs"):
+        load_checkpoint(path)
+
+    save_checkpoint(path, {"a": a, "b": b})
+    edit_manifest(path, lambda manifest: manifest["arrays"].pop("a"))
+    arrays, _ = load_checkpoint(path)  # a's bytes, now uncovered, still hash
+    assert list(arrays) == ["b"] and arrays["b"].tobytes() == b.tobytes()
+    raw = bytearray(path.read_bytes())
+    raw[raw.index(b"\n") + 1] ^= 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="state.ckpt: data sha256 .* differs"):
+        load_checkpoint(path)
+
+    save_checkpoint(path, {"a": a, "b": b})
+    edit_manifest(path, lambda manifest: manifest["arrays"]["b"].update(offset=16))
+    arrays, _ = load_checkpoint(path)  # overlapping arrays each get their bytes
+    assert arrays["a"].tobytes() == a.tobytes()
+    assert arrays["b"].tobytes() == np.concatenate([a[2:], b[:2]]).tobytes()
+
+
+def test_a_load_holds_one_copy_of_the_data(tmp_path):
+    arrays = {f"w{i}": np.full((256, 1024), i, np.float32) for i in range(16)}
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(path, arrays)
+    data_bytes = sum(a.nbytes for a in arrays.values())
+    del arrays
+    tracemalloc.start()
+    try:
+        loaded, _ = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * data_bytes, f"peak {peak} for {data_bytes} data bytes"
+    assert all((loaded[f"w{i}"] == i).all() for i in range(16))
 
 
 @pytest.mark.parametrize("damage, message", [

@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import re
+import resource
 import shutil
 import warnings
 from pathlib import Path
@@ -920,6 +921,21 @@ def test_evaluate_names_the_primitive_behind_a_nonfinite_logit():
     model.named_parameters()["embed.cls"].data[...] = np.inf
     with pytest.raises(NonFiniteError, match="^broadcast_to produced non-finite values$"):
         search_mod.evaluate(model, make_synthetic(2, 4, 8, seed=0), batch_size=3)
+
+
+@pytest.mark.skipif(getattr(ad._process_libc(), "mallopt", None) is None,
+                    reason="the C library has no mallopt")
+def test_a_repeated_evaluation_reuses_its_pages():
+    # retrain_mid's model shape over its 40 held-out images
+    dims = ModelDims(dim=192, patch=4, image=32, classes=10)
+    model = DerivedModel(searched_encoder_genotype(dims, depth=6, heads=12, ratio=0.5),
+                         np.random.default_rng(0))
+    held_out = make_synthetic(10, 4, 32, seed=5)
+    search_mod.evaluate(model, held_out, batch_size=16)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    search_mod.evaluate(model, held_out, batch_size=16)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults <= 300, f"{faults} minor page faults in a second evaluation"
 
 
 @pytest.mark.parametrize("entry", ["search", "retrain"])
