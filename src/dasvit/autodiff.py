@@ -47,11 +47,16 @@ its forward and its backward each run in three input-sized buffers. The
 deviation ``inv`` and runs in two. Each writes step by step in place, doing
 the plain expression's operations in its order (at most with an operand
 swapped, which IEEE arithmetic leaves exact), so the floats are the
-expression's. Every ``layer_norm`` of one input may share a ``NormStats``
-holder: the first call fills it with ``normed`` and ``inv``, later calls
-read them. Each call still records its own node with its own affine and
-backward, and those read nothing else, so sharing moves no bit. The models
-hand one holder to every pre-norm op that reads the same cell input.
+expression's. An op output keeps its own normalization: the first
+``layer_norm`` of it stores ``normed`` and ``inv`` in the tensor, and later
+calls read them, so every pre-norm op that reads one cell value normalizes
+it once between them. Each call still records its own node with its own
+affine and backward, and those read nothing else, so sharing moves no bit.
+A leaf never keeps one: finite-difference checks, the optimizer and the
+unrolled architecture pass write leaf ``.data``, so each call on a leaf
+normalizes afresh. No code writes into an op output's array after
+``_from_op`` returns, nor into a leaf array that a live ``reshape`` or
+``transpose`` output views; that is what makes a stored normalization safe.
 
 ``frozen(tensors)`` clears ``requires_grad`` on leaves for the length of a
 block, so nothing computed only from them is recorded at all. A phase that
@@ -188,7 +193,7 @@ def finite_pass(forward: Callable[[], tuple["Tensor", ...]]) -> tuple["Tensor", 
 class Tensor:
     """Dense n-dimensional array with optional gradient accumulation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_norm")
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         arr = np.asarray(data)
@@ -200,6 +205,7 @@ class Tensor:
         self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
+        self._norm = False  # a leaf never keeps its normalization (see layer_norm)
 
     # -- construction helpers -------------------------------------------------
 
@@ -215,6 +221,7 @@ class Tensor:
         out.requires_grad = False
         out._parents = ()
         out._backward = None
+        out._norm = None  # (normed, inv), once the first layer_norm of it fills it
         for p in parents:
             if p.requires_grad:
                 out.requires_grad = True
@@ -795,55 +802,39 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     return Tensor._from_op(out, (q, k, v), bw, "attention")
 
 
-class NormStats:
-    """The normalization of one input, filled by the first ``layer_norm``
-    that is handed it and read by every later one.
-
-    ``normed`` is the input centered and scaled to unit variance over its
-    last axis, ``inv`` the (..., 1) reciprocal standard deviation that
-    scaled it. Hand one holder only to calls on the same unchanging input
-    with the same eps.
-    """
-
-    __slots__ = ("normed", "inv")
-
-    def __init__(self):
-        self.normed: np.ndarray | None = None
-        self.inv: np.ndarray | None = None
+_LN_EPS = 1e-6  # added to the variance; one value, so a stored normalization fits every call
 
 
-def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(normed, inv)`` of `x` over its last axis (see `NormStats`)."""
+def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(normed, inv)`` of `x` over its last axis: `x` centered and scaled
+    to unit variance, and the (..., 1) reciprocal deviation that scaled it."""
     n = x.shape[-1]
     mu = np.add.reduce(x, axis=-1, keepdims=True) / n
     centered = x - mu
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     return np.multiply(centered, inv, out=centered), inv
 
 
-def layer_norm(a: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None,
-               eps: float = 1e-6, stats: NormStats | None = None) -> Tensor:
+def layer_norm(a: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None) -> Tensor:
     """Normalize over the last axis, then, when given, scale by `gamma` and
     shift by `beta` (both or neither); eps stabilizes zero variance.
 
-    With `stats`, the normalization is computed only if the holder is
-    empty, and stored there; each call still records its own node, with its
-    own affine and backward, over the shared arrays.
+    An op output is normalized by its first call and keeps the result for
+    every later one; a leaf is normalized on every call (see module doc).
+    Each call records its own node, with its own affine and backward.
     """
     a = as_tensor(a)
     if (gamma is None) != (beta is None):
         raise ShapeError("layer_norm: gamma and beta come together")
     n = a.shape[-1]
-    if stats is None:
-        normed, inv = _normalize(a.data, eps)
+    stored = a._norm
+    if stored:
+        normed, inv = stored
     else:
-        if stats.normed is None:
-            stats.normed, stats.inv = _normalize(a.data, eps)
-        elif stats.normed.shape != a.shape:
-            raise ShapeError(f"layer_norm: statistics of shape {stats.normed.shape} "
-                             f"for an input of shape {a.shape}")
-        normed, inv = stats.normed, stats.inv
+        normed, inv = _normalize(a.data)
+        if stored is None:
+            a._norm = normed, inv
     out = normed
     if gamma is not None:
         out = normed * gamma.data

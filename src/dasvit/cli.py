@@ -91,26 +91,13 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _load_genotype(command: str, path, cfg):
-    """The genotype at `path`, refused when its dims differ from the config's."""
-    from .config import ConfigError
-    from .genotype import load_genotype
-
-    genotype = load_genotype(path)
-    if genotype.dims != cfg.model.dims():
-        raise ConfigError(
-            f"{command}: genotype dims {genotype.dims} do not match config model dims "
-            f"{cfg.model.dims()}")
-    return genotype
-
-
 def _cmd_retrain(args) -> int:
+    from .genotype import load_genotype
     from .search import retrain
 
     out = args.out or Path("runs/retrain")
     cfg = _load_config(args.config, args.seed)
-    genotype = _load_genotype("retrain", args.genotype, cfg)
-    _, history = retrain(genotype, cfg, out, resume=args.resume)
+    _, history = retrain(load_genotype(args.genotype), cfg, out, resume=args.resume)
     final = history[-1] if history else {}
     print(json.dumps({"out": str(out), "final": final}, indent=2, sort_keys=True))
     return 0
@@ -119,11 +106,13 @@ def _cmd_retrain(args) -> int:
 def _cmd_eval(args) -> int:
     from .autodiff import dtype_scope
     from .data import load_parameters, write_json
-    from .genotype import DerivedModel
-    from .search import build_datasets, evaluate, load_run_checkpoint
+    from .genotype import DerivedModel, load_genotype
+    from .search import (build_datasets, check_genotype_dims, evaluate,
+                         load_run_checkpoint)
 
     cfg = _load_config(args.config, args.seed)
-    genotype = _load_genotype("eval", args.genotype, cfg)
+    genotype = load_genotype(args.genotype)
+    check_genotype_dims("eval", genotype, cfg)
     # no seed check: scoring a model on another seed's split is legitimate
     arrays, _ = load_run_checkpoint(args.checkpoint, "eval", "retrain", genotype=genotype)
     with dtype_scope(cfg.model.precision):

@@ -56,8 +56,7 @@ class SearchConfig:
     min_lr: float = 0.0
     arch_lr: float = 1e-3
     arch_weight_decay: float = 1e-3
-    unrolled: bool = False
-    xi: float = 1e-3
+    xi: float = 0.0  # virtual-step size of the second-order gradient; 0: first order
     val_fraction: float = 0.5
     shared_alpha: bool = True
     alpha_init_std: float = 1e-3
@@ -132,6 +131,25 @@ class RunConfig:
         if len(s.prune_per_stage) < s.stages:
             raise ConfigError(
                 f"search.prune_per_stage: need at least {s.stages} entries")
+        for i, count in enumerate(s.prune_per_stage):
+            if count < 0:
+                raise ConfigError(f"search.prune_per_stage[{i}]: must be >= 0, got {count}")
+        left = len(self.candidates)
+        for i, count in enumerate(s.prune_per_stage[:s.stages - 1]):
+            left -= count
+            if left < 2:
+                raise ConfigError(
+                    f"search.prune_per_stage[{i}]: pruning {count} leaves {left} "
+                    f"candidates for stage {i + 2}; a stage needs at least 2")
+        if s.first_layers < 1:
+            raise ConfigError(f"search.first_layers: must be >= 1, got {s.first_layers}")
+        last_depth = s.first_layers + (s.stages - 1) * s.layer_increment
+        if last_depth < 1:
+            raise ConfigError(
+                f"search.layer_increment: {s.layer_increment} leaves {last_depth} "
+                f"layers for stage {s.stages}; a stage needs at least 1")
+        if s.xi < 0:
+            raise ConfigError(f"search.xi: must be >= 0, got {s.xi}")
         if not 0 < s.val_fraction < 1:
             raise ConfigError("search.val_fraction: must lie in (0, 1)")
         for key, size in (("search", s.batch_size), ("retrain", self.retrain.batch_size)):

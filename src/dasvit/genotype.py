@@ -182,7 +182,6 @@ class DerivedModel(Module):
                  pre_norm: bool = True, final_norm: bool = True):
         self.genotype = genotype
         self.dims = genotype.dims
-        self.pre_norm = pre_norm
         self.embed = EmbedParams(self.dims, rng, final_norm=final_norm)
         self.layers: list[list[list]] = []
         for _ in range(genotype.depth):
@@ -192,15 +191,15 @@ class DerivedModel(Module):
                                  for src, spec in pairs])
             self.layers.append(per_node)
 
-    def cell(self, layer: int, in0: Tensor, in1: Tensor, stats=None) -> Tensor:
-        """One derived cell; `stats` as in `ops.walk_cell`."""
+    def cell(self, layer: int, in0: Tensor, in1: Tensor) -> Tensor:
+        """One derived cell."""
         nodes = self.layers[layer]
 
-        def node_terms(target, values, stats):
+        def node_terms(target, values):
             for src, op in nodes[INTERMEDIATE_NODES.index(target)]:
-                yield op.forward(values[src], stats[src])
+                yield op.forward(values[src])
 
-        return walk_cell(in0, in1, node_terms, stats)
+        return walk_cell(in0, in1, node_terms)
 
     def forward(self, images) -> Tensor:
         z = self.embed.embed(images)

@@ -187,9 +187,8 @@ class ModelDims:
         return (self.image // self.patch) ** 2
 
 
-def _normed(x: Tensor, gamma: Tensor | None, beta: Tensor | None,
-            stats: ad.NormStats | None = None) -> Tensor:
-    return x if gamma is None else ad.layer_norm(x, gamma, beta, stats=stats)
+def _normed(x: Tensor, gamma: Tensor | None, beta: Tensor | None) -> Tensor:
+    return x if gamma is None else ad.layer_norm(x, gamma, beta)
 
 
 class Module:
@@ -213,7 +212,7 @@ class ZeroOp(Module):
     def __init__(self, spec: OpSpec, dim: int, rng=None, pre_norm: bool = True):
         self.spec = spec
 
-    def forward(self, x: Tensor, stats: ad.NormStats | None = None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         return Tensor(np.zeros_like(x.data))
 
 
@@ -223,7 +222,7 @@ class IdentityOp(Module):
     def __init__(self, spec: OpSpec, dim: int, rng=None, pre_norm: bool = True):
         self.spec = spec
 
-    def forward(self, x: Tensor, stats: ad.NormStats | None = None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         return x
 
 
@@ -260,11 +259,11 @@ class MsaOp(Module):
             self.norm_g = self.norm_b = None
         self.last_score_elements = 0
 
-    def forward(self, x: Tensor, stats: ad.NormStats | None = None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         bsz, n, dim = x.shape
         if dim != self.dim:
             raise ShapeError(f"MsaOp: expected last dim {self.dim}, got {x.shape}")
-        z = _normed(x, self.norm_g, self.norm_b, stats)
+        z = _normed(x, self.norm_g, self.norm_b)
         self.last_score_elements = bsz * self.heads * n * n
         mixed = ad.attention(z @ self.wq, z @ self.wk, z @ self.wv, self.heads)
         return ad.matmul(mixed, self.wo, bias=self.bo)
@@ -276,7 +275,6 @@ class MlpOp(Module):
     def __init__(self, spec: OpSpec, dim: int, rng: np.random.Generator,
                  pre_norm: bool = True):
         self.spec = spec
-        self.dim = dim
         self.hidden = mlp_hidden_dim(spec.ratio, dim)
         dt = ad.default_dtype()
         self.w1 = ad.parameter(
@@ -291,8 +289,8 @@ class MlpOp(Module):
         else:
             self.norm_g = self.norm_b = None
 
-    def forward(self, x: Tensor, stats: ad.NormStats | None = None) -> Tensor:
-        z = _normed(x, self.norm_g, self.norm_b, stats)
+    def forward(self, x: Tensor) -> Tensor:
+        z = _normed(x, self.norm_g, self.norm_b)
         hidden = ad.gelu(ad.matmul(z, self.w1, bias=self.b1))
         return ad.matmul(hidden, self.w2, bias=self.b2)
 
@@ -365,37 +363,26 @@ NUM_EDGES = len(CELL_EDGES)
 INTERMEDIATE_NODES = (2, 3)
 
 
-def walk_cell(in0: Tensor, in1: Tensor, node_terms, stats=None) -> Tensor:
+def walk_cell(in0: Tensor, in1: Tensor, node_terms) -> Tensor:
     """Run the cell DAG: each intermediate node sums, in order, the terms
-    ``node_terms(target, values, stats)`` yields from the node values so
-    far, and the cell returns the sum of both intermediates.
-
-    ``stats[i]`` is the `NormStats` that every pre-norm op reading
-    ``values[i]`` is handed, so each distinct value is normalized once.
-    `stats` holds the inputs' two (fresh ones by default), and each
-    intermediate gets a fresh one.
-    """
+    ``node_terms(target, values)`` yields from the node values so far, and
+    the cell returns the sum of both intermediates."""
     if in0.shape != in1.shape:
         raise ShapeError(f"cell: input shapes {in0.shape} and {in1.shape} differ")
     values = [in0, in1]
-    stats = [ad.NormStats(), ad.NormStats()] if stats is None else list(stats)
     for target in INTERMEDIATE_NODES:
         total = None
-        for term in node_terms(target, values, stats):
+        for term in node_terms(target, values):
             total = term if total is None else total + term
         values.append(total)
-        stats.append(ad.NormStats())
     return values[2] + values[3]
 
 
 def stack_cells(z: Tensor, depth: int, cell) -> Tensor:
-    """The output of the last of `depth` cells ``cell(layer, in0, in1,
-    stats)``, each over the outputs of the two layers before it; the
-    embedding `z` is both inputs of the first. A value two cells read keeps
-    one `NormStats`."""
-    shared = ad.NormStats()
-    prev, stats = (z, z), (shared, shared)
+    """The output of the last of `depth` cells ``cell(layer, in0, in1)``,
+    each over the outputs of the two layers before it; the embedding `z` is
+    both inputs of the first."""
+    prev = (z, z)
     for layer in range(depth):
-        out = cell(layer, *prev, stats)
-        prev, stats = (prev[1], out), (stats[1], ad.NormStats())
+        prev = (prev[1], cell(layer, *prev))
     return prev[1]

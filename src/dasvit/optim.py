@@ -209,24 +209,25 @@ class AdamW:
 
     # -- checkpoint support -------------------------------------------------------
 
-    def state_arrays(self, prefix: str = "opt") -> dict[str, np.ndarray]:
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """The moments and step count, keyed ``opt.m.<name>``, ``opt.v.<name>``
+        and ``opt.step``."""
         out: dict[str, np.ndarray] = {}
         for name in self.params:
-            out[f"{prefix}.m.{name}"] = self.m[name]
-            out[f"{prefix}.v.{name}"] = self.v[name]
-        out[f"{prefix}.step"] = np.array([self.step_count], dtype=np.int64)
+            out[f"opt.m.{name}"] = self.m[name]
+            out[f"opt.v.{name}"] = self.v[name]
+        out["opt.step"] = np.array([self.step_count], dtype=np.int64)
         return out
 
-    def load_state_arrays(self, arrays: dict[str, np.ndarray], prefix: str = "opt") -> None:
+    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Copy saved moments into the flat buffers; a missing or misshapen
         array is refused by key before anything is copied."""
-        step_key = f"{prefix}.step"
-        if step_key not in arrays:
-            raise OptimizerError(f"AdamW: no array {step_key!r}")
+        if "opt.step" not in arrays:
+            raise OptimizerError("AdamW: no array 'opt.step'")
         pairs = []
         for name in self.params:
             for kind, dest in (("m", self.m[name]), ("v", self.v[name])):
-                key = f"{prefix}.{kind}.{name}"
+                key = f"opt.{kind}.{name}"
                 if key not in arrays:
                     raise OptimizerError(f"AdamW: no array {key!r}")
                 if arrays[key].shape != dest.shape:
@@ -235,4 +236,4 @@ class AdamW:
                 pairs.append((dest, arrays[key]))
         for dest, src in pairs:
             dest[...] = src
-        self.step_count = int(arrays[step_key][0])
+        self.step_count = int(arrays["opt.step"][0])

@@ -7,9 +7,10 @@ fairness term), then a weight update on the training batch. At stage end the
 lowest-scoring candidates are pruned and the next, deeper supernet inherits
 every surviving parameter bank.
 
-The architecture gradient defaults to the first-order approximation; the
-unrolled variant (virtual weight step plus finite-difference second-order
-correction) sits behind ``search.unrolled``.
+The architecture gradient is first order when ``search.xi`` is 0, the
+default; a positive ``xi`` takes the unrolled variant instead (a virtual
+weight step of size ``xi`` plus the finite-difference second-order
+correction).
 """
 
 from __future__ import annotations
@@ -165,8 +166,7 @@ class SearchState:
     w_opt: AdamW
     a_opt: AdamW
     fairness: FairnessConfig
-    unrolled: bool = False
-    xi: float = 0.0
+    xi: float = 0.0                     # 0: first order; else the unrolled pass
     stage: int = 1
     epoch: int = 0
     log: list[StepLog] = field(default_factory=list)
@@ -255,7 +255,7 @@ def bilevel_epoch(state: SearchState, train_batches: list[Batch],
             raise DataError(
                 f"bilevel: expected (train, val) batch pair, got ({tb.split}, {vb.split})")
         # architecture update on the validation batch
-        if state.unrolled and state.xi != 0.0:
+        if state.xi != 0.0:
             loss_val, l1_v, l2_v = _unrolled_alpha_pass(state, tb, vb)
         else:
             loss_val, l1_v, l2_v = _grad_pass(state, vb, freeze=state.w_opt, fair=True)
@@ -461,8 +461,7 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
         save_config(cfg, out / "config.json")
 
         state = SearchState(model, model.alpha, *_build_optimizers(model, cfg),
-                            fairness=cfg.fairness, unrolled=cfg.search.unrolled,
-                            xi=cfg.search.xi)
+                            fairness=cfg.fairness, xi=cfg.search.xi)
         schedule: list[tuple[int, int]] = []
 
         with history, log, prune:
@@ -525,6 +524,15 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
 # -- retraining ---------------------------------------------------------------------
 
 
+def check_genotype_dims(command: str, genotype: Genotype, cfg: RunConfig) -> None:
+    """Refuse, prefixed `command`, a genotype whose dims differ from the
+    config's model dims (classes included)."""
+    if genotype.dims != cfg.model.dims():
+        raise ConfigError(
+            f"{command}: genotype dims {genotype.dims} do not match config model dims "
+            f"{cfg.model.dims()}")
+
+
 def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
             resume=None) -> tuple[DerivedModel, list[dict]]:
     """Train the derived model from scratch (or resume) with warmup+cosine AdamW.
@@ -535,17 +543,16 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
     checkpoint `resume` refuses; model.ckpt and the epoch checkpoints only
     ever hold completed epochs. A run, fresh or resumed, first deletes from
     `out_dir` the checkpoints of the epochs it runs, model.ckpt and abort.ckpt.
+    A genotype whose dims differ from the config's is refused before any
+    data is built or `out_dir` is touched.
     """
     cfg = cfg.validate()
+    check_genotype_dims("retrain", genotype, cfg)
     seed = cfg.seed
     out = Path(out_dir)
 
     with dtype_scope(cfg.model.precision):
         train_ds, test_ds = build_datasets(cfg, seed)
-        if train_ds.classes != genotype.dims.classes:
-            raise ConfigError(
-                f"retrain: dataset has {train_ds.classes} classes but genotype "
-                f"expects {genotype.dims.classes}")
         model = DerivedModel(genotype, rng_for(seed, RNG_RETRAIN),
                              pre_norm=cfg.model.pre_norm,
                              final_norm=cfg.model.final_norm)

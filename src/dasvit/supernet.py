@@ -52,15 +52,14 @@ class AlphaTable:
         return ad.softmax(self.logits[self.row_for_layer(layer), edge])
 
 
-def mixed_edge_forward(x: Tensor, ops: list, weights: Tensor,
-                       stats: ad.NormStats | None = None) -> Tensor:
+def mixed_edge_forward(x: Tensor, ops: list, weights: Tensor) -> Tensor:
     """Softmax-weighted sum of every candidate's output; no sampling.
 
     The sum is one ``weighted_sum`` node over the candidates in registry
     order. Zero candidates are skipped: their term and its direct gradient
     are exactly 0, and their logits still receive gradient through the
-    softmax. Every candidate is handed `stats` (a fresh holder by default),
-    so the pre-norm candidates normalize `x` once between them.
+    softmax. The pre-norm candidates normalize `x` once between them (see
+    ``autodiff.layer_norm``).
     """
     if not ops:
         raise ConfigError("mixed edge: empty candidate list")
@@ -70,9 +69,7 @@ def mixed_edge_forward(x: Tensor, ops: list, weights: Tensor,
     live = [k for k, op in enumerate(ops) if not isinstance(op, ZeroOp)]
     if not live:  # every candidate is Zero
         return ops[0].forward(x)
-    if stats is None:
-        stats = ad.NormStats()
-    return ad.weighted_sum(weights, [ops[k].forward(x, stats) for k in live], live)
+    return ad.weighted_sum(weights, [ops[k].forward(x) for k in live], live)
 
 
 class MixedEdge:
@@ -82,9 +79,8 @@ class MixedEdge:
                  rng: np.random.Generator, pre_norm: bool = True):
         self.ops = [build_op(spec, dim, rng, pre_norm) for spec in candidates]
 
-    def forward(self, x: Tensor, weights: Tensor,
-                stats: ad.NormStats | None = None) -> Tensor:
-        return mixed_edge_forward(x, self.ops, weights, stats)
+    def forward(self, x: Tensor, weights: Tensor) -> Tensor:
+        return mixed_edge_forward(x, self.ops, weights)
 
     def named_parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -133,22 +129,20 @@ class Supernet(Module):
 
     # -- forward ---------------------------------------------------------------
 
-    def cell(self, layer: int, in0: Tensor, in1: Tensor, stats=None) -> Tensor:
-        """One mixed cell; `stats` as in `ops.walk_cell`."""
+    def cell(self, layer: int, in0: Tensor, in1: Tensor) -> Tensor:
+        """One mixed cell."""
         edges = self.cells[layer]
         w = [self.alpha.edge_weights(layer, e) for e in range(NUM_EDGES)]
 
-        def node_terms(target, values, stats):
+        def node_terms(target, values):
             for e, (src, dst) in enumerate(CELL_EDGES):
                 if dst == target:
-                    yield edges[e].forward(values[src], w[e], stats[src])
+                    yield edges[e].forward(values[src], w[e])
 
-        return walk_cell(in0, in1, node_terms, stats)
+        return walk_cell(in0, in1, node_terms)
 
-    def forward(self, images, use_selection: bool = True) -> Tensor:
-        z = self.embed.embed(images)
-        if use_selection:
-            z, _ = self.selector.select(z)
+    def forward(self, images) -> Tensor:
+        z, _ = self.selector.select(self.embed.embed(images))
         return self.embed.classify(stack_cells(z, self.num_layers, self.cell))
 
     # -- parameter access --------------------------------------------------------

@@ -158,7 +158,7 @@ def test_criterion_3_hardened_supernet_matches_derived_model():
             sup.alpha.logits.data = logits
             genotype = derive_genotype(sup.alpha, dims, depth=2)
             derived = DerivedModel.from_supernet(sup, genotype)
-            a = sup.forward(images, use_selection=True).data
+            a = sup.forward(images).data
             b = derived.forward(images).data
             worst = max(worst, float(np.abs(a - b).max()))
     ok = worst < 1e-5

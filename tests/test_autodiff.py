@@ -582,34 +582,62 @@ def test_layer_norm_backward_equals_the_plain_expression(dtype, rng):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_layer_norm_over_shared_statistics_is_bitwise_unshared(dtype, rng):
-    """Two affine norms of one input, the second reading the statistics the
-    first stored, give the outputs and all three gradients of each of them
-    computed alone."""
+    """Two affine norms of one op output, the second reading the
+    normalization the first stored, give the outputs and all gradients of
+    the same norms of a leaf, which normalizes afresh on each call."""
     x = _edge_values(rng, dtype, (2, 5, 8))
     affines = [tuple(rng.standard_normal(8).astype(dtype) for _ in range(2))
                for _ in range(2)]
-    g = rng.standard_normal(x.shape).astype(dtype)
+    gs = [rng.standard_normal(x.shape).astype(dtype) for _ in affines]
 
-    def run(stats):
+    def run(op_output):
         a = Tensor(x.copy(), requires_grad=True)
-        results = []
-        for gamma, beta in affines:
+        src = a.reshape(x.shape) if op_output else a
+        leaves, loss = [a], None
+        outs = []
+        for (gamma, beta), g in zip(affines, gs):
             gb = [Tensor(v.copy(), requires_grad=True) for v in (gamma, beta)]
-            out = ad.layer_norm(a, *gb, stats=stats)
-            a.grad = None
-            results.append([out.data] + _leaf_grads(out, [a, *gb], g))
-        return results
+            leaves += gb
+            out = ad.layer_norm(src, *gb)
+            outs.append(out.data)
+            term = (out * Tensor(g)).sum()
+            loss = term if loss is None else loss + term
+        assert bool(src._norm) is op_output
+        backward(loss)
+        return outs + [t.grad for t in leaves]
 
-    stats = ad.NormStats()
-    shared = run(stats)
-    assert stats.normed is not None and stats.inv is not None
-    for got, want in zip(shared, run(None)):
-        for have, expected in zip(got, want):
-            np.testing.assert_array_equal(have, expected)
+    for have, want in zip(run(True), run(False), strict=True):
+        assert have.dtype == dtype
+        np.testing.assert_array_equal(have, want)
 
 
-def test_layer_norm_refuses_statistics_of_another_shape():
-    stats = ad.NormStats()
-    ad.layer_norm(Tensor(np.ones((2, 4))), stats=stats)
-    with pytest.raises(ShapeError, match=r"\(2, 4\).*\(3, 4\)"):
-        ad.layer_norm(Tensor(np.ones((3, 4))), stats=stats)
+def _counting_normalize(monkeypatch):
+    seen = []
+    original = ad._normalize
+
+    def counting(x):
+        seen.append(x)
+        return original(x)
+
+    monkeypatch.setattr(ad, "_normalize", counting)
+    return seen
+
+
+def test_a_second_layer_norm_of_an_op_output_runs_no_normalize(rng, monkeypatch):
+    h = Tensor(rng.standard_normal((3, 8))) * 2.0
+    seen = _counting_normalize(monkeypatch)
+    first = ad.layer_norm(h)
+    second = ad.layer_norm(h, Tensor(np.ones(8)), Tensor(np.zeros(8)))
+    assert len(seen) == 1
+    np.testing.assert_array_equal(first.data, second.data)
+
+
+def test_a_leaf_changed_in_place_is_normalized_afresh(rng, monkeypatch):
+    a = Tensor(rng.standard_normal((3, 8)))
+    seen = _counting_normalize(monkeypatch)
+    before = ad.layer_norm(a).data.copy()
+    a.data[...] = rng.standard_normal((3, 8))
+    after = ad.layer_norm(a).data
+    assert len(seen) == 2
+    np.testing.assert_array_equal(after, ad.layer_norm(Tensor(a.data.copy())).data)
+    assert not np.array_equal(after, before)

@@ -15,7 +15,7 @@ import dasvit
 from dasvit import desk_config, load_config, save_config, searched_encoder_genotype, \
     save_genotype
 from dasvit.cli import main
-from dasvit.config import config_from_json, config_to_json
+from dasvit.config import config_from_json, config_to_json, paper_defaults
 from dasvit.errors import ConfigError
 from dasvit.data import Dataset, load_checkpoint, make_synthetic, save_checkpoint
 from dasvit.genotype import DerivedModel, genotype_to_json
@@ -127,7 +127,9 @@ def test_retrain_warmup_longer_than_training_is_rejected():
      r"config\.candidates\[1\]: OpSpec: msa requires a positive integer head count"),
     # accepted: an integer given for a float field is read and echoed as a float
     ({"search": {"lr": 1}}, None),
-    ({"candidates": [{"kind": "zero"}, {"kind": "mlp", "ratio": 4}]}, None),
+    # seven candidates, so the default schedule (prune 3, then 2) leaves every stage two
+    ({"candidates": [{"kind": "zero"}] + [{"kind": "mlp", "ratio": r} for r in range(1, 7)]},
+     None),
 ], ids=["model.dim", "search.prune_per_stage", "selector.lambda", "msa-without-heads",
         "search.lr-integer", "mlp-ratio-integer"])
 def test_config_type_errors_name_their_path(doc, message):
@@ -145,6 +147,37 @@ def test_config_type_errors_name_their_path(doc, message):
 
 
 CONFIG_PATHS = list(json_paths(config_to_json(desk_config())))
+
+
+def test_the_config_has_these_leaves():
+    """Every knob of the config, by path; adding or removing one edits this list."""
+    def leaves(doc, prefix=""):
+        for key, value in doc.items():
+            if isinstance(value, dict):
+                yield from leaves(value, f"{prefix}{key}.")
+            else:
+                yield prefix + key
+
+    assert list(leaves(config_to_json(paper_defaults()))) == [
+        "seed",
+        "model.dim", "model.patch", "model.image", "model.channels", "model.classes",
+        "model.pre_norm", "model.final_norm", "model.precision",
+        "candidates",
+        "selector.lambda", "selector.grad_mode",
+        "fairness.a", "fairness.b", "fairness.zeta1", "fairness.zeta2",
+        "fairness.gamma_min", "fairness.gamma_max",
+        "search.stages", "search.epochs_per_stage", "search.first_layers",
+        "search.layer_increment", "search.prune_per_stage", "search.batch_size",
+        "search.lr", "search.weight_decay", "search.warmup_epochs",
+        "search.warmup_start_lr", "search.min_lr", "search.arch_lr",
+        "search.arch_weight_decay", "search.xi", "search.val_fraction",
+        "search.shared_alpha", "search.alpha_init_std",
+        "retrain.epochs", "retrain.warmup_epochs", "retrain.warmup_start_lr",
+        "retrain.batch_size", "retrain.lr", "retrain.weight_decay", "retrain.min_lr",
+        "retrain.checkpoint_every", "retrain.eval_every",
+        "data.source", "data.dir", "data.synthetic.classes", "data.synthetic.per_class",
+        "data.synthetic.image", "data.synthetic.noise", "data.normalize_mean",
+        "data.normalize_std"]
 
 
 @settings(max_examples=400)
@@ -255,9 +288,18 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
      "search.warmup_epochs: must be >= 0, got -1"),
     ("retrain", {"retrain": {"warmup_epochs": -2}},
      "retrain.warmup_epochs: must be >= 0, got -2"),
+    ("search", {"search": {"prune_per_stage": [-1, 2, 0]}},
+     "search.prune_per_stage[0]: must be >= 0, got -1"),
+    ("search", {"search": {"prune_per_stage": [3, 4, 0]}},
+     "search.prune_per_stage[1]: pruning 4 leaves 1 candidates for stage 3"),
+    ("search", {"search": {"layer_increment": -1}},
+     "search.layer_increment: -1 leaves 0 layers for stage 3"),
+    ("search", {"search": {"first_layers": 0}}, "search.first_layers: must be >= 1, got 0"),
+    ("search", {"search": {"xi": -0.001}}, "search.xi: must be >= 0, got -0.001"),
     # keys since removed, each with a value it once accepted
     ("search", {"search": {"score_mode": "mean"}}, "config.search.score_mode: unknown key"),
     ("search", {"search": {"drop_last": True}}, "config.search.drop_last: unknown key"),
+    ("search", {"search": {"unrolled": True}}, "config.search.unrolled: unknown key"),
     ("search", {"retrain": {"drop_last": False}}, "config.retrain.drop_last: unknown key"),
     ("search", {"data": {"resize_method": "bilinear"}},
      "config.data.resize_method: unknown key"),
@@ -274,8 +316,9 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
                  "data": {"source": "cifar10", "dir": "absent"}},
      "model.channels: 1, but cifar10 has 3 channels"),
 ], ids=["mean-length", "std-zero", "search-batch-size", "retrain-batch-size",
-        "search-warmup-negative", "retrain-warmup-negative",
-        "score-mode", "search-drop-last", "retrain-drop-last", "resize-method",
+        "search-warmup-negative", "retrain-warmup-negative", "prune-negative",
+        "prune-to-one", "depth-to-zero", "first-layers-zero", "xi-negative",
+        "score-mode", "search-drop-last", "unrolled", "retrain-drop-last", "resize-method",
         "resize-image", "synthetic-channels", "synthetic-classes", "synthetic-one-class",
         "cifar-classes", "cifar-channels"])
 def test_cli_refuses_a_config_the_run_cannot_use(tmp_path, capsys, command, changes,

@@ -348,8 +348,7 @@ def test_unrolled_gradient_matches_virtual_step_objective():
         state = SearchState(model=model, alpha=model.alpha,
                             w_opt=AdamW(model.weight_parameters(), lr=0.05),
                             a_opt=AdamW({"alpha.logits": model.alpha.logits}, lr=0.05),
-                            fairness=FairnessConfig(a=0.0, b=0.0),
-                            unrolled=True, xi=xi)
+                            fairness=FairnessConfig(a=0.0, b=0.0), xi=xi)
         _unrolled_alpha_pass(state, tb, vb)
         analytic = model.alpha.logits.grad
 
@@ -389,12 +388,21 @@ def test_unrolled_gradient_matches_virtual_step_objective():
             np.abs(analytic - numeric).max() / scale
 
 
-def test_search_runs_with_unrolled_flag(tmp_path):
-    cfg = _small_cfg(seed=5, stages=1, epochs_per_stage=1, unrolled=True, xi=1e-3,
+def test_search_runs_with_unrolled_flag(tmp_path, monkeypatch):
+    """A positive search.xi alone takes the unrolled pass on every step."""
+    passes = []
+    unrolled = search_mod._unrolled_alpha_pass
+
+    def counting(state, tb, vb):
+        passes.append(state.xi)
+        return unrolled(state, tb, vb)
+
+    monkeypatch.setattr(search_mod, "_unrolled_alpha_pass", counting)
+    cfg = _small_cfg(seed=5, stages=1, epochs_per_stage=1, xi=1e-3,
                      prune_per_stage=[0, 0, 0])
     result = run_search(cfg, tmp_path / "unrolled")
     assert result.schedule == [(8, 2)]
-    assert result.state.log  # the loop executed with the unrolled path
+    assert result.state.log and passes == [1e-3] * len(result.state.log)
 
 
 def test_unrolled_step_runs_and_differs_from_first_order():
@@ -473,7 +481,7 @@ def test_each_phase_computes_only_the_gradients_it_updates():
             state = SearchState(model=sup, alpha=sup.alpha,
                                 w_opt=AdamW(sup.weight_parameters(), lr=0.01),
                                 a_opt=AdamW(sup.alpha_parameters(), lr=0.01),
-                                fairness=FairnessConfig(), unrolled=unrolled, xi=0.01)
+                                fairness=FairnessConfig(), xi=0.01 if unrolled else 0.0)
             weights = sup.weight_parameters()
 
             if unrolled:
@@ -1027,3 +1035,22 @@ def test_retrain_rejects_class_mismatch(tmp_path):
     g = searched_encoder_genotype(wrong, depth=1, heads=4)
     with pytest.raises(ConfigError, match="classes"):
         retrain(g, cfg, tmp_path / "bad")
+
+
+@pytest.mark.parametrize("field, value", [("dim", 16), ("patch", 2), ("image", 16)])
+def test_retrain_refuses_a_genotype_of_other_dims(tmp_path, monkeypatch, field, value):
+    """Refused before any data is built or `out` exists, naming both dims."""
+    cfg = _retrain_cfg(1)
+    dims = dataclasses.replace(cfg.model.dims(), **{field: value})
+    g = searched_encoder_genotype(dims, depth=1, heads=4)
+
+    def no_data(*args):
+        raise AssertionError("retrain built datasets for a genotype it refuses")
+
+    monkeypatch.setattr(search_mod, "build_datasets", no_data)
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=r"^retrain: genotype dims") as refused:
+        retrain(g, cfg, out)
+    assert f"{field}={value}" in str(refused.value)
+    assert f"{field}={getattr(cfg.model, field)}" in str(refused.value)
+    assert not out.exists()

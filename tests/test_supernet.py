@@ -147,8 +147,8 @@ def test_first_layer_receives_embedding_twice(rng):
     with dtype_scope("float64"):
         sup = _supernet(layers=1, seed=3)
         images = make_synthetic(2, 2, 8, seed=1).images.astype(np.float64)
-        logits = sup.forward(images, use_selection=False).data
-        z0 = sup.embed.embed(images)
+        logits = sup.forward(images).data
+        z0, _ = sup.selector.select(sup.embed.embed(images))
         expected = sup.embed.classify(sup.cell(0, z0, z0)).data
         np.testing.assert_array_equal(logits, expected)
 
@@ -180,7 +180,7 @@ def test_cell_is_linear_in_one_edge_output(rng):
         class Doubler:
             spec = OpSpec("identity")
 
-            def forward(self, x, stats=None):
+            def forward(self, x):
                 return x * 2.0
 
             def named_parameters(self):
@@ -254,7 +254,7 @@ def test_hardened_supernet_matches_derived_model(rng):
             node1=[(2, OpSpec("msa", heads=4)), (0, OpSpec("mlp", ratio=0.5))])
         derived = DerivedModel.from_supernet(sup, genotype)
         images = make_synthetic(2, 4, 8, seed=5).images.astype(np.float64)
-        a = sup.forward(images, use_selection=True).data
+        a = sup.forward(images).data
         b = derived.forward(images).data
         assert np.abs(a - b).max() < 1e-5
 
@@ -333,9 +333,9 @@ def _normalized_inputs(monkeypatch, model, images, labels):
     seen = []
     original = ad._normalize
 
-    def counting(x, eps):
+    def counting(x):
         seen.append(x)
-        return original(x, eps)
+        return original(x)
 
     monkeypatch.setattr(ad, "_normalize", counting)
     params = model.named_parameters()
@@ -358,8 +358,16 @@ def test_each_distinct_cell_input_is_normalized_once_and_bitwise(kind, monkeypat
     seen, logits, grads = _normalized_inputs(monkeypatch, model, images, labels)
     assert len(seen) == 5
     assert len({id(x) for x in seen}) == 5
-    # one holder-free norm per pre-norm op, as before sharing
-    monkeypatch.setattr(ad, "NormStats", lambda: None)
+    # one normalization per pre-norm op, as before sharing: each call first
+    # drops what an earlier call stored in its input
+    layer_norm = ad.layer_norm
+
+    def alone(a, *affine):
+        if a._norm:
+            a._norm = None
+        return layer_norm(a, *affine)
+
+    monkeypatch.setattr(ad, "layer_norm", alone)
     alone, logits_alone, grads_alone = _normalized_inputs(monkeypatch, model, images,
                                                           labels)
     ops_per_layer = 6 * 5 if kind == "supernet" else 4
