@@ -75,10 +75,13 @@ the optimizer's to refuse (``AdamW.step``).
 The default array dtype is float32; gradient-check tests switch to float64
 via ``dtype_scope`` because central finite differences need the headroom.
 
-Importing the module has glibc's malloc keep freed heap pages in the
-process (``_keep_freed_pages``): a step frees and reallocates the same
-arrays, and handing their pages back to the kernel in between would fault
-every one of them in again on the next step. The resident set therefore
+Importing the module has glibc's malloc serve every array, however large,
+from the heap and keep the heap pages it frees in the process
+(``_keep_freed_pages``): a step frees and reallocates the same arrays, and
+handing their pages back to the kernel in between would fault every one of
+them in again on the next step. The optimizer's moments and a loaded
+checkpoint's data come from the same heap, so those that a search stage
+rebuilds reuse the pages of the ones it dropped. The resident set therefore
 does not shrink between steps.
 """
 

@@ -104,7 +104,8 @@ def _cmd_retrain(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .autodiff import dtype_scope
+    import numpy as np
+
     from .data import load_parameters, write_json
     from .genotype import DerivedModel, load_genotype
     from .search import (build_datasets, check_genotype_dims, evaluate,
@@ -115,16 +116,13 @@ def _cmd_eval(args) -> int:
     check_genotype_dims("eval", genotype, cfg)
     # no seed check: scoring a model on another seed's split is legitimate
     arrays, _ = load_run_checkpoint(args.checkpoint, "eval", "retrain", genotype=genotype)
-    with dtype_scope(cfg.model.precision):
-        import numpy as np
-
-        model = DerivedModel(genotype, np.random.default_rng(0),
-                             pre_norm=cfg.model.pre_norm,
-                             final_norm=cfg.model.final_norm)
-        load_parameters(model.named_parameters(), arrays, args.checkpoint)
-        train_ds, test_ds = build_datasets(cfg, cfg.seed)
-        dataset = train_ds if args.split == "train" else test_ds
-        result = evaluate(model, dataset, cfg.retrain.batch_size)
+    model = DerivedModel(genotype, np.random.default_rng(0),
+                         pre_norm=cfg.model.pre_norm,
+                         final_norm=cfg.model.final_norm)
+    load_parameters(model.named_parameters(), arrays, args.checkpoint)
+    train_ds, test_ds = build_datasets(cfg, cfg.seed)
+    dataset = train_ds if args.split == "train" else test_ds
+    result = evaluate(model, dataset, cfg.retrain.batch_size)
     doc = {"split": args.split, **result}
     print(json.dumps(doc, indent=2, sort_keys=True))
     if args.out:

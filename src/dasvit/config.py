@@ -28,7 +28,6 @@ class ModelConfig:
     classes: int = 10
     pre_norm: bool = True
     final_norm: bool = True
-    precision: str = "float32"
 
     def dims(self) -> ModelDims:
         return ModelDims(dim=self.dim, patch=self.patch, image=self.image,
@@ -104,8 +103,6 @@ class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
 
     def validate(self) -> "RunConfig":
-        if self.model.precision not in ("float32", "float64"):
-            raise ConfigError(f"model.precision: unknown precision {self.model.precision!r}")
         self.model.dims()  # divisibility and positivity checks
         if not 0 < self.selector.lam <= 1:
             raise ConfigError(f"selector.lambda: must lie in (0, 1], got {self.selector.lam}")
@@ -152,17 +149,20 @@ class RunConfig:
             raise ConfigError(f"search.xi: must be >= 0, got {s.xi}")
         if not 0 < s.val_fraction < 1:
             raise ConfigError("search.val_fraction: must lie in (0, 1)")
-        for key, size in (("search", s.batch_size), ("retrain", self.retrain.batch_size)):
-            if size < 1:
-                raise ConfigError(f"{key}.batch_size: must be >= 1, got {size}")
-        for key, warmup in (("search", s.warmup_epochs),
-                            ("retrain", self.retrain.warmup_epochs)):
-            if warmup < 0:
-                raise ConfigError(f"{key}.warmup_epochs: must be >= 0, got {warmup}")
-        if self.retrain.warmup_epochs > self.retrain.epochs:
+        r, syn = self.retrain, self.data.synthetic
+        for key, value, least in (
+                ("search.batch_size", s.batch_size, 1), ("retrain.batch_size", r.batch_size, 1),
+                ("search.warmup_epochs", s.warmup_epochs, 0),
+                ("retrain.warmup_epochs", r.warmup_epochs, 0), ("retrain.epochs", r.epochs, 1),
+                ("retrain.checkpoint_every", r.checkpoint_every, 0),
+                ("retrain.eval_every", r.eval_every, 0),
+                ("data.synthetic.per_class", syn.per_class, 1),
+                ("data.synthetic.image", syn.image, 1)):
+            if value < least:
+                raise ConfigError(f"{key}: must be >= {least}, got {value}")
+        if r.warmup_epochs > r.epochs:
             raise ConfigError(
-                f"retrain.warmup_epochs: {self.retrain.warmup_epochs} exceeds "
-                f"retrain.epochs {self.retrain.epochs}")
+                f"retrain.warmup_epochs: {r.warmup_epochs} exceeds retrain.epochs {r.epochs}")
         if self.data.source not in ("synthetic", "cifar10"):
             raise ConfigError(f"data.source: unknown source {self.data.source!r}")
         m = self.model

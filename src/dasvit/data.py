@@ -393,12 +393,12 @@ def manifest_value(path, doc, key: str, kind: type, where: str = "extras"):
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """The arrays and extras of the checkpoint at `path`, each array read
-    straight from the file into its own buffer.
+    """The arrays and extras of the checkpoint at `path`.
 
-    The data section is read once, in file order, and every byte of it,
-    whether an array covers it or not, goes into the sha256 that the
-    manifest's is compared with."""
+    The data section is read once, into one buffer, whose sha256, bytes no
+    array covers included, must equal the manifest's. Each array is a view of
+    its bytes in that buffer, so overlapping entries (only a hand-edited
+    manifest has them) share memory; every program path copies what it loads."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"checkpoint: file not found: {path}")
@@ -415,64 +415,31 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
                 and manifest.get("version") == _CKPT_VERSION):
             raise DataError(f"checkpoint: {path} is not a {_CKPT_FORMAT} "
                             f"version-{_CKPT_VERSION} file")
+        data = np.empty(os.fstat(fh.fileno()).st_size - len(line), np.uint8)
+        if fh.readinto(data) != data.size:
+            raise DataError(f"checkpoint: {path}: data truncated while reading")
 
-        def need(doc, key, kind, where="manifest"):
-            return manifest_value(path, doc, key, kind, where)
+    def need(doc, key, kind, where="manifest"):
+        return manifest_value(path, doc, key, kind, where)
 
-        base = len(line)
-        size = os.fstat(fh.fileno()).st_size - base
-        arrays: dict[str, np.ndarray] = {}
-        spans: list[tuple[int, np.ndarray]] = []  # (offset, the array's bytes)
-        for name, entry in need(manifest, "arrays", dict).items():
-            where = f"array {name!r}"
-            start = need(entry, "offset", int, where)
-            nbytes = need(entry, "nbytes", int, where)
-            dtype, shape = need(entry, "dtype", str, where), need(entry, "shape", list, where)
-            if start + nbytes > size:
-                raise DataError(f"checkpoint: {path}: data truncated for array {name!r}")
-            try:
-                flat = _empty_of(np.dtype(dtype), nbytes)
-                arrays[name] = flat.reshape(shape)
-                spans.append((start, flat.view(np.uint8)))
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"checkpoint: {path}: array {name!r} ({nbytes} bytes of "
-                                f"{dtype}) does not fill shape {shape}: {exc}") from None
-        digest = hashlib.sha256()
-        done = 0  # data bytes hashed so far
-        for start, buf in sorted(spans, key=lambda span: span[0]):
-            _hash_through(fh, base + done, start - done, digest)
-            fh.seek(base + start)
-            if fh.readinto(buf) != buf.size:
-                raise DataError(f"checkpoint: {path}: data truncated while reading")
-            digest.update(buf[max(done - start, 0):])  # skip bytes hashed already
-            done = max(done, start + buf.size)
-        _hash_through(fh, base + done, size - done, digest)
-    got = digest.hexdigest()
+    arrays: dict[str, np.ndarray] = {}
+    for name, entry in need(manifest, "arrays", dict).items():
+        where = f"array {name!r}"
+        start = need(entry, "offset", int, where)
+        nbytes = need(entry, "nbytes", int, where)
+        dtype, shape = need(entry, "dtype", str, where), need(entry, "shape", list, where)
+        if start + nbytes > data.size:
+            raise DataError(f"checkpoint: {path}: data truncated for array {name!r}")
+        try:
+            arrays[name] = data[start:start + nbytes].view(np.dtype(dtype)).reshape(shape)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"checkpoint: {path}: array {name!r} ({nbytes} bytes of "
+                            f"{dtype}) does not fill shape {shape}: {exc}") from None
+    got = hashlib.sha256(data).hexdigest()
     if got != need(manifest, "sha256", str):
         raise DataError(f"checkpoint: {path}: data sha256 {got} differs from the "
                         f"manifest's {manifest['sha256']}")
     return arrays, need(manifest, "extras", dict)
-
-
-def _empty_of(dtype: np.dtype, nbytes: int) -> np.ndarray:
-    """A 1-D buffer of `nbytes` bytes of `dtype` that raw file bytes may fill."""
-    if dtype.hasobject:
-        raise ValueError("cannot create an OBJECT array from memory buffer")
-    if dtype.itemsize == 0 or nbytes % dtype.itemsize:
-        raise ValueError(f"{nbytes} bytes are not a whole number of "
-                         f"{dtype.itemsize}-byte elements")
-    return np.empty(nbytes // dtype.itemsize, dtype)
-
-
-def _hash_through(fh, at: int, count: int, digest, chunk: int = 1 << 20) -> None:
-    """Feed `count` bytes of `fh` from offset `at` into `digest`, `chunk` at a time."""
-    fh.seek(at)
-    while count > 0:
-        piece = fh.read(min(chunk, count))
-        if not piece:
-            return  # the file shrank since it was sized; the digest will not match
-        digest.update(piece)
-        count -= len(piece)
 
 
 def load_parameters(params: dict, arrays: dict[str, np.ndarray], source,

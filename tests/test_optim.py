@@ -1,4 +1,5 @@
 import math
+import resource
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dasvit import AdamW, LrSchedule, Tensor, backward, dtype_scope
+from dasvit import autodiff as ad
 from dasvit.errors import ConfigError, NonFiniteError, OptimizerError
 from dasvit.optim import CHUNK
 from oracles import adamw_step_oracle
@@ -199,6 +201,21 @@ def test_state_arrays_roundtrip_resumes_identically():
             w_b.grad = g.copy()
             resumed.step()
         np.testing.assert_array_equal(w_b.data, w_full.data)
+
+
+@pytest.mark.skipif(getattr(ad._process_libc(), "mallopt", None) is None,
+                    reason="the C library has no mallopt")
+def test_a_rebuilt_optimizer_reuses_the_pages_of_the_one_before_it():
+    # a search stage drops both optimizers and builds new ones of the same size
+    params = {"w": Tensor(np.ones((2048, 2048), np.float32), requires_grad=True),
+              "b": Tensor(np.ones(2048, np.float32), requires_grad=True)}
+    for p in params.values():
+        p.grad = np.full_like(p.data, 0.5)
+    AdamW(params, lr=1e-3).step()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    AdamW(params, lr=1e-3).step()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults <= 300, f"{faults} minor page faults building and stepping a second optimizer"
 
 
 # -- learning-rate schedule -------------------------------------------------------

@@ -10,7 +10,7 @@ import tracemalloc
 from pathlib import Path
 
 import dasvit
-from dasvit import Supernet, desk_config, dtype_scope, run_search, search
+from dasvit import Supernet, desk_config, run_search, search
 from dasvit.config import SyntheticConfig
 from dasvit.data import (RNG_STAGE, BatchPlan, epoch_batches, load_checkpoint, rng_for,
                          split_dataset)
@@ -61,22 +61,21 @@ def test_timed_instrument_counts_two_bilevel_steps_and_every_updated_element(mon
     monkeypatch.syspath_prepend(str(PERFBENCH))
     instrument = importlib.import_module("instrument")
     cfg = desk_config(seed=2).validate()
-    with dtype_scope(cfg.model.precision):
-        train, _ = search.build_datasets(cfg, cfg.seed)
-        split = split_dataset(len(train), cfg.search.val_fraction, cfg.seed)
-        plan = BatchPlan(batch_size=cfg.search.batch_size, seed=cfg.seed, drop_last=True)
-        net = Supernet.from_config(cfg, list(cfg.candidates), cfg.search.first_layers,
-                                   rng_for(cfg.seed, RNG_STAGE, 1))
-        w_opt, a_opt = search._build_optimizers(net, cfg)
-        state = search.SearchState(model=net, alpha=net.alpha, w_opt=w_opt,
-                                   a_opt=a_opt, fairness=cfg.fairness)
-        train_b = epoch_batches(train, split.train_indices, plan, 0, "train")[:2]
-        val_b = epoch_batches(train, split.val_indices, plan, 0, "val")[:2]
-        ins = instrument.Instrument().install()
-        try:
-            search.bilevel_epoch(state, train_b, val_b)
-        finally:
-            ins.close()
+    train, _ = search.build_datasets(cfg, cfg.seed)
+    split = split_dataset(len(train), cfg.search.val_fraction, cfg.seed)
+    plan = BatchPlan(batch_size=cfg.search.batch_size, seed=cfg.seed, drop_last=True)
+    net = Supernet.from_config(cfg, list(cfg.candidates), cfg.search.first_layers,
+                               rng_for(cfg.seed, RNG_STAGE, 1))
+    w_opt, a_opt = search._build_optimizers(net, cfg)
+    state = search.SearchState(model=net, alpha=net.alpha, w_opt=w_opt,
+                               a_opt=a_opt, fairness=cfg.fairness)
+    train_b = epoch_batches(train, split.train_indices, plan, 0, "train")[:2]
+    val_b = epoch_batches(train, split.val_indices, plan, 0, "val")[:2]
+    ins = instrument.Instrument().install()
+    try:
+        search.bilevel_epoch(state, train_b, val_b)
+    finally:
+        ins.close()
     assert len(ins.steps) == 2
     sizes = sum(p.data.size for opt in (w_opt, a_opt) for p in opt.params.values())
     assert ins.counts["optim.updated_elements"] == 2 * sizes

