@@ -33,13 +33,24 @@ temporary to sum away.
 A node's output array lives as long as its graph, whether or not a backward
 closure reads it. So the hot compositions are single nodes: ``matmul`` takes
 a ``bias``, ``layer_norm`` a ``gamma``/``beta`` affine, ``weighted_sum`` is a
-mixed edge's whole weighted sum, and ``attention`` is multi-head attention
-from the q/k/v projections to the head-merged output, its scaled softmax
-included. Each computes the same floats in the same order as the chain of
-primitives it replaces, forward and backward, without holding that chain's
-intermediate arrays; ``attention`` keeps only its softmax output, not the
-(B, H, N, N) pre-softmax scores, the per-head ``attn @ v`` product or its
-head-merge copy.
+mixed edge's whole weighted sum, and each MSA and MLP candidate after its
+norm is one node. Each computes the same floats in the same order as the
+chain of primitives it replaces, forward and backward, without holding that
+chain's intermediate arrays, and keeps only what its backward cannot cheaply
+rebuild:
+
+* ``self_attention`` (the q/k/v projections, multi-head scaled-softmax
+  attention, the head merge and the biased output projection) keeps q, k, v
+  and the (B, H, N, N) softmax output. Its backward rebuilds the merged
+  ``attn @ v`` product only when the output weight takes a gradient, so a
+  pass with frozen weights rebuilds nothing.
+* ``feed_forward`` (biased projection, GELU, biased projection) keeps the
+  hidden pre-activation ``h``. Its backward rebuilds the GELU's tanh term
+  from ``h``, and the GELU output only when the second weight takes a
+  gradient.
+
+A rebuilt array comes from the same operations, in the same order, as the
+forward's, so it holds the forward's bits.
 
 ``gelu`` keeps its input and ``t = tanh(c·(x + k·x³))`` for the backward;
 its forward and its backward each run in three input-sized buffers. The
@@ -695,46 +706,111 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
 
 
-def gelu(a: Tensor) -> Tensor:
-    """tanh-approximated GELU; erf-free and deterministic.
+# The tanh-GELU ``0.5·x·(1 + tanh(c·(x + k·x³)))`` in steps written in place.
+# Each step is the operation the plain expression performs at that point, with
+# at most its operands swapped, so the floats are the expression's
+# (``tests/oracles.py`` keeps it). ``gelu`` and ``feed_forward`` both run these.
 
-    ``0.5·x·(1 + tanh(c·(x + k·x³)))`` in three (x-sized) buffers, forward and
-    backward: the backward keeps only ``t = tanh(...)`` beside the input.
-    Each in-place step is the operation the plain expression performs at
-    that point, with at most its operands swapped, so the floats are the
-    expression's (``tests/oracles.py`` keeps it).
-    """
-    a = as_tensor(a)
-    x = a.data
+
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """``t = tanh(c·(x + k·x³))`` in one fresh x-sized buffer."""
     # products, not x**3 or x**2: numpy's float32 pow is far slower than multiplies
     t = x * x
     t *= x
     t *= _GELU_K
     t += x
     t *= _GELU_C
-    np.tanh(t, out=t)
+    return np.tanh(t, out=t)
+
+
+def _gelu_from_tanh(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The GELU output ``0.5·x·(1 + t)`` of `x` and its tanh term."""
     out = np.multiply(x, 0.5)
     out *= np.add(t, 1.0)
+    return out
+
+
+def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g·(0.5·(1 + t) + 0.5·x·(1 - t²)·c·(1 + 3k·x²))``, the gradient at
+    `x` under `g`, in three x-sized buffers; `g` is only read."""
+    # d_inner = c·(1 + 3k·x²)
+    d_inner = x * x
+    d_inner *= 3.0 * _GELU_K
+    d_inner += 1.0
+    d_inner *= _GELU_C
+    # 0.5·x·(1 - t²)·d_inner
+    slope = t * t
+    np.subtract(1.0, slope, out=slope)
+    np.multiply(np.multiply(x, 0.5), slope, out=slope)
+    slope *= d_inner
+    # g·(0.5·(1 + t) + slope), in d_inner's buffer
+    local = np.add(t, 1.0, out=d_inner)
+    local *= 0.5
+    local += slope
+    local *= g
+    return local
+
+
+def gelu(a: Tensor) -> Tensor:
+    """tanh-approximated GELU; erf-free and deterministic.
+
+    Forward and backward each run in three (x-sized) buffers; the backward
+    keeps only ``t = tanh(...)`` beside the input.
+    """
+    a = as_tensor(a)
+    x = a.data
+    t = _gelu_tanh(x)
+    out = _gelu_from_tanh(x, t)
 
     def bw(g):
-        # d_inner = c·(1 + 3k·x²)
-        d_inner = x * x
-        d_inner *= 3.0 * _GELU_K
-        d_inner += 1.0
-        d_inner *= _GELU_C
-        # 0.5·x·(1 - t²)·d_inner
-        slope = t * t
-        np.subtract(1.0, slope, out=slope)
-        np.multiply(np.multiply(x, 0.5), slope, out=slope)
-        slope *= d_inner
-        # g·(0.5·(1 + t) + slope)
-        local = np.add(t, 1.0)
-        local *= 0.5
-        local += slope
-        local *= g
-        _accumulate(a, local)
+        _accumulate(a, _gelu_grad(x, t, g))
 
     return Tensor._from_op(out, (a,), bw, "gelu")
+
+
+def feed_forward(z: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``gelu(z @ w1 + b1) @ w2 + b2`` over the last axis of `z`, as one node.
+
+    It computes the floats of the biased ``matmul``, ``gelu``, biased
+    ``matmul`` chain in its order, forward and backward, and keeps only the
+    hidden pre-activation ``h``. The backward rebuilds the tanh term from
+    ``h``, and the GELU output only when `w2` takes a gradient.
+    """
+    z, w1, b1, w2, b2 = (as_tensor(p) for p in (z, w1, b1, w2, b2))
+    if (z.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or w1.shape[0] != z.shape[-1]
+            or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1]
+            or b2.shape != w2.shape[1:]):
+        raise ShapeError(f"feed_forward: input {z.shape}, w1 {w1.shape}, b1 {b1.shape}, "
+                         f"w2 {w2.shape} and b2 {b2.shape} do not chain")
+    dim, width = w1.shape
+    z2 = z.data.reshape(-1, dim)
+    h = z2 @ w1.data
+    h += b1.data
+    h = h.reshape(z.shape[:-1] + (width,))
+    out = _gelu_from_tanh(h, _gelu_tanh(h)).reshape(-1, width) @ w2.data
+    out += b2.data
+    out = out.reshape(z.shape[:-1] + w2.shape[1:])
+
+    def bw(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        hidden_grad = z.requires_grad or w1.requires_grad or b1.requires_grad
+        t = _gelu_tanh(h) if hidden_grad or w2.requires_grad else None
+        if w2.requires_grad:
+            _accumulate(w2, _gelu_from_tanh(h, t).reshape(-1, width).T @ g2)
+        if b2.requires_grad:
+            _accumulate(b2, _unbroadcast(g, b2.shape))
+        if hidden_grad:
+            gh = _gelu_grad(h, t, (g2 @ w2.data.T).reshape(h.shape))
+            del t
+            gh2 = gh.reshape(-1, width)
+            if z.requires_grad:
+                _accumulate(z, (gh2 @ w1.data.T).reshape(z.shape))
+            if w1.requires_grad:
+                _accumulate(w1, z2.T @ gh2)
+            if b1.requires_grad:
+                _accumulate(b1, _unbroadcast(gh, b1.shape))
+
+    return Tensor._from_op(out, (z, w1, b1, w2, b2), bw, "feed_forward")
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -753,56 +829,92 @@ def softmax(a: Tensor) -> Tensor:
     return Tensor._from_op(out, (a,), bw, "softmax")
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Multi-head ``softmax(q_h k_hᵀ / √d) v_h`` of (B, N, D) projections,
-    heads merged back to (B, N, D), with d = D / heads.
+def self_attention(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
+                   bo: Tensor, heads: int) -> Tensor:
+    """Multi-head self-attention of (B, N, D) tokens `z` as one node: the
+    projections ``q, k, v = z @ wq, z @ wk, z @ wv``, per head
+    ``softmax(q_h k_hᵀ / √d) v_h`` with d = D / heads, the heads merged back
+    to (B, N, D), then ``@ wo + bo``.
 
-    One node: the pre-softmax scores and the per-head product are
-    temporaries, and the backward keeps only the (B, H, N, N) softmax output.
-    Forward and backward compute the floats of the reshape/transpose/matmul/
-    scaled-softmax/matmul/transpose/reshape chain in its order, and each
-    batched product gets the operand layouts that chain gave it.
+    It computes the floats of the chain it replaces (three ``matmul``s, the
+    reshape/transpose/matmul/scaled-softmax/matmul/transpose/reshape core and
+    a biased ``matmul``) in its order, forward and backward, and each product
+    gets the operand layouts that chain gave it. It keeps q, k, v and the
+    (B, H, N, N) softmax output; the pre-softmax scores, the per-head
+    ``attn @ v`` product and its head merge are temporaries. The backward
+    rebuilds the merged product only when `wo` takes a gradient, and adds
+    the three projections' parts to the gradient of `z` one by one, in the
+    q, k, v order in which the chain's backward reached them.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
-        raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} "
-                         f"must share one (B, N, D) shape")
-    bsz, n, dim = q.shape
+    z, wq, wk, wv, wo, bo = (as_tensor(p) for p in (z, wq, wk, wv, wo, bo))
+    if z.ndim != 3:
+        raise ShapeError(f"self_attention: input {z.shape} is not (B, N, D)")
+    bsz, n, dim = z.shape
+    for w in (wq, wk, wv, wo):
+        if w.shape != (dim, dim):
+            raise ShapeError(f"self_attention: weight {w.shape} does not fit input {z.shape}")
+    if bo.shape != (dim,):
+        raise ShapeError(f"self_attention: bias {bo.shape} does not fit input {z.shape}")
     if heads < 1 or dim % heads:
-        raise ShapeError(f"attention: width of {q.shape} is not divisible by {heads} heads")
+        raise ShapeError(f"self_attention: width of {z.shape} is not divisible by "
+                         f"{heads} heads")
+    z2 = z.data.reshape(-1, dim)
+    q, k, v = ((z2 @ w.data).reshape(z.shape) for w in (wq, wk, wv))
     split = (bsz, n, heads, dim // heads)
-    qh = q.data.reshape(split).transpose(0, 2, 1, 3)  # (B, H, N, d)
-    kt = k.data.reshape(split).transpose(0, 2, 3, 1)  # (B, H, d, N)
-    vh = v.data.reshape(split).transpose(0, 2, 1, 3)
-    s = np.asarray(1.0 / math.sqrt(dim // heads), dtype=q.dtype)
+    qh = q.reshape(split).transpose(0, 2, 1, 3)  # (B, H, N, d)
+    kt = k.reshape(split).transpose(0, 2, 3, 1)  # (B, H, d, N)
+    vh = v.reshape(split).transpose(0, 2, 1, 3)
+    s = np.asarray(1.0 / math.sqrt(dim // heads), dtype=z.dtype)
     # the scores become the softmax output in place: one (B, H, N, N) buffer
     attn = qh @ kt
     attn *= s
     attn -= attn.max(axis=-1, keepdims=True)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=-1, keepdims=True)
-    out = (attn @ vh).transpose(0, 2, 1, 3).reshape(q.shape)
+
+    def merged():
+        return (attn @ vh).transpose(0, 2, 1, 3).reshape(-1, dim)
+
+    out = merged() @ wo.data
+    out += bo.data
+    out = out.reshape(z.shape)
 
     def bw(g):
+        g2 = g.reshape(-1, dim)
+        if wo.requires_grad:
+            _accumulate(wo, merged().T @ g2)
+        if bo.requires_grad:
+            _accumulate(bo, _unbroadcast(g, bo.shape))
+        need = [z.requires_grad or w.requires_grad for w in (wq, wk, wv)]
+        if not any(need):
+            return
         # the chain copied the merged-head gradient into (B, H, N, d) order
-        gh = g.reshape(split).transpose(0, 2, 1, 3).copy()
-        if v.requires_grad:
+        gh = (g2 @ wo.data.T).reshape(split).transpose(0, 2, 1, 3).copy()
+        parts = [None, None, None]  # the gradients reaching q, k and v
+        if need[2]:
             gv = attn.swapaxes(-1, -2) @ gh
-            _accumulate(v, gv.transpose(0, 2, 1, 3).reshape(v.shape))
-        if q.requires_grad or k.requires_grad:
+            parts[2] = gv.transpose(0, 2, 1, 3).reshape(-1, dim)
+        if need[0] or need[1]:
             gs = gh @ vh.swapaxes(-1, -2)
             dot = (gs * attn).sum(axis=-1, keepdims=True)
             gs -= dot
             gs *= attn
             gs *= s
-            if q.requires_grad:
+            if need[0]:
                 gq = gs @ kt.swapaxes(-1, -2)
-                _accumulate(q, gq.transpose(0, 2, 1, 3).reshape(q.shape))
-            if k.requires_grad:
+                parts[0] = gq.transpose(0, 2, 1, 3).reshape(-1, dim)
+            if need[1]:
                 gk = qh.swapaxes(-1, -2) @ gs  # (B, H, d, N)
-                _accumulate(k, gk.transpose(0, 3, 1, 2).reshape(k.shape))
+                parts[1] = gk.transpose(0, 3, 1, 2).reshape(-1, dim)
+            del gs
+        del gh
+        for w, gp in zip((wq, wk, wv), parts):
+            if w.requires_grad:
+                _accumulate(w, z2.T @ gp)
+            if z.requires_grad:
+                _accumulate(z, (gp @ w.data.T).reshape(z.shape))
 
-    return Tensor._from_op(out, (q, k, v), bw, "attention")
+    return Tensor._from_op(out, (z, wq, wk, wv, wo, bo), bw, "self_attention")
 
 
 _LN_EPS = 1e-6  # added to the variance; one value, so a stored normalization fits every call

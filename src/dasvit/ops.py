@@ -262,8 +262,7 @@ class MsaOp(Module):
         if x.shape[-1] != self.dim:
             raise ShapeError(f"MsaOp: expected last dim {self.dim}, got {x.shape}")
         z = _normed(x, self.norm_g, self.norm_b)
-        mixed = ad.attention(z @ self.wq, z @ self.wk, z @ self.wv, self.heads)
-        return ad.matmul(mixed, self.wo, bias=self.bo)
+        return ad.self_attention(z, self.wq, self.wk, self.wv, self.wo, self.bo, self.heads)
 
 
 class MlpOp(Module):
@@ -288,8 +287,7 @@ class MlpOp(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         z = _normed(x, self.norm_g, self.norm_b)
-        hidden = ad.gelu(ad.matmul(z, self.w1, bias=self.b1))
-        return ad.matmul(hidden, self.w2, bias=self.b2)
+        return ad.feed_forward(z, self.w1, self.b1, self.w2, self.b2)
 
 
 _OP_CLASSES = {"zero": ZeroOp, "identity": IdentityOp, "msa": MsaOp, "mlp": MlpOp}

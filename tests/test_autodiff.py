@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dasvit import Tensor, backward, dtype_scope
 from dasvit import autodiff as ad
 from dasvit.errors import DasvitError, NonFiniteError, ShapeError
+from dasvit.ops import MlpOp, OpSpec
 from oracles import (check_grads, gelu_expression, gelu_grad_expression,
                      layer_norm_expression)
 
@@ -197,8 +198,8 @@ PRIMITIVE_CASES = [
     "matmul_transposed_view_2d", "matmul_bias_3d", "matmul_bias_2d",
     "scalar_fanout", "transpose", "reshape", "broadcast_to", "concat", "index",
     "index_array_2d", "index_array_3d", "sum_axis", "mean_axis", "softmax",
-    "attention", "layer_norm", "layer_norm_affine", "weighted_sum_frozen_term",
-    "gelu", "relu", "sigmoid", "cross_entropy",
+    "self_attention", "layer_norm", "layer_norm_affine", "weighted_sum_frozen_term",
+    "gelu", "feed_forward", "relu", "sigmoid", "cross_entropy",
 ]
 
 
@@ -285,10 +286,18 @@ def test_primitive_gradients_match_finite_differences(case, rng):
             a = t64(rng, 2, 5)
             p = _proj(rng, (2, 5))
             check_grads(lambda: (ad.softmax(a) * p).sum(), [a])
-        elif case == "attention":
-            q, k, v = (t64(rng, 2, 3, 6) for _ in range(3))
+        elif case == "self_attention":
+            z, wq, wk, wv, wo = (t64(rng, *shape) for shape in ((2, 3, 6),) + ((6, 6),) * 4)
+            bo = t64(rng, 6)
             p = _proj(rng, (2, 3, 6))
-            check_grads(lambda: (ad.attention(q, k, v, 2) * p).sum(), [q, k, v])
+            check_grads(lambda: (ad.self_attention(z, wq, wk, wv, wo, bo, 2) * p).sum(),
+                        [z, wq, wk, wv, wo, bo])
+        elif case == "feed_forward":
+            z, w1, b1, w2, b2 = (t64(rng, *shape)
+                                 for shape in ((2, 3, 4), (4, 5), (5,), (5, 4), (4,)))
+            p = _proj(rng, (2, 3, 4))
+            check_grads(lambda: (ad.feed_forward(z, w1, b1, w2, b2) * p).sum(),
+                        [z, w1, b1, w2, b2])
         elif case == "layer_norm":
             a = t64(rng, 2, 6)
             p = _proj(rng, (2, 6))
@@ -367,13 +376,23 @@ def test_fused_nodes_refuse_mismatched_operands():
     with pytest.raises(ShapeError, match=r"weighted_sum: term shapes \(2, 3\) and \(3, 2\)"):
         ad.weighted_sum(Tensor(np.ones(2)), [Tensor(np.ones((2, 3))),
                                              Tensor(np.ones((3, 2)))], [0, 1])
-    with pytest.raises(ShapeError, match=r"attention: q \(2, 3, 4\), k \(2, 3, 4\) "
-                                         r"and v \(2, 4, 4\)"):
-        ad.attention(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 3, 4))),
-                     Tensor(np.ones((2, 4, 4))), 2)
-    with pytest.raises(ShapeError, match=r"attention: width of \(2, 3, 4\) is not "
+    z, w, b = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 4))), Tensor(np.ones(4))
+    with pytest.raises(ShapeError, match=r"self_attention: input \(3, 4\) is not \(B, N, D\)"):
+        ad.self_attention(Tensor(np.ones((3, 4))), w, w, w, w, b, 2)
+    with pytest.raises(ShapeError, match=r"self_attention: weight \(4, 5\) does not fit "
+                                         r"input \(2, 3, 4\)"):
+        ad.self_attention(z, w, w, Tensor(np.ones((4, 5))), w, b, 2)
+    with pytest.raises(ShapeError, match=r"self_attention: bias \(5,\) does not fit"):
+        ad.self_attention(z, w, w, w, w, Tensor(np.ones(5)), 2)
+    with pytest.raises(ShapeError, match=r"self_attention: width of \(2, 3, 4\) is not "
                                          r"divisible by 3 heads"):
-        ad.attention(*(Tensor(np.ones((2, 3, 4))) for _ in range(3)), 3)
+        ad.self_attention(z, w, w, w, w, b, 3)
+    with pytest.raises(ShapeError, match=r"feed_forward: input \(2, 3, 4\), w1 \(4, 6\), "
+                                         r"b1 \(6,\), w2 \(5, 4\) and b2 \(4,\) do not chain"):
+        ad.feed_forward(z, Tensor(np.ones((4, 6))), Tensor(np.ones(6)),
+                        Tensor(np.ones((5, 4))), b)
+    with pytest.raises(ShapeError, match=r"feed_forward: input \(4,\)"):
+        ad.feed_forward(b, w, b, w, b)
 
 
 def test_first_gradient_write_takes_the_tensor_layout():
@@ -477,6 +496,27 @@ def _attention_chain(q, k, v, heads):
     return (attn @ vh).transpose((0, 2, 1, 3)).reshape((bsz, n, dim))
 
 
+def _candidate_arrays(rng, node):
+    """float32 operands of a candidate node: z (4, 9, 32), then its weights."""
+    shapes = {"self_attention": ((32, 32),) * 4 + ((32,),),
+              "feed_forward": ((32, 48), (48,), (48, 32), (32,))}[node]
+    z = rng.standard_normal((4, 9, 32)).astype(np.float32)
+    return (z,) + tuple((0.2 * rng.standard_normal(s)).astype(np.float32) for s in shapes)
+
+
+def _self_attention_chain(z, wq, wk, wv, wo, bo):
+    return ad.matmul(_attention_chain(z @ wq, z @ wk, z @ wv, 4), wo, bias=bo)
+
+
+def _feed_forward_chain(z, w1, b1, w2, b2):
+    return ad.matmul(ad.gelu(ad.matmul(z, w1, bias=b1)), w2, bias=b2)
+
+
+CANDIDATE_NODES = {
+    "self_attention": lambda *ops: ad.self_attention(*ops, 4),
+    "feed_forward": ad.feed_forward,
+}
+
 FUSED_CASES = {
     "matmul_bias_3d": lambda rng: _matmul_bias(rng, (4, 9)),
     "matmul_bias_2d": lambda rng: _matmul_bias(rng, (9,)),
@@ -490,10 +530,10 @@ FUSED_CASES = {
         + tuple(rng.standard_normal((4, 9, 16)).astype(np.float32) for _ in range(3)),
         lambda w, *ts: ad.weighted_sum(w, ts, [1, 3, 4]),
         lambda w, *ts: w[1] * ts[0] + w[3] * ts[1] + w[4] * ts[2]),
-    "attention": lambda rng: (
-        tuple(rng.standard_normal((4, 9, 32)).astype(np.float32) for _ in range(3)),
-        lambda q, k, v: ad.attention(q, k, v, 4),
-        lambda q, k, v: _attention_chain(q, k, v, 4)),
+    "self_attention": lambda rng: (_candidate_arrays(rng, "self_attention"),
+                                   CANDIDATE_NODES["self_attention"], _self_attention_chain),
+    "feed_forward": lambda rng: (_candidate_arrays(rng, "feed_forward"),
+                                 CANDIDATE_NODES["feed_forward"], _feed_forward_chain),
 }
 
 
@@ -515,26 +555,100 @@ def test_fused_node_matches_its_unfused_composition_bitwise(case, rng):
         np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("frozen_input", [0, 1, 2])
-def test_attention_frozen_input_gets_no_gradient(frozen_input, rng):
-    """Freezing one of q, k, v skips its products and leaves the other two
-    gradients bitwise as they are with nothing frozen."""
-    arrays = [rng.standard_normal((2, 9, 16)).astype(np.float32) for _ in range(3)]
-    upstream = Tensor(rng.standard_normal((2, 9, 16)).astype(np.float32))
+def _grads_with_frozen(node, arrays, frozen, upstream):
+    leaves = [Tensor(x.copy(), requires_grad=True) for x in arrays]
+    with ad.frozen([leaves[i] for i in frozen]):
+        backward((CANDIDATE_NODES[node](*leaves) * upstream).sum())
+    return [t.grad for t in leaves]
 
-    def grads(frozen):
-        qkv = [Tensor(x.copy(), requires_grad=True) for x in arrays]
-        with ad.frozen([qkv[i] for i in frozen]):
-            backward((ad.attention(*qkv, 4) * upstream).sum())
-        return [t.grad for t in qkv]
 
-    want = grads([])
-    got = grads([frozen_input])
+#: Operand groups of the two candidate nodes: the input, then the weights
+#: that read the input, then the output projection.
+FROZEN_GROUPS = {"self_attention": ((0,), (1, 2, 3), (4, 5)),
+                 "feed_forward": ((0,), (1, 2), (3, 4))}
+
+
+def _check_frozen_group(node, group, rng):
+    """Freezing one operand group skips its products: it gets no gradient,
+    and every other operand's gradient is bitwise what it is with nothing
+    frozen."""
+    arrays = _candidate_arrays(rng, node)
+    upstream = Tensor(rng.standard_normal((4, 9, 32)).astype(np.float32))
+    frozen = FROZEN_GROUPS[node][group]
+    want = _grads_with_frozen(node, arrays, (), upstream)
+    got = _grads_with_frozen(node, arrays, frozen, upstream)
     for i, (g, w) in enumerate(zip(got, want)):
-        if i == frozen_input:
+        if i in frozen:
             assert g is None
         else:
             np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("frozen_input", [0, 1, 2])
+def test_attention_frozen_input_gets_no_gradient(frozen_input, rng):
+    """``self_attention`` with z, then wq/wk/wv, then wo/bo frozen."""
+    _check_frozen_group("self_attention", frozen_input, rng)
+
+
+@pytest.mark.parametrize("frozen_input", [0, 1, 2])
+def test_feed_forward_frozen_input_gets_no_gradient(frozen_input, rng):
+    """``feed_forward`` with z, then w1/b1, then w2/b2 frozen."""
+    _check_frozen_group("feed_forward", frozen_input, rng)
+
+
+def _kept_buffers(node):
+    """The buffers of the arrays a node's backward closure reads, nested
+    closures included, other than its parents' data; 0-d scalars aside."""
+    def root(a):
+        while a.base is not None:
+            a = a.base
+        return a
+
+    parents = {id(root(p.data)) for p in node._parents}
+    kept, todo, seen = {}, [node._backward], set()
+    while todo:
+        fn = todo.pop()
+        for cell in fn.__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, np.ndarray) and value.ndim:
+                base = root(value)
+                if id(base) not in parents:
+                    kept[id(base)] = base
+            elif callable(value) and getattr(value, "__closure__", None) \
+                    and id(value) not in seen:
+                seen.add(id(value))
+                todo.append(value)
+    return list(kept.values())
+
+
+def test_candidate_nodes_keep_only_what_their_backward_cannot_rebuild(rng):
+    """``feed_forward`` keeps the hidden pre-activation alone;
+    ``self_attention`` keeps q, k, v and the softmax output."""
+    arrays = _candidate_arrays(rng, "feed_forward")
+    z, w1, b1, w2, b2 = (Tensor(x, requires_grad=True) for x in arrays)
+    (kept,) = _kept_buffers(ad.feed_forward(z, w1, b1, w2, b2))
+    np.testing.assert_array_equal(kept.ravel(), ad.matmul(z, w1, bias=b1).data.ravel())
+
+    arrays = _candidate_arrays(rng, "self_attention")
+    z, wq, wk, wv, wo, bo = (Tensor(x, requires_grad=True) for x in arrays)
+    kept = _kept_buffers(ad.self_attention(z, wq, wk, wv, wo, bo, 4))
+    split = (4, 9, 4, 8)
+    qh = ad.transpose(ad.reshape(z @ wq, split), (0, 2, 1, 3))
+    kt = ad.transpose(ad.reshape(z @ wk, split), (0, 2, 3, 1))
+    want = [(z @ w).data for w in (wq, wk, wv)]
+    want.append(ad.softmax((qh @ kt) * (1.0 / np.sqrt(8))).data)
+    assert len(kept) == len(want)
+    for w in want:
+        assert sum(np.array_equal(k.ravel(), w.ravel()) for k in kept) == 1
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_a_nonfinite_mlp_weight_is_named_by_its_replay(rng):
+    op = MlpOp(OpSpec("mlp", ratio=2.0), dim=8, rng=rng)
+    op.w1.data[3, 5] = np.inf
+    x = Tensor(rng.standard_normal((2, 5, 8)).astype(np.float32), requires_grad=True)
+    with pytest.raises(NonFiniteError, match="^feed_forward produced non-finite values$"):
+        ad.finite_pass(lambda: (op.forward(x).sum(),))
 
 
 # -- in-place primitives against their plain expressions ------------------------------

@@ -161,24 +161,33 @@ def test_cost_report_decomposes_per_layer():
 
 def test_cost_report_flops_are_the_forward_matmul_macs(monkeypatch):
     """With activation elements weighted 0, ``cost_report`` flops are exactly
-    the multiply-accumulates of a DerivedModel forward's matmuls and
-    attention cores (q·kᵀ and attn·v, N·D each per token), per image."""
+    the multiply-accumulates of a DerivedModel forward, per image: those of
+    its matmuls, of each ``self_attention`` node's four projections and its
+    core (q·kᵀ and attn·v, N·D each per token), and of each ``feed_forward``
+    node's two projections."""
     monkeypatch.setattr(genotype_mod, "OPS_PER_ACT_ELEMENT", 0)
     macs = []
-    matmul, attention = ad.matmul, ad.attention
+    matmul, self_attention, feed_forward = ad.matmul, ad.self_attention, ad.feed_forward
 
     def counting(a, b, bias=None):
         out = matmul(a, b, bias=bias)
         macs.append(out.data.size * a.shape[-1])
         return out
 
-    def counting_attention(q, k, v, heads):
-        out = attention(q, k, v, heads)
-        macs.append(2 * out.data.size * q.shape[1])
+    def counting_attention(z, wq, wk, wv, wo, bo, heads):
+        out = self_attention(z, wq, wk, wv, wo, bo, heads)
+        bsz, n, dim = z.shape
+        macs.append(4 * bsz * n * dim * dim + 2 * bsz * n * n * dim)
+        return out
+
+    def counting_feed_forward(z, w1, b1, w2, b2):
+        out = feed_forward(z, w1, b1, w2, b2)
+        macs.append(2 * (z.data.size // z.shape[-1]) * w1.shape[0] * w1.shape[1])
         return out
 
     monkeypatch.setattr(ad, "matmul", counting)
-    monkeypatch.setattr(ad, "attention", counting_attention)
+    monkeypatch.setattr(ad, "self_attention", counting_attention)
+    monkeypatch.setattr(ad, "feed_forward", counting_feed_forward)
     dims = ModelDims(dim=16, patch=4, image=8, classes=2)
     batch = 3
     images = np.zeros((batch, dims.image, dims.image, dims.channels), dtype=np.float32)

@@ -36,6 +36,22 @@ def test_desk_search_reports_a_refused_search_and_scores_the_reference(tmp_path)
     assert not (tmp_path / "desk" / "retrain_searched").exists()
 
 
+def test_paper_probe_reports_a_stage_at_desk_geometry(tmp_path):
+    proc = _run(tmp_path, "paper_probe.py",
+                ["--geometry", "desk", "--stage", "2", "--batch", "2", "--steps", "2"])
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["stage"], report["layers"], len(report["candidates"])) == (2, 4, 5)
+    assert len(report["steps"]) == 2
+    assert all(step[k] > 0 for step in report["steps"] for k in ("alpha_s", "weight_s"))
+    assert 0 < report["rss_after_build_mb"] <= report["peak_rss_mb"]
+    sizes = report["bytes"]
+    # float32 weights, every one stepped by AdamW, so two moments apiece
+    assert sizes["weights"] == 4 * report["parameters"]
+    assert sizes["moments"] == 2 * sizes["weights"]
+    assert 0 < sizes["gradients"] <= sizes["weights"]
+
+
 def _run(cwd, script, args):
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
     return subprocess.run([sys.executable, str(SCRIPTS / script), *args], cwd=cwd,
