@@ -57,9 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("train", "test"), default="test")
 
     p = sub.add_parser("analyze", help="closed-form cost report for a genotype")
-    p.add_argument("--config", type=Path, default=None,
-                   help="JSON run config whose model.pre_norm and model.final_norm "
-                        "apply; defaults to the desk preset")
     p.add_argument("--genotype", type=Path, required=True)
     p.add_argument("--out", type=Path, default=None,
                    help="also write the report as JSON to this file")
@@ -116,9 +113,7 @@ def _cmd_eval(args) -> int:
     check_genotype_dims("eval", genotype, cfg)
     # no seed check: scoring a model on another seed's split is legitimate
     arrays, _ = load_run_checkpoint(args.checkpoint, "eval", "retrain", genotype=genotype)
-    model = DerivedModel(genotype, np.random.default_rng(0),
-                         pre_norm=cfg.model.pre_norm,
-                         final_norm=cfg.model.final_norm)
+    model = DerivedModel(genotype, np.random.default_rng(0))
     load_parameters(model.named_parameters(), arrays, args.checkpoint)
     train_ds, test_ds = build_datasets(cfg, cfg.seed)
     dataset = train_ds if args.split == "train" else test_ds
@@ -135,10 +130,7 @@ def _cmd_analyze(args) -> int:
     from .data import write_json
     from .genotype import cost_report, load_genotype
 
-    cfg = _load_config(args.config, None)
-    genotype = load_genotype(args.genotype)
-    report = cost_report(genotype, pre_norm=cfg.model.pre_norm,
-                         final_norm=cfg.model.final_norm)
+    report = cost_report(load_genotype(args.genotype))
     print(report.table())
     doc = dataclasses.asdict(report)
     print(json.dumps(doc, indent=2, sort_keys=True))

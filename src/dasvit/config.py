@@ -7,7 +7,6 @@ its artifacts alone.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,7 +14,7 @@ from pathlib import Path
 from .data import CIFAR10_MEAN, CIFAR10_STD, write_json
 from .errors import ConfigError
 from .fairness import FairnessConfig
-from .ops import DEFAULT_CANDIDATES, ModelDims, OpSpec, json_key, read_json
+from .ops import DEFAULT_CANDIDATES, ModelDims, OpSpec, as_json, read_json
 from .selector import GRAD_MODES
 
 
@@ -26,8 +25,10 @@ class ModelConfig:
     image: int = 224
     channels: int = 3
     classes: int = 10
-    pre_norm: bool = True
-    final_norm: bool = True
+    # not fields, so not config keys: the benchmark still reads them
+    # (ROADMAP direction 2); the model is always pre-norm with a final norm
+    pre_norm = True
+    final_norm = True
 
     def dims(self) -> ModelDims:
         return ModelDims(dim=self.dim, patch=self.patch, image=self.image,
@@ -57,8 +58,10 @@ class SearchConfig:
     arch_weight_decay: float = 1e-3
     xi: float = 0.0  # virtual-step size of the second-order gradient; 0: first order
     val_fraction: float = 0.5
-    shared_alpha: bool = True
     alpha_init_std: float = 1e-3
+    # not a field, so not a config key: the benchmark still reads it
+    # (ROADMAP direction 2); every layer reads the one alpha row
+    shared_alpha = True
 
 
 @dataclass
@@ -193,21 +196,8 @@ class RunConfig:
 
 # -- json round trip -----------------------------------------------------------------
 
-def _to_dict(obj):
-    if isinstance(obj, OpSpec):
-        return obj.to_json()
-    if dataclasses.is_dataclass(obj):
-        out = {}
-        for f in dataclasses.fields(obj):
-            out[json_key(f)] = _to_dict(getattr(obj, f.name))
-        return out
-    if isinstance(obj, (list, tuple)):
-        return [_to_dict(v) for v in obj]
-    return obj
-
-
 def config_to_json(cfg: RunConfig) -> dict:
-    return _to_dict(cfg)
+    return as_json(cfg)
 
 
 def config_from_json(doc: dict) -> RunConfig:

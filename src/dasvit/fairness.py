@@ -3,7 +3,7 @@
 Two terms over the softmax-normalized architecture weights:
 
 * skip term: the mean weight assigned to the Identity (skip) candidate
-  across all (layer, edge) slots, discouraging skip dominance;
+  across all edges, discouraging skip dominance;
 * type term: per edge, the total weight of each operation type present in
   the candidate set is hinged into the band [gamma_min, gamma_max], with
   separate coefficients for overshoot and undershoot.
@@ -49,7 +49,7 @@ def _scalar_zero() -> Tensor:
 
 
 def skip_fairness(alpha) -> Tensor:
-    """Mean softmax weight of the Identity candidate over all (layer, edge)."""
+    """Mean softmax weight of the Identity candidate over all edges."""
     cols = [i for i, spec in enumerate(alpha.candidates) if spec.kind == "identity"]
     if not cols:
         return _scalar_zero()
@@ -64,7 +64,7 @@ def skip_fairness(alpha) -> Tensor:
 def type_fairness(alpha, cfg: FairnessConfig) -> Tensor:
     """Hinge penalty on per-edge type weight sums outside [gamma_min, gamma_max].
 
-    Summed over types, edges, and layers. The hinge subgradient at the kink
+    Summed over types and edges. The hinge subgradient at the kink
     is 0, so the loss stays piecewise-smooth.
     """
     w = ad.softmax(alpha.logits)

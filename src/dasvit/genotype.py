@@ -25,7 +25,8 @@ from .autodiff import Tensor
 from .data import load_parameters, write_json
 from .errors import DasvitError, GenotypeError
 from .ops import (CELL_EDGES, INTERMEDIATE_NODES, EmbedParams, ModelDims, Module,
-                  OpSpec, build_op, mlp_hidden_dim, read_json, stack_cells, walk_cell)
+                  OpSpec, as_json, build_op, mlp_hidden_dim, read_json, stack_cells,
+                  walk_cell)
 
 SCHEMA_VERSION = 1
 OPS_PER_ACT_ELEMENT = 5
@@ -97,22 +98,6 @@ def classic_encoder_genotype(dims: ModelDims, depth: int, heads: int = 12,
 # -- JSON schema --------------------------------------------------------------
 
 
-def genotype_to_json(g: Genotype) -> dict:
-    return {
-        "version": SCHEMA_VERSION,
-        "dims": {
-            "embed": g.dims.dim,
-            "patch": g.dims.patch,
-            "image": g.dims.image,
-            "depth": g.depth,
-            "classes": g.dims.classes,
-            "channels": g.dims.channels,
-        },
-        "nodes": [[{"src": src, "op": spec.to_json()} for src, spec in pairs]
-                  for pairs in g.nodes],
-    }
-
-
 @dataclass
 class _DimsDoc:
     embed: int
@@ -131,11 +116,20 @@ class _PairDoc:
 
 @dataclass
 class _GenotypeDoc:
-    """The JSON document `genotype_to_json` writes, field for field."""
+    """The genotype JSON document, field for field, in the order it is written."""
 
     version: int
     dims: _DimsDoc
     nodes: list[list[_PairDoc]]
+
+
+def genotype_to_json(g: Genotype) -> dict:
+    d = g.dims
+    return as_json(_GenotypeDoc(
+        version=SCHEMA_VERSION,
+        dims=_DimsDoc(embed=d.dim, patch=d.patch, image=d.image, depth=g.depth,
+                      classes=d.classes, channels=d.channels),
+        nodes=[[_PairDoc(src, spec) for src, spec in pairs] for pairs in g.nodes]))
 
 
 def genotype_from_json(doc: dict, path: str = "genotype") -> Genotype:
@@ -178,16 +172,15 @@ def load_genotype(path) -> Genotype:
 class DerivedModel(Module):
     """Discrete encoder built from a genotype; trains without token selection."""
 
-    def __init__(self, genotype: Genotype, rng: np.random.Generator,
-                 pre_norm: bool = True, final_norm: bool = True):
+    def __init__(self, genotype: Genotype, rng: np.random.Generator):
         self.genotype = genotype
         self.dims = genotype.dims
-        self.embed = EmbedParams(self.dims, rng, final_norm=final_norm)
+        self.embed = EmbedParams(self.dims, rng)
         self.layers: list[list[list]] = []
         for _ in range(genotype.depth):
             per_node = []
             for pairs in genotype.nodes:
-                per_node.append([(src, build_op(spec, self.dims.dim, rng, pre_norm))
+                per_node.append([(src, build_op(spec, self.dims.dim, rng))
                                  for src, spec in pairs])
             self.layers.append(per_node)
 
@@ -233,9 +226,7 @@ class DerivedModel(Module):
             raise GenotypeError(
                 f"from_supernet: supernet depth {sup.num_layers} != genotype depth "
                 f"{genotype.depth}")
-        model = cls(genotype, np.random.default_rng(0),
-                    pre_norm=sup.pre_norm,
-                    final_norm=sup.embed.final_g is not None)
+        model = cls(genotype, np.random.default_rng(0))
         banks = sup.named_arrays()
         arrays = {f"embed.{n}": banks[f"embed.{n}"]
                   for n in model.embed.named_parameters()}
@@ -271,8 +262,8 @@ class CostReport:
         return "\n".join(lines)
 
 
-def _op_param_count(spec: OpSpec, dim: int, pre_norm: bool) -> int:
-    norm = 2 * dim if pre_norm else 0
+def _op_param_count(spec: OpSpec, dim: int) -> int:
+    norm = 2 * dim
     if spec.kind == "msa":
         return 4 * dim * dim + dim + norm
     if spec.kind == "mlp":
@@ -281,9 +272,9 @@ def _op_param_count(spec: OpSpec, dim: int, pre_norm: bool) -> int:
     return 0
 
 
-def _op_flop_count(spec: OpSpec, dim: int, tokens: int, pre_norm: bool) -> int:
+def _op_flop_count(spec: OpSpec, dim: int, tokens: int) -> int:
     """MACs (x1) plus activation elements (x5) for one op application."""
-    norm_elems = tokens * dim if pre_norm else 0
+    norm_elems = tokens * dim
     if spec.kind == "msa":
         macs = 4 * tokens * dim * dim + 2 * tokens * tokens * dim
         softmax_elems = spec.heads * tokens * tokens
@@ -303,24 +294,22 @@ def _op_peak_activation(spec: OpSpec, dim: int, tokens: int) -> int:
     return tokens * dim
 
 
-def cost_report(g: Genotype, pre_norm: bool = True, final_norm: bool = True) -> CostReport:
+def cost_report(g: Genotype) -> CostReport:
     d = g.dims.dim
     n = g.dims.n_patches
     tokens = n + 1
     patch_in = g.dims.patch * g.dims.patch * g.dims.channels
 
-    layer_params = sum(_op_param_count(spec, d, pre_norm) for spec in g.ops())
+    layer_params = sum(_op_param_count(spec, d) for spec in g.ops())
     params_overhead = (patch_in * d + d          # patch projection + bias
                        + tokens * d              # position table
                        + d                       # class token
-                       + d * g.dims.classes + g.dims.classes)  # head + bias
-    if final_norm:
-        params_overhead += 2 * d
+                       + d * g.dims.classes + g.dims.classes  # head + bias
+                       + 2 * d)                  # final norm
 
-    layer_flops = sum(_op_flop_count(spec, d, tokens, pre_norm) for spec in g.ops())
-    flops_overhead = n * patch_in * d + d * g.dims.classes
-    if final_norm:
-        flops_overhead += OPS_PER_ACT_ELEMENT * d  # class row only
+    layer_flops = sum(_op_flop_count(spec, d, tokens) for spec in g.ops())
+    flops_overhead = (n * patch_in * d + d * g.dims.classes
+                      + OPS_PER_ACT_ELEMENT * d)  # final norm, class row only
 
     peak = max([tokens * d, n * patch_in]
                + [_op_peak_activation(spec, d, tokens) for spec in g.ops()])

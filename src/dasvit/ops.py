@@ -107,6 +107,19 @@ def read_json(cls, doc, path: str, error: type[DasvitError] = ConfigError):
         raise error(f"{path}: {exc}") from None
 
 
+def as_json(obj):
+    """The JSON value `read_json` reads back as `obj`: a dataclass becomes an
+    object of its fields under their JSON keys, an `OpSpec` only the fields
+    it sets, and a tuple a list."""
+    if isinstance(obj, OpSpec):
+        return obj.to_json()
+    if dataclasses.is_dataclass(obj):
+        return {json_key(f): as_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (list, tuple)):
+        return [as_json(v) for v in obj]
+    return obj
+
+
 @dataclass(frozen=True)
 class OpSpec:
     """One candidate operation: its kind plus the kind-specific knob."""
@@ -187,16 +200,11 @@ class ModelDims:
         return (self.image // self.patch) ** 2
 
 
-def _normed(x: Tensor, gamma: Tensor | None, beta: Tensor | None) -> Tensor:
-    return x if gamma is None else ad.layer_norm(x, gamma, beta)
-
-
 class Module:
     """A holder of parameters, each stored as a Tensor attribute.
 
     A parameter's name is its attribute name, and parameters are listed in
-    the order they were assigned; an attribute set to None (an absent
-    optional norm) holds no parameter. These names are the checkpoint format.
+    the order they were assigned. These names are the checkpoint format.
     """
 
     def named_parameters(self) -> dict[str, Tensor]:
@@ -209,7 +217,7 @@ class Module:
 class ZeroOp(Module):
     """Outputs a zero tensor; removes the connection it sits on."""
 
-    def __init__(self, spec: OpSpec, dim: int, rng=None, pre_norm: bool = True):
+    def __init__(self, spec: OpSpec, dim: int, rng=None):
         self.spec = spec
 
     def forward(self, x: Tensor) -> Tensor:
@@ -219,7 +227,7 @@ class ZeroOp(Module):
 class IdentityOp(Module):
     """Passes the input through unchanged (skip connection)."""
 
-    def __init__(self, spec: OpSpec, dim: int, rng=None, pre_norm: bool = True):
+    def __init__(self, spec: OpSpec, dim: int, rng=None):
         self.spec = spec
 
     def forward(self, x: Tensor) -> Tensor:
@@ -234,8 +242,7 @@ class MsaOp(Module):
     the output projection does.
     """
 
-    def __init__(self, spec: OpSpec, dim: int, rng: np.random.Generator,
-                 pre_norm: bool = True):
+    def __init__(self, spec: OpSpec, dim: int, rng: np.random.Generator):
         if dim % spec.heads != 0:
             raise ConfigError(
                 f"MsaOp: embedding dim {dim} not divisible by {spec.heads} heads")
@@ -252,24 +259,20 @@ class MsaOp(Module):
         self.wv = w("wv")
         self.wo = w("wo")
         self.bo = ad.parameter(np.zeros(dim, dtype=dt), "bo")
-        if pre_norm:
-            self.norm_g = ad.parameter(np.ones(dim, dtype=dt), "norm_g")
-            self.norm_b = ad.parameter(np.zeros(dim, dtype=dt), "norm_b")
-        else:
-            self.norm_g = self.norm_b = None
+        self.norm_g = ad.parameter(np.ones(dim, dtype=dt), "norm_g")
+        self.norm_b = ad.parameter(np.zeros(dim, dtype=dt), "norm_b")
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.dim:
             raise ShapeError(f"MsaOp: expected last dim {self.dim}, got {x.shape}")
-        z = _normed(x, self.norm_g, self.norm_b)
+        z = ad.layer_norm(x, self.norm_g, self.norm_b)
         return ad.self_attention(z, self.wq, self.wk, self.wv, self.wo, self.bo, self.heads)
 
 
 class MlpOp(Module):
     """Pre-norm position-wise feed-forward block: linear, GELU, linear."""
 
-    def __init__(self, spec: OpSpec, dim: int, rng: np.random.Generator,
-                 pre_norm: bool = True):
+    def __init__(self, spec: OpSpec, dim: int, rng: np.random.Generator):
         self.spec = spec
         self.hidden = mlp_hidden_dim(spec.ratio, dim)
         dt = ad.default_dtype()
@@ -279,22 +282,19 @@ class MlpOp(Module):
         self.w2 = ad.parameter(
             (INIT_STD * rng.standard_normal((self.hidden, dim))).astype(dt), "w2")
         self.b2 = ad.parameter(np.zeros(dim, dtype=dt), "b2")
-        if pre_norm:
-            self.norm_g = ad.parameter(np.ones(dim, dtype=dt), "norm_g")
-            self.norm_b = ad.parameter(np.zeros(dim, dtype=dt), "norm_b")
-        else:
-            self.norm_g = self.norm_b = None
+        self.norm_g = ad.parameter(np.ones(dim, dtype=dt), "norm_g")
+        self.norm_b = ad.parameter(np.zeros(dim, dtype=dt), "norm_b")
 
     def forward(self, x: Tensor) -> Tensor:
-        z = _normed(x, self.norm_g, self.norm_b)
+        z = ad.layer_norm(x, self.norm_g, self.norm_b)
         return ad.feed_forward(z, self.w1, self.b1, self.w2, self.b2)
 
 
 _OP_CLASSES = {"zero": ZeroOp, "identity": IdentityOp, "msa": MsaOp, "mlp": MlpOp}
 
 
-def build_op(spec: OpSpec, dim: int, rng: np.random.Generator, pre_norm: bool = True):
-    return _OP_CLASSES[spec.kind](spec, dim, rng, pre_norm)
+def build_op(spec: OpSpec, dim: int, rng: np.random.Generator):
+    return _OP_CLASSES[spec.kind](spec, dim, rng)
 
 
 class EmbedParams(Module):
@@ -304,8 +304,7 @@ class EmbedParams(Module):
     the class token at row 0; `classify` reads logits from row 0 only.
     """
 
-    def __init__(self, dims: ModelDims, rng: np.random.Generator,
-                 final_norm: bool = True):
+    def __init__(self, dims: ModelDims, rng: np.random.Generator):
         self.dims = dims
         dt = ad.default_dtype()
         patch_in = dims.patch * dims.patch * dims.channels
@@ -320,11 +319,8 @@ class EmbedParams(Module):
         self.head_w = ad.parameter(
             (INIT_STD * rng.standard_normal((dims.dim, dims.classes))).astype(dt), "head_w")
         self.head_b = ad.parameter(np.zeros(dims.classes, dtype=dt), "head_b")
-        if final_norm:
-            self.final_g = ad.parameter(np.ones(dims.dim, dtype=dt), "final_g")
-            self.final_b = ad.parameter(np.zeros(dims.dim, dtype=dt), "final_b")
-        else:
-            self.final_g = self.final_b = None
+        self.final_g = ad.parameter(np.ones(dims.dim, dtype=dt), "final_g")
+        self.final_b = ad.parameter(np.zeros(dims.dim, dtype=dt), "final_b")
 
     def embed(self, images) -> Tensor:
         x = ad.as_tensor(images)
@@ -345,8 +341,7 @@ class EmbedParams(Module):
         return ad.concat([cls, tokens], axis=1) + self.pos
 
     def classify(self, z: Tensor) -> Tensor:
-        cls_row = z[:, 0]
-        cls_row = _normed(cls_row, self.final_g, self.final_b)
+        cls_row = ad.layer_norm(z[:, 0], self.final_g, self.final_b)
         return ad.matmul(cls_row, self.head_w, bias=self.head_b)
 
 

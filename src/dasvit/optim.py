@@ -39,10 +39,8 @@ class LrSchedule:
         if epoch < self.warmup_epochs:
             frac = epoch / self.warmup_epochs
             return self.warmup_start_lr + (self.base_lr - self.warmup_start_lr) * frac
-        span = self.total_epochs - self.warmup_epochs
-        if span <= 0:
-            return self.base_lr
-        progress = (epoch - self.warmup_epochs) / span
+        # warmup_epochs <= epoch < total_epochs, so the span is at least 1
+        progress = (epoch - self.warmup_epochs) / (self.total_epochs - self.warmup_epochs)
         cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
         return self.min_lr + (self.base_lr - self.min_lr) * cosine
 

@@ -53,7 +53,7 @@ def schedule_preview(cfg: RunConfig, stages: int | None = None) -> list[tuple[in
 
 
 def score_candidates(alpha: AlphaTable) -> list[tuple[OpSpec, float]]:
-    """Rank candidates by softmax weight averaged over every (layer, edge).
+    """Rank candidates by softmax weight averaged over every edge.
 
     Descending score; ties resolve to registry order.
     """
@@ -84,8 +84,7 @@ def advance_stage(old: Supernet, survivors: list[OpSpec], new_layers: int,
     Every weight whose name the old supernet also has (the embedding, the
     selector, and each surviving candidate's bank in the layers both stages
     share) is copied bitwise; new layers initialize fresh. Architecture
-    logits keep the surviving columns; per-layer tables give new layers the
-    mean of the inherited rows.
+    logits keep the surviving columns.
     """
     new = Supernet.from_config(cfg, survivors, new_layers,
                                rng_for(seed, RNG_STAGE, stage_index))
@@ -94,15 +93,7 @@ def advance_stage(old: Supernet, survivors: list[OpSpec], new_layers: int,
     load_parameters(inherited, {n: old_arrays[n] for n in inherited},
                     f"stage {stage_index - 1} supernet")
     cols = [old.candidates.index(spec) for spec in survivors]
-    kept = old.alpha.logits.data[:, :, cols]
-    if new.alpha.shared:
-        new.alpha.logits.data = kept.copy()
-    else:
-        rows = np.empty((new_layers, NUM_EDGES, len(survivors)), dtype=kept.dtype)
-        shared_rows = min(kept.shape[0], new_layers)
-        rows[:shared_rows] = kept[:shared_rows]
-        rows[shared_rows:] = kept.mean(axis=0)
-        new.alpha.logits.data = rows
+    new.alpha.logits.data = old.alpha.logits.data[:, :, cols].copy()  # C order
     return new
 
 
@@ -113,10 +104,10 @@ def derive_genotype(alpha: AlphaTable, dims: ModelDims, depth: int) -> Genotype:
     """Discretize: per intermediate node keep the two strongest incoming edges,
     each with its best non-Zero candidate.
 
-    Edge strength is the max non-Zero softmax weight (layer-averaged); ties
-    prefer the lower edge index, candidate ties the registry order.
+    Edge strength is the max non-Zero softmax weight; ties prefer the lower
+    edge index, candidate ties the registry order.
     """
-    w = alpha.weights().mean(axis=0)  # (edges, candidates)
+    w = alpha.weights()[0]  # (edges, candidates)
     cands = alpha.candidates
     nonzero = [k for k, s in enumerate(cands) if s.kind != "zero"]
     if not nonzero:
@@ -335,12 +326,11 @@ class SearchResult:
 
 def _alpha_rows(epoch: int, model: Supernet):
     logits, weights = model.alpha.logits.data, model.alpha.weights()
-    for layer in range(model.num_layers):
-        row = model.alpha.row_for_layer(layer)
+    for layer in range(model.num_layers):  # every layer reads row 0
         for e in range(NUM_EDGES):
             for k, spec in enumerate(model.alpha.candidates):
-                yield [epoch, layer, e, spec.name, repr(float(logits[row, e, k])),
-                       repr(float(weights[row, e, k]))]
+                yield [epoch, layer, e, spec.name, repr(float(logits[0, e, k])),
+                       repr(float(weights[0, e, k]))]
 
 
 def _build_optimizers(model: Supernet, cfg: RunConfig) -> tuple[AdamW, AdamW]:
@@ -547,18 +537,28 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
     checkpoint `resume` refuses; model.ckpt and the epoch checkpoints only
     ever hold completed epochs. A run, fresh or resumed, first deletes from
     `out_dir` the checkpoints of the epochs it runs, model.ckpt and abort.ckpt.
-    A genotype whose dims differ from the config's is refused before any
-    data is built or `out_dir` is touched.
+    A genotype whose dims differ from the config's, and a `resume` checkpoint
+    of another kind, seed or genotype or one that already holds the last
+    configured epoch, are refused before any data is built or `out_dir` is
+    touched.
     """
     cfg = cfg.validate()
     check_genotype_dims("retrain", genotype, cfg)
     seed = cfg.seed
     out = Path(out_dir)
 
+    start_epoch = 0
+    if resume is not None:
+        arrays, extras = load_run_checkpoint(resume, "resume", "retrain", seed,
+                                             genotype)
+        start_epoch = manifest_value(resume, extras, "epoch", int) + 1
+        if start_epoch >= cfg.retrain.epochs:
+            raise ConfigError(
+                f"resume: {resume} already covers every epoch: it holds epoch "
+                f"{start_epoch - 1}, and retrain.epochs is {cfg.retrain.epochs}")
+
     train_ds, test_ds = build_datasets(cfg, seed)
-    model = DerivedModel(genotype, rng_for(seed, RNG_RETRAIN),
-                         pre_norm=cfg.model.pre_norm,
-                         final_norm=cfg.model.final_norm)
+    model = DerivedModel(genotype, rng_for(seed, RNG_RETRAIN))
     params = model.named_parameters()
     opt = AdamW(params, lr=cfg.retrain.lr, weight_decay=cfg.retrain.weight_decay)
     sched = LrSchedule(base_lr=cfg.retrain.lr,
@@ -566,12 +566,7 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
                        warmup_start_lr=cfg.retrain.warmup_start_lr,
                        total_epochs=cfg.retrain.epochs, min_lr=cfg.retrain.min_lr)
     plan = BatchPlan(batch_size=cfg.retrain.batch_size, seed=seed)
-
-    start_epoch = 0
     if resume is not None:
-        arrays, extras = load_run_checkpoint(resume, "resume", "retrain", seed,
-                                             genotype)
-        start_epoch = manifest_value(resume, extras, "epoch", int) + 1
         load_parameters(params, arrays, resume, opt_state=opt.state_arrays())
         opt.load_state_arrays(arrays)
     metrics = RunLog(out / "metrics.csv", start_epoch,

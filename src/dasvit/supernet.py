@@ -3,8 +3,9 @@
 Each encoder layer is one cell over the fixed five-edge DAG of `ops.CELL_EDGES`.
 Every edge is a mixed edge: the softmax-weighted sum of all candidate
 operations, each with its own parameter bank (no sharing between edges).
-Architecture logits default to one table shared by all layers; a per-layer
-table is available behind `shared_alpha=False`.
+Every layer reads the same architecture logits, one row of (edge,
+candidate), as DARTS shares them across cells. Candidates are pre-norm and
+the class row is normalized before the head.
 """
 
 from __future__ import annotations
@@ -20,36 +21,29 @@ from .selector import Selector
 
 
 class AlphaTable:
-    """Architecture logits indexed by (layer, edge, candidate).
-
-    With `shared=True` a single layer row is stored and reused by every
-    supernet layer. Softmax over the candidate axis yields mixture weights.
+    """Architecture logits of shape (1, edge, candidate): one row that every
+    supernet layer reads. Softmax over the candidate axis yields mixture
+    weights.
     """
 
-    def __init__(self, candidates: list[OpSpec], layers: int,
-                 rng: np.random.Generator, init_std: float = 1e-3,
-                 shared: bool = True):
+    def __init__(self, candidates: list[OpSpec], rng: np.random.Generator,
+                 init_std: float = 1e-3):
         if not candidates:
             raise ConfigError("AlphaTable: empty candidate list")
-        rows = 1 if shared else layers
         self.candidates = list(candidates)
-        self.shared = shared
-        logits = init_std * rng.standard_normal((rows, NUM_EDGES, len(candidates)))
+        logits = init_std * rng.standard_normal((1, NUM_EDGES, len(candidates)))
         self.logits = ad.parameter(logits.astype(ad.default_dtype()), "alpha.logits")
 
-    def row_for_layer(self, layer: int) -> int:
-        return 0 if self.shared else layer
-
     def weights(self) -> np.ndarray:
-        """Softmax weights as float64, shape (rows, edges, candidates)."""
+        """Softmax weights as float64, shape (1, edges, candidates)."""
         logits = self.logits.data.astype(np.float64)
         shifted = logits - logits.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         return e / e.sum(axis=-1, keepdims=True)
 
-    def edge_weights(self, layer: int, edge: int) -> Tensor:
-        """Differentiable softmax weights for one (layer, edge) slot."""
-        return ad.softmax(self.logits[self.row_for_layer(layer), edge])
+    def edge_weights(self, edge: int) -> Tensor:
+        """Differentiable softmax weights of one edge."""
+        return ad.softmax(self.logits[0, edge])
 
 
 def mixed_edge_forward(x: Tensor, ops: list, weights: Tensor) -> Tensor:
@@ -75,9 +69,8 @@ def mixed_edge_forward(x: Tensor, ops: list, weights: Tensor) -> Tensor:
 class MixedEdge:
     """One DAG edge holding a private parameter bank per candidate."""
 
-    def __init__(self, candidates: list[OpSpec], dim: int,
-                 rng: np.random.Generator, pre_norm: bool = True):
-        self.ops = [build_op(spec, dim, rng, pre_norm) for spec in candidates]
+    def __init__(self, candidates: list[OpSpec], dim: int, rng: np.random.Generator):
+        self.ops = [build_op(spec, dim, rng) for spec in candidates]
 
     def forward(self, x: Tensor, weights: Tensor) -> Tensor:
         return mixed_edge_forward(x, self.ops, weights)
@@ -93,11 +86,18 @@ class MixedEdge:
 class Supernet(Module):
     """Embedding, token selector, stacked mixed cells, and class head."""
 
+    # `shared_alpha`, `pre_norm` and `final_norm` are kept only because the
+    # benchmark's `_stage_supernet` passes them (ROADMAP direction 2); every
+    # value but True is refused.
     def __init__(self, dims: ModelDims, candidates: list[OpSpec], num_layers: int,
                  rng: np.random.Generator, lam: float = 0.5,
                  grad_mode: str = "score_scaling", shared_alpha: bool = True,
                  pre_norm: bool = True, final_norm: bool = True,
                  alpha_init_std: float = 1e-3):
+        for key, value in (("shared_alpha", shared_alpha), ("pre_norm", pre_norm),
+                           ("final_norm", final_norm)):  # direction 2 shim
+            if value is not True:
+                raise ConfigError(f"Supernet: {key}={value!r}; only True is built")
         if num_layers < 1:
             raise ConfigError("Supernet: need at least one layer")
         names = [spec.name for spec in candidates]
@@ -106,14 +106,11 @@ class Supernet(Module):
         self.dims = dims
         self.candidates = list(candidates)
         self.num_layers = num_layers
-        self.pre_norm = pre_norm
-        self.embed = EmbedParams(dims, rng, final_norm=final_norm)
+        self.embed = EmbedParams(dims, rng)
         self.selector = Selector(dims.dim, lam, grad_mode, rng)
-        self.alpha = AlphaTable(self.candidates, num_layers, rng,
-                                init_std=alpha_init_std, shared=shared_alpha)
+        self.alpha = AlphaTable(self.candidates, rng, init_std=alpha_init_std)
         self.cells: list[list[MixedEdge]] = [
-            [MixedEdge(self.candidates, dims.dim, rng, pre_norm)
-             for _ in range(NUM_EDGES)]
+            [MixedEdge(self.candidates, dims.dim, rng) for _ in range(NUM_EDGES)]
             for _ in range(num_layers)
         ]
 
@@ -123,8 +120,6 @@ class Supernet(Module):
         """The supernet a `RunConfig` describes over `candidates`."""
         return cls(cfg.model.dims(), candidates, num_layers, rng,
                    lam=cfg.selector.lam, grad_mode=cfg.selector.grad_mode,
-                   shared_alpha=cfg.search.shared_alpha, pre_norm=cfg.model.pre_norm,
-                   final_norm=cfg.model.final_norm,
                    alpha_init_std=cfg.search.alpha_init_std)
 
     # -- forward ---------------------------------------------------------------
@@ -132,7 +127,7 @@ class Supernet(Module):
     def cell(self, layer: int, in0: Tensor, in1: Tensor) -> Tensor:
         """One mixed cell."""
         edges = self.cells[layer]
-        w = [self.alpha.edge_weights(layer, e) for e in range(NUM_EDGES)]
+        w = [self.alpha.edge_weights(e) for e in range(NUM_EDGES)]
 
         def node_terms(target, values):
             for e, (src, dst) in enumerate(CELL_EDGES):

@@ -89,9 +89,9 @@ def test_criterion_1_gradient_fidelity():
         errors["token_selector"] = fd_error(
             lambda: (sel.select(xs)[0] * proj).sum(), [xs, sel.wq, sel.wk])
 
-        # fairness loss over a two-layer table, away from hinge kinks
-        table = AlphaTable(DESK8, layers=2, rng=np.random.default_rng(3), shared=False)
-        table.logits.data = 0.05 * rng.standard_normal((2, 5, 8))
+        # fairness loss over the one-row table, away from hinge kinks
+        table = AlphaTable(DESK8, rng=np.random.default_rng(3))
+        table.logits.data = 0.05 * rng.standard_normal((1, 5, 8))
         fair = FairnessConfig()
         errors["fairness"] = fd_error(
             lambda: skip_fairness(table) * fair.a + type_fairness(table, fair) * fair.b,
@@ -230,7 +230,7 @@ def test_criterion_5_fairness_suppresses_skip_weight():
     equivalence_ok = True
     rng = np.random.default_rng(4)
     for _ in range(50):
-        table = AlphaTable(DESK8, layers=1, rng=np.random.default_rng(0))
+        table = AlphaTable(DESK8, rng=np.random.default_rng(0))
         table.logits.data = rng.standard_normal((1, 5, 8)) * rng.uniform(0.1, 4.0)
         w = table.weights()
         sums = []

@@ -161,7 +161,6 @@ def test_the_config_has_these_leaves():
     assert list(leaves(config_to_json(paper_defaults()))) == [
         "seed",
         "model.dim", "model.patch", "model.image", "model.channels", "model.classes",
-        "model.pre_norm", "model.final_norm",
         "candidates",
         "selector.lambda", "selector.grad_mode",
         "fairness.a", "fairness.b", "fairness.zeta1", "fairness.zeta2",
@@ -171,7 +170,7 @@ def test_the_config_has_these_leaves():
         "search.lr", "search.weight_decay", "search.warmup_epochs",
         "search.warmup_start_lr", "search.min_lr", "search.arch_lr",
         "search.arch_weight_decay", "search.xi", "search.val_fraction",
-        "search.shared_alpha", "search.alpha_init_std",
+        "search.alpha_init_std",
         "retrain.epochs", "retrain.warmup_epochs", "retrain.warmup_start_lr",
         "retrain.batch_size", "retrain.lr", "retrain.weight_decay", "retrain.min_lr",
         "retrain.checkpoint_every", "retrain.eval_every",
@@ -244,25 +243,6 @@ def test_cli_search_stages_flag_caps_the_schedule(tmp_path, capsys):
     assert not (out / "stage_2.ckpt").exists()
 
 
-def test_cli_analyze_pre_norm_toggle_changes_counts(tmp_path, capsys):
-    genotype = searched_encoder_genotype(desk_config().model.dims(), depth=2,
-                                         heads=4)
-    path = tmp_path / "g.json"
-    save_genotype(genotype, path)
-    assert main(["analyze", "--genotype", str(path)]) == 0
-    out = capsys.readouterr().out
-    with_norms = json.loads(out[out.index("{"):])["params"]
-    cfg = desk_config()
-    cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, pre_norm=False))
-    save_config(cfg, tmp_path / "no_pre_norm.json")
-    assert main(["analyze", "--genotype", str(path),
-                 "--config", str(tmp_path / "no_pre_norm.json")]) == 0
-    out = capsys.readouterr().out
-    without = json.loads(out[out.index("{"):])["params"]
-    # each of the 8 parameterized ops in the 2-layer model drops a 2*D norm
-    assert with_norms - without == 8 * 2 * 32
-
-
 def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
     cfg = desk_config()
     cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, classes=10),
@@ -319,6 +299,9 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
     ("search", {"data": {"synthetic": {"channels": 3}}},
      "config.data.synthetic.channels: unknown key"),
     ("search", {"model": {"precision": "float32"}}, "config.model.precision: unknown key"),
+    ("search", {"model": {"pre_norm": True}}, "config.model.pre_norm: unknown key"),
+    ("retrain", {"model": {"final_norm": False}}, "config.model.final_norm: unknown key"),
+    ("search", {"search": {"shared_alpha": True}}, "config.search.shared_alpha: unknown key"),
     ("search", {"data": {"synthetic": {"classes": 3}}},
      "data.synthetic.classes: 3, but model.classes is 2"),
     ("retrain", {"data": {"synthetic": {"classes": 1}}},
@@ -335,7 +318,8 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
         "eval-every-negative", "synthetic-per-class-zero", "synthetic-image-zero",
         "synthetic-image-negative",
         "score-mode", "search-drop-last", "unrolled", "retrain-drop-last", "resize-method",
-        "resize-image", "synthetic-channels", "precision", "synthetic-classes",
+        "resize-image", "synthetic-channels", "precision", "pre-norm", "final-norm",
+        "shared-alpha", "synthetic-classes",
         "synthetic-one-class", "cifar-classes", "cifar-channels"])
 def test_cli_refuses_a_config_the_run_cannot_use(tmp_path, capsys, command, changes,
                                                  message):
@@ -422,32 +406,31 @@ def test_cli_retrain_eval_analyze_pipeline(tmp_path, capsys):
     assert code == 1 and "error:" in err
 
 
-@pytest.mark.parametrize("trained_pre_norm, message", [
-    (True, "array 'layers.0.n0.0.mlp_r0.5.norm_b' matches no parameter"),
-    (False, "no array 'layers.0.n0.0.mlp_r0.5.norm_g'"),
-])
-def test_cli_eval_refuses_a_checkpoint_of_another_norm_layout(tmp_path, capsys,
-                                                              trained_pre_norm, message):
+def test_cli_eval_refuses_a_checkpoint_without_norm_arrays(tmp_path, capsys):
+    """A checkpoint whose candidates carry no pre-norm, as a post-norm run of
+    an older version wrote it, is refused by the first array it lacks."""
     cfg = desk_config(seed=3)
     cfg = dataclasses.replace(cfg, retrain=dataclasses.replace(
         cfg.retrain, epochs=1, warmup_epochs=0))
-    paths = {}
-    for pre_norm in (True, False):
-        paths[pre_norm] = tmp_path / f"pre_norm_{pre_norm}.json"
-        save_config(dataclasses.replace(cfg, model=dataclasses.replace(
-            cfg.model, pre_norm=pre_norm)), paths[pre_norm])
+    cfg_path = tmp_path / "cfg.json"
+    save_config(cfg, cfg_path)
     geno_path = tmp_path / "genotype.json"
     save_genotype(searched_encoder_genotype(cfg.model.dims(), depth=1, heads=4),
                   geno_path)
     out = tmp_path / "retrain"
-    assert main(["retrain", "--config", str(paths[trained_pre_norm]), "--genotype",
-                 str(geno_path), "--out", str(out)]) == 0
+    assert main(["retrain", "--config", str(cfg_path), "--genotype", str(geno_path),
+                 "--out", str(out)]) == 0
     capsys.readouterr()
-    code = main(["eval", "--config", str(paths[not trained_pre_norm]), "--genotype",
-                 str(geno_path), "--checkpoint", str(out / "model.ckpt")])
+    arrays, extras = load_checkpoint(out / "model.ckpt")
+    post_norm = tmp_path / "post_norm.ckpt"
+    save_checkpoint(post_norm, {n: a for n, a in arrays.items()
+                                if not n.endswith((".norm_g", ".norm_b"))}, extras)
+    code = main(["eval", "--config", str(cfg_path), "--genotype", str(geno_path),
+                 "--checkpoint", str(post_norm)])
     captured = capsys.readouterr()
     assert code == 1 and not captured.out
-    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.err.startswith("error:")
+    assert "no array 'layers.0.n0.0.mlp_r0.5.norm_g'" in captured.err
 
 
 def test_cli_search_resume_refuses_a_retraining_checkpoint(tmp_path, capsys):
@@ -533,43 +516,6 @@ def test_cli_resume_refuses_a_malformed_log_line_and_changes_nothing(tmp_path, c
     assert captured.err.startswith(f"error: log: {log}: line 2 has no readable epoch")
     assert captured.err.count("\n") == 1
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-
-
-def test_final_norm_false_retrains_analyzes_and_refuses_a_final_norm_eval(tmp_path,
-                                                                          capsys):
-    cfg = desk_config(seed=2)
-    cfg = dataclasses.replace(cfg, retrain=dataclasses.replace(
-        cfg.retrain, epochs=1, warmup_epochs=0))
-    paths = {}
-    for final_norm in (True, False):
-        paths[final_norm] = tmp_path / f"final_norm_{final_norm}.json"
-        save_config(dataclasses.replace(cfg, model=dataclasses.replace(
-            cfg.model, final_norm=final_norm)), paths[final_norm])
-    genotype = searched_encoder_genotype(cfg.model.dims(), depth=1, heads=4)
-    geno_path = tmp_path / "genotype.json"
-    save_genotype(genotype, geno_path)
-    out = tmp_path / "retrain"
-    assert main(["retrain", "--config", str(paths[False]), "--genotype",
-                 str(geno_path), "--out", str(out)]) == 0
-    capsys.readouterr()
-
-    arrays, _ = load_checkpoint(out / "model.ckpt")
-    assert "embed.cls" in arrays
-    assert not {"embed.final_g", "embed.final_b"} & set(arrays)
-
-    assert main(["analyze", "--config", str(paths[False]), "--genotype",
-                 str(geno_path)]) == 0
-    report = capsys.readouterr().out
-    model = DerivedModel(genotype, np.random.default_rng(0), final_norm=False)
-    assert json.loads(report[report.index("{"):])["params"] == sum(
-        p.size for p in model.named_parameters().values())
-
-    code = main(["eval", "--config", str(paths[True]), "--genotype", str(geno_path),
-                 "--checkpoint", str(out / "model.ckpt")])
-    captured = capsys.readouterr()
-    assert code == 1 and not captured.out
-    assert captured.err.startswith("error:")
-    assert "no array 'embed.final_g'" in captured.err
 
 
 def test_cli_retrain_rejects_dim_mismatch(tmp_path, capsys):

@@ -18,8 +18,8 @@ DESK8 = [
 ]
 
 
-def _alpha(candidates, layers=1, shared=True, seed=0, scale=None):
-    table = AlphaTable(candidates, layers, np.random.default_rng(seed), shared=shared)
+def _alpha(candidates, seed=0, scale=None):
+    table = AlphaTable(candidates, np.random.default_rng(seed))
     if scale is not None:
         table.logits.data = scale
     return table
@@ -42,14 +42,13 @@ def test_skip_fairness_without_identity_is_zero():
 
 def test_skip_fairness_matches_loop_oracle(rng):
     with dtype_scope("float64"):
-        alpha = _alpha(DESK8, layers=2, shared=False)
-        alpha.logits.data = rng.standard_normal((2, 5, 8))
+        alpha = _alpha(DESK8)
+        alpha.logits.data = rng.standard_normal((1, 5, 8))
         got = float(skip_fairness(alpha).data)
         acc = []
-        for layer in range(2):
-            for edge in range(5):
-                w = softmax_np(alpha.logits.data[layer, edge])
-                acc.append(w[1])  # identity sits at registry index 1
+        for edge in range(5):
+            w = softmax_np(alpha.logits.data[0, edge])
+            acc.append(w[1])  # identity sits at registry index 1
         expected = float(np.mean(acc))
         assert abs(got - expected) / abs(expected) < 1e-9
 
@@ -132,8 +131,8 @@ def test_fairness_loss_combines_terms(rng):
 
 def test_fairness_gradients_match_finite_differences(rng):
     with dtype_scope("float64"):
-        alpha = _alpha(DESK8, layers=2, shared=False)
-        alpha.logits.data = 0.05 * rng.standard_normal((2, 5, 8))
+        alpha = _alpha(DESK8)
+        alpha.logits.data = 0.05 * rng.standard_normal((1, 5, 8))
         alpha.logits.requires_grad = True
         cfg = FairnessConfig()
         # stay away from hinge kinks: with near-uniform weights the type sums

@@ -108,12 +108,11 @@ def test_param_count_hits_classic_reference():
 
 
 def test_param_count_equals_instantiated_manifest():
-    for depth, heads, ratio, pre_norm in [(1, 2, 1.0, True), (2, 4, 0.5, True),
-                                          (2, 2, 3.0, False)]:
+    for depth, heads, ratio in [(1, 2, 1.0), (2, 4, 0.5), (2, 2, 3.0)]:
         g = searched_encoder_genotype(DESK, depth=depth, heads=heads, ratio=ratio)
-        model = DerivedModel(g, np.random.default_rng(0), pre_norm=pre_norm)
+        model = DerivedModel(g, np.random.default_rng(0))
         manifest = sum(p.size for p in model.named_parameters().values())
-        assert cost_report(g, pre_norm=pre_norm).params == manifest
+        assert cost_report(g).params == manifest
 
 
 def test_param_count_independent_of_head_count():

@@ -23,6 +23,7 @@ from dasvit.data import (RNG_STAGE, BatchPlan, epoch_batches, load_checkpoint,
 from dasvit import search as search_mod
 from dasvit.errors import (ConfigError, DataError, GenotypeError, NonFiniteError,
                            SearchAbort)
+from dasvit.genotype import genotype_to_json
 from dasvit.ops import ModelDims, build_op
 from dasvit.search import (SearchState, _grad_pass, _unrolled_alpha_pass,
                            advance_stage, bilevel_epoch, prune_candidates)
@@ -56,7 +57,7 @@ def test_schedule_preview_matches_default_plan():
 
 
 def _table(logits, candidates=None):
-    table = AlphaTable(candidates or DESK8, layers=1, rng=np.random.default_rng(0))
+    table = AlphaTable(candidates or DESK8, rng=np.random.default_rng(0))
     table.logits.data = logits
     return table
 
@@ -77,13 +78,10 @@ def test_saturated_candidate_ranks_first():
 
 
 def test_scores_match_loop_oracle(rng):
-    logits = rng.standard_normal((2, 5, 8))
-    table = AlphaTable(DESK8, layers=2, rng=np.random.default_rng(0), shared=False)
-    table.logits.data = logits
-    got = dict((s.name, v) for s, v in score_candidates(table))
+    logits = rng.standard_normal((1, 5, 8))
+    got = dict((s.name, v) for s, v in score_candidates(_table(logits)))
     for k, spec in enumerate(DESK8):
-        acc = [softmax_np(logits[l, e].astype(np.float64))[k]
-               for l in range(2) for e in range(5)]
+        acc = [softmax_np(logits[0, e].astype(np.float64))[k] for e in range(5)]
         assert got[spec.name] == pytest.approx(float(np.mean(acc)), rel=1e-12)
 
 
@@ -147,34 +145,7 @@ def test_advance_stage_inherits_banks_and_drops_pruned():
     cols = [old.candidates.index(s) for s in survivors]
     np.testing.assert_array_equal(new.alpha.logits.data,
                                   old.alpha.logits.data[:, :, cols])
-
-
-def test_advance_stage_per_layer_alpha_fills_new_rows_with_mean():
-    cfg = _dims_cfg(shared_alpha=False)
-    old = Supernet.from_config(cfg, DESK8, 2, np.random.default_rng(0))
-    rng = np.random.default_rng(2)
-    old.alpha.logits.data = rng.standard_normal((2, 5, 8)).astype(np.float32)
-    survivors = prune_candidates(old.alpha, 3, score_candidates(old.alpha))
-    new = advance_stage(old, survivors, new_layers=4, cfg=cfg, seed=0, stage_index=2)
-    assert new.alpha.logits.shape == (4, 5, 5)
-    cols = [old.candidates.index(s) for s in survivors]
-    kept = old.alpha.logits.data[:, :, cols]
-    np.testing.assert_array_equal(new.alpha.logits.data[:2], kept)
-    np.testing.assert_allclose(new.alpha.logits.data[2:],
-                               np.broadcast_to(kept.mean(axis=0), (2, 5, 5)),
-                               atol=1e-7)
-
-
-def test_per_layer_alpha_search_completes(tmp_path):
-    cfg = _small_cfg(seed=2, epochs_per_stage=1, shared_alpha=False)
-    result = run_search(cfg, tmp_path / "per_layer")
-    assert result.schedule == [(8, 2), (5, 4), (3, 6)]
-    assert result.state.alpha.logits.shape[0] == 6  # one logits row per layer
-    with open(result.history_path) as fh:
-        rows = list(csv.DictReader(fh))
-    last = [r for r in rows if int(r["epoch"]) == 2 and int(r["edge"]) == 0
-            and r["candidate"] == rows[-1]["candidate"]]
-    assert len({r["logit"] for r in last}) > 1  # layers now carry distinct logits
+    assert new.alpha.logits.data.flags.c_contiguous
 
 
 # -- genotype derivation ---------------------------------------------------------------
@@ -232,7 +203,7 @@ class ToyMixtureModel:
 
     def __init__(self, n_features, classes, seed, direction=None, bias=None):
         rng = np.random.default_rng(seed)
-        self.alpha = AlphaTable(TOY_CANDIDATES, layers=1, rng=rng)
+        self.alpha = AlphaTable(TOY_CANDIDATES, rng=rng)
         self.ops = [build_op(s, n_features, rng) for s in TOY_CANDIDATES]
         if direction is None:
             w = 0.02 * rng.standard_normal((n_features, classes))
@@ -244,7 +215,7 @@ class ToyMixtureModel:
 
     def forward(self, images):
         x = ad.as_tensor(images.reshape(images.shape[0], -1))
-        mixed = mixed_edge_forward(x, self.ops, self.alpha.edge_weights(0, 0))
+        mixed = mixed_edge_forward(x, self.ops, self.alpha.edge_weights(0))
         return mixed @ self.head_w + self.head_b
 
     def weight_parameters(self):
@@ -312,7 +283,7 @@ class _UnrolledToy:
 
     def __init__(self, n_features, classes, seed):
         rng = np.random.default_rng(seed)
-        self.alpha = AlphaTable(self.CANDS, layers=1, rng=rng)
+        self.alpha = AlphaTable(self.CANDS, rng=rng)
         self.ops = [build_op(s, n_features, rng) for s in self.CANDS]
         self.head_w = ad.parameter(0.5 * rng.standard_normal((n_features, classes)),
                                    "head_w")
@@ -320,7 +291,7 @@ class _UnrolledToy:
 
     def forward(self, images):
         x = ad.as_tensor(images.reshape(images.shape[0], -1))
-        mixed = mixed_edge_forward(x, self.ops, self.alpha.edge_weights(0, 0))
+        mixed = mixed_edge_forward(x, self.ops, self.alpha.edge_weights(0))
         return mixed @ self.head_w + self.head_b
 
     def weight_parameters(self):
@@ -951,9 +922,14 @@ def test_a_repeated_evaluation_reuses_its_pages():
 def test_a_refused_resume_leaves_no_run_directory(tmp_path, entry):
     kind = "search-stage" if entry == "search" else "retrain"
     wrong = "retrain" if entry == "search" else "search-stage"
-    for extras, message in (
-            ({"kind": wrong}, f"is a '{wrong}' checkpoint"),
-            ({"kind": kind, "seed": 1}, "was written under seed 1, not the config's seed 7")):
+    g = searched_encoder_genotype(desk_config().model.dims(), depth=1, heads=4)
+    cases = [({"kind": wrong}, f"is a '{wrong}' checkpoint"),
+             ({"kind": kind, "seed": 1}, "was written under seed 1, not the config's seed 7")]
+    if entry == "retrain":  # at and past the last of the config's 2 epochs
+        cases += [({"kind": kind, "seed": 7, "genotype": genotype_to_json(g), "epoch": epoch},
+                   f"already covers every epoch: it holds epoch {epoch}, and "
+                   "retrain.epochs is 2") for epoch in (1, 3)]
+    for extras, message in cases:
         ckpt = tmp_path / "other.ckpt"
         save_checkpoint(ckpt, {"w": np.zeros(1, dtype=np.float32)}, extras)
         out = tmp_path / "fresh" / "run"
@@ -962,8 +938,7 @@ def test_a_refused_resume_leaves_no_run_directory(tmp_path, entry):
                 run_search(_small_cfg(seed=7, stages=1, epochs_per_stage=1), out,
                            resume=ckpt)
             else:
-                g = searched_encoder_genotype(desk_config().model.dims(), depth=1, heads=4)
-                retrain(g, _retrain_cfg(1, seed=7), out, resume=ckpt)
+                retrain(g, _retrain_cfg(2, seed=7), out, resume=ckpt)
         assert not (tmp_path / "fresh").exists()
 
 

@@ -275,6 +275,18 @@ def test_supernet_refuses_duplicate_candidate_names():
                               OpSpec("mlp", ratio=0.5)])
 
 
+@pytest.mark.parametrize("key", ["shared_alpha", "pre_norm", "final_norm"])
+def test_supernet_builds_only_the_one_model_shape(key):
+    """Each keyword the benchmark still passes accepts only True."""
+    cfg = desk_config()
+    for value in (False, None, 1):
+        with pytest.raises(ConfigError, match=f"^Supernet: {key}={value!r}; only True"):
+            Supernet(cfg.model.dims(), list(cfg.candidates), 1,
+                     np.random.default_rng(0), **{key: value})
+    assert Supernet(cfg.model.dims(), list(cfg.candidates), 1,
+                    np.random.default_rng(0), **{key: True}).alpha.logits.shape == (1, 5, 8)
+
+
 def test_mixed_edge_and_cell_gradients(rng):
     with dtype_scope("float64"):
         cands = [OpSpec("zero"), OpSpec("identity"), OpSpec("msa", heads=2),
@@ -317,14 +329,12 @@ def test_desk_weight_pass_records_a_pinned_node_count(monkeypatch):
     assert sum(recorded.values()) == 183
 
 
-def _desk_models(pre_norm=True, final_norm=True):
+def _desk_models():
     """A 2-layer desk supernet and a depth-2 searched encoder, float32."""
     cfg = desk_config()
-    sup = Supernet(cfg.model.dims(), list(cfg.candidates), 2, np.random.default_rng(0),
-                   pre_norm=pre_norm, final_norm=final_norm)
+    sup = Supernet(cfg.model.dims(), list(cfg.candidates), 2, np.random.default_rng(0))
     derived = DerivedModel(searched_encoder_genotype(cfg.model.dims(), 2, heads=4),
-                           np.random.default_rng(1), pre_norm=pre_norm,
-                           final_norm=final_norm)
+                           np.random.default_rng(1))
     return {"supernet": sup, "derived": derived}
 
 
@@ -376,11 +386,3 @@ def test_each_distinct_cell_input_is_normalized_once_and_bitwise(kind, monkeypat
     assert grads.keys() == grads_alone.keys()
     for name, g in grads.items():
         np.testing.assert_array_equal(g, grads_alone[name], err_msg=name)
-
-
-@pytest.mark.parametrize("kind", ["supernet", "derived"])
-def test_models_without_norms_compute_no_statistics(kind, monkeypatch):
-    model = _desk_models(pre_norm=False, final_norm=False)[kind]
-    images = np.random.default_rng(2).standard_normal((4, 8, 8, 3)).astype(np.float32)
-    seen, _, _ = _normalized_inputs(monkeypatch, model, images, np.arange(4) % 2)
-    assert seen == []
