@@ -42,7 +42,7 @@ def run(skip_coefficient: float, seed: int, epochs: int, weight_lr: float):
             epoch_batches(dataset, split.train_indices, plan, epoch, "train"),
             epoch_batches(dataset, split.val_indices, plan, epoch, "val"))
         weights = supernet.alpha.weights()
-        trajectory.append({spec.name: float(weights[:, :, k].mean())
+        trajectory.append({spec.name: float(weights[:, k].mean())
                            for k, spec in enumerate(CANDIDATES)})
     return trajectory
 

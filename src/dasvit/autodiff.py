@@ -32,7 +32,7 @@ temporary to sum away.
 
 A node's output array lives as long as its graph, whether or not a backward
 closure reads it. So the hot compositions are single nodes: ``matmul`` takes
-a ``bias``, ``layer_norm`` a ``gamma``/``beta`` affine, ``weighted_sum`` is a
+a ``bias``, ``affine`` is a norm's scale and shift, ``weighted_sum`` is a
 mixed edge's whole weighted sum, and each MSA and MLP candidate after its
 norm is one node. Each computes the same floats in the same order as the
 chain of primitives it replaces, forward and backward, without holding that
@@ -52,22 +52,12 @@ rebuild:
 A rebuilt array comes from the same operations, in the same order, as the
 forward's, so it holds the forward's bits.
 
-``gelu`` keeps its input and ``t = tanh(c·(x + k·x³))`` for the backward;
-its forward and its backward each run in three input-sized buffers. The
-``layer_norm`` backward reads ``normed`` and the (..., 1) reciprocal
-deviation ``inv`` and runs in two. Each writes step by step in place, doing
-the plain expression's operations in its order (at most with an operand
-swapped, which IEEE arithmetic leaves exact), so the floats are the
-expression's. An op output keeps its own normalization: the first
-``layer_norm`` of it stores ``normed`` and ``inv`` in the tensor, and later
-calls read them, so every pre-norm op that reads one cell value normalizes
-it once between them. Each call still records its own node with its own
-affine and backward, and those read nothing else, so sharing moves no bit.
-A leaf never keeps one: finite-difference checks, the optimizer and the
-unrolled architecture pass write leaf ``.data``, so each call on a leaf
-normalizes afresh. No code writes into an op output's array after
-``_from_op`` returns, nor into a leaf array that a live ``reshape`` or
-``transpose`` output views; that is what makes a stored normalization safe.
+``gelu`` keeps its input and ``t = tanh(c·(x + k·x³))``, the ``normalize``
+backward its output and the (..., 1) reciprocal deviation; each does the
+plain expression's operations in its order, so the floats are the
+expression's. A layer norm is ``affine(normalize(x), gamma, beta)``: the
+pre-norm ops that read one value share its one ``normalize`` node
+(``ops.CellValue``), whose backward runs once over their summed gradient.
 
 ``frozen(tensors)`` clears ``requires_grad`` on leaves for the length of a
 block, so nothing computed only from them is recorded at all. A phase that
@@ -207,7 +197,7 @@ def finite_pass(forward: Callable[[], tuple["Tensor", ...]]) -> tuple["Tensor", 
 class Tensor:
     """Dense n-dimensional array with optional gradient accumulation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_norm")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         arr = np.asarray(data)
@@ -219,7 +209,6 @@ class Tensor:
         self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
-        self._norm = False  # a leaf never keeps its normalization (see layer_norm)
 
     # -- construction helpers -------------------------------------------------
 
@@ -235,7 +224,6 @@ class Tensor:
         out.requires_grad = False
         out._parents = ()
         out._backward = None
-        out._norm = None  # (normed, inv), once the first layer_norm of it fills it
         for p in parents:
             if p.requires_grad:
                 out.requires_grad = True
@@ -917,7 +905,7 @@ def self_attention(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     return Tensor._from_op(out, (z, wq, wk, wv, wo, bo), bw, "self_attention")
 
 
-_LN_EPS = 1e-6  # added to the variance; one value, so a stored normalization fits every call
+_LN_EPS = 1e-6  # added to the variance
 
 
 def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -931,49 +919,50 @@ def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.multiply(centered, inv, out=centered), inv
 
 
-def layer_norm(a: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None) -> Tensor:
-    """Normalize over the last axis, then, when given, scale by `gamma` and
-    shift by `beta` (both or neither); eps stabilizes zero variance.
-
-    An op output is normalized by its first call and keeps the result for
-    every later one; a leaf is normalized on every call (see module doc).
-    Each call records its own node, with its own affine and backward.
-    """
+def normalize(a: Tensor) -> Tensor:
+    """`a` centered and scaled to unit variance over its last axis (eps keeps
+    zero variance finite); one backward over what every reader summed in."""
     a = as_tensor(a)
-    if (gamma is None) != (beta is None):
-        raise ShapeError("layer_norm: gamma and beta come together")
     n = a.shape[-1]
-    stored = a._norm
-    if stored:
-        normed, inv = stored
-    else:
-        normed, inv = _normalize(a.data)
-        if stored is None:
-            a._norm = normed, inv
-    out = normed
-    if gamma is not None:
-        out = normed * gamma.data
-        out += beta.data
+    normed, inv = _normalize(a.data)
 
     def bw(g):
-        if gamma is not None:
-            if beta.requires_grad:
-                _accumulate(beta, _unbroadcast(g, beta.shape))
-            if gamma.requires_grad:
-                _accumulate(gamma, _unbroadcast(g * normed, gamma.shape))
-            g = g * gamma.data  # this closure's own array from here on
-        if a.requires_grad:
-            # inv·(g - mean(g) - normed·mean(g·normed)), in two x-sized buffers
-            gm = np.add.reduce(g, axis=-1, keepdims=True) / n
-            tmp = g * normed
-            gy = np.add.reduce(tmp, axis=-1, keepdims=True) / n
-            ga = np.subtract(g, gm, out=None if gamma is None else g)
-            ga -= np.multiply(normed, gy, out=tmp)
-            ga *= inv
-            _accumulate(a, ga)
+        # inv·(g - mean(g) - normed·mean(g·normed)), never written into `g`
+        gm = np.add.reduce(g, axis=-1, keepdims=True) / n
+        tmp = g * normed
+        gy = np.add.reduce(tmp, axis=-1, keepdims=True) / n
+        ga = g - gm
+        ga -= np.multiply(normed, gy, out=tmp)
+        ga *= inv
+        _accumulate(a, ga)
 
-    parents = (a,) if gamma is None else (a, gamma, beta)
-    return Tensor._from_op(out, parents, bw, "layer_norm")
+    return Tensor._from_op(normed, (a,), bw, "normalize")
+
+
+def affine(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """``a * gamma + beta`` over the last axis of `a`, as one node that keeps
+    nothing beyond its operands."""
+    a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
+    if gamma.shape != a.shape[-1:] or beta.shape != gamma.shape:
+        raise ShapeError(f"affine: gamma {gamma.shape} and beta {beta.shape} do not fit "
+                         f"input {a.shape}")
+    out = a.data * gamma.data
+    out += beta.data
+
+    def bw(g):
+        if beta.requires_grad:
+            _accumulate(beta, _unbroadcast(g, beta.shape))
+        if gamma.requires_grad:
+            _accumulate(gamma, _unbroadcast(g * a.data, gamma.shape))
+        if a.requires_grad:
+            _accumulate(a, g * gamma.data)
+
+    return Tensor._from_op(out, (a, gamma, beta), bw, "affine")
+
+
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Layer norm over the last axis: ``affine(normalize(a), gamma, beta)``."""
+    return affine(normalize(a), gamma, beta)
 
 
 def weighted_sum(weights: Tensor, terms: Sequence[Tensor], slots: Sequence[int]) -> Tensor:

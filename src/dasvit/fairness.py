@@ -53,12 +53,7 @@ def skip_fairness(alpha) -> Tensor:
     cols = [i for i, spec in enumerate(alpha.candidates) if spec.kind == "identity"]
     if not cols:
         return _scalar_zero()
-    w = ad.softmax(alpha.logits)
-    total = None
-    for col in cols:
-        piece = w[:, :, col]
-        total = piece if total is None else total + piece
-    return total.mean()
+    return ad.softmax(alpha.logits)[:, cols].sum(axis=1).mean()
 
 
 def type_fairness(alpha, cfg: FairnessConfig) -> Tensor:
@@ -73,10 +68,7 @@ def type_fairness(alpha, cfg: FairnessConfig) -> Tensor:
         cols = [i for i, spec in enumerate(alpha.candidates) if spec.kind == kind]
         if not cols:
             continue
-        sums = None
-        for col in cols:
-            piece = w[:, :, col]
-            sums = piece if sums is None else sums + piece
+        sums = w[:, cols].sum(axis=1)
         over = ad.relu(sums - cfg.gamma_max) * cfg.zeta1
         under = ad.relu(cfg.gamma_min - sums) * cfg.zeta2
         term = (over + under).sum()

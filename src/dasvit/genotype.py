@@ -24,9 +24,9 @@ import numpy as np
 from .autodiff import Tensor
 from .data import load_parameters, write_json
 from .errors import DasvitError, GenotypeError
-from .ops import (CELL_EDGES, INTERMEDIATE_NODES, EmbedParams, ModelDims, Module,
-                  OpSpec, as_json, build_op, mlp_hidden_dim, read_json, stack_cells,
-                  walk_cell)
+from .ops import (CELL_EDGES, INTERMEDIATE_NODES, CellValue, EmbedParams, ModelDims,
+                  Module, OpSpec, as_json, build_op, mlp_hidden_dim, read_json,
+                  stack_cells, walk_cell)
 
 SCHEMA_VERSION = 1
 OPS_PER_ACT_ELEMENT = 5
@@ -184,7 +184,7 @@ class DerivedModel(Module):
                                  for src, spec in pairs])
             self.layers.append(per_node)
 
-    def cell(self, layer: int, in0: Tensor, in1: Tensor) -> Tensor:
+    def cell(self, layer: int, in0: CellValue, in1: CellValue) -> Tensor:
         """One derived cell."""
         nodes = self.layers[layer]
 

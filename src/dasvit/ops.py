@@ -1,6 +1,8 @@
 """Candidate operations of the search space plus patch embedding and head.
 
-All candidate ops are shape-preserving maps (B, N, D) -> (B, N, D):
+All candidate ops are shape-preserving maps (B, N, D) -> (B, N, D) of a
+`CellValue`; Zero and Identity read its tensor, MSA and MLP apply their own
+norm affine to its one shared normalization:
 
 * Zero       -- all-zero output, no parameters
 * Identity   -- passes the input through, no parameters
@@ -22,6 +24,7 @@ every derived model; `CELL_EDGES` holds its topology and `walk_cell` runs it:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import types
 import typing
@@ -214,14 +217,26 @@ class Module:
         return {name: p.data for name, p in self.named_parameters().items()}
 
 
+class CellValue:
+    """A cell value and, once a pre-norm op reads it, its one ``normalize``
+    node, which every later reader shares."""
+
+    def __init__(self, x: Tensor):
+        self.x = x
+
+    @functools.cached_property
+    def normed(self) -> Tensor:
+        return ad.normalize(self.x)
+
+
 class ZeroOp(Module):
     """Outputs a zero tensor; removes the connection it sits on."""
 
     def __init__(self, spec: OpSpec, dim: int, rng=None):
         self.spec = spec
 
-    def forward(self, x: Tensor) -> Tensor:
-        return Tensor(np.zeros_like(x.data))
+    def forward(self, v: CellValue) -> Tensor:
+        return Tensor(np.zeros_like(v.x.data))
 
 
 class IdentityOp(Module):
@@ -230,8 +245,8 @@ class IdentityOp(Module):
     def __init__(self, spec: OpSpec, dim: int, rng=None):
         self.spec = spec
 
-    def forward(self, x: Tensor) -> Tensor:
-        return x
+    def forward(self, v: CellValue) -> Tensor:
+        return v.x
 
 
 class MsaOp(Module):
@@ -262,10 +277,10 @@ class MsaOp(Module):
         self.norm_g = ad.parameter(np.ones(dim, dtype=dt), "norm_g")
         self.norm_b = ad.parameter(np.zeros(dim, dtype=dt), "norm_b")
 
-    def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.dim:
-            raise ShapeError(f"MsaOp: expected last dim {self.dim}, got {x.shape}")
-        z = ad.layer_norm(x, self.norm_g, self.norm_b)
+    def forward(self, v: CellValue) -> Tensor:
+        if v.x.shape[-1] != self.dim:
+            raise ShapeError(f"MsaOp: expected last dim {self.dim}, got {v.x.shape}")
+        z = ad.affine(v.normed, self.norm_g, self.norm_b)
         return ad.self_attention(z, self.wq, self.wk, self.wv, self.wo, self.bo, self.heads)
 
 
@@ -285,8 +300,8 @@ class MlpOp(Module):
         self.norm_g = ad.parameter(np.ones(dim, dtype=dt), "norm_g")
         self.norm_b = ad.parameter(np.zeros(dim, dtype=dt), "norm_b")
 
-    def forward(self, x: Tensor) -> Tensor:
-        z = ad.layer_norm(x, self.norm_g, self.norm_b)
+    def forward(self, v: CellValue) -> Tensor:
+        z = ad.affine(v.normed, self.norm_g, self.norm_b)
         return ad.feed_forward(z, self.w1, self.b1, self.w2, self.b2)
 
 
@@ -353,26 +368,26 @@ NUM_EDGES = len(CELL_EDGES)
 INTERMEDIATE_NODES = (2, 3)
 
 
-def walk_cell(in0: Tensor, in1: Tensor, node_terms) -> Tensor:
+def walk_cell(in0: CellValue, in1: CellValue, node_terms) -> Tensor:
     """Run the cell DAG: each intermediate node sums, in order, the terms
-    ``node_terms(target, values)`` yields from the node values so far, and
+    ``node_terms(target, values)`` yields from the `CellValue`s so far, and
     the cell returns the sum of both intermediates."""
-    if in0.shape != in1.shape:
-        raise ShapeError(f"cell: input shapes {in0.shape} and {in1.shape} differ")
+    if in0.x.shape != in1.x.shape:
+        raise ShapeError(f"cell: input shapes {in0.x.shape} and {in1.x.shape} differ")
     values = [in0, in1]
     for target in INTERMEDIATE_NODES:
         total = None
         for term in node_terms(target, values):
             total = term if total is None else total + term
-        values.append(total)
-    return values[2] + values[3]
+        values.append(CellValue(total))
+    return values[2].x + values[3].x
 
 
 def stack_cells(z: Tensor, depth: int, cell) -> Tensor:
     """The output of the last of `depth` cells ``cell(layer, in0, in1)``,
-    each over the outputs of the two layers before it; the embedding `z` is
-    both inputs of the first."""
-    prev = (z, z)
+    each over the `CellValue`s of the two layers before it; the embedding `z`
+    is both inputs of the first."""
+    prev = (CellValue(z),) * 2
     for layer in range(depth):
-        prev = (prev[1], cell(layer, *prev))
-    return prev[1]
+        prev = (prev[1], CellValue(cell(layer, *prev)))
+    return prev[1].x

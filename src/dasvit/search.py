@@ -57,7 +57,7 @@ def score_candidates(alpha: AlphaTable) -> list[tuple[OpSpec, float]]:
 
     Descending score; ties resolve to registry order.
     """
-    scores = alpha.weights().mean(axis=(0, 1))
+    scores = alpha.weights().mean(axis=0)
     order = sorted(range(len(alpha.candidates)), key=lambda k: (-scores[k], k))
     return [(alpha.candidates[k], float(scores[k])) for k in order]
 
@@ -93,7 +93,7 @@ def advance_stage(old: Supernet, survivors: list[OpSpec], new_layers: int,
     load_parameters(inherited, {n: old_arrays[n] for n in inherited},
                     f"stage {stage_index - 1} supernet")
     cols = [old.candidates.index(spec) for spec in survivors]
-    new.alpha.logits.data = old.alpha.logits.data[:, :, cols].copy()  # C order
+    new.alpha.logits.data = old.alpha.logits.data[:, cols].copy()  # C order
     return new
 
 
@@ -107,7 +107,7 @@ def derive_genotype(alpha: AlphaTable, dims: ModelDims, depth: int) -> Genotype:
     Edge strength is the max non-Zero softmax weight; ties prefer the lower
     edge index, candidate ties the registry order.
     """
-    w = alpha.weights()[0]  # (edges, candidates)
+    w = alpha.weights()  # (edges, candidates)
     cands = alpha.candidates
     nonzero = [k for k, s in enumerate(cands) if s.kind != "zero"]
     if not nonzero:
@@ -326,11 +326,10 @@ class SearchResult:
 
 def _alpha_rows(epoch: int, model: Supernet):
     logits, weights = model.alpha.logits.data, model.alpha.weights()
-    for layer in range(model.num_layers):  # every layer reads row 0
-        for e in range(NUM_EDGES):
-            for k, spec in enumerate(model.alpha.candidates):
-                yield [epoch, layer, e, spec.name, repr(float(logits[0, e, k])),
-                       repr(float(weights[0, e, k]))]
+    for e in range(NUM_EDGES):
+        for k, spec in enumerate(model.alpha.candidates):
+            yield [epoch, e, spec.name, repr(float(logits[e, k])),
+                   repr(float(weights[e, k]))]
 
 
 def _build_optimizers(model: Supernet, cfg: RunConfig) -> tuple[AdamW, AdamW]:
@@ -406,6 +405,22 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
         raise ConfigError("search: need at least one stage")
     out = Path(out_dir)
 
+    depths = [layers for _, layers in schedule_preview(cfg, n_stages)]
+    start_stage, global_epoch = 1, 0
+    candidates, layers, built_at = list(cfg.candidates), depths[0], 1
+    if resume is not None:
+        arrays, extras = load_run_checkpoint(resume, "resume", "search-stage", seed)
+        built_at = manifest_value(resume, extras, "stage", int)
+        if built_at >= n_stages:
+            raise ConfigError(f"resume: {resume} already covers every stage: it holds "
+                              f"stage {built_at}, and the run has {n_stages}")
+        global_epoch = manifest_value(resume, extras, "global_epoch", int)
+        candidates = [
+            OpSpec.from_json(d, f"checkpoint: {resume}: extras.candidates[{i}]")
+            for i, d in enumerate(manifest_value(resume, extras, "candidates", list))]
+        layers = manifest_value(resume, extras, "layers", int)
+        start_stage = built_at + 1
+
     train_ds, _ = build_datasets(cfg, seed)
     split = split_dataset(len(train_ds), cfg.search.val_fraction, seed)
     n_train, n_val = len(split.train_indices), len(split.val_indices)
@@ -422,31 +437,14 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
                          total_epochs=cfg.search.stages * cfg.search.epochs_per_stage,
                          min_lr=cfg.search.min_lr)
 
-    depths = [layers for _, layers in schedule_preview(cfg, n_stages)]
-    start_stage = 1
-    global_epoch = 0
+    model = Supernet.from_config(cfg, candidates, layers, rng_for(seed, RNG_STAGE, built_at))
     if resume is not None:
-        arrays, extras = load_run_checkpoint(resume, "resume", "search-stage", seed)
-        stage_done = manifest_value(resume, extras, "stage", int)
-        global_epoch = manifest_value(resume, extras, "global_epoch", int)
-        candidates = [
-            OpSpec.from_json(d, f"checkpoint: {resume}: extras.candidates[{i}]")
-            for i, d in enumerate(manifest_value(resume, extras, "candidates", list))]
-        model = Supernet.from_config(
-            cfg, candidates, manifest_value(resume, extras, "layers", int),
-            rng_for(seed, RNG_STAGE, stage_done))
         load_parameters(model.named_parameters(), arrays, resume)
-        start_stage = stage_done + 1
-        if start_stage > n_stages:
-            raise ConfigError("resume: checkpoint already covers every stage")
-    else:
-        model = Supernet.from_config(cfg, list(cfg.candidates), depths[0],
-                                     rng_for(seed, RNG_STAGE, 1))
 
     # a resume into its own directory rewrites the epochs it runs, so its
     # logs end as an uninterrupted run's
     history = RunLog(out / "alpha_history.csv", global_epoch, header=(
-        "epoch", "layer", "edge", "candidate", "logit", "softmax_weight"))
+        "epoch", "edge", "candidate", "logit", "softmax_weight"))
     log = RunLog(out / "search_log.jsonl", global_epoch)
     prune = RunLog(out / "prune.jsonl", global_epoch, epoch_key="global_epoch")
     # nothing is written before the checkpoint and every log are accepted

@@ -3,7 +3,8 @@
 During the search phase only the top-floor(lambda*N) patch tokens (ranked by
 averaged scaled dot-product scores) are kept, shrinking every downstream
 attention matrix by roughly lambda^2. The class token is exempt and always
-survives at row 0.
+survives at row 0. A token's score averages its query against every key,
+and mean_j(q_i·k_j) = q_i·mean_j(k_j), so scoring builds no N x N product.
 
 Two gradient modes exist for the selector projections:
 
@@ -46,9 +47,9 @@ class Selector(Module):
     def scores(self, x: Tensor) -> Tensor:
         """Per-token mean scaled dot-product score, shape (B, N)."""
         q = x @ self.wq
-        k = x @ self.wk
-        full = q @ k.transpose((0, 2, 1))
-        return full.mean(axis=2) * (1.0 / math.sqrt(self.dim))
+        k_mean = x.mean(axis=1, keepdims=True) @ self.wk  # (B, 1, D)
+        s = q @ k_mean.transpose((0, 2, 1))  # (B, N, 1)
+        return s.reshape(x.shape[:2]) * (1.0 / math.sqrt(self.dim))
 
     def select(self, x: Tensor) -> tuple[Tensor, np.ndarray]:
         """Keep the class token plus the k best-scoring patch tokens.

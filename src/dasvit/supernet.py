@@ -3,9 +3,9 @@
 Each encoder layer is one cell over the fixed five-edge DAG of `ops.CELL_EDGES`.
 Every edge is a mixed edge: the softmax-weighted sum of all candidate
 operations, each with its own parameter bank (no sharing between edges).
-Every layer reads the same architecture logits, one row of (edge,
-candidate), as DARTS shares them across cells. Candidates are pre-norm and
-the class row is normalized before the head.
+Every layer reads the same (edge, candidate) architecture logits, as DARTS
+shares them across cells, through one softmax per forward. Candidates are
+pre-norm and the class row is normalized before the head.
 """
 
 from __future__ import annotations
@@ -15,15 +15,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
-from .ops import (CELL_EDGES, NUM_EDGES, EmbedParams, ModelDims, Module, OpSpec,
-                  ZeroOp, build_op, stack_cells, walk_cell)
+from .ops import (CELL_EDGES, NUM_EDGES, CellValue, EmbedParams, ModelDims, Module,
+                  OpSpec, ZeroOp, build_op, stack_cells, walk_cell)
 from .selector import Selector
 
 
 class AlphaTable:
-    """Architecture logits of shape (1, edge, candidate): one row that every
-    supernet layer reads. Softmax over the candidate axis yields mixture
-    weights.
+    """Architecture logits of shape (edge, candidate), which every supernet
+    layer reads. Softmax over the candidate axis yields mixture weights.
     """
 
     def __init__(self, candidates: list[OpSpec], rng: np.random.Generator,
@@ -31,29 +30,29 @@ class AlphaTable:
         if not candidates:
             raise ConfigError("AlphaTable: empty candidate list")
         self.candidates = list(candidates)
-        logits = init_std * rng.standard_normal((1, NUM_EDGES, len(candidates)))
+        logits = init_std * rng.standard_normal((NUM_EDGES, len(candidates)))
         self.logits = ad.parameter(logits.astype(ad.default_dtype()), "alpha.logits")
 
     def weights(self) -> np.ndarray:
-        """Softmax weights as float64, shape (1, edges, candidates)."""
+        """Softmax weights as float64, shape (edges, candidates)."""
         logits = self.logits.data.astype(np.float64)
         shifted = logits - logits.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         return e / e.sum(axis=-1, keepdims=True)
 
-    def edge_weights(self, edge: int) -> Tensor:
-        """Differentiable softmax weights of one edge."""
-        return ad.softmax(self.logits[0, edge])
+    def edge_rows(self) -> list[Tensor]:
+        """Every edge's mixture weights: one softmax of the table, one row each."""
+        w = ad.softmax(self.logits)
+        return [w[e] for e in range(NUM_EDGES)]
 
 
-def mixed_edge_forward(x: Tensor, ops: list, weights: Tensor) -> Tensor:
+def mixed_edge_forward(x: CellValue, ops: list, weights: Tensor) -> Tensor:
     """Softmax-weighted sum of every candidate's output; no sampling.
 
     The sum is one ``weighted_sum`` node over the candidates in registry
     order. Zero candidates are skipped: their term and its direct gradient
     are exactly 0, and their logits still receive gradient through the
-    softmax. The pre-norm candidates normalize `x` once between them (see
-    ``autodiff.layer_norm``).
+    softmax. The pre-norm candidates read the one normalization of `x`.
     """
     if not ops:
         raise ConfigError("mixed edge: empty candidate list")
@@ -72,7 +71,7 @@ class MixedEdge:
     def __init__(self, candidates: list[OpSpec], dim: int, rng: np.random.Generator):
         self.ops = [build_op(spec, dim, rng) for spec in candidates]
 
-    def forward(self, x: Tensor, weights: Tensor) -> Tensor:
+    def forward(self, x: CellValue, weights: Tensor) -> Tensor:
         return mixed_edge_forward(x, self.ops, weights)
 
     def named_parameters(self) -> dict[str, Tensor]:
@@ -124,21 +123,23 @@ class Supernet(Module):
 
     # -- forward ---------------------------------------------------------------
 
-    def cell(self, layer: int, in0: Tensor, in1: Tensor) -> Tensor:
-        """One mixed cell."""
+    def cell(self, layer: int, in0: CellValue, in1: CellValue,
+             rows: list[Tensor]) -> Tensor:
+        """One mixed cell, edge `e` weighted by ``rows[e]``."""
         edges = self.cells[layer]
-        w = [self.alpha.edge_weights(e) for e in range(NUM_EDGES)]
 
         def node_terms(target, values):
             for e, (src, dst) in enumerate(CELL_EDGES):
                 if dst == target:
-                    yield edges[e].forward(values[src], w[e])
+                    yield edges[e].forward(values[src], rows[e])
 
         return walk_cell(in0, in1, node_terms)
 
     def forward(self, images) -> Tensor:
         z, _ = self.selector.select(self.embed.embed(images))
-        return self.embed.classify(stack_cells(z, self.num_layers, self.cell))
+        rows = self.alpha.edge_rows()
+        return self.embed.classify(stack_cells(
+            z, self.num_layers, lambda layer, in0, in1: self.cell(layer, in0, in1, rows)))
 
     # -- parameter access --------------------------------------------------------
 

@@ -130,7 +130,7 @@ def gelu_np(x):
 
 
 # -- the plain expressions of the in-place primitives ---------------------------------
-# ``autodiff.gelu`` and the ``autodiff.layer_norm`` backward run these in reused
+# ``autodiff.gelu`` and the ``autodiff.normalize`` backward run these in reused
 # buffers; written out whole, with the same association, they give the same bits.
 
 GELU_C = math.sqrt(2.0 / math.pi)
@@ -149,20 +149,31 @@ def gelu_grad_expression(x, t, g):
     return g * local
 
 
-def layer_norm_expression(x, gamma, beta, g, eps=1e-6):
-    """(output, grad x, grad gamma, grad beta) of the affine layer norm of
-    `x` under the upstream gradient `g`."""
+def _normalized(x, eps):
+    """(normed, inv) of `x` over its last axis."""
     n = x.shape[-1]
     mu = np.add.reduce(x, axis=-1, keepdims=True) / n
     centered = x - mu
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    normed = centered * inv
-    lead = tuple(range(x.ndim - 1))
-    gs = g * gamma
+    return centered * inv, inv
+
+
+def normalize_grad_expression(x, gs, eps=1e-6):
+    """The gradient at `x` of its normalization under the upstream `gs`."""
+    n = x.shape[-1]
+    normed, inv = _normalized(x, eps)
     gm = np.add.reduce(gs, axis=-1, keepdims=True) / n
     gy = np.add.reduce(gs * normed, axis=-1, keepdims=True) / n
-    return (normed * gamma + beta, inv * (gs - gm - normed * gy),
+    return inv * (gs - gm - normed * gy)
+
+
+def layer_norm_expression(x, gamma, beta, g, eps=1e-6):
+    """(output, grad x, grad gamma, grad beta) of the affine layer norm of
+    `x` under the upstream gradient `g`."""
+    normed, _ = _normalized(x, eps)
+    lead = tuple(range(x.ndim - 1))
+    return (normed * gamma + beta, normalize_grad_expression(x, g * gamma, eps),
             (g * normed).sum(axis=lead), g.sum(axis=lead))
 
 
@@ -206,6 +217,14 @@ def token_scores_oracle(x, wq, wk):
                 total += float(q[i] @ k[j])
             out[b, i] = total / n / math.sqrt(c)
     return out
+
+
+def token_scores_nn(x, wq, wk):
+    """The (B, N, N) query-key product of every token pair, averaged over the
+    keys: the score as written before the mean key replaced the product."""
+    q = x @ wq
+    k = x @ wk
+    return (q @ k.swapaxes(1, 2)).mean(axis=2) / math.sqrt(x.shape[-1])
 
 
 def topk_oracle(scores, k):

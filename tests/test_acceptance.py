@@ -19,7 +19,7 @@ from dasvit import autodiff as ad
 from dasvit.config import SyntheticConfig
 from dasvit.data import (BatchPlan, epoch_batches, load_checkpoint, make_synthetic,
                          rng_for, split_dataset, RNG_STAGE)
-from dasvit.ops import ModelDims, MsaOp, build_op
+from dasvit.ops import CellValue, ModelDims, MsaOp, build_op
 from dasvit.search import SearchState, bilevel_epoch, build_datasets
 from dasvit.supernet import MixedEdge
 from oracles import analytic_grads, max_rel_err, numerical_grads, topk_oracle
@@ -53,7 +53,7 @@ def test_criterion_1_gradient_fidelity():
             x = Tensor(rng.standard_normal((2, 3, 8)), requires_grad=True)
             proj = Tensor(rng.standard_normal((2, 3, 8)))
             wrt = [x] + list(op.named_parameters().values())
-            errors[spec.name] = fd_error(lambda: (op.forward(x) * proj).sum(), wrt)
+            errors[spec.name] = fd_error(lambda: (op.forward(CellValue(x)) * proj).sum(), wrt)
 
         # one mixed edge over the full eight-candidate registry
         edge = MixedEdge(DESK8, dim=8, rng=rng)
@@ -62,7 +62,7 @@ def test_criterion_1_gradient_fidelity():
         proj = Tensor(rng.standard_normal((1, 2, 8)))
         wrt = [alpha, x] + list(edge.named_parameters().values())
         errors["mixed_edge"] = fd_error(
-            lambda: (edge.forward(x, ad.softmax(alpha)) * proj).sum(), wrt)
+            lambda: (edge.forward(CellValue(x), ad.softmax(alpha)) * proj).sum(), wrt)
 
         # one full cell (reduced candidate set keeps the runtime budget)
         cell_cands = [OpSpec("zero"), OpSpec("identity"), OpSpec("msa", heads=2),
@@ -75,7 +75,8 @@ def test_criterion_1_gradient_fidelity():
         wrt = [a, b, sup.alpha.logits] + [
             p for l in range(1) for e in range(5)
             for p in sup.cells[l][e].named_parameters().values()]
-        errors["cell"] = fd_error(lambda: (sup.cell(0, a, b) * proj).sum(), wrt)
+        errors["cell"] = fd_error(lambda: (sup.cell(0, CellValue(a), CellValue(b),
+                                                     sup.alpha.edge_rows()) * proj).sum(), wrt)
 
         # token selector in score_scaling mode (clear of selection boundaries)
         sel = Selector(8, 0.5, "score_scaling", np.random.default_rng(2))
@@ -91,7 +92,7 @@ def test_criterion_1_gradient_fidelity():
 
         # fairness loss over the one-row table, away from hinge kinks
         table = AlphaTable(DESK8, rng=np.random.default_rng(3))
-        table.logits.data = 0.05 * rng.standard_normal((1, 5, 8))
+        table.logits.data = 0.05 * rng.standard_normal((5, 8))
         fair = FairnessConfig()
         errors["fairness"] = fd_error(
             lambda: skip_fairness(table) * fair.a + type_fairness(table, fair) * fair.b,
@@ -154,7 +155,7 @@ def test_criterion_3_hardened_supernet_matches_derived_model():
             assignment[int(pick.integers(2, 5))] = "zero"  # one dropped edge into n1
             logits = np.zeros_like(sup.alpha.logits.data)
             for e, name in enumerate(assignment):
-                logits[:, e, names.index(name)] = 40.0
+                logits[e, names.index(name)] = 40.0
             sup.alpha.logits.data = logits
             genotype = derive_genotype(sup.alpha, dims, depth=2)
             derived = DerivedModel.from_supernet(sup, genotype)
@@ -217,7 +218,7 @@ def _skip_dominance_run(a: float, seed: int = 3, epochs: int = 10) -> float:
                       epoch_batches(ds, split.train_indices, plan, epoch, "train"),
                       epoch_batches(ds, split.val_indices, plan, epoch, "val"))
     identity_col = [i for i, s in enumerate(cands) if s.kind == "identity"][0]
-    return float(sup.alpha.weights()[:, :, identity_col].mean())
+    return float(sup.alpha.weights()[:, identity_col].mean())
 
 
 def test_criterion_5_fairness_suppresses_skip_weight():
@@ -231,12 +232,12 @@ def test_criterion_5_fairness_suppresses_skip_weight():
     rng = np.random.default_rng(4)
     for _ in range(50):
         table = AlphaTable(DESK8, rng=np.random.default_rng(0))
-        table.logits.data = rng.standard_normal((1, 5, 8)) * rng.uniform(0.1, 4.0)
+        table.logits.data = rng.standard_normal((5, 8)) * rng.uniform(0.1, 4.0)
         w = table.weights()
         sums = []
         for kind in ("zero", "identity", "msa", "mlp"):
             cols = [i for i, s in enumerate(DESK8) if s.kind == kind]
-            sums.append(w[:, :, cols].sum(axis=-1))
+            sums.append(w[:, cols].sum(axis=-1))
         in_range = all(((s >= cfg.gamma_min) & (s <= cfg.gamma_max)).all()
                        for s in sums)
         value = float(type_fairness(table, cfg).data)
@@ -259,10 +260,10 @@ def test_criterion_6_token_selection_memory_and_topk():
         x = Tensor(rng.standard_normal((1, 65, 16)))  # 64 patches + class token
         # attention over (B, N, D) tokens forms B * heads * N * N scores
         full_elements = x.shape[0] * msa.heads * x.shape[1] ** 2
-        msa.forward(x)
+        msa.forward(CellValue(x))
         sel = Selector(16, 0.5, "gather_only", np.random.default_rng(1))
         reduced, _ = sel.select(x)
-        msa.forward(reduced)
+        msa.forward(CellValue(reduced))
         ratio = reduced.shape[0] * msa.heads * reduced.shape[1] ** 2 / full_elements
     ratio_ok = ratio <= 0.27
 

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from dasvit import Tensor, backward, dtype_scope
 from dasvit import autodiff as ad
 from dasvit.errors import DasvitError, NonFiniteError, ShapeError
-from dasvit.ops import MlpOp, OpSpec
+from dasvit.ops import CellValue, MlpOp, OpSpec
 from oracles import (check_grads, gelu_expression, gelu_grad_expression,
-                     layer_norm_expression)
+                     layer_norm_expression, normalize_grad_expression)
 
 
 def t64(rng, *shape):
@@ -38,7 +38,7 @@ def test_matmul_identity(rng):
 
 
 def test_layernorm_constant_row_is_zero():
-    out = ad.layer_norm(Tensor(np.full((2, 4), 3.7)))
+    out = ad.normalize(Tensor(np.full((2, 4), 3.7)))
     np.testing.assert_allclose(out.data, 0.0, atol=1e-9)
 
 
@@ -198,7 +198,8 @@ PRIMITIVE_CASES = [
     "matmul_transposed_view_2d", "matmul_bias_3d", "matmul_bias_2d",
     "scalar_fanout", "transpose", "reshape", "broadcast_to", "concat", "index",
     "index_array_2d", "index_array_3d", "sum_axis", "mean_axis", "softmax",
-    "self_attention", "layer_norm", "layer_norm_affine", "weighted_sum_frozen_term",
+    "self_attention", "normalize", "affine", "layer_norm", "layer_norm_affine",
+    "weighted_sum_frozen_term",
     "gelu", "feed_forward", "relu", "sigmoid", "cross_entropy",
 ]
 
@@ -298,10 +299,19 @@ def test_primitive_gradients_match_finite_differences(case, rng):
             p = _proj(rng, (2, 3, 4))
             check_grads(lambda: (ad.feed_forward(z, w1, b1, w2, b2) * p).sum(),
                         [z, w1, b1, w2, b2])
-        elif case == "layer_norm":
+        elif case == "normalize":
             a = t64(rng, 2, 6)
             p = _proj(rng, (2, 6))
-            check_grads(lambda: (ad.layer_norm(a) * p).sum(), [a])
+            check_grads(lambda: (ad.normalize(a) * p).sum(), [a])
+        elif case == "affine":
+            a, gamma, beta = t64(rng, 2, 3, 6), t64(rng, 6), t64(rng, 6)
+            p = _proj(rng, (2, 3, 6))
+            check_grads(lambda: (ad.affine(a, gamma, beta) * p).sum(), [a, gamma, beta])
+        elif case == "layer_norm":  # over rows, the affine's constants frozen
+            a, gamma, beta = t64(rng, 2, 6), Tensor(rng.standard_normal(6)), Tensor(
+                rng.standard_normal(6))
+            p = _proj(rng, (2, 6))
+            check_grads(lambda: (ad.layer_norm(a, gamma, beta) * p).sum(), [a])
         elif case == "layer_norm_affine":
             a, gamma, beta = t64(rng, 2, 3, 6), t64(rng, 6), t64(rng, 6)
             p = _proj(rng, (2, 3, 6))
@@ -371,8 +381,9 @@ def test_fused_nodes_refuse_mismatched_operands():
     with pytest.raises(ShapeError, match=r"matmul: bias shape \(5,\)"):
         ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 6))),
                   bias=Tensor(np.ones(5)))
-    with pytest.raises(ShapeError, match="gamma and beta"):
-        ad.layer_norm(Tensor(np.ones((2, 4))), gamma=Tensor(np.ones(4)))
+    with pytest.raises(ShapeError, match=r"affine: gamma \(4,\) and beta \(5,\) do not fit "
+                                         r"input \(2, 4\)"):
+        ad.affine(Tensor(np.ones((2, 4))), Tensor(np.ones(4)), Tensor(np.ones(5)))
     with pytest.raises(ShapeError, match=r"weighted_sum: term shapes \(2, 3\) and \(3, 2\)"):
         ad.weighted_sum(Tensor(np.ones(2)), [Tensor(np.ones((2, 3))),
                                              Tensor(np.ones((3, 2)))], [0, 1])
@@ -524,7 +535,7 @@ FUSED_CASES = {
         tuple(rng.standard_normal(shape).astype(np.float32)
               for shape in ((4, 9, 32), (32,), (32,))),
         lambda x, g, b: ad.layer_norm(x, g, b),
-        lambda x, g, b: ad.layer_norm(x) * g + b),
+        lambda x, g, b: ad.normalize(x) * g + b),
     "weighted_sum": lambda rng: (
         (rng.standard_normal(5).astype(np.float32),)
         + tuple(rng.standard_normal((4, 9, 16)).astype(np.float32) for _ in range(3)),
@@ -648,7 +659,7 @@ def test_a_nonfinite_mlp_weight_is_named_by_its_replay(rng):
     op.w1.data[3, 5] = np.inf
     x = Tensor(rng.standard_normal((2, 5, 8)).astype(np.float32), requires_grad=True)
     with pytest.raises(NonFiniteError, match="^feed_forward produced non-finite values$"):
-        ad.finite_pass(lambda: (op.forward(x).sum(),))
+        ad.finite_pass(lambda: (op.forward(CellValue(x)).sum(),))
 
 
 # -- in-place primitives against their plain expressions ------------------------------
@@ -695,34 +706,37 @@ def test_layer_norm_backward_equals_the_plain_expression(dtype, rng):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_layer_norm_over_shared_statistics_is_bitwise_unshared(dtype, rng):
-    """Two affine norms of one op output, the second reading the
-    normalization the first stored, give the outputs and all gradients of
-    the same norms of a leaf, which normalizes afresh on each call."""
+def test_affines_of_one_normalize_node_equal_the_plain_expression(dtype, rng):
+    """Two affines over one ``normalize`` node: their outputs and the
+    gradients of their scales and shifts are the plain expression's, and the
+    input's gradient is one normalization backward over the summed
+    ``g·gamma`` of both readers."""
     x = _edge_values(rng, dtype, (2, 5, 8))
     affines = [tuple(rng.standard_normal(8).astype(dtype) for _ in range(2))
                for _ in range(2)]
     gs = [rng.standard_normal(x.shape).astype(dtype) for _ in affines]
-
-    def run(op_output):
-        a = Tensor(x.copy(), requires_grad=True)
-        src = a.reshape(x.shape) if op_output else a
-        leaves, loss = [a], None
-        outs = []
-        for (gamma, beta), g in zip(affines, gs):
-            gb = [Tensor(v.copy(), requires_grad=True) for v in (gamma, beta)]
-            leaves += gb
-            out = ad.layer_norm(src, *gb)
-            outs.append(out.data)
-            term = (out * Tensor(g)).sum()
-            loss = term if loss is None else loss + term
-        assert bool(src._norm) is op_output
-        backward(loss)
-        return outs + [t.grad for t in leaves]
-
-    for have, want in zip(run(True), run(False), strict=True):
-        assert have.dtype == dtype
-        np.testing.assert_array_equal(have, want)
+    a = Tensor(x.copy(), requires_grad=True)
+    normed = ad.normalize(a)
+    leaves, loss, outs = [], None, []
+    for (gamma, beta), g in zip(affines, gs):
+        gb = [Tensor(v.copy(), requires_grad=True) for v in (gamma, beta)]
+        leaves += gb
+        out = ad.affine(normed, *gb)
+        outs.append(out.data)
+        term = (out * Tensor(g)).sum()
+        loss = term if loss is None else loss + term
+    backward(loss)
+    want = []
+    for (gamma, beta), g in zip(affines, gs):
+        out, _, g_gamma, g_beta = layer_norm_expression(x, gamma, beta, g)
+        want += [out, g_gamma, g_beta]
+    have = [v for out, gb in zip(outs, zip(leaves[::2], leaves[1::2]))
+            for v in (out, gb[0].grad, gb[1].grad)]
+    for h, w in zip(have, want, strict=True):
+        assert h.dtype == dtype
+        np.testing.assert_array_equal(h, w)
+    summed = gs[0] * affines[0][0] + gs[1] * affines[1][0]
+    np.testing.assert_array_equal(a.grad, normalize_grad_expression(x, summed))
 
 
 def _counting_normalize(monkeypatch):
@@ -737,21 +751,27 @@ def _counting_normalize(monkeypatch):
     return seen
 
 
-def test_a_second_layer_norm_of_an_op_output_runs_no_normalize(rng, monkeypatch):
+def test_readers_of_one_normalize_node_run_one_normalization(rng, monkeypatch):
+    """Every affine that reads a ``normalize`` node reads its one array; a
+    second ``normalize`` of the same tensor normalizes again, since no tensor
+    keeps a normalization of itself."""
     h = Tensor(rng.standard_normal((3, 8))) * 2.0
     seen = _counting_normalize(monkeypatch)
-    first = ad.layer_norm(h)
-    second = ad.layer_norm(h, Tensor(np.ones(8)), Tensor(np.zeros(8)))
+    normed = ad.normalize(h)
+    first = ad.affine(normed, Tensor(np.ones(8)), Tensor(np.zeros(8)))
+    second = ad.affine(normed, Tensor(np.ones(8)), Tensor(np.zeros(8)))
     assert len(seen) == 1
     np.testing.assert_array_equal(first.data, second.data)
+    ad.normalize(h)
+    assert len(seen) == 2
 
 
 def test_a_leaf_changed_in_place_is_normalized_afresh(rng, monkeypatch):
     a = Tensor(rng.standard_normal((3, 8)))
     seen = _counting_normalize(monkeypatch)
-    before = ad.layer_norm(a).data.copy()
+    before = ad.normalize(a).data.copy()
     a.data[...] = rng.standard_normal((3, 8))
-    after = ad.layer_norm(a).data
+    after = ad.normalize(a).data
     assert len(seen) == 2
-    np.testing.assert_array_equal(after, ad.layer_norm(Tensor(a.data.copy())).data)
+    np.testing.assert_array_equal(after, ad.normalize(Tensor(a.data.copy())).data)
     assert not np.array_equal(after, before)

@@ -27,7 +27,7 @@ def _alpha(candidates, seed=0, scale=None):
 
 def test_uniform_eight_ops_skip_weight_is_one_eighth():
     with dtype_scope("float64"):
-        alpha = _alpha(DESK8, scale=np.zeros((1, 5, 8)))
+        alpha = _alpha(DESK8, scale=np.zeros((5, 8)))
         assert float(skip_fairness(alpha).data) == pytest.approx(0.125, abs=1e-12)
 
 
@@ -43,11 +43,11 @@ def test_skip_fairness_without_identity_is_zero():
 def test_skip_fairness_matches_loop_oracle(rng):
     with dtype_scope("float64"):
         alpha = _alpha(DESK8)
-        alpha.logits.data = rng.standard_normal((1, 5, 8))
+        alpha.logits.data = rng.standard_normal((5, 8))
         got = float(skip_fairness(alpha).data)
         acc = []
         for edge in range(5):
-            w = softmax_np(alpha.logits.data[0, edge])
+            w = softmax_np(alpha.logits.data[edge])
             acc.append(w[1])  # identity sits at registry index 1
         expected = float(np.mean(acc))
         assert abs(got - expected) / abs(expected) < 1e-9
@@ -56,15 +56,15 @@ def test_skip_fairness_matches_loop_oracle(rng):
 def test_type_fairness_uniform_default_bounds_is_zero():
     # per-edge type sums are (0.125, 0.125, 0.375, 0.375), all inside [0.05, 0.5]
     with dtype_scope("float64"):
-        alpha = _alpha(DESK8, scale=np.zeros((1, 5, 8)))
+        alpha = _alpha(DESK8, scale=np.zeros((5, 8)))
         cfg = FairnessConfig()
         assert float(type_fairness(alpha, cfg).data) == 0.0
 
 
 def test_type_fairness_saturated_closed_form():
     with dtype_scope("float64"):
-        logits = np.zeros((1, 5, 8))
-        logits[:, :, 3] = 40.0  # everything on one MSA candidate
+        logits = np.zeros((5, 8))
+        logits[:, 3] = 40.0  # everything on one MSA candidate
         alpha = _alpha(DESK8, scale=logits)
         cfg = FairnessConfig()
         per_edge = cfg.zeta1 * (1.0 - cfg.gamma_max) + cfg.zeta2 * cfg.gamma_min * 3
@@ -74,7 +74,7 @@ def test_type_fairness_saturated_closed_form():
 
 def test_type_fairness_inactive_bounds_is_always_zero(rng):
     alpha = _alpha(DESK8)
-    alpha.logits.data = rng.standard_normal((1, 5, 8)).astype(np.float32) * 5
+    alpha.logits.data = rng.standard_normal((5, 8)).astype(np.float32) * 5
     cfg = FairnessConfig(gamma_min=0.0, gamma_max=1.0)
     assert float(type_fairness(alpha, cfg).data) == 0.0
 
@@ -82,11 +82,11 @@ def test_type_fairness_inactive_bounds_is_always_zero(rng):
 def test_type_fairness_zero_iff_sums_in_range(rng):
     with dtype_scope("float64"):
         cfg = FairnessConfig()
-        inside = _alpha(DESK8, scale=np.zeros((1, 5, 8)))
+        inside = _alpha(DESK8, scale=np.zeros((5, 8)))
         assert float(type_fairness(inside, cfg).data) == 0.0
         outside = _alpha(DESK8)
-        logits = np.zeros((1, 5, 8))
-        logits[:, :, 1] = 10.0  # identity type sum ~1 > gamma_max
+        logits = np.zeros((5, 8))
+        logits[:, 1] = 10.0  # identity type sum ~1 > gamma_max
         outside.logits.data = logits
         assert float(type_fairness(outside, cfg).data) > 0.0
 
@@ -110,7 +110,7 @@ def test_fairness_loss_combines_terms(rng):
     """The alpha pass adds a * skip term + b * type term to the cross-entropy."""
     batch = Batch(images=rng.random((2, 4, 4, 3)), labels=np.array([0, 1]),
                   indices=np.arange(2), split="val")
-    logits = rng.standard_normal((1, 5, 8))
+    logits = rng.standard_normal((5, 8))
     for cfg in (FairnessConfig(a=0.0, b=0.0), FairnessConfig(a=1.0, b=0.0),
                 FairnessConfig(a=0.3, b=0.7)):
         with dtype_scope("float64"):
@@ -132,7 +132,7 @@ def test_fairness_loss_combines_terms(rng):
 def test_fairness_gradients_match_finite_differences(rng):
     with dtype_scope("float64"):
         alpha = _alpha(DESK8)
-        alpha.logits.data = 0.05 * rng.standard_normal((1, 5, 8))
+        alpha.logits.data = 0.05 * rng.standard_normal((5, 8))
         alpha.logits.requires_grad = True
         cfg = FairnessConfig()
         # stay away from hinge kinks: with near-uniform weights the type sums
@@ -144,7 +144,7 @@ def test_fairness_gradients_match_finite_differences(rng):
 def test_skip_fairness_shift_invariance(shift):
     with dtype_scope("float64"):
         alpha = _alpha(DESK8)
-        base = np.random.default_rng(2).standard_normal((1, 5, 8))
+        base = np.random.default_rng(2).standard_normal((5, 8))
         alpha.logits.data = base.copy()
         before = float(skip_fairness(alpha).data)
         alpha.logits.data = base + shift  # common constant on every edge
@@ -155,7 +155,7 @@ def test_skip_fairness_shift_invariance(shift):
 def test_skip_fairness_bounded_and_descends_under_gradient(rng):
     with dtype_scope("float64"):
         alpha = _alpha(DESK8)
-        alpha.logits.data = rng.standard_normal((1, 5, 8))
+        alpha.logits.data = rng.standard_normal((5, 8))
         value = skip_fairness(alpha)
         assert 0.0 <= float(value.data) <= 1.0
         backward(value)
@@ -168,10 +168,10 @@ def test_skip_fairness_bounded_and_descends_under_gradient(rng):
 def test_fairness_value_independent_of_edge_order(rng):
     with dtype_scope("float64"):
         alpha = _alpha(DESK8)
-        alpha.logits.data = rng.standard_normal((1, 5, 8))
+        alpha.logits.data = rng.standard_normal((5, 8))
         cfg = FairnessConfig()
         base = (float(skip_fairness(alpha).data), float(type_fairness(alpha, cfg).data))
-        alpha.logits.data = alpha.logits.data[:, ::-1].copy()
+        alpha.logits.data = alpha.logits.data[::-1].copy()
         permuted = (float(skip_fairness(alpha).data), float(type_fairness(alpha, cfg).data))
         assert base == pytest.approx(permuted, rel=1e-12)
 

@@ -10,7 +10,7 @@ from dasvit import autodiff as ad
 from dasvit import genotype as genotype_mod
 from dasvit.errors import GenotypeError
 from dasvit.genotype import genotype_from_json, genotype_to_json
-from dasvit.ops import ModelDims
+from dasvit.ops import CellValue, ModelDims
 from dasvit.data import make_synthetic
 from oracles import (JSON_VALUES, attention_oracle, json_paths, layernorm_np, mlp_oracle,
                      set_json_path)
@@ -30,7 +30,7 @@ def test_identity_only_genotype_has_closed_form_cells(rng):
         model = DerivedModel(_identity_only(DESK, 2), np.random.default_rng(0))
         a = Tensor(rng.standard_normal((1, 3, 8)))
         b = Tensor(rng.standard_normal((1, 3, 8)))
-        out = model.cell(0, a, b)
+        out = model.cell(0, CellValue(a), CellValue(b))
         np.testing.assert_allclose(out.data, 2.0 * (a.data + b.data), atol=1e-12)
 
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from dasvit import DEFAULT_CANDIDATES, OpSpec, Tensor, backward, dtype_scope
 from dasvit.errors import ConfigError, ShapeError
-from dasvit.ops import (EmbedParams, IdentityOp, MlpOp, ModelDims, MsaOp, ZeroOp,
-                        build_op, mlp_hidden_dim)
+from dasvit.ops import (CellValue, EmbedParams, IdentityOp, MlpOp, ModelDims, MsaOp,
+                        ZeroOp, build_op, mlp_hidden_dim)
 from oracles import attention_oracle, check_grads, layernorm_np, mlp_oracle
 
 
@@ -53,7 +53,7 @@ def test_msa_single_token_attention_is_identity_weight(rng):
     with dtype_scope("float64"):
         op = MsaOp(OpSpec("msa", heads=2), dim=4, rng=rng)
         x = rng.standard_normal((1, 1, 4))
-        out = op.forward(Tensor(x))
+        out = op.forward(CellValue(Tensor(x)))
         z = layernorm_np(x, op.norm_g.data, op.norm_b.data)
         expected = z @ op.wv.data @ op.wo.data + op.bo.data
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -64,7 +64,7 @@ def test_msa_identical_tokens_give_identical_rows(rng):
         op = MsaOp(OpSpec("msa", heads=2), dim=6, rng=rng)
         row = rng.standard_normal(6)
         x = np.tile(row, (2, 5, 1))
-        out = op.forward(Tensor(x)).data
+        out = op.forward(CellValue(Tensor(x))).data
         for b in range(2):
             for i in range(1, 5):
                 np.testing.assert_allclose(out[b, i], out[b, 0], atol=1e-12)
@@ -74,7 +74,7 @@ def test_msa_matches_per_head_loop_oracle(rng):
     with dtype_scope("float64"):
         op = MsaOp(OpSpec("msa", heads=2), dim=4, rng=rng)
         x = rng.standard_normal((1, 3, 4))
-        out = op.forward(Tensor(x)).data
+        out = op.forward(CellValue(Tensor(x))).data
         expected = attention_oracle(x, op.wq.data, op.wk.data, op.wv.data,
                                     op.wo.data, op.bo.data, heads=2,
                                     gamma=op.norm_g.data, beta=op.norm_b.data)
@@ -87,8 +87,8 @@ def test_msa_is_permutation_equivariant(perm):
         rng = np.random.default_rng(11)
         op = MsaOp(OpSpec("msa", heads=2), dim=4, rng=rng)
         x = rng.standard_normal((1, 4, 4))
-        out = op.forward(Tensor(x)).data
-        out_perm = op.forward(Tensor(x[:, perm])).data
+        out = op.forward(CellValue(Tensor(x))).data
+        out_perm = op.forward(CellValue(Tensor(x[:, perm]))).data
         np.testing.assert_allclose(out_perm, out[:, perm], rtol=1e-9, atol=1e-11)
 
 
@@ -98,10 +98,10 @@ def test_msa_graph_holds_one_attention_matrix(rng):
     bsz, n, dim, heads = 2, 64, 16, 8
     op = MsaOp(OpSpec("msa", heads=heads), dim=dim, rng=rng)
     x = Tensor(rng.standard_normal((bsz, n, dim)).astype(np.float32), requires_grad=True)
-    op.forward(x)  # warm-up: one-time allocations stay out of the measure
+    op.forward(CellValue(x))  # warm-up: one-time allocations stay out of the measure
     tracemalloc.start()
     try:
-        out = op.forward(x)
+        out = op.forward(CellValue(x))
         live, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -115,8 +115,8 @@ def test_mlp_is_position_wise(rng):
         op = MlpOp(OpSpec("mlp", ratio=2.0), dim=4, rng=rng)
         x = rng.standard_normal((1, 5, 4))
         perm = np.array([3, 0, 4, 1, 2])
-        out = op.forward(Tensor(x)).data
-        out_perm = op.forward(Tensor(x[:, perm])).data
+        out = op.forward(CellValue(Tensor(x))).data
+        out_perm = op.forward(CellValue(Tensor(x[:, perm]))).data
         np.testing.assert_allclose(out_perm, out[:, perm], atol=1e-12)
 
 
@@ -124,7 +124,7 @@ def test_mlp_zero_weights_give_zero_output(rng):
     op = MlpOp(OpSpec("mlp", ratio=0.5), dim=4, rng=np.random.default_rng(0))
     for p in (op.w1, op.b1, op.w2, op.b2):
         p.data[...] = 0.0
-    out = op.forward(Tensor(rng.standard_normal((2, 3, 4))))
+    out = op.forward(CellValue(Tensor(rng.standard_normal((2, 3, 4)))))
     np.testing.assert_array_equal(out.data, 0.0)
 
 
@@ -135,14 +135,14 @@ def test_mlp_matches_two_matrix_oracle(rng):
         x = rng.standard_normal((2, 3, 4))
         expected = mlp_oracle(x, op.w1.data, op.b1.data, op.w2.data, op.b2.data,
                               gamma=op.norm_g.data, beta=op.norm_b.data)
-        np.testing.assert_allclose(op.forward(Tensor(x)).data, expected,
+        np.testing.assert_allclose(op.forward(CellValue(Tensor(x))).data, expected,
                                    rtol=1e-10, atol=1e-12)
 
 
 def test_zero_op_output_shape_and_gradient(rng):
     op = ZeroOp(OpSpec("zero"), dim=8)
     x = Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True)
-    out = op.forward(x)
+    out = op.forward(CellValue(x))
     assert out.shape == (2, 5, 8)
     np.testing.assert_array_equal(out.data, 0.0)
     backward((out * 1.0).sum() + 0.0 * x.sum())
@@ -152,7 +152,7 @@ def test_zero_op_output_shape_and_gradient(rng):
 def test_identity_op_is_bitwise_and_composes(rng):
     op = IdentityOp(OpSpec("identity"), dim=4)
     x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-    out = op.forward(op.forward(x))
+    out = op.forward(CellValue(op.forward(CellValue(x))))
     assert out.data is x.data
     backward(out.sum())
     np.testing.assert_array_equal(x.grad, np.ones_like(x.data))
@@ -254,4 +254,4 @@ def test_candidate_op_gradients(spec, rng):
         x = Tensor(rng.standard_normal((1, 3, 4)), requires_grad=True)
         proj = Tensor(rng.standard_normal((1, 3, 4)))
         wrt = [x] + list(op.named_parameters().values())
-        check_grads(lambda: (op.forward(x) * proj).sum(), wrt)
+        check_grads(lambda: (op.forward(CellValue(x)) * proj).sum(), wrt)

@@ -24,7 +24,7 @@ from dasvit import search as search_mod
 from dasvit.errors import (ConfigError, DataError, GenotypeError, NonFiniteError,
                            SearchAbort)
 from dasvit.genotype import genotype_to_json
-from dasvit.ops import ModelDims, build_op
+from dasvit.ops import CellValue, ModelDims, build_op
 from dasvit.search import (SearchState, _grad_pass, _unrolled_alpha_pass,
                            advance_stage, bilevel_epoch, prune_candidates)
 from dasvit.supernet import mixed_edge_forward
@@ -63,36 +63,36 @@ def _table(logits, candidates=None):
 
 
 def test_uniform_alpha_scores_follow_registry_order():
-    ranking = score_candidates(_table(np.zeros((1, 5, 8))))
+    ranking = score_candidates(_table(np.zeros((5, 8))))
     assert [spec.name for spec, _ in ranking] == [s.name for s in DESK8]
     scores = [s for _, s in ranking]
     assert all(abs(s - 0.125) < 1e-12 for s in scores)
 
 
 def test_saturated_candidate_ranks_first():
-    logits = np.zeros((1, 5, 8))
-    logits[:, :, 6] = 30.0
+    logits = np.zeros((5, 8))
+    logits[:, 6] = 30.0
     ranking = score_candidates(_table(logits))
     assert ranking[0][0].name == "mlp_r3"
     assert ranking[0][1] > 0.99
 
 
 def test_scores_match_loop_oracle(rng):
-    logits = rng.standard_normal((1, 5, 8))
+    logits = rng.standard_normal((5, 8))
     got = dict((s.name, v) for s, v in score_candidates(_table(logits)))
     for k, spec in enumerate(DESK8):
-        acc = [softmax_np(logits[0, e].astype(np.float64))[k] for e in range(5)]
+        acc = [softmax_np(logits[e].astype(np.float64))[k] for e in range(5)]
         assert got[spec.name] == pytest.approx(float(np.mean(acc)), rel=1e-12)
 
 
 def test_prune_keeps_registry_order_and_guards_degeneracy():
-    logits = np.zeros((1, 5, 8))
-    logits[:, :, [1, 4, 6]] = -5.0  # push identity, msa_h8, mlp_r3 to the bottom
+    logits = np.zeros((5, 8))
+    logits[:, [1, 4, 6]] = -5.0  # push identity, msa_h8, mlp_r3 to the bottom
     table = _table(logits)
     survivors = prune_candidates(table, 3, score_candidates(table))
     assert [s.name for s in survivors] == ["zero", "msa_h2", "msa_h4", "mlp_r0.5",
                                            "mlp_r4"]
-    table = _table(np.zeros((1, 5, 8)))
+    table = _table(np.zeros((5, 8)))
     with pytest.raises(ConfigError, match="degenerate"):
         prune_candidates(table, 7, score_candidates(table))
 
@@ -144,7 +144,7 @@ def test_advance_stage_inherits_banks_and_drops_pruned():
     # alpha columns follow the survivors
     cols = [old.candidates.index(s) for s in survivors]
     np.testing.assert_array_equal(new.alpha.logits.data,
-                                  old.alpha.logits.data[:, :, cols])
+                                  old.alpha.logits.data[:, cols])
     assert new.alpha.logits.data.flags.c_contiguous
 
 
@@ -152,10 +152,10 @@ def test_advance_stage_inherits_banks_and_drops_pruned():
 
 
 def _hardened_table(assignment):
-    logits = np.zeros((1, 5, len(DESK8)))
+    logits = np.zeros((5, len(DESK8)))
     names = [s.name for s in DESK8]
     for edge, name in enumerate(assignment):
-        logits[:, edge, names.index(name)] = 40.0
+        logits[edge, names.index(name)] = 40.0
     return _table(logits)
 
 
@@ -167,8 +167,8 @@ def test_hand_built_alpha_reproduces_reference_structure():
 
 
 def test_uniform_alpha_derivation_is_deterministic():
-    a = derive_genotype(_table(np.zeros((1, 5, 8))), DIMS, depth=2)
-    b = derive_genotype(_table(np.zeros((1, 5, 8))), DIMS, depth=2)
+    a = derive_genotype(_table(np.zeros((5, 8))), DIMS, depth=2)
+    b = derive_genotype(_table(np.zeros((5, 8))), DIMS, depth=2)
     assert a == b
     # ties resolve to the lowest edge index and the first non-Zero candidate
     assert all(spec.name == "identity" for _, spec in a.nodes[0])
@@ -215,7 +215,7 @@ class ToyMixtureModel:
 
     def forward(self, images):
         x = ad.as_tensor(images.reshape(images.shape[0], -1))
-        mixed = mixed_edge_forward(x, self.ops, self.alpha.edge_weights(0))
+        mixed = mixed_edge_forward(CellValue(x), self.ops, self.alpha.edge_rows()[0])
         return mixed @ self.head_w + self.head_b
 
     def weight_parameters(self):
@@ -255,7 +255,7 @@ def test_identity_weight_climbs_when_identity_helps():
             tb = epoch_batches(ds, split.train_indices, plan, epoch, "train")
             vb = epoch_batches(ds, split.val_indices, plan, epoch, "val")
             bilevel_epoch(state, tb, vb)
-            trajectory.append(float(model.alpha.weights()[0, 0, 1]))
+            trajectory.append(float(model.alpha.weights()[0, 1]))
     assert all(b >= a for a, b in zip(trajectory, trajectory[1:]))
     assert trajectory[-1] > trajectory[0] + 0.05
 
@@ -291,7 +291,7 @@ class _UnrolledToy:
 
     def forward(self, images):
         x = ad.as_tensor(images.reshape(images.shape[0], -1))
-        mixed = mixed_edge_forward(x, self.ops, self.alpha.edge_weights(0))
+        mixed = mixed_edge_forward(CellValue(x), self.ops, self.alpha.edge_rows()[0])
         return mixed @ self.head_w + self.head_b
 
     def weight_parameters(self):
@@ -588,11 +588,13 @@ def test_alpha_history_rows_ordered_and_normalized(desk_run):
     result, _ = desk_run
     with open(result.history_path) as fh:
         rows = list(csv.DictReader(fh))
-    keys = [(int(r["epoch"]), int(r["layer"]), int(r["edge"])) for r in rows]
+    keys = [(int(r["epoch"]), int(r["edge"])) for r in rows]
     assert keys == sorted(keys)
+    # one row per (epoch, edge, candidate)
+    assert len({(k, r["candidate"]) for k, r in zip(keys, rows)}) == len(rows)
     sums = {}
     for r in rows:
-        key = (int(r["epoch"]), int(r["layer"]), int(r["edge"]))
+        key = (int(r["epoch"]), int(r["edge"]))
         sums[key] = sums.get(key, 0.0) + float(r["softmax_weight"])
     assert all(abs(total - 1.0) < 1e-9 for total in sums.values())
 
@@ -654,11 +656,19 @@ def test_search_resume_refuses_a_checkpoint_missing_an_array(tmp_path):
     cfg = _small_cfg(seed=5, stages=1, epochs_per_stage=1, prune_per_stage=[0])
     run_search(cfg, tmp_path / "run")
     manifest = tmp_path / "run" / "stage_1.ckpt"
+    # an earlier version's stage checkpoint holds a (1, edges, candidates) table
+    older = tmp_path / "run" / "older.ckpt"
+    arrays, extras = load_checkpoint(manifest)
+    arrays["alpha.logits"] = arrays["alpha.logits"][None]
+    save_checkpoint(older, arrays, extras)
     edit_manifest(manifest, lambda doc: doc["arrays"].pop("selector.wq"))
     cfg = dataclasses.replace(cfg, search=dataclasses.replace(
         cfg.search, stages=2, prune_per_stage=[0, 0]))
     with pytest.raises(DataError, match=f"{manifest}: no array 'selector.wq'"):
         run_search(cfg, tmp_path / "resumed", resume=manifest)
+    with pytest.raises(DataError, match=re.escape(
+            f"{older}: array 'alpha.logits' has shape (1, 5, 8), expected (5, 8)")):
+        run_search(cfg, tmp_path / "resumed", resume=older)
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -694,7 +704,7 @@ def test_failed_search_closes_its_logs(tmp_path, monkeypatch):
     assert (tmp_path / "failed" / "search_log.jsonl").read_text()
 
 
-FROZEN_FIRST_ORDER_LOGITS = np.array([[
+FROZEN_FIRST_ORDER_LOGITS = np.array([
     [0.00037108543625861, -0.00275270614305057, 0.00553066741289079,
      -0.00173400638648354],
     [0.00452384431451754, -0.00264690537306567, 0.00414873868072203,
@@ -705,7 +715,7 @@ FROZEN_FIRST_ORDER_LOGITS = np.array([[
      0.00284085868319052],
     [-0.00432793723797991, -0.00262217449482129, 0.0028948643717163,
      -0.00149251058624691],
-]])
+])
 
 
 def test_first_order_search_regression_trajectory(tmp_path):
@@ -918,8 +928,12 @@ def test_a_repeated_evaluation_reuses_its_pages():
     assert faults <= 300, f"{faults} minor page faults in a second evaluation"
 
 
+def _no_datasets(*args):
+    raise AssertionError("datasets built before the resume was refused")
+
+
 @pytest.mark.parametrize("entry", ["search", "retrain"])
-def test_a_refused_resume_leaves_no_run_directory(tmp_path, entry):
+def test_a_refused_resume_leaves_no_run_directory(tmp_path, monkeypatch, entry):
     kind = "search-stage" if entry == "search" else "retrain"
     wrong = "retrain" if entry == "search" else "search-stage"
     g = searched_encoder_genotype(desk_config().model.dims(), depth=1, heads=4)
@@ -929,6 +943,12 @@ def test_a_refused_resume_leaves_no_run_directory(tmp_path, entry):
         cases += [({"kind": kind, "seed": 7, "genotype": genotype_to_json(g), "epoch": epoch},
                    f"already covers every epoch: it holds epoch {epoch}, and "
                    "retrain.epochs is 2") for epoch in (1, 3)]
+    else:  # at and past the run's one stage
+        cases += [({"kind": kind, "seed": 7, "stage": stage},
+                   f"already covers every stage: it holds stage {stage}, and the run "
+                   "has 1") for stage in (1, 3)]
+    # every refusal comes before any data is built
+    monkeypatch.setattr(search_mod, "build_datasets", _no_datasets)
     for extras, message in cases:
         ckpt = tmp_path / "other.ckpt"
         save_checkpoint(ckpt, {"w": np.zeros(1, dtype=np.float32)}, extras)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from dasvit import Selector, Tensor, backward, dtype_scope
 from dasvit.errors import ConfigError
-from dasvit.ops import ModelDims, MsaOp, OpSpec
-from oracles import check_grads, token_scores_oracle, topk_oracle
+from dasvit.ops import CellValue, ModelDims, MsaOp, OpSpec
+from oracles import check_grads, token_scores_nn, token_scores_oracle, topk_oracle
 
 
 def _selector(dim, lam=0.5, grad_mode="gather_only", seed=0):
@@ -41,6 +41,28 @@ def test_scores_match_double_loop_oracle(rng):
         expected = token_scores_oracle(x, sel.wq.data, sel.wk.data)
         np.testing.assert_allclose(sel.scores(Tensor(x)).data, expected,
                                    rtol=1e-10, atol=1e-12)
+
+
+def test_scores_equal_the_n_by_n_product_without_forming_it(rng, monkeypatch):
+    """Against the averaged (B, N, N) query-key product to 1e-12 in float64;
+    no node of the score graph is (B, N, N)."""
+    shapes = []
+    from_op = Tensor._from_op
+
+    def spy(data, parents, backward_fn, op):
+        shapes.append(data.shape)
+        return from_op(data, parents, backward_fn, op)
+
+    monkeypatch.setattr(Tensor, "_from_op", staticmethod(spy))
+    with dtype_scope("float64"):
+        sel = _selector(5, grad_mode="score_scaling", seed=3)
+        x = Tensor(rng.standard_normal((2, 7, 5)), requires_grad=True)
+        scores = sel.scores(x)
+        expected = token_scores_nn(x.data, sel.wq.data, sel.wk.data)
+        np.testing.assert_allclose(scores.data, expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
+        backward(scores.sum())
+    assert shapes and (2, 7, 7) not in shapes
 
 
 def test_full_lambda_gather_only_is_a_patch_permutation(rng):
@@ -154,11 +176,11 @@ def test_attention_score_memory_shrinks_quadratically(rng):
 
         # attention over (B, N, D) tokens forms B * heads * N * N scores
         full_elements = x.shape[0] * msa.heads * x.shape[1] ** 2
-        msa.forward(x)
+        msa.forward(CellValue(x))
 
         sel = _selector(16, lam=0.5, grad_mode="gather_only")
         reduced, _ = sel.select(x)
-        msa.forward(reduced)
+        msa.forward(CellValue(reduced))
         ratio = reduced.shape[0] * msa.heads * reduced.shape[1] ** 2 / full_elements
         assert reduced.shape[1] == 33
         assert ratio <= 0.27
