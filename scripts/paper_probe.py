@@ -54,9 +54,8 @@ def probe(geometry: str, stage: int, batch: int, steps: int, seed: int) -> dict:
     net = Supernet.from_config(cfg, candidates, layers, rng_for(seed, RNG_STAGE, stage))
     state = SearchState(
         model=net, alpha=net.alpha,
-        w_opt=AdamW(net.weight_parameters(
-            include_selector=cfg.selector.grad_mode == "score_scaling"),
-            lr=cfg.search.lr, weight_decay=cfg.search.weight_decay),
+        w_opt=AdamW(net.weight_parameters(), lr=cfg.search.lr,
+                    weight_decay=cfg.search.weight_decay),
         a_opt=AdamW(net.alpha_parameters(), lr=cfg.search.arch_lr,
                     weight_decay=cfg.search.arch_weight_decay),
         fairness=cfg.fairness)

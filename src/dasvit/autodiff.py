@@ -250,9 +250,6 @@ class Tensor:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{tag})"

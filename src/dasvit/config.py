@@ -8,6 +8,7 @@ its artifacts alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from .data import CIFAR10_MEAN, CIFAR10_STD, write_json
 from .errors import ConfigError
 from .fairness import FairnessConfig
 from .ops import DEFAULT_CANDIDATES, ModelDims, OpSpec, as_json, read_json
-from .selector import GRAD_MODES
 
 
 @dataclass
@@ -38,7 +38,9 @@ class ModelConfig:
 @dataclass
 class SelectorConfig:
     lam: float = field(default=0.5, metadata={"json": "lambda"})
-    grad_mode: str = "score_scaling"
+    # not a field, so not a config key: the benchmark still reads it
+    # (ROADMAP direction 2); kept patches are always scaled by their score
+    grad_mode = "score_scaling"
 
 
 @dataclass
@@ -106,11 +108,13 @@ class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
 
     def validate(self) -> "RunConfig":
-        self.model.dims()  # divisibility and positivity checks
-        if not 0 < self.selector.lam <= 1:
-            raise ConfigError(f"selector.lambda: must lie in (0, 1], got {self.selector.lam}")
-        if self.selector.grad_mode not in GRAD_MODES:
-            raise ConfigError(f"selector.grad_mode: must be one of {GRAD_MODES}")
+        n_patches = self.model.dims().n_patches  # divisibility and positivity checks
+        lam = self.selector.lam
+        if not 0 < lam <= 1:
+            raise ConfigError(f"selector.lambda: must lie in (0, 1], got {lam}")
+        if math.floor(lam * n_patches) < 1:
+            raise ConfigError(f"selector.lambda: {lam} keeps none of {n_patches} "
+                              "patch tokens; it must keep at least one")
         if not self.candidates:
             raise ConfigError("candidates: must not be empty")
         names = [spec.name for spec in self.candidates]
@@ -156,6 +160,13 @@ class RunConfig:
         for key, value, least in (
                 ("search.batch_size", s.batch_size, 1), ("retrain.batch_size", r.batch_size, 1),
                 ("search.warmup_epochs", s.warmup_epochs, 0),
+                ("search.lr", s.lr, 0), ("search.weight_decay", s.weight_decay, 0),
+                ("search.warmup_start_lr", s.warmup_start_lr, 0), ("search.min_lr", s.min_lr, 0),
+                ("search.arch_lr", s.arch_lr, 0),
+                ("search.arch_weight_decay", s.arch_weight_decay, 0),
+                ("retrain.lr", r.lr, 0), ("retrain.weight_decay", r.weight_decay, 0),
+                ("retrain.warmup_start_lr", r.warmup_start_lr, 0),
+                ("retrain.min_lr", r.min_lr, 0),
                 ("retrain.warmup_epochs", r.warmup_epochs, 0), ("retrain.epochs", r.epochs, 1),
                 ("retrain.checkpoint_every", r.checkpoint_every, 0),
                 ("retrain.eval_every", r.eval_every, 0),

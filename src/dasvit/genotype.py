@@ -24,9 +24,8 @@ import numpy as np
 from .autodiff import Tensor
 from .data import load_parameters, write_json
 from .errors import DasvitError, GenotypeError
-from .ops import (CELL_EDGES, INTERMEDIATE_NODES, CellValue, EmbedParams, ModelDims,
-                  Module, OpSpec, as_json, build_op, mlp_hidden_dim, read_json,
-                  stack_cells, walk_cell)
+from .ops import (CELL_EDGES, CellValue, EmbedParams, ModelDims, Module, OpSpec,
+                  as_json, build_op, mlp_hidden_dim, read_json, stack_cells, walk_cell)
 
 SCHEMA_VERSION = 1
 OPS_PER_ACT_ELEMENT = 5
@@ -176,23 +175,16 @@ class DerivedModel(Module):
         self.genotype = genotype
         self.dims = genotype.dims
         self.embed = EmbedParams(self.dims, rng)
-        self.layers: list[list[list]] = []
-        for _ in range(genotype.depth):
-            per_node = []
-            for pairs in genotype.nodes:
-                per_node.append([(src, build_op(spec, self.dims.dim, rng))
-                                 for src, spec in pairs])
-            self.layers.append(per_node)
+        # per layer, every kept edge as (source, target, op), node by node
+        self.layers: list[list[tuple]] = [
+            [(src, 2 + j, build_op(spec, self.dims.dim, rng))
+             for j, pairs in enumerate(genotype.nodes) for src, spec in pairs]
+            for _ in range(genotype.depth)]
 
     def cell(self, layer: int, in0: CellValue, in1: CellValue) -> Tensor:
         """One derived cell."""
-        nodes = self.layers[layer]
-
-        def node_terms(target, values):
-            for src, op in nodes[INTERMEDIATE_NODES.index(target)]:
-                yield op.forward(values[src])
-
-        return walk_cell(in0, in1, node_terms)
+        return walk_cell(in0, in1, [(src, dst, op.forward)
+                                    for src, dst, op in self.layers[layer]])
 
     def forward(self, images) -> Tensor:
         z = self.embed.embed(images)
@@ -200,12 +192,11 @@ class DerivedModel(Module):
 
     def _ops(self):
         """(parameter prefix, supernet bank prefix, op) for every op."""
-        for layer, per_node in enumerate(self.layers):
-            for j, node_ops in enumerate(per_node):
-                for i, (src, op) in enumerate(node_ops):
-                    edge = CELL_EDGES.index((src, INTERMEDIATE_NODES[j]))
-                    yield (f"layers.{layer}.n{j}.{i}.{op.spec.name}",
-                           f"cells.{layer}.e{edge}.{op.spec.name}", op)
+        for layer, edges in enumerate(self.layers):
+            for k, (src, dst, op) in enumerate(edges):
+                j, i = divmod(k, 2)  # a genotype keeps two edges per node
+                yield (f"layers.{layer}.n{j}.{i}.{op.spec.name}",
+                       f"cells.{layer}.e{CELL_EDGES.index((src, dst))}.{op.spec.name}", op)
 
     def named_parameters(self) -> dict[str, Tensor]:
         out = {f"embed.{n}": p for n, p in self.embed.named_parameters().items()}

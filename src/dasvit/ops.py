@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 import types
 import typing
 from dataclasses import dataclass
@@ -368,18 +369,17 @@ NUM_EDGES = len(CELL_EDGES)
 INTERMEDIATE_NODES = (2, 3)
 
 
-def walk_cell(in0: CellValue, in1: CellValue, node_terms) -> Tensor:
-    """Run the cell DAG: each intermediate node sums, in order, the terms
-    ``node_terms(target, values)`` yields from the `CellValue`s so far, and
-    the cell returns the sum of both intermediates."""
+def walk_cell(in0: CellValue, in1: CellValue, edges) -> Tensor:
+    """Run the cell DAG over `edges`, its ``(source, target, forward)``
+    triples: each intermediate node sums, in edge order, ``forward`` of the
+    `CellValue` of each incoming edge's source, and the cell returns the sum
+    of both intermediates."""
     if in0.x.shape != in1.x.shape:
         raise ShapeError(f"cell: input shapes {in0.x.shape} and {in1.x.shape} differ")
     values = [in0, in1]
     for target in INTERMEDIATE_NODES:
-        total = None
-        for term in node_terms(target, values):
-            total = term if total is None else total + term
-        values.append(CellValue(total))
+        terms = (forward(values[src]) for src, dst, forward in edges if dst == target)
+        values.append(CellValue(functools.reduce(operator.add, terms)))
     return values[2].x + values[3].x
 
 

@@ -333,9 +333,8 @@ def _alpha_rows(epoch: int, model: Supernet):
 
 
 def _build_optimizers(model: Supernet, cfg: RunConfig) -> tuple[AdamW, AdamW]:
-    include_selector = cfg.selector.grad_mode == "score_scaling"
-    w_opt = AdamW(model.weight_parameters(include_selector=include_selector),
-                  lr=cfg.search.lr, weight_decay=cfg.search.weight_decay)
+    w_opt = AdamW(model.weight_parameters(), lr=cfg.search.lr,
+                  weight_decay=cfg.search.weight_decay)
     a_opt = AdamW(model.alpha_parameters(), lr=cfg.search.arch_lr,
                   weight_decay=cfg.search.arch_weight_decay)
     return w_opt, a_opt

@@ -5,13 +5,9 @@ averaged scaled dot-product scores) are kept, shrinking every downstream
 attention matrix by roughly lambda^2. The class token is exempt and always
 survives at row 0. A token's score averages its query against every key,
 and mean_j(q_i·k_j) = q_i·mean_j(k_j), so scoring builds no N x N product.
-
-Two gradient modes exist for the selector projections:
-
-* ``score_scaling`` (default): each kept patch token is multiplied by the
-  logistic of its score, so the projections receive gradients.
-* ``gather_only``: tokens are copied unscaled; the projections get none,
-  and scoring records no graph.
+Each kept patch token is multiplied by the logistic of its score, so the
+projections receive gradients. At lambda = 1 every token is kept in place
+and nothing is scored, so the projections are not read.
 """
 
 from __future__ import annotations
@@ -25,24 +21,22 @@ from .autodiff import Tensor
 from .errors import ConfigError
 from .ops import Module
 
-GRAD_MODES = ("score_scaling", "gather_only")
-
 
 class Selector(Module):
     """Scores tokens with a single-head Q/K product and keeps the best k."""
 
-    def __init__(self, dim: int, lam: float, grad_mode: str,
-                 rng: np.random.Generator):
+    def __init__(self, dim: int, lam: float, rng: np.random.Generator):
         if not 0 < lam <= 1:
             raise ConfigError(f"selector: lambda must lie in (0, 1], got {lam}")
-        if grad_mode not in GRAD_MODES:
-            raise ConfigError(f"selector: grad_mode must be one of {GRAD_MODES}")
         self.dim = dim
         self.lam = float(lam)
-        self.grad_mode = grad_mode
         dt = ad.default_dtype()
         self.wq = ad.parameter((0.02 * rng.standard_normal((dim, dim))).astype(dt), "wq")
         self.wk = ad.parameter((0.02 * rng.standard_normal((dim, dim))).astype(dt), "wk")
+
+    def named_parameters(self) -> dict[str, Tensor]:
+        """The score projections, unless lambda = 1 leaves them unread."""
+        return super().named_parameters() if self.lam < 1 else {}
 
     def scores(self, x: Tensor) -> Tensor:
         """Per-token mean scaled dot-product score, shape (B, N)."""
@@ -56,7 +50,8 @@ class Selector(Module):
 
         `x` is (B, N+1, C) with the class token at row 0. Returns the reduced
         (B, k+1, C) sequence (kept patches in descending-score order, ties to
-        the lower index) and the selected patch indices, shape (B, k).
+        the lower index) and the selected patch indices, shape (B, k). When
+        k = N it returns `x` itself and the identity order.
         """
         n = x.shape[1] - 1
         k = int(math.floor(self.lam * n))
@@ -64,17 +59,13 @@ class Selector(Module):
             raise ConfigError(
                 f"selector: lambda={self.lam} with {n} patch tokens keeps none; "
                 "increase lambda or the token count")
+        if k == n:
+            return x, np.tile(np.arange(n), (x.shape[0], 1))
         patches = x[:, 1:]
-        if self.grad_mode == "score_scaling":
-            s = self.scores(patches)
-        else:
-            # only the order is used, so record no score graph
-            with ad.frozen([self.wq, self.wk]):
-                s = self.scores(patches.detach())
+        s = self.scores(patches)
         order = np.argsort(-s.data, axis=1, kind="stable")[:, :k]
         rows = np.arange(x.shape[0])[:, None]
         kept = patches[rows, order]
-        if self.grad_mode == "score_scaling":
-            gains = ad.sigmoid(s[rows, order])
-            kept = kept * gains.reshape((x.shape[0], k, 1))
+        gains = ad.sigmoid(s[rows, order])
+        kept = kept * gains.reshape((x.shape[0], k, 1))
         return ad.concat([x[:, 0:1], kept], axis=1), order

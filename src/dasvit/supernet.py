@@ -10,6 +10,8 @@ pre-norm and the class row is normalized before the head.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import autodiff as ad
@@ -85,18 +87,19 @@ class MixedEdge:
 class Supernet(Module):
     """Embedding, token selector, stacked mixed cells, and class head."""
 
-    # `shared_alpha`, `pre_norm` and `final_norm` are kept only because the
-    # benchmark's `_stage_supernet` passes them (ROADMAP direction 2); every
-    # value but True is refused.
+    # `grad_mode`, `shared_alpha`, `pre_norm` and `final_norm` are kept only
+    # because the benchmark's `_stage_supernet` passes them (ROADMAP direction
+    # 2); every value but the one model's is refused.
     def __init__(self, dims: ModelDims, candidates: list[OpSpec], num_layers: int,
                  rng: np.random.Generator, lam: float = 0.5,
                  grad_mode: str = "score_scaling", shared_alpha: bool = True,
                  pre_norm: bool = True, final_norm: bool = True,
                  alpha_init_std: float = 1e-3):
-        for key, value in (("shared_alpha", shared_alpha), ("pre_norm", pre_norm),
-                           ("final_norm", final_norm)):  # direction 2 shim
-            if value is not True:
-                raise ConfigError(f"Supernet: {key}={value!r}; only True is built")
+        for key, value, built in (  # direction 2 shim
+                ("grad_mode", grad_mode, "score_scaling"), ("shared_alpha", shared_alpha, True),
+                ("pre_norm", pre_norm, True), ("final_norm", final_norm, True)):
+            if type(value) is not type(built) or value != built:
+                raise ConfigError(f"Supernet: {key}={value!r}; only {built!r} is built")
         if num_layers < 1:
             raise ConfigError("Supernet: need at least one layer")
         names = [spec.name for spec in candidates]
@@ -106,7 +109,7 @@ class Supernet(Module):
         self.candidates = list(candidates)
         self.num_layers = num_layers
         self.embed = EmbedParams(dims, rng)
-        self.selector = Selector(dims.dim, lam, grad_mode, rng)
+        self.selector = Selector(dims.dim, lam, rng)
         self.alpha = AlphaTable(self.candidates, rng, init_std=alpha_init_std)
         self.cells: list[list[MixedEdge]] = [
             [MixedEdge(self.candidates, dims.dim, rng) for _ in range(NUM_EDGES)]
@@ -118,22 +121,16 @@ class Supernet(Module):
                     rng: np.random.Generator) -> "Supernet":
         """The supernet a `RunConfig` describes over `candidates`."""
         return cls(cfg.model.dims(), candidates, num_layers, rng,
-                   lam=cfg.selector.lam, grad_mode=cfg.selector.grad_mode,
-                   alpha_init_std=cfg.search.alpha_init_std)
+                   lam=cfg.selector.lam, alpha_init_std=cfg.search.alpha_init_std)
 
     # -- forward ---------------------------------------------------------------
 
     def cell(self, layer: int, in0: CellValue, in1: CellValue,
              rows: list[Tensor]) -> Tensor:
         """One mixed cell, edge `e` weighted by ``rows[e]``."""
-        edges = self.cells[layer]
-
-        def node_terms(target, values):
-            for e, (src, dst) in enumerate(CELL_EDGES):
-                if dst == target:
-                    yield edges[e].forward(values[src], rows[e])
-
-        return walk_cell(in0, in1, node_terms)
+        return walk_cell(in0, in1, [
+            (src, dst, functools.partial(edge.forward, weights=w))
+            for (src, dst), edge, w in zip(CELL_EDGES, self.cells[layer], rows)])
 
     def forward(self, images) -> Tensor:
         z, _ = self.selector.select(self.embed.embed(images))
@@ -143,13 +140,12 @@ class Supernet(Module):
 
     # -- parameter access --------------------------------------------------------
 
-    def weight_parameters(self, include_selector: bool = True) -> dict[str, Tensor]:
+    def weight_parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
         for name, p in self.embed.named_parameters().items():
             out[f"embed.{name}"] = p
-        if include_selector:
-            for name, p in self.selector.named_parameters().items():
-                out[f"selector.{name}"] = p
+        for name, p in self.selector.named_parameters().items():
+            out[f"selector.{name}"] = p
         for layer, edges in enumerate(self.cells):
             for e, edge in enumerate(edges):
                 for name, p in edge.named_parameters().items():

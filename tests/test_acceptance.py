@@ -78,8 +78,8 @@ def test_criterion_1_gradient_fidelity():
         errors["cell"] = fd_error(lambda: (sup.cell(0, CellValue(a), CellValue(b),
                                                      sup.alpha.edge_rows()) * proj).sum(), wrt)
 
-        # token selector in score_scaling mode (clear of selection boundaries)
-        sel = Selector(8, 0.5, "score_scaling", np.random.default_rng(2))
+        # token selector (clear of selection boundaries)
+        sel = Selector(8, 0.5, np.random.default_rng(2))
         sel.wq.data *= 25.0
         sel.wk.data *= 25.0
         xs = Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True)
@@ -149,8 +149,7 @@ def test_criterion_3_hardened_supernet_matches_derived_model():
         images = make_synthetic(2, 4, 8, seed=99).images.astype(np.float64)
         for seed in range(10):
             pick = np.random.default_rng(1000 + seed)
-            sup = Supernet(dims, DESK8, 2, np.random.default_rng(seed),
-                           lam=1.0, grad_mode="gather_only")
+            sup = Supernet(dims, DESK8, 2, np.random.default_rng(seed), lam=1.0)
             assignment = [str(pick.choice(nonzero)) for _ in range(5)]
             assignment[int(pick.integers(2, 5))] = "zero"  # one dropped edge into n1
             logits = np.zeros_like(sup.alpha.logits.data)
@@ -261,7 +260,7 @@ def test_criterion_6_token_selection_memory_and_topk():
         # attention over (B, N, D) tokens forms B * heads * N * N scores
         full_elements = x.shape[0] * msa.heads * x.shape[1] ** 2
         msa.forward(CellValue(x))
-        sel = Selector(16, 0.5, "gather_only", np.random.default_rng(1))
+        sel = Selector(16, 0.5, np.random.default_rng(1))
         reduced, _ = sel.select(x)
         msa.forward(CellValue(reduced))
         ratio = reduced.shape[0] * msa.heads * reduced.shape[1] ** 2 / full_elements
@@ -279,7 +278,7 @@ def test_criterion_6_token_selection_memory_and_topk():
             x = rng.standard_normal((1, n + 1, 4))
             if trial % 5 == 0:
                 x[0, 2] = x[0, 1 + n // 2]  # duplicate tokens force tied scores
-            sel = Selector(4, lam, "gather_only", np.random.default_rng(trial))
+            sel = Selector(4, lam, np.random.default_rng(trial))
             scores = sel.scores(Tensor(x[:, 1:])).data[0]
             _, idx = sel.select(Tensor(x))
             expected = topk_oracle(scores.tolist(), k)

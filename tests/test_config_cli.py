@@ -162,7 +162,7 @@ def test_the_config_has_these_leaves():
         "seed",
         "model.dim", "model.patch", "model.image", "model.channels", "model.classes",
         "candidates",
-        "selector.lambda", "selector.grad_mode",
+        "selector.lambda",
         "fairness.a", "fairness.b", "fairness.zeta1", "fairness.zeta2",
         "fairness.gamma_min", "fairness.gamma_max",
         "search.stages", "search.epochs_per_stage", "search.first_layers",
@@ -288,6 +288,23 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
      "data.synthetic.image: must be >= 1, got 0"),
     ("search", {"data": {"synthetic": {"classes": 2, "image": -8}}},
      "data.synthetic.image: must be >= 1, got -8"),
+    ("search", {"selector": {"lambda": 0.2}},
+     "selector.lambda: 0.2 keeps none of 4 patch tokens"),
+    ("retrain", {"model": {"patch": 8}}, "selector.lambda: 0.5 keeps none of 1 patch tokens"),
+    ("search", {"search": {"lr": -1}}, "search.lr: must be >= 0, got -1.0"),
+    ("search", {"search": {"weight_decay": -5}}, "search.weight_decay: must be >= 0, got -5.0"),
+    ("search", {"search": {"warmup_start_lr": -1}},
+     "search.warmup_start_lr: must be >= 0, got -1.0"),
+    ("search", {"search": {"min_lr": -1}}, "search.min_lr: must be >= 0, got -1.0"),
+    ("search", {"search": {"arch_lr": -1}}, "search.arch_lr: must be >= 0, got -1.0"),
+    ("search", {"search": {"arch_weight_decay": -1}},
+     "search.arch_weight_decay: must be >= 0, got -1.0"),
+    ("retrain", {"retrain": {"lr": -1}}, "retrain.lr: must be >= 0, got -1.0"),
+    ("retrain", {"retrain": {"weight_decay": -1}},
+     "retrain.weight_decay: must be >= 0, got -1.0"),
+    ("retrain", {"retrain": {"warmup_start_lr": -1}},
+     "retrain.warmup_start_lr: must be >= 0, got -1.0"),
+    ("retrain", {"retrain": {"min_lr": -1}}, "retrain.min_lr: must be >= 0, got -1.0"),
     # keys since removed, each with a value it once accepted
     ("search", {"search": {"score_mode": "mean"}}, "config.search.score_mode: unknown key"),
     ("search", {"search": {"drop_last": True}}, "config.search.drop_last: unknown key"),
@@ -302,6 +319,8 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
     ("search", {"model": {"pre_norm": True}}, "config.model.pre_norm: unknown key"),
     ("retrain", {"model": {"final_norm": False}}, "config.model.final_norm: unknown key"),
     ("search", {"search": {"shared_alpha": True}}, "config.search.shared_alpha: unknown key"),
+    ("search", {"selector": {"grad_mode": "gather_only"}},
+     "config.selector.grad_mode: unknown key"),
     ("search", {"data": {"synthetic": {"classes": 3}}},
      "data.synthetic.classes: 3, but model.classes is 2"),
     ("retrain", {"data": {"synthetic": {"classes": 1}}},
@@ -316,10 +335,14 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
         "prune-to-one", "depth-to-zero", "first-layers-zero", "xi-negative",
         "retrain-epochs-zero", "retrain-epochs-negative", "checkpoint-every-negative",
         "eval-every-negative", "synthetic-per-class-zero", "synthetic-image-zero",
-        "synthetic-image-negative",
+        "synthetic-image-negative", "lambda-keeps-none", "patch-keeps-none",
+        "search-lr-negative", "search-weight-decay-negative",
+        "search-warmup-start-lr-negative", "search-min-lr-negative", "arch-lr-negative",
+        "arch-weight-decay-negative", "retrain-lr-negative", "retrain-weight-decay-negative",
+        "retrain-warmup-start-lr-negative", "retrain-min-lr-negative",
         "score-mode", "search-drop-last", "unrolled", "retrain-drop-last", "resize-method",
         "resize-image", "synthetic-channels", "precision", "pre-norm", "final-norm",
-        "shared-alpha", "synthetic-classes",
+        "shared-alpha", "grad-mode", "synthetic-classes",
         "synthetic-one-class", "cifar-classes", "cifar-channels"])
 def test_cli_refuses_a_config_the_run_cannot_use(tmp_path, capsys, command, changes,
                                                  message):

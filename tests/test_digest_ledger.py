@@ -15,6 +15,8 @@ environment with no entry the test skips and prints its key.
 
 ``python tests/test_digest_ledger.py`` records (or overwrites) the entry of
 the environment it runs in.
+Each BLAS thread count's entry is recorded by running under that
+``OPENBLAS_NUM_THREADS``, e.g. ``OPENBLAS_NUM_THREADS=1 python tests/test_digest_ledger.py``.
 """
 
 from __future__ import annotations

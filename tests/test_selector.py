@@ -11,8 +11,8 @@ from dasvit.ops import CellValue, ModelDims, MsaOp, OpSpec
 from oracles import check_grads, token_scores_nn, token_scores_oracle, topk_oracle
 
 
-def _selector(dim, lam=0.5, grad_mode="gather_only", seed=0):
-    return Selector(dim, lam, grad_mode, np.random.default_rng(seed))
+def _selector(dim, lam=0.5, seed=0):
+    return Selector(dim, lam, np.random.default_rng(seed))
 
 
 def test_scores_with_identity_weights_and_equal_tokens(rng):
@@ -55,7 +55,7 @@ def test_scores_equal_the_n_by_n_product_without_forming_it(rng, monkeypatch):
 
     monkeypatch.setattr(Tensor, "_from_op", staticmethod(spy))
     with dtype_scope("float64"):
-        sel = _selector(5, grad_mode="score_scaling", seed=3)
+        sel = _selector(5, seed=3)
         x = Tensor(rng.standard_normal((2, 7, 5)), requires_grad=True)
         scores = sel.scores(x)
         expected = token_scores_nn(x.data, sel.wq.data, sel.wk.data)
@@ -65,16 +65,23 @@ def test_scores_equal_the_n_by_n_product_without_forming_it(rng, monkeypatch):
     assert shapes and (2, 7, 7) not in shapes
 
 
-def test_full_lambda_gather_only_is_a_patch_permutation(rng):
+def test_full_lambda_returns_its_input_in_place_unscored(rng, monkeypatch):
+    """At lambda = 1 every token stays where it is, and no node is recorded."""
+    recorded = []
+    from_op = Tensor._from_op
+
+    def spy(data, parents, backward_fn, op):
+        recorded.append(op)
+        return from_op(data, parents, backward_fn, op)
+
+    monkeypatch.setattr(Tensor, "_from_op", staticmethod(spy))
     with dtype_scope("float64"):
-        sel = _selector(4, lam=1.0, grad_mode="gather_only")
-        x = rng.standard_normal((2, 6, 4))  # 5 patches + class token
-        out, idx = sel.select(Tensor(x))
-        assert out.shape == (2, 6, 4)
-        np.testing.assert_array_equal(out.data[:, 0], x[:, 0])
-        for b in range(2):
-            assert sorted(idx[b].tolist()) == [0, 1, 2, 3, 4]
-            np.testing.assert_array_equal(out.data[b, 1:], x[b, 1:][idx[b]])
+        sel = _selector(4, lam=1.0)
+        x = Tensor(rng.standard_normal((2, 6, 4)), requires_grad=True)  # 5 patches
+        out, idx = sel.select(x)
+    assert out is x and recorded == []
+    np.testing.assert_array_equal(idx, [[0, 1, 2, 3, 4]] * 2)
+    assert sel.named_parameters() == {}
 
 
 def test_half_lambda_keeps_floor_half():
@@ -86,7 +93,7 @@ def test_half_lambda_keeps_floor_half():
 
 
 def test_selected_set_matches_sort_oracle_with_ties(rng):
-    sel = _selector(4, lam=0.6, grad_mode="gather_only")
+    sel = _selector(4, lam=0.6)
     for trial in range(50):
         x = rng.standard_normal((1, 8, 4))
         if trial % 3 == 0:
@@ -121,7 +128,7 @@ def test_output_token_count_invariant(n_patches, lam):
 
 def test_score_scaling_gives_selector_gradients(rng):
     with dtype_scope("float64"):
-        sel = _selector(4, lam=0.5, grad_mode="score_scaling")
+        sel = _selector(4, lam=0.5)
         x = Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
         out, _ = sel.select(x)
         backward(out.sum())
@@ -129,28 +136,10 @@ def test_score_scaling_gives_selector_gradients(rng):
         assert sel.wk.grad is not None and np.abs(sel.wk.grad).max() > 0
 
 
-def test_gather_only_gives_no_selector_gradients(rng):
-    with dtype_scope("float64"):
-        sel = _selector(4, lam=0.5, grad_mode="gather_only")
-        same_weights = _selector(4, lam=0.5, grad_mode="score_scaling")
-        x = Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
-        recorded = []
-        scores = sel.scores
-        sel.scores = lambda t: recorded.append(scores(t)) or recorded[-1]
-        out, order = sel.select(x)
-        # the score graph is not recorded, and the order is the scored one
-        assert recorded[0]._parents == () and not recorded[0].requires_grad
-        np.testing.assert_array_equal(order, same_weights.select(x)[1])
-        assert sel.wq.requires_grad and sel.wk.requires_grad
-        backward(out.sum())
-        assert sel.wq.grad is None and sel.wk.grad is None
-        assert x.grad is not None
-
-
 def test_score_scaling_gradients_match_finite_differences():
     with dtype_scope("float64"):
         rng = np.random.default_rng(5)
-        sel = _selector(4, lam=0.5, grad_mode="score_scaling", seed=5)
+        sel = _selector(4, lam=0.5, seed=5)
         sel.wq.data *= 25.0
         sel.wk.data *= 25.0
         x = Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
@@ -178,7 +167,7 @@ def test_attention_score_memory_shrinks_quadratically(rng):
         full_elements = x.shape[0] * msa.heads * x.shape[1] ** 2
         msa.forward(CellValue(x))
 
-        sel = _selector(16, lam=0.5, grad_mode="gather_only")
+        sel = _selector(16, lam=0.5)
         reduced, _ = sel.select(x)
         msa.forward(CellValue(reduced))
         ratio = reduced.shape[0] * msa.heads * reduced.shape[1] ** 2 / full_elements

@@ -1,4 +1,5 @@
 import collections
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dasvit.ops import CellValue, ModelDims, build_op
 from dasvit.supernet import CELL_EDGES, MixedEdge
 from dasvit.data import make_synthetic
 from dasvit.fairness import skip_fairness
+from dasvit.optim import AdamW
 from oracles import check_grads, softmax_np, walk_dag
 
 DESK8 = [
@@ -232,13 +234,12 @@ def test_alpha_gradients_nonzero_when_all_candidates_parameterized(rng):
         assert (np.abs(grad) > 0).all()
 
 
-@pytest.mark.parametrize("grad_mode", ["score_scaling", "gather_only"])
-def test_float32_backward_leaves_every_gradient_float32(grad_mode, monkeypatch):
+def test_float32_backward_leaves_every_gradient_float32(monkeypatch):
     handed = set()
     accumulate = ad._accumulate
     monkeypatch.setattr(ad, "_accumulate",
                         lambda t, g: handed.add(np.asarray(g).dtype) or accumulate(t, g))
-    sup = _supernet(layers=1, grad_mode=grad_mode,
+    sup = _supernet(layers=1,
                     candidates=[OpSpec("zero"), OpSpec("msa", heads=2),
                                 OpSpec("mlp", ratio=0.5)])
     ds = make_synthetic(2, 3, 8, seed=2)
@@ -246,15 +247,24 @@ def test_float32_backward_leaves_every_gradient_float32(grad_mode, monkeypatch):
     assert loss.dtype == np.float32
     backward(loss)
     assert handed == {np.dtype(np.float32)}
-    grads = {n: p.grad for n, p in sup.weight_parameters(
-        include_selector=grad_mode == "score_scaling").items()}
+    grads = {n: p.grad for n, p in sup.weight_parameters().items()}
     grads["alpha.logits"] = sup.alpha.logits.grad
     assert {n: g.dtype for n, g in grads.items()} == dict.fromkeys(grads, np.float32)
 
 
+def test_full_lambda_supernet_lists_only_weights_it_reads():
+    """At lambda = 1 the selector scores nothing, so its projections are not
+    weights to step, and every listed weight gets a gradient."""
+    sup = _supernet(layers=1, lam=1.0)
+    ds = make_synthetic(2, 3, 8, seed=2)
+    backward(ad.cross_entropy(sup.forward(ds.images), ds.labels))
+    assert not [n for n in sup.named_parameters() if n.startswith("selector.")]
+    AdamW(sup.weight_parameters(), lr=1e-3).step()
+
+
 def test_hardened_supernet_matches_derived_model(rng):
     with dtype_scope("float64"):
-        sup = _supernet(layers=2, seed=4, lam=1.0, grad_mode="gather_only")
+        sup = _supernet(layers=2, seed=4, lam=1.0)
         _harden(sup, ["mlp_r0.5", "mlp_r0.5", "mlp_r0.5", "zero", "msa_h4"])
         genotype = make_genotype(
             DIMS, 2,
@@ -283,16 +293,20 @@ def test_supernet_refuses_duplicate_candidate_names():
                               OpSpec("mlp", ratio=0.5)])
 
 
-@pytest.mark.parametrize("key", ["shared_alpha", "pre_norm", "final_norm"])
-def test_supernet_builds_only_the_one_model_shape(key):
-    """Each keyword the benchmark still passes accepts only True."""
+@pytest.mark.parametrize("key, built, refused", [
+    ("shared_alpha", True, (False, None, 1)), ("pre_norm", True, (False, None, 1)),
+    ("final_norm", True, (False, None, 1)), ("grad_mode", "score_scaling", ("gather_only", None)),
+], ids=["shared_alpha", "pre_norm", "final_norm", "grad_mode"])
+def test_supernet_builds_only_the_one_model_shape(key, built, refused):
+    """Each keyword the benchmark still passes accepts only the one model's value."""
     cfg = desk_config()
-    for value in (False, None, 1):
-        with pytest.raises(ConfigError, match=f"^Supernet: {key}={value!r}; only True"):
+    for value in refused:
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"Supernet: {key}={value!r}; only {built!r}")):
             Supernet(cfg.model.dims(), list(cfg.candidates), 1,
                      np.random.default_rng(0), **{key: value})
     assert Supernet(cfg.model.dims(), list(cfg.candidates), 1,
-                    np.random.default_rng(0), **{key: True}).alpha.logits.shape == (5, 8)
+                    np.random.default_rng(0), **{key: built}).alpha.logits.shape == (5, 8)
 
 
 def test_mixed_edge_and_cell_gradients(rng):
