@@ -53,9 +53,6 @@ class SearchConfig:
     batch_size: int = 64
     lr: float = 1e-3
     weight_decay: float = 5e-2
-    warmup_epochs: int = 0
-    warmup_start_lr: float = 1e-6
-    min_lr: float = 0.0
     arch_lr: float = 1e-3
     arch_weight_decay: float = 1e-3
     xi: float = 0.0  # virtual-step size of the second-order gradient; 0: first order
@@ -70,11 +67,9 @@ class SearchConfig:
 class RetrainConfig:
     epochs: int = 500
     warmup_epochs: int = 20
-    warmup_start_lr: float = 1e-6
     batch_size: int = 128
     lr: float = 1e-3
     weight_decay: float = 5e-2
-    min_lr: float = 0.0
     checkpoint_every: int = 0  # 0: final checkpoint only
     eval_every: int = 0        # 0: never run the held-out split during training
 
@@ -129,9 +124,6 @@ class RunConfig:
         s = self.search
         if s.stages < 1 or s.epochs_per_stage < 1:
             raise ConfigError("search: stages and epochs_per_stage must be >= 1")
-        if s.warmup_epochs > s.stages * s.epochs_per_stage:
-            raise ConfigError(f"search.warmup_epochs: {s.warmup_epochs} exceeds the "
-                              f"{s.stages * s.epochs_per_stage} searched epochs")
         if len(s.prune_per_stage) < s.stages:
             raise ConfigError(
                 f"search.prune_per_stage: need at least {s.stages} entries")
@@ -159,19 +151,17 @@ class RunConfig:
         r, syn = self.retrain, self.data.synthetic
         for key, value, least in (
                 ("search.batch_size", s.batch_size, 1), ("retrain.batch_size", r.batch_size, 1),
-                ("search.warmup_epochs", s.warmup_epochs, 0),
                 ("search.lr", s.lr, 0), ("search.weight_decay", s.weight_decay, 0),
-                ("search.warmup_start_lr", s.warmup_start_lr, 0), ("search.min_lr", s.min_lr, 0),
                 ("search.arch_lr", s.arch_lr, 0),
                 ("search.arch_weight_decay", s.arch_weight_decay, 0),
+                ("search.alpha_init_std", s.alpha_init_std, 0),
                 ("retrain.lr", r.lr, 0), ("retrain.weight_decay", r.weight_decay, 0),
-                ("retrain.warmup_start_lr", r.warmup_start_lr, 0),
-                ("retrain.min_lr", r.min_lr, 0),
                 ("retrain.warmup_epochs", r.warmup_epochs, 0), ("retrain.epochs", r.epochs, 1),
                 ("retrain.checkpoint_every", r.checkpoint_every, 0),
                 ("retrain.eval_every", r.eval_every, 0),
                 ("data.synthetic.per_class", syn.per_class, 1),
-                ("data.synthetic.image", syn.image, 1)):
+                ("data.synthetic.image", syn.image, 1),
+                ("data.synthetic.noise", syn.noise, 0)):
             if value < least:
                 raise ConfigError(f"{key}: must be >= {least}, got {value}")
         if r.warmup_epochs > r.epochs:

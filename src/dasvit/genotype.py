@@ -57,6 +57,10 @@ class Genotype:
                         f"Genotype: node {node_id} has invalid source {src}")
                 if spec.kind == "zero":
                     raise GenotypeError("Genotype: zero op cannot be retained")
+                if spec.kind == "msa" and self.dims.dim % spec.heads:
+                    raise GenotypeError(
+                        f"Genotype: node {node_id} keeps {spec.name}, but embedding dim "
+                        f"{self.dims.dim} is not divisible by {spec.heads} heads")
 
     def ops(self) -> list[OpSpec]:
         return [spec for pairs in self.nodes for _, spec in pairs]

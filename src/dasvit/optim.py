@@ -11,20 +11,22 @@ from .autodiff import Tensor
 from .errors import ConfigError, NonFiniteError, OptimizerError
 
 
+#: Learning rate of a schedule's first warmup epoch.
+WARMUP_START_LR = 1e-6
+
+
 @dataclass
 class LrSchedule:
-    """Linear warmup to `base_lr`, then cosine decay toward `min_lr`.
+    """Linear warmup from `WARMUP_START_LR` to `base_lr`, then cosine decay toward 0.
 
-    The schedule is evaluated per epoch. lr(0) == warmup_start_lr when warmup
+    The schedule is evaluated per epoch. lr(0) == WARMUP_START_LR when warmup
     is enabled, lr(warmup_epochs) == base_lr exactly, and the cosine tail
-    approaches (without necessarily reaching) min_lr at the final epoch.
+    approaches (without necessarily reaching) 0 at the final epoch.
     """
 
     base_lr: float
     warmup_epochs: int = 0
-    warmup_start_lr: float = 1e-6
     total_epochs: int = 1
-    min_lr: float = 0.0
 
     def __post_init__(self):
         if self.total_epochs < 1:
@@ -38,15 +40,18 @@ class LrSchedule:
                 f"LrSchedule: epoch {epoch} outside [0, {self.total_epochs})")
         if epoch < self.warmup_epochs:
             frac = epoch / self.warmup_epochs
-            return self.warmup_start_lr + (self.base_lr - self.warmup_start_lr) * frac
+            return WARMUP_START_LR + (self.base_lr - WARMUP_START_LR) * frac
         # warmup_epochs <= epoch < total_epochs, so the span is at least 1
         progress = (epoch - self.warmup_epochs) / (self.total_epochs - self.warmup_epochs)
         cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
-        return self.min_lr + (self.base_lr - self.min_lr) * cosine
+        return self.base_lr * cosine
 
 
 #: Most elements one vectorized operation of `AdamW.step` touches.
 CHUNK = 1 << 15
+#: AdamW's moment decay rates and denominator guard, as published.
+BETAS = (0.9, 0.999)
+EPS = 1e-8
 
 
 class AdamW:
@@ -68,15 +73,11 @@ class AdamW:
     process keeps (see `autodiff`): a rebuilt optimizer reuses the old one's pages.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0):
         if not params:
             raise OptimizerError("AdamW: empty parameter set")
         self.params = dict(params)
         self.lr = float(lr)
-        self.betas = (float(betas[0]), float(betas[1]))
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
         (first, p0), *rest = self.params.items()
@@ -162,7 +163,7 @@ class AdamW:
                 bad = next(n for n, t in zip(names, tensors) if not np.isfinite(t.grad).all())
                 raise NonFiniteError(f"AdamW: gradient of {bad!r} is non-finite")
         self.step_count += 1
-        b1, b2 = self.betas
+        b1, b2 = BETAS
         bc1 = 1.0 - b1**self.step_count
         bc2 = 1.0 - b2**self.step_count
         decay = 1.0 - self.lr * self.weight_decay
@@ -178,7 +179,7 @@ class AdamW:
             v += np.multiply(tmp, g, out=tmp)
             np.divide(v, bc2, out=tmp)
             np.sqrt(tmp, out=tmp)
-            tmp += self.eps
+            tmp += EPS
             np.divide(m, bc1, out=upd)
             upd /= tmp
             upd *= self.lr

@@ -430,11 +430,8 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
     plan = BatchPlan(batch_size=cfg.search.batch_size, seed=seed, drop_last=True)
 
     # spans every configured stage: a run capped by `stages` is a prefix
-    w_sched = LrSchedule(base_lr=cfg.search.lr,
-                         warmup_epochs=cfg.search.warmup_epochs,
-                         warmup_start_lr=cfg.search.warmup_start_lr,
-                         total_epochs=cfg.search.stages * cfg.search.epochs_per_stage,
-                         min_lr=cfg.search.min_lr)
+    w_sched = LrSchedule(cfg.search.lr, warmup_epochs=0,
+                         total_epochs=cfg.search.stages * cfg.search.epochs_per_stage)
 
     model = Supernet.from_config(cfg, candidates, layers, rng_for(seed, RNG_STAGE, built_at))
     if resume is not None:
@@ -558,10 +555,7 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
     model = DerivedModel(genotype, rng_for(seed, RNG_RETRAIN))
     params = model.named_parameters()
     opt = AdamW(params, lr=cfg.retrain.lr, weight_decay=cfg.retrain.weight_decay)
-    sched = LrSchedule(base_lr=cfg.retrain.lr,
-                       warmup_epochs=cfg.retrain.warmup_epochs,
-                       warmup_start_lr=cfg.retrain.warmup_start_lr,
-                       total_epochs=cfg.retrain.epochs, min_lr=cfg.retrain.min_lr)
+    sched = LrSchedule(cfg.retrain.lr, cfg.retrain.warmup_epochs, cfg.retrain.epochs)
     plan = BatchPlan(batch_size=cfg.retrain.batch_size, seed=seed)
     if resume is not None:
         load_parameters(params, arrays, resume, opt_state=opt.state_arrays())

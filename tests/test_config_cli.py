@@ -55,6 +55,7 @@ def test_config_file_roundtrip(tmp_path):
 
 
 def test_paper_scale_defaults_hold_reference_hyperparameters():
+    from dasvit import optim
     from dasvit.config import paper_defaults
 
     cfg = paper_defaults()
@@ -63,7 +64,7 @@ def test_paper_scale_defaults_hold_reference_hyperparameters():
     assert cfg.search.weight_decay == cfg.retrain.weight_decay == 5e-2
     assert (cfg.search.stages, cfg.search.epochs_per_stage) == (3, 30)
     assert (cfg.retrain.epochs, cfg.retrain.warmup_epochs) == (500, 20)
-    assert cfg.retrain.warmup_start_lr == 1e-6
+    assert optim.WARMUP_START_LR == 1e-6
     assert len(cfg.candidates) == 8
     assert cfg.data.synthetic.classes == cfg.model.classes == 10
 
@@ -167,12 +168,11 @@ def test_the_config_has_these_leaves():
         "fairness.gamma_min", "fairness.gamma_max",
         "search.stages", "search.epochs_per_stage", "search.first_layers",
         "search.layer_increment", "search.prune_per_stage", "search.batch_size",
-        "search.lr", "search.weight_decay", "search.warmup_epochs",
-        "search.warmup_start_lr", "search.min_lr", "search.arch_lr",
+        "search.lr", "search.weight_decay", "search.arch_lr",
         "search.arch_weight_decay", "search.xi", "search.val_fraction",
         "search.alpha_init_std",
-        "retrain.epochs", "retrain.warmup_epochs", "retrain.warmup_start_lr",
-        "retrain.batch_size", "retrain.lr", "retrain.weight_decay", "retrain.min_lr",
+        "retrain.epochs", "retrain.warmup_epochs",
+        "retrain.batch_size", "retrain.lr", "retrain.weight_decay",
         "retrain.checkpoint_every", "retrain.eval_every",
         "data.source", "data.dir", "data.synthetic.classes", "data.synthetic.per_class",
         "data.synthetic.image", "data.synthetic.noise", "data.normalize_mean",
@@ -265,7 +265,7 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
     ("search", {"search": {"batch_size": 0}}, "search.batch_size: must be >= 1, got 0"),
     ("retrain", {"retrain": {"batch_size": 0}}, "retrain.batch_size: must be >= 1, got 0"),
     ("search", {"search": {"warmup_epochs": -1}},
-     "search.warmup_epochs: must be >= 0, got -1"),
+     "config.search.warmup_epochs: unknown key"),
     ("retrain", {"retrain": {"warmup_epochs": -2}},
      "retrain.warmup_epochs: must be >= 0, got -2"),
     ("search", {"search": {"prune_per_stage": [-1, 2, 0]}},
@@ -294,8 +294,8 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
     ("search", {"search": {"lr": -1}}, "search.lr: must be >= 0, got -1.0"),
     ("search", {"search": {"weight_decay": -5}}, "search.weight_decay: must be >= 0, got -5.0"),
     ("search", {"search": {"warmup_start_lr": -1}},
-     "search.warmup_start_lr: must be >= 0, got -1.0"),
-    ("search", {"search": {"min_lr": -1}}, "search.min_lr: must be >= 0, got -1.0"),
+     "config.search.warmup_start_lr: unknown key"),
+    ("search", {"search": {"min_lr": -1}}, "config.search.min_lr: unknown key"),
     ("search", {"search": {"arch_lr": -1}}, "search.arch_lr: must be >= 0, got -1.0"),
     ("search", {"search": {"arch_weight_decay": -1}},
      "search.arch_weight_decay: must be >= 0, got -1.0"),
@@ -303,8 +303,12 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
     ("retrain", {"retrain": {"weight_decay": -1}},
      "retrain.weight_decay: must be >= 0, got -1.0"),
     ("retrain", {"retrain": {"warmup_start_lr": -1}},
-     "retrain.warmup_start_lr: must be >= 0, got -1.0"),
-    ("retrain", {"retrain": {"min_lr": -1}}, "retrain.min_lr: must be >= 0, got -1.0"),
+     "config.retrain.warmup_start_lr: unknown key"),
+    ("retrain", {"retrain": {"min_lr": -1}}, "config.retrain.min_lr: unknown key"),
+    ("search", {"search": {"alpha_init_std": -1.0}},
+     "search.alpha_init_std: must be >= 0, got -1.0"),
+    ("search", {"data": {"synthetic": {"classes": 2, "noise": -0.5}}},
+     "data.synthetic.noise: must be >= 0, got -0.5"),
     # keys since removed, each with a value it once accepted
     ("search", {"search": {"score_mode": "mean"}}, "config.search.score_mode: unknown key"),
     ("search", {"search": {"drop_last": True}}, "config.search.drop_last: unknown key"),
@@ -340,6 +344,7 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
         "search-warmup-start-lr-negative", "search-min-lr-negative", "arch-lr-negative",
         "arch-weight-decay-negative", "retrain-lr-negative", "retrain-weight-decay-negative",
         "retrain-warmup-start-lr-negative", "retrain-min-lr-negative",
+        "alpha-init-std-negative", "synthetic-noise-negative",
         "score-mode", "search-drop-last", "unrolled", "retrain-drop-last", "resize-method",
         "resize-image", "synthetic-channels", "precision", "pre-norm", "final-norm",
         "shared-alpha", "grad-mode", "synthetic-classes",

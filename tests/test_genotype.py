@@ -261,8 +261,11 @@ def test_unknown_field_rejected_with_path():
      r"genotype\.dims\.embed: missing required key"),
     (("nodes", 1, 1, "op"), {"kind": "msa"},
      r"genotype\.nodes\[1\]\[1\]\.op: OpSpec: msa requires a positive integer head count"),
+    (("nodes", 1, 1, "op"), {"kind": "msa", "heads": 5},
+     r"genotype: Genotype: node 3 keeps msa_h5, but embedding dim 8 is not divisible "
+     r"by 5 heads"),
 ], ids=["channels-null", "classes-true", "src-true", "version-true", "embed-missing",
-        "msa-without-heads"])
+        "msa-without-heads", "msa-heads-not-dividing-embed"])
 def test_genotype_type_errors_name_their_path(path, value, message):
     doc = genotype_to_json(searched_encoder_genotype(DESK, depth=1, heads=2))
     set_json_path(doc, path, value)

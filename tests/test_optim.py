@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dasvit import AdamW, LrSchedule, Tensor, backward, dtype_scope
+from dasvit import AdamW, LrSchedule, Tensor, backward, desk_config, dtype_scope
 from dasvit import autodiff as ad
+from dasvit.config import paper_defaults
 from dasvit.errors import ConfigError, NonFiniteError, OptimizerError
 from dasvit.optim import CHUNK
 from oracles import adamw_step_oracle
@@ -21,7 +22,7 @@ def test_single_step_on_quadratic_matches_hand_recurrence():
     # f(w) = w^2 / 2 at w=1: g=1, m_hat=1, v_hat=1, so the step is ~lr exactly.
     w = _param([1.0])
     w.grad = np.array([1.0])
-    opt = AdamW({"w": w}, lr=0.1, betas=(0.9, 0.999), weight_decay=0.0)
+    opt = AdamW({"w": w}, lr=0.1, weight_decay=0.0)
     opt.step()
     assert abs(float(w.data[0]) - 0.9) < 1e-7
 
@@ -222,20 +223,17 @@ def test_a_rebuilt_optimizer_reuses_the_pages_of_the_one_before_it():
 
 
 def test_lr_starts_at_warmup_start():
-    sched = LrSchedule(base_lr=1e-3, warmup_epochs=20, warmup_start_lr=1e-6,
-                       total_epochs=500)
+    sched = LrSchedule(base_lr=1e-3, warmup_epochs=20, total_epochs=500)
     assert sched.lr_at(0) == 1e-6
 
 
 def test_lr_reaches_base_at_warmup_junction():
-    sched = LrSchedule(base_lr=1e-3, warmup_epochs=20, warmup_start_lr=1e-6,
-                       total_epochs=500)
+    sched = LrSchedule(base_lr=1e-3, warmup_epochs=20, total_epochs=500)
     assert sched.lr_at(20) == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_lr_final_epoch_matches_cosine_formula():
-    sched = LrSchedule(base_lr=1e-3, warmup_epochs=20, warmup_start_lr=1e-6,
-                       total_epochs=500, min_lr=0.0)
+    sched = LrSchedule(base_lr=1e-3, warmup_epochs=20, total_epochs=500)
     progress = (499 - 20) / (500 - 20)
     expected = 0.5 * 1e-3 * (1.0 + math.cos(math.pi * progress))
     assert sched.lr_at(499) == pytest.approx(expected, rel=1e-12)
@@ -253,15 +251,33 @@ def test_lr_epoch_out_of_range():
 @given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=59))
 def test_lr_bounds_invariant(total, warmup):
     warmup = min(warmup, total)
-    sched = LrSchedule(base_lr=1e-3, warmup_epochs=warmup, warmup_start_lr=1e-6,
-                       total_epochs=total, min_lr=1e-5)
-    lo = min(1e-6, 1e-5)
+    sched = LrSchedule(base_lr=1e-3, warmup_epochs=warmup, total_epochs=total)
     for epoch in range(total):
         lr = sched.lr_at(epoch)
-        assert lo - 1e-15 <= lr <= 1e-3 + 1e-15
+        assert 0.0 <= lr <= 1e-3 + 1e-15
+
+
+@pytest.mark.parametrize("preset", [paper_defaults, desk_config])
+def test_lr_of_each_preset_is_the_general_formula_at_its_former_defaults(preset):
+    """The schedules the search and retrain build equal, bit for bit, the
+    warmup+cosine formula with a warmup start lr and a cosine floor, at the
+    values every run used: start 1e-6, floor 0."""
+
+    def general(base_lr, warmup, total, epoch, start_lr=1e-6, min_lr=0.0):
+        if epoch < warmup:
+            return start_lr + (base_lr - start_lr) * (epoch / warmup)
+        progress = (epoch - warmup) / (total - warmup)
+        return min_lr + (base_lr - min_lr) * (0.5 * (1.0 + math.cos(math.pi * progress)))
+
+    cfg = preset()
+    s, r = cfg.search, cfg.retrain
+    for base_lr, warmup, total in ((s.lr, 0, s.stages * s.epochs_per_stage),
+                                   (r.lr, r.warmup_epochs, r.epochs)):
+        sched = LrSchedule(base_lr, warmup, total)
+        for epoch in range(total):
+            assert sched.lr_at(epoch) == general(base_lr, warmup, total, epoch), epoch
 
 
 def test_lr_continuous_at_junction():
-    sched = LrSchedule(base_lr=1.0, warmup_epochs=10, warmup_start_lr=0.0,
-                       total_epochs=1000)
+    sched = LrSchedule(base_lr=1.0, warmup_epochs=10, total_epochs=1000)
     assert sched.lr_at(10) - sched.lr_at(9) == pytest.approx(0.1, abs=1e-3)

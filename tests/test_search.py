@@ -514,15 +514,6 @@ def test_batch_tag_mismatch_is_rejected():
         bilevel_epoch(state, batches, batches)
 
 
-def test_search_warmup_beyond_the_searched_epochs_names_its_path(tmp_path):
-    cfg = desk_config()
-    cfg = dataclasses.replace(cfg, search=dataclasses.replace(cfg.search,
-                                                              warmup_epochs=20))
-    with pytest.raises(ConfigError, match=r"search\.warmup_epochs: 20 exceeds"):
-        run_search(cfg, tmp_path / "run", stages=1)
-    assert not (tmp_path / "run").exists()
-
-
 # -- full runs ------------------------------------------------------------------------
 
 
