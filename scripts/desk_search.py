@@ -45,6 +45,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--retrain-epochs", type=int, default=100)
     args = parser.parse_args()
+    if args.retrain_epochs < 1:
+        parser.error("--retrain-epochs must be at least 1")
 
     cfg = desk_config(seed=args.seed)
     cfg = dataclasses.replace(cfg, retrain=dataclasses.replace(

@@ -55,6 +55,8 @@ def main() -> int:
     parser.add_argument("--weight-lr", type=float, default=1e-4)
     parser.add_argument("--skip-coefficient", type=float, default=1.0)
     args = parser.parse_args()
+    if args.epochs < 1:
+        parser.error("--epochs must be at least 1")
 
     runs = {
         "penalty_off": run(0.0, args.seed, args.epochs, args.weight_lr),

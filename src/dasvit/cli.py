@@ -68,7 +68,7 @@ def _load_config(path, seed):
 
     cfg = load_config(path) if path is not None else desk_config()
     if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=int(seed))
+        cfg = dataclasses.replace(cfg, seed=int(seed)).validate()
     return cfg
 
 

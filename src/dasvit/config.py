@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .data import CIFAR10_MEAN, CIFAR10_STD, write_json
+from .data import write_json
 from .errors import ConfigError
 from .fairness import FairnessConfig
 from .ops import DEFAULT_CANDIDATES, ModelDims, OpSpec, as_json, read_json
@@ -87,8 +87,6 @@ class DataConfig:
     source: str = "synthetic"
     dir: str | None = None
     synthetic: SyntheticConfig = field(default_factory=SyntheticConfig)
-    normalize_mean: list[float] | None = None
-    normalize_std: list[float] | None = None
 
 
 @dataclass
@@ -103,7 +101,11 @@ class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
 
     def validate(self) -> "RunConfig":
-        n_patches = self.model.dims().n_patches  # divisibility and positivity checks
+        """Refuse a config the run cannot use, naming its JSON path; assigns nothing."""
+        try:
+            n_patches = self.model.dims().n_patches  # divisibility and positivity checks
+        except ConfigError as exc:
+            raise ConfigError(f"model: {exc}") from None
         lam = self.selector.lam
         if not 0 < lam <= 1:
             raise ConfigError(f"selector.lambda: must lie in (0, 1], got {lam}")
@@ -112,6 +114,8 @@ class RunConfig:
                               "patch tokens; it must keep at least one")
         if not self.candidates:
             raise ConfigError("candidates: must not be empty")
+        if all(spec.kind == "zero" for spec in self.candidates):
+            raise ConfigError("candidates: every candidate is zero; nothing would train")
         names = [spec.name for spec in self.candidates]
         for i, spec in enumerate(self.candidates):
             if spec.kind == "msa" and self.model.dim % spec.heads != 0:
@@ -150,6 +154,7 @@ class RunConfig:
             raise ConfigError("search.val_fraction: must lie in (0, 1)")
         r, syn = self.retrain, self.data.synthetic
         for key, value, least in (
+                ("seed", self.seed, 0),
                 ("search.batch_size", s.batch_size, 1), ("retrain.batch_size", r.batch_size, 1),
                 ("search.lr", s.lr, 0), ("search.weight_decay", s.weight_decay, 0),
                 ("search.arch_lr", s.arch_lr, 0),
@@ -177,21 +182,6 @@ class RunConfig:
             for key, have, need in (("classes", m.classes, 10), ("channels", m.channels, 3)):
                 if have != need:
                     raise ConfigError(f"model.{key}: {have}, but cifar10 has {need} {key}")
-        if (self.data.normalize_mean is None) != (self.data.normalize_std is None):
-            raise ConfigError("data: normalize_mean and normalize_std go together")
-        if self.data.source == "cifar10" and self.data.normalize_mean is None:
-            # the dataset's computed per-channel statistics become part of the
-            # effective config so the echoed file reproduces the run
-            self.data.normalize_mean = list(CIFAR10_MEAN)
-            self.data.normalize_std = list(CIFAR10_STD)
-        mean, std = self.data.normalize_mean, self.data.normalize_std
-        if mean is not None:
-            for key, values in (("mean", mean), ("std", std)):
-                if len(values) != self.model.channels:
-                    raise ConfigError(f"data.normalize_{key}: {len(values)} entries, but "
-                                      f"model.channels is {self.model.channels}")
-            if min(std) <= 0:
-                raise ConfigError(f"data.normalize_std: entries must be > 0, got {std}")
         return self
 
 

@@ -34,8 +34,8 @@ def rng_for(seed: int, *tags: int) -> np.random.Generator:
 
 @dataclass
 class Dataset:
-    """Images with integer labels: in [0, 1] as loaded or generated, and
-    normalized by `search.build_datasets` when the config asks for it."""
+    """Images with integer labels: in [0, 1] as loaded or generated;
+    `search.build_datasets` normalizes cifar10 images."""
 
     images: np.ndarray  # (M, H, W, C) float32
     labels: np.ndarray  # (M,) int64 in [0, classes)

@@ -24,11 +24,11 @@ import numpy as np
 
 from .autodiff import backward, cross_entropy, finite_pass, frozen
 from .config import RunConfig, save_config
-from .data import (Batch, BatchPlan, Dataset, RNG_RETRAIN, RNG_STAGE, RunLog,
-                   epoch_batches, load_checkpoint, load_parameters, make_synthetic,
-                   load_cifar10, manifest_value, normalize, resize_images, rng_for,
-                   save_checkpoint, sequential_batches, split_dataset, topk_accuracy,
-                   write_json)
+from .data import (Batch, BatchPlan, CIFAR10_MEAN, CIFAR10_STD, Dataset, RNG_RETRAIN,
+                   RNG_STAGE, RunLog, epoch_batches, load_checkpoint, load_parameters,
+                   make_synthetic, load_cifar10, manifest_value, normalize, resize_images,
+                   rng_for, save_checkpoint, sequential_batches, split_dataset,
+                   topk_accuracy, write_json)
 from .errors import ConfigError, DataError, GenotypeError, NonFiniteError, SearchAbort
 from .fairness import FairnessConfig, skip_fairness, type_fairness
 from .genotype import (DerivedModel, Genotype, genotype_to_json, make_genotype,
@@ -269,7 +269,8 @@ def bilevel_epoch(state: SearchState, train_batches: list[Batch],
 
 def build_datasets(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
     """(train, held-out) datasets per the data config, resized to
-    ``model.image`` and then normalized when it says so."""
+    ``model.image``; cifar10 is then normalized by its train-split
+    statistics, synthetic data never."""
     if cfg.data.source == "synthetic":
         syn, channels = cfg.data.synthetic, cfg.model.channels
         train = make_synthetic(syn.classes, syn.per_class, syn.image, seed,
@@ -282,8 +283,8 @@ def build_datasets(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
         train, test = load_cifar10(cfg.data.dir)
     for ds in (train, test):
         ds.images = resize_images(ds.images, cfg.model.image)
-        if cfg.data.normalize_mean is not None:
-            ds.images = normalize(ds.images, cfg.data.normalize_mean, cfg.data.normalize_std)
+        if cfg.data.source == "cifar10":
+            ds.images = normalize(ds.images, CIFAR10_MEAN, CIFAR10_STD)
     return train, test
 
 

@@ -69,17 +69,15 @@ def test_paper_scale_defaults_hold_reference_hyperparameters():
     assert cfg.data.synthetic.classes == cfg.model.classes == 10
 
 
-def test_cifar_source_fills_normalization_stats():
-    from dasvit.data import CIFAR10_MEAN, CIFAR10_STD
-
-    cfg = desk_config()
-    cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, classes=10),
-                              data=dataclasses.replace(cfg.data, source="cifar10",
-                                                       dir="/tmp/anything")).validate()
-    assert cfg.data.normalize_mean == list(CIFAR10_MEAN)
-    assert cfg.data.normalize_std == list(CIFAR10_STD)
-    echoed = config_to_json(cfg)
-    assert echoed["data"]["normalize_mean"] == list(CIFAR10_MEAN)
+def test_validate_leaves_a_cifar_config_as_it_was_read():
+    """Normalization follows the source, so validating a cifar10 config adds
+    nothing to it: the echoed document is the one that was read."""
+    doc = config_to_json(desk_config())
+    doc["model"]["classes"] = 10
+    doc["data"].update(source="cifar10", dir="absent")
+    cfg = config_from_json(doc)
+    assert config_to_json(cfg) == doc
+    assert config_to_json(cfg.validate()) == doc
 
 
 def test_resize_flag_reshapes_datasets():
@@ -175,8 +173,7 @@ def test_the_config_has_these_leaves():
         "retrain.batch_size", "retrain.lr", "retrain.weight_decay",
         "retrain.checkpoint_every", "retrain.eval_every",
         "data.source", "data.dir", "data.synthetic.classes", "data.synthetic.per_class",
-        "data.synthetic.image", "data.synthetic.noise", "data.normalize_mean",
-        "data.normalize_std"]
+        "data.synthetic.image", "data.synthetic.noise"]
 
 
 @settings(max_examples=400)
@@ -259,9 +256,15 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, changes, message", [
     ("search", {"data": {"normalize_mean": [0.5, 0.5], "normalize_std": [0.2] * 3}},
-     "data.normalize_mean: 2 entries, but model.channels is 3"),
-    ("search", {"data": {"normalize_mean": [0.5] * 3, "normalize_std": [0.2, 0, 0.2]}},
-     "data.normalize_std: entries must be > 0"),
+     "config.data.normalize_mean: unknown key"),
+    ("search", {"data": {"normalize_std": [0.2, 0, 0.2]}},
+     "config.data.normalize_std: unknown key"),
+    ("search", {"seed": -1}, "seed: must be >= 0, got -1"),
+    ("search", {"model": {"patch": 3}},
+     "model: ModelDims: image size 8 not divisible by patch 3"),
+    ("retrain", {"model": {"dim": 0}}, "model: ModelDims: all dimensions must be positive"),
+    ("search", {"candidates": [{"kind": "zero"}], "search": {"stages": 1}},
+     "candidates: every candidate is zero; nothing would train"),
     ("search", {"search": {"batch_size": 0}}, "search.batch_size: must be >= 1, got 0"),
     ("retrain", {"retrain": {"batch_size": 0}}, "retrain.batch_size: must be >= 1, got 0"),
     ("search", {"search": {"warmup_epochs": -1}},
@@ -334,7 +337,8 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
     ("retrain", {"model": {"classes": 10, "channels": 1},
                  "data": {"source": "cifar10", "dir": "absent"}},
      "model.channels: 1, but cifar10 has 3 channels"),
-], ids=["mean-length", "std-zero", "search-batch-size", "retrain-batch-size",
+], ids=["mean-length", "std-zero", "seed-negative", "patch-not-dividing", "dim-zero",
+        "zero-only", "search-batch-size", "retrain-batch-size",
         "search-warmup-negative", "retrain-warmup-negative", "prune-negative",
         "prune-to-one", "depth-to-zero", "first-layers-zero", "xi-negative",
         "retrain-epochs-zero", "retrain-epochs-negative", "checkpoint-every-negative",
@@ -353,7 +357,10 @@ def test_cli_refuses_a_config_the_run_cannot_use(tmp_path, capsys, command, chan
                                                  message):
     doc = config_to_json(desk_config())
     for section, leaves in changes.items():
-        doc[section].update(leaves)
+        if isinstance(doc[section], dict):
+            doc[section].update(leaves)
+        else:
+            doc[section] = leaves
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
         config_from_json(doc)
     cfg_path = tmp_path / "cfg.json"
@@ -368,6 +375,22 @@ def test_cli_refuses_a_config_the_run_cannot_use(tmp_path, capsys, command, chan
     captured = capsys.readouterr()
     assert code == 1 and not captured.out
     assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["search", "retrain", "eval"])
+def test_cli_refuses_a_negative_seed_override(tmp_path, capsys, command):
+    """``--seed`` replaces the validated config's seed, so it is checked again."""
+    out = tmp_path / "out"
+    argv = [command, "--seed", "-1", "--out", str(out)]
+    if command != "search":
+        argv += ["--genotype", str(tmp_path / "genotype.json")]
+    if command == "eval":
+        argv += ["--checkpoint", str(tmp_path / "model.ckpt")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err == "error: seed: must be >= 0, got -1\n"
     assert not out.exists()
 
 

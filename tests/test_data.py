@@ -115,6 +115,27 @@ def test_normalize_roundtrip(seed):
     assert np.abs(back - images).max() < 1e-6
 
 
+def test_cifar_source_is_normalized_by_its_train_statistics(cifar_dir):
+    cfg = desk_config()
+    cfg.model.classes = 10
+    cfg.data.source, cfg.data.dir = "cifar10", str(cifar_dir)
+    expected = [normalize(resize_images(split.images, cfg.model.image),
+                          data_mod.CIFAR10_MEAN, data_mod.CIFAR10_STD)
+                for split in load_cifar10(cifar_dir)]
+    for ds, want in zip(build_datasets(cfg.validate(), 0), expected):
+        np.testing.assert_array_equal(ds.images, want)
+
+
+def test_synthetic_source_is_never_normalized():
+    cfg = desk_config()
+    train, _ = build_datasets(cfg, 0)
+    syn = cfg.data.synthetic
+    np.testing.assert_array_equal(
+        train.images, make_synthetic(syn.classes, syn.per_class, syn.image, 0,
+                                     noise=syn.noise).images)
+    assert train.images.min() >= 0.0 and train.images.max() <= 1.0
+
+
 # -- resizing --------------------------------------------------------------------------
 
 
@@ -166,15 +187,10 @@ def test_epoch_batches_drop_last():
     assert [len(b.labels) for b in full] == [4, 4, 4, 4, 2]
 
 
-def test_batch_split_tag_and_normalization():
-    cfg = desk_config()
-    plain, _ = build_datasets(cfg, 0)
-    cfg.data.normalize_mean, cfg.data.normalize_std = [0.5] * 3, [0.25] * 3
-    ds, _ = build_datasets(cfg.validate(), 0)
+def test_batch_split_tag():
+    ds, _ = build_datasets(desk_config(), 0)
     batches = epoch_batches(ds, np.arange(len(ds)), BatchPlan(8, 0), 0, "val")
     assert all(b.split == "val" for b in batches)
-    raw = plain.images[batches[0].indices]
-    np.testing.assert_allclose(batches[0].images, (raw - 0.5) / 0.25, atol=1e-6)
 
 
 # -- metrics ---------------------------------------------------------------------------

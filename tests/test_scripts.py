@@ -23,6 +23,17 @@ def test_script_exits_cleanly(tmp_path, script, args):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("script, args", [
+    ("desk_search.py", ["--out", "desk", "--retrain-epochs", "0"]),
+    ("skip_dominance_study.py", ["--out", "fairness.csv", "--epochs", "0"]),
+])
+def test_script_refuses_an_epoch_count_below_one(tmp_path, script, args):
+    proc = _run(tmp_path, script, args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "must be at least 1" in proc.stderr
+    assert not any(tmp_path.iterdir())
+
+
 def test_desk_search_reports_a_refused_search_and_scores_the_reference(tmp_path):
     # seed 2's desk search ends with every edge into a node Zero-dominant
     proc = _run(tmp_path, "desk_search.py",
