@@ -1010,10 +1010,10 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     bsz = logits.shape[0]
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    lse = np.log(e.sum(axis=1))
-    nll = lse - shifted[np.arange(bsz), y]
+    total = e.sum(axis=1, keepdims=True)
+    nll = np.log(total[:, 0]) - shifted[np.arange(bsz), y]
     out = np.asarray(nll.mean(), dtype=logits.dtype)
-    probs = e / e.sum(axis=1, keepdims=True)
+    probs = e / total
 
     def bw(g):
         grad = probs.copy()

@@ -120,23 +120,26 @@ def _read_cifar_batch(path: Path) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(f"cifar10: {path} contains a label byte > 9")
     # channel-planar R,G,B planes, each 32x32 row-major
     pixels = (records[:, 1:].reshape(-1, 3, CIFAR10_IMAGE, CIFAR10_IMAGE)
-              .transpose(0, 2, 3, 1))
-    return (pixels.astype(np.float32) / 255.0), labels
+              .transpose(0, 2, 3, 1).astype(np.float32))
+    pixels /= 255.0
+    return pixels, labels
 
 
-def load_cifar10(directory) -> tuple[Dataset, Dataset]:
-    """Load the standard binary batches: 50,000 train / 10,000 test images."""
+def load_cifar10(directory, image: int = CIFAR10_IMAGE) -> tuple[Dataset, Dataset]:
+    """Load the standard binary batches: 50,000 train / 10,000 test images,
+    each file's images resized to `image` as it is read, so only one file is
+    ever held at 32x32."""
     directory = Path(directory)
     if not directory.is_dir():
         raise DataError(f"cifar10: directory not found: {directory}")
-    images, labels = [], []
-    for stem in _CIFAR_TRAIN_FILES:
+
+    def read(stem):
         img, lab = _read_cifar_batch(_cifar_file(directory, stem))
-        images.append(img)
-        labels.append(lab)
+        return resize_images(img, image), lab
+
+    images, labels = zip(*map(read, _CIFAR_TRAIN_FILES))
     train = Dataset(np.concatenate(images), np.concatenate(labels), classes=10)
-    img, lab = _read_cifar_batch(_cifar_file(directory, _CIFAR_TEST_FILE))
-    test = Dataset(img, lab, classes=10)
+    test = Dataset(*read(_CIFAR_TEST_FILE), classes=10)
     return train, test
 
 

@@ -1,11 +1,14 @@
 """Operation-fairness regularization added to the validation loss.
 
-Two terms over the softmax-normalized architecture weights:
+Both terms read one (edge, kind) table of softmax-normalized architecture
+weights: the softmax of the logits times the constant 0/1 (candidate, kind)
+membership matrix, so each entry is an edge's total weight on one kind.
 
-* skip term: the mean weight assigned to the Identity (skip) candidate
-  across all edges, discouraging skip dominance;
-* type term: per edge, the total weight of each operation type present in
-  the candidate set is hinged into the band [gamma_min, gamma_max], with
+* skip term: the mean Identity (skip) column of the table over all edges,
+  discouraging skip dominance; a registry without Identity reads an
+  all-zero column, so the term and its gradient are exactly 0;
+* type term: every entry of the table for the types present in the
+  candidate set is hinged into the band [gamma_min, gamma_max], with
   separate coefficients for overshoot and undershoot.
 
 Both are computed on normalized weights (raw logits are softmax
@@ -43,34 +46,26 @@ class FairnessConfig:
             raise ConfigError("FairnessConfig: a, b, zeta1, zeta2 must be nonnegative")
 
 
-def _scalar_zero() -> Tensor:
-    # in the default dtype, so adding it to a float32 loss keeps float32
-    return ad.Tensor(np.zeros((), dtype=ad.default_dtype()))
+def _kind_mass(alpha, kinds) -> Tensor:
+    """(edge, kind) softmax weight summed over each kind's candidates."""
+    member = np.array([[spec.kind == kind for kind in kinds] for spec in alpha.candidates],
+                      dtype=ad.default_dtype())
+    return ad.softmax(alpha.logits) @ Tensor(member)
 
 
 def skip_fairness(alpha) -> Tensor:
     """Mean softmax weight of the Identity candidate over all edges."""
-    cols = [i for i, spec in enumerate(alpha.candidates) if spec.kind == "identity"]
-    if not cols:
-        return _scalar_zero()
-    return ad.softmax(alpha.logits)[:, cols].sum(axis=1).mean()
+    return _kind_mass(alpha, ("identity",)).mean()
 
 
 def type_fairness(alpha, cfg: FairnessConfig) -> Tensor:
     """Hinge penalty on per-edge type weight sums outside [gamma_min, gamma_max].
 
-    Summed over types and edges. The hinge subgradient at the kink
-    is 0, so the loss stays piecewise-smooth.
+    Summed over edges, then over types in ``OP_KINDS`` order. The hinge
+    subgradient at the kink is 0, so the loss stays piecewise-smooth.
     """
-    w = ad.softmax(alpha.logits)
-    total = None
-    for kind in OP_KINDS:
-        cols = [i for i, spec in enumerate(alpha.candidates) if spec.kind == kind]
-        if not cols:
-            continue
-        sums = w[:, cols].sum(axis=1)
-        over = ad.relu(sums - cfg.gamma_max) * cfg.zeta1
-        under = ad.relu(cfg.gamma_min - sums) * cfg.zeta2
-        term = (over + under).sum()
-        total = term if total is None else total + term
-    return total if total is not None else _scalar_zero()
+    present = {spec.kind for spec in alpha.candidates}
+    mass = _kind_mass(alpha, [kind for kind in OP_KINDS if kind in present])
+    over = ad.relu(mass - cfg.gamma_max) * cfg.zeta1
+    under = ad.relu(cfg.gamma_min - mass) * cfg.zeta2
+    return (over + under).sum(axis=0).sum()

@@ -280,7 +280,7 @@ def build_datasets(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
     else:
         if cfg.data.dir is None:
             raise DataError("data.dir: required for cifar10")
-        train, test = load_cifar10(cfg.data.dir)
+        train, test = load_cifar10(cfg.data.dir, cfg.model.image)
     for ds in (train, test):
         ds.images = resize_images(ds.images, cfg.model.image)
         if cfg.data.source == "cifar10":

@@ -4,8 +4,8 @@ Everything here is implemented with plain numpy loops and stays independent
 of the code paths it verifies: central finite differences for gradients,
 explicit per-head attention, double-loop token scores, a full-sort top-k, a
 generic DAG walker, direct layer math, the whole-expression forms of the
-primitives that run in place, and a per-tensor AdamW step. It also
-holds the Hypothesis strategy for arbitrary JSON values that fuzzes the input
+primitives that run in place, a per-tensor AdamW step, and the
+per-kind gather-and-hinge chain of the fairness terms. It also holds the Hypothesis strategy for arbitrary JSON values that fuzzes the input
 documents, and a checkpoint-manifest editor for damaging checkpoints.
 """
 
@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
+from dasvit import autodiff as ad
 from dasvit.autodiff import backward
+from dasvit.ops import OP_KINDS
 
 
 # -- finite-difference gradient oracle ----------------------------------------------
@@ -273,6 +275,35 @@ def adamw_step_oracle(params, m, v, step_count, lr, betas=(0.9, 0.999), eps=1e-8
         v[name] += (1.0 - b2) * g * g
         update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
         p.data -= lr * update
+
+
+# -- per-kind fairness chain ---------------------------------------------------------
+
+
+def fairness_per_kind(alpha, cfg):
+    """(skip term, type term) of `alpha` as autodiff tensors, one gather,
+    sum and hinge per operation kind, accumulated kind by kind in
+    ``OP_KINDS`` order; a term with no kind to read is a 0 in the default
+    dtype."""
+    zero = ad.Tensor(np.zeros((), dtype=ad.default_dtype()))
+
+    def columns(kind):
+        return [i for i, spec in enumerate(alpha.candidates) if spec.kind == kind]
+
+    cols = columns("identity")
+    skip = ad.softmax(alpha.logits)[:, cols].sum(axis=1).mean() if cols else zero
+    w = ad.softmax(alpha.logits)
+    total = None
+    for kind in OP_KINDS:
+        cols = columns(kind)
+        if not cols:
+            continue
+        sums = w[:, cols].sum(axis=1)
+        over = ad.relu(sums - cfg.gamma_max) * cfg.zeta1
+        under = ad.relu(cfg.gamma_min - sums) * cfg.zeta2
+        term = (over + under).sum()
+        total = term if total is None else total + term
+    return skip, (zero if total is None else total)
 
 
 # -- arbitrary JSON input ----------------------------------------------------------

@@ -126,6 +126,24 @@ def test_cifar_source_is_normalized_by_its_train_statistics(cifar_dir):
         np.testing.assert_array_equal(ds.images, want)
 
 
+def test_cifar_datasets_never_hold_half_the_images_at_full_size(cifar_dir):
+    """Each batch file is resized as it is read, so building the desk-size
+    datasets peaks well below even half of the 60,000 float32 images at
+    32x32; concatenating them all before resizing held that size twice."""
+    cfg = desk_config()
+    cfg.model.classes = 10
+    cfg.data.source, cfg.data.dir = "cifar10", str(cifar_dir)
+    cfg = cfg.validate()
+    full_bytes = 60000 * 32 * 32 * 3 * np.dtype(np.float32).itemsize
+    tracemalloc.start()
+    try:
+        build_datasets(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= full_bytes / 2, f"peak {peak} for {full_bytes} full-size bytes"
+
+
 def test_synthetic_source_is_never_normalized():
     cfg = desk_config()
     train, _ = build_datasets(cfg, 0)

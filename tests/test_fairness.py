@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dasvit import AdamW, AlphaTable, FairnessConfig, OpSpec, Tensor, backward, \
@@ -9,7 +9,7 @@ from dasvit import autodiff as ad
 from dasvit.data import Batch
 from dasvit.search import SearchState, _grad_pass
 from dasvit.errors import ConfigError
-from oracles import check_grads, softmax_np
+from oracles import check_grads, fairness_per_kind, softmax_np
 
 DESK8 = [
     OpSpec("zero"), OpSpec("identity"),
@@ -174,6 +174,46 @@ def test_fairness_value_independent_of_edge_order(rng):
         alpha.logits.data = alpha.logits.data[::-1].copy()
         permuted = (float(skip_fairness(alpha).data), float(type_fairness(alpha, cfg).data))
         assert base == pytest.approx(permuted, rel=1e-12)
+
+
+def _term_grads(candidates, logits, term):
+    """(value, α gradient) of one fairness term on a fresh table; a term that
+    does not depend on α has gradient 0."""
+    alpha = _alpha(candidates, scale=logits.copy())
+    value = term(alpha)
+    backward(value)
+    grad = alpha.logits.grad
+    return value, np.zeros_like(logits) if grad is None else grad
+
+
+@settings(max_examples=200)
+@given(dtype=st.sampled_from(["float32", "float64"]),
+       subset=st.sets(st.integers(0, len(DESK8) - 1), min_size=1),
+       seed=st.integers(0, 2**32 - 1), spread=st.floats(0.1, 8.0),
+       bounds=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       zetas=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)))
+@example(dtype="float32", subset={0, 2, 5}, seed=0, spread=1.0,  # no Identity
+         bounds=(0.05, 0.5), zetas=(1.0, 1.0))
+@example(dtype="float64", subset={2, 3, 4}, seed=1, spread=1.0,  # one kind only
+         bounds=(0.05, 0.5), zetas=(1.0, 1.0))
+@example(dtype="float32", subset=set(range(len(DESK8))), seed=2, spread=3.0,
+         bounds=(0.05, 0.5), zetas=(1.0, 1.0))  # all four kinds
+def test_fairness_terms_equal_the_per_kind_chain_bit_for_bit(dtype, subset, seed, spread,
+                                                             bounds, zetas):
+    candidates = [DESK8[i] for i in sorted(subset)]
+    cfg = FairnessConfig(gamma_min=min(bounds), gamma_max=max(bounds),
+                         zeta1=zetas[0], zeta2=zetas[1])
+    with dtype_scope(dtype):
+        logits = (spread * np.random.default_rng(seed).standard_normal(
+            (5, len(candidates)))).astype(dtype)
+        for term, oracle in ((skip_fairness, lambda a: fairness_per_kind(a, cfg)[0]),
+                             (lambda a: type_fairness(a, cfg),
+                              lambda a: fairness_per_kind(a, cfg)[1])):
+            got, got_grad = _term_grads(candidates, logits, term)
+            want, want_grad = _term_grads(candidates, logits, oracle)
+            assert got.dtype == want.dtype == np.dtype(dtype)
+            np.testing.assert_array_equal(got.data, want.data)
+            np.testing.assert_array_equal(got_grad, want_grad)
 
 
 def test_fairness_config_validation():

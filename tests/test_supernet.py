@@ -12,9 +12,10 @@ from dasvit.errors import ConfigError, DataError, ShapeError
 from dasvit.genotype import make_genotype, searched_encoder_genotype
 from dasvit.ops import CellValue, ModelDims, build_op
 from dasvit.supernet import CELL_EDGES, MixedEdge
-from dasvit.data import make_synthetic
+from dasvit.data import Batch, make_synthetic
 from dasvit.fairness import skip_fairness
 from dasvit.optim import AdamW
+from dasvit.search import SearchState, _grad_pass
 from oracles import check_grads, softmax_np, walk_dag
 
 DESK8 = [
@@ -351,6 +352,39 @@ def test_desk_weight_pass_records_a_pinned_node_count(monkeypatch):
         "reshape": 4, "transpose": 2, "concat": 2, "mul": 2, "broadcast_to": 1,
         "mean": 1, "sigmoid": 1, "cross_entropy": 1}
     assert sum(recorded.values()) == 175
+
+
+def test_desk_alpha_pass_records_a_pinned_node_count(monkeypatch):
+    """One fairness-regularized α pass of the 2-layer desk supernet, weights
+    frozen: the 175 nodes of the weight pass above, 14 for the two fairness
+    terms and 4 that weight and add them to the cross-entropy. Each term
+    reads one (edge, kind) mass table, a softmax times a constant membership
+    matrix: then a mean for the skip term, and a two-sided hinge and two sums
+    for the type term."""
+    cfg = desk_config()
+    net = Supernet.from_config(cfg, list(cfg.candidates), 2, np.random.default_rng(0))
+    images = np.random.default_rng(1).standard_normal((16, 8, 8, 3)).astype(np.float32)
+    batch = Batch(images=images, labels=np.arange(16) % 2, indices=np.arange(16),
+                  split="val")
+    state = SearchState(model=net, alpha=net.alpha,
+                        w_opt=AdamW(net.weight_parameters(), lr=0.01),
+                        a_opt=AdamW(net.alpha_parameters(), lr=0.01),
+                        fairness=cfg.fairness)
+    recorded = collections.Counter()
+    from_op = Tensor._from_op
+
+    def spy(data, parents, backward_fn, op):
+        recorded[op] += 1
+        return from_op(data, parents, backward_fn, op)
+
+    monkeypatch.setattr(Tensor, "_from_op", staticmethod(spy))
+    _grad_pass(state, batch, freeze=state.w_opt, fair=True)
+    assert recorded == {
+        "matmul": 7, "normalize": 5, "affine": 61, "self_attention": 30,
+        "feed_forward": 30, "index": 10, "softmax": 3, "weighted_sum": 10, "add": 12,
+        "reshape": 4, "transpose": 2, "concat": 2, "mul": 6, "broadcast_to": 1,
+        "mean": 2, "sigmoid": 1, "cross_entropy": 1, "sub": 2, "relu": 2, "sum": 2}
+    assert sum(recorded.values()) == 193
 
 
 def _desk_models():
