@@ -32,32 +32,38 @@ temporary to sum away.
 
 A node's output array lives as long as its graph, whether or not a backward
 closure reads it. So the hot compositions are single nodes: ``matmul`` takes
-a ``bias``, ``affine`` is a norm's scale and shift, ``weighted_sum`` is a
-mixed edge's whole weighted sum, and each MSA and MLP candidate after its
-norm is one node. Each computes the same floats in the same order as the
-chain of primitives it replaces, forward and backward, without holding that
-chain's intermediate arrays, and keeps only what its backward cannot cheaply
-rebuild:
+a ``bias``, ``weighted_sum`` is a mixed edge's whole weighted sum, and each
+MSA and MLP candidate, with its norm's scale and shift, is one node. Each
+computes the same floats in the same order as the chain of primitives it
+replaces, forward and backward, without holding that chain's intermediate
+arrays, and keeps only what its backward cannot cheaply rebuild. A candidate
+node reads the shared normalized input, which its ``normalize`` node holds
+anyway, and does not keep its scaled and shifted input
+``z = normed * gamma + beta``. What each keeps:
 
-* ``self_attention`` (the q/k/v projections, multi-head scaled-softmax
-  attention, the head merge and the biased output projection) keeps q, k, v
-  and the (B, H, N, N) softmax output. Its backward rebuilds the merged
-  ``attn @ v`` product only when the output weight takes a gradient, so a
-  pass with frozen weights rebuilds nothing.
-* ``feed_forward`` (biased projection, GELU, biased projection) keeps the
-  hidden pre-activation ``h``. Its backward rebuilds the GELU's tanh term
-  from ``h``, and the GELU output only when the second weight takes a
+* ``self_attention`` (the q/k/v projections of ``z``, multi-head
+  scaled-softmax attention, the head merge and the biased output
+  projection): q, k, v and the (B, H, N, N) softmax output. Its backward
+  rebuilds the merged ``attn @ v`` product only when the output weight
+  takes a gradient.
+* ``feed_forward`` (biased projection of ``z``, GELU, biased projection):
+  the hidden pre-activation ``h``. Its backward rebuilds the GELU's tanh
+  term from ``h``, and the GELU output only when the second weight takes a
   gradient.
 
-A rebuilt array comes from the same operations, in the same order, as the
-forward's, so it holds the forward's bits.
+Either backward rebuilds ``z`` only when a weight that reads it takes a
+gradient, so a pass with frozen weights, such as the α phase, rebuilds
+nothing. A rebuilt array comes from the same operations, in the same order,
+as the forward's, so it holds the forward's bits.
 
 ``gelu`` keeps its input and ``t = tanh(c·(x + k·x³))``, the ``normalize``
 backward its output and the (..., 1) reciprocal deviation; each does the
 plain expression's operations in its order, so the floats are the
-expression's. A layer norm is ``affine(normalize(x), gamma, beta)``: the
-pre-norm ops that read one value share its one ``normalize`` node
-(``ops.CellValue``), whose backward runs once over their summed gradient.
+expression's. The pre-norm ops that read one value share its one
+``normalize`` node (``ops.CellValue``), whose backward runs once over their
+summed gradient. ``affine`` is a norm's scale and shift as a node of its
+own; only the final ``layer_norm``, ``affine(normalize(x), gamma, beta)``,
+records one.
 
 ``frozen(tensors)`` clears ``requires_grad`` on leaves for the length of a
 block, so nothing computed only from them is recorded at all. A phase that
@@ -753,32 +759,41 @@ def gelu(a: Tensor) -> Tensor:
     return Tensor._from_op(out, (a,), bw, "gelu")
 
 
-def feed_forward(z: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """``gelu(z @ w1 + b1) @ w2 + b2`` over the last axis of `z`, as one node.
+def feed_forward(normed: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
+                 w2: Tensor, b2: Tensor) -> Tensor:
+    """``gelu(z @ w1 + b1) @ w2 + b2`` with ``z = normed * gamma + beta``, over
+    the last axis of `normed`, as one node.
 
-    It computes the floats of the biased ``matmul``, ``gelu``, biased
-    ``matmul`` chain in its order, forward and backward, and keeps only the
-    hidden pre-activation ``h``. The backward rebuilds the tanh term from
-    ``h``, and the GELU output only when `w2` takes a gradient.
+    It computes the floats of the ``affine``, biased ``matmul``, ``gelu``,
+    biased ``matmul`` chain in its order, forward and backward, and keeps only
+    the hidden pre-activation ``h``. The backward rebuilds the tanh term from
+    ``h``, the GELU output only when `w2` takes a gradient, and ``z`` only
+    when `w1` takes one.
     """
-    z, w1, b1, w2, b2 = (as_tensor(p) for p in (z, w1, b1, w2, b2))
-    if (z.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or w1.shape[0] != z.shape[-1]
+    normed, gamma, beta, w1, b1, w2, b2 = (
+        as_tensor(p) for p in (normed, gamma, beta, w1, b1, w2, b2))
+    if (normed.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or w1.shape[0] != normed.shape[-1]
             or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1]
             or b2.shape != w2.shape[1:]):
-        raise ShapeError(f"feed_forward: input {z.shape}, w1 {w1.shape}, b1 {b1.shape}, "
+        raise ShapeError(f"feed_forward: input {normed.shape}, w1 {w1.shape}, b1 {b1.shape}, "
                          f"w2 {w2.shape} and b2 {b2.shape} do not chain")
+    _check_scale_shift("feed_forward", normed, gamma, beta)
     dim, width = w1.shape
-    z2 = z.data.reshape(-1, dim)
-    h = z2 @ w1.data
+
+    def z_rows():
+        return _scale_shift(normed.data, gamma.data, beta.data).reshape(-1, dim)
+
+    h = z_rows() @ w1.data
     h += b1.data
-    h = h.reshape(z.shape[:-1] + (width,))
+    h = h.reshape(normed.shape[:-1] + (width,))
     out = _gelu_from_tanh(h, _gelu_tanh(h)).reshape(-1, width) @ w2.data
     out += b2.data
-    out = out.reshape(z.shape[:-1] + w2.shape[1:])
+    out = out.reshape(normed.shape[:-1] + w2.shape[1:])
 
     def bw(g):
         g2 = g.reshape(-1, g.shape[-1])
-        hidden_grad = z.requires_grad or w1.requires_grad or b1.requires_grad
+        z_grad = normed.requires_grad or gamma.requires_grad or beta.requires_grad
+        hidden_grad = z_grad or w1.requires_grad or b1.requires_grad
         t = _gelu_tanh(h) if hidden_grad or w2.requires_grad else None
         if w2.requires_grad:
             _accumulate(w2, _gelu_from_tanh(h, t).reshape(-1, width).T @ g2)
@@ -788,14 +803,15 @@ def feed_forward(z: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
             gh = _gelu_grad(h, t, (g2 @ w2.data.T).reshape(h.shape))
             del t
             gh2 = gh.reshape(-1, width)
-            if z.requires_grad:
-                _accumulate(z, (gh2 @ w1.data.T).reshape(z.shape))
+            if z_grad:
+                _scale_shift_backward(normed, gamma, beta,
+                                      (gh2 @ w1.data.T).reshape(normed.shape))
             if w1.requires_grad:
-                _accumulate(w1, z2.T @ gh2)
+                _accumulate(w1, z_rows().T @ gh2)
             if b1.requires_grad:
                 _accumulate(b1, _unbroadcast(gh, b1.shape))
 
-    return Tensor._from_op(out, (z, w1, b1, w2, b2), bw, "feed_forward")
+    return Tensor._from_op(out, (normed, gamma, beta, w1, b1, w2, b2), bw, "feed_forward")
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -814,42 +830,51 @@ def softmax(a: Tensor) -> Tensor:
     return Tensor._from_op(out, (a,), bw, "softmax")
 
 
-def self_attention(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
-                   bo: Tensor, heads: int) -> Tensor:
-    """Multi-head self-attention of (B, N, D) tokens `z` as one node: the
-    projections ``q, k, v = z @ wq, z @ wk, z @ wv``, per head
+def self_attention(normed: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: Tensor,
+                   wv: Tensor, wo: Tensor, bo: Tensor, heads: int) -> Tensor:
+    """Multi-head self-attention of the (B, N, D) tokens
+    ``z = normed * gamma + beta`` as one node: the projections
+    ``q, k, v = z @ wq, z @ wk, z @ wv``, per head
     ``softmax(q_h k_hᵀ / √d) v_h`` with d = D / heads, the heads merged back
     to (B, N, D), then ``@ wo + bo``.
 
-    It computes the floats of the chain it replaces (three ``matmul``s, the
-    reshape/transpose/matmul/scaled-softmax/matmul/transpose/reshape core and
-    a biased ``matmul``) in its order, forward and backward, and each product
-    gets the operand layouts that chain gave it. It keeps q, k, v and the
-    (B, H, N, N) softmax output; the pre-softmax scores, the per-head
-    ``attn @ v`` product and its head merge are temporaries. The backward
-    rebuilds the merged product only when `wo` takes a gradient, and adds
-    the three projections' parts to the gradient of `z` one by one, in the
-    q, k, v order in which the chain's backward reached them.
+    It computes the floats of the chain it replaces (an ``affine``, three
+    ``matmul``s, the reshape/transpose/matmul/scaled-softmax/matmul/
+    transpose/reshape core and a biased ``matmul``) in its order, forward and
+    backward, and each product gets the operand layouts that chain gave it.
+    It keeps q, k, v and the (B, H, N, N) softmax output; ``z``, the
+    pre-softmax scores, the per-head ``attn @ v`` product and its head merge
+    are temporaries. The backward rebuilds the merged product only when `wo`
+    takes a gradient and ``z`` only when `wq`, `wk` or `wv` takes one. It
+    sums the three projections' parts of the gradient of ``z`` one by one,
+    in the q, k, v order in which the chain's backward reached them, then
+    hands the sum to the scale and shift as ``affine``'s backward does.
     """
-    z, wq, wk, wv, wo, bo = (as_tensor(p) for p in (z, wq, wk, wv, wo, bo))
-    if z.ndim != 3:
-        raise ShapeError(f"self_attention: input {z.shape} is not (B, N, D)")
-    bsz, n, dim = z.shape
+    normed, gamma, beta, wq, wk, wv, wo, bo = (
+        as_tensor(p) for p in (normed, gamma, beta, wq, wk, wv, wo, bo))
+    if normed.ndim != 3:
+        raise ShapeError(f"self_attention: input {normed.shape} is not (B, N, D)")
+    bsz, n, dim = shape = normed.shape
+    _check_scale_shift("self_attention", normed, gamma, beta)
     for w in (wq, wk, wv, wo):
         if w.shape != (dim, dim):
-            raise ShapeError(f"self_attention: weight {w.shape} does not fit input {z.shape}")
+            raise ShapeError(f"self_attention: weight {w.shape} does not fit input {shape}")
     if bo.shape != (dim,):
-        raise ShapeError(f"self_attention: bias {bo.shape} does not fit input {z.shape}")
+        raise ShapeError(f"self_attention: bias {bo.shape} does not fit input {shape}")
     if heads < 1 or dim % heads:
-        raise ShapeError(f"self_attention: width of {z.shape} is not divisible by "
+        raise ShapeError(f"self_attention: width of {shape} is not divisible by "
                          f"{heads} heads")
-    z2 = z.data.reshape(-1, dim)
-    q, k, v = ((z2 @ w.data).reshape(z.shape) for w in (wq, wk, wv))
+
+    def z_rows():
+        return _scale_shift(normed.data, gamma.data, beta.data).reshape(-1, dim)
+
+    z2 = z_rows()
+    q, k, v = ((z2 @ w.data).reshape(shape) for w in (wq, wk, wv))
     split = (bsz, n, heads, dim // heads)
     qh = q.reshape(split).transpose(0, 2, 1, 3)  # (B, H, N, d)
     kt = k.reshape(split).transpose(0, 2, 3, 1)  # (B, H, d, N)
     vh = v.reshape(split).transpose(0, 2, 1, 3)
-    s = np.asarray(1.0 / math.sqrt(dim // heads), dtype=z.dtype)
+    s = np.asarray(1.0 / math.sqrt(dim // heads), dtype=normed.dtype)
     # the scores become the softmax output in place: one (B, H, N, N) buffer
     attn = qh @ kt
     attn *= s
@@ -862,7 +887,7 @@ def self_attention(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
 
     out = merged() @ wo.data
     out += bo.data
-    out = out.reshape(z.shape)
+    out = out.reshape(shape)
 
     def bw(g):
         g2 = g.reshape(-1, dim)
@@ -870,7 +895,8 @@ def self_attention(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
             _accumulate(wo, merged().T @ g2)
         if bo.requires_grad:
             _accumulate(bo, _unbroadcast(g, bo.shape))
-        need = [z.requires_grad or w.requires_grad for w in (wq, wk, wv)]
+        z_grad = normed.requires_grad or gamma.requires_grad or beta.requires_grad
+        need = [z_grad or w.requires_grad for w in (wq, wk, wv)]
         if not any(need):
             return
         # the chain copied the merged-head gradient into (B, H, N, d) order
@@ -893,13 +919,20 @@ def self_attention(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
                 parts[1] = gk.transpose(0, 3, 1, 2).reshape(-1, dim)
             del gs
         del gh
+        rows = z_rows() if wq.requires_grad or wk.requires_grad or wv.requires_grad else None
+        gz = None  # the gradient reaching z
         for w, gp in zip((wq, wk, wv), parts):
             if w.requires_grad:
-                _accumulate(w, z2.T @ gp)
-            if z.requires_grad:
-                _accumulate(z, (gp @ w.data.T).reshape(z.shape))
+                _accumulate(w, rows.T @ gp)
+            if z_grad:
+                gp = gp @ w.data.T
+                gz = gp if gz is None else np.add(gz, gp, out=gz)
+        del rows
+        if z_grad:
+            _scale_shift_backward(normed, gamma, beta, gz.reshape(shape))
 
-    return Tensor._from_op(out, (z, wq, wk, wv, wo, bo), bw, "self_attention")
+    return Tensor._from_op(out, (normed, gamma, beta, wq, wk, wv, wo, bo), bw,
+                           "self_attention")
 
 
 _LN_EPS = 1e-6  # added to the variance
@@ -936,25 +969,40 @@ def normalize(a: Tensor) -> Tensor:
     return Tensor._from_op(normed, (a,), bw, "normalize")
 
 
+def _check_scale_shift(op: str, a: Tensor, gamma: Tensor, beta: Tensor) -> None:
+    if gamma.shape != a.shape[-1:] or beta.shape != gamma.shape:
+        raise ShapeError(f"{op}: gamma {gamma.shape} and beta {beta.shape} do not fit "
+                         f"input {a.shape}")
+
+
+def _scale_shift(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """``x * gamma + beta`` in one fresh buffer."""
+    out = x * gamma
+    out += beta
+    return out
+
+
+def _scale_shift_backward(a: Tensor, gamma: Tensor, beta: Tensor, g: np.ndarray) -> None:
+    """Hand the gradient `g` of ``a * gamma + beta`` to `beta`, `gamma` and `a`."""
+    if beta.requires_grad:
+        _accumulate(beta, _unbroadcast(g, beta.shape))
+    if gamma.requires_grad:
+        _accumulate(gamma, _unbroadcast(g * a.data, gamma.shape))
+    if a.requires_grad:
+        _accumulate(a, g * gamma.data)
+
+
 def affine(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """``a * gamma + beta`` over the last axis of `a`, as one node that keeps
     nothing beyond its operands."""
     a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
-    if gamma.shape != a.shape[-1:] or beta.shape != gamma.shape:
-        raise ShapeError(f"affine: gamma {gamma.shape} and beta {beta.shape} do not fit "
-                         f"input {a.shape}")
-    out = a.data * gamma.data
-    out += beta.data
+    _check_scale_shift("affine", a, gamma, beta)
 
     def bw(g):
-        if beta.requires_grad:
-            _accumulate(beta, _unbroadcast(g, beta.shape))
-        if gamma.requires_grad:
-            _accumulate(gamma, _unbroadcast(g * a.data, gamma.shape))
-        if a.requires_grad:
-            _accumulate(a, g * gamma.data)
+        _scale_shift_backward(a, gamma, beta, g)
 
-    return Tensor._from_op(out, (a, gamma, beta), bw, "affine")
+    return Tensor._from_op(_scale_shift(a.data, gamma.data, beta.data), (a, gamma, beta), bw,
+                           "affine")
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

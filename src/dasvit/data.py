@@ -89,6 +89,7 @@ def make_synthetic(classes: int, per_class: int, image: int, seed: int,
 
 _CIFAR_RECORD = 3073  # 1 label byte + 3 x 1024 channel-planar pixel bytes
 _CIFAR_RECORDS_PER_FILE = 10000
+_CIFAR_CHUNK = 1000  # records converted to float32 at a time
 _CIFAR_TRAIN_FILES = tuple(f"data_batch_{i}" for i in range(1, 6))
 _CIFAR_TEST_FILE = "test_batch"
 
@@ -108,6 +109,7 @@ def _cifar_file(directory: Path, stem: str) -> Path:
 
 
 def _read_cifar_batch(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The (records, record bytes) uint8 rows of one batch file and its labels."""
     raw = np.frombuffer(path.read_bytes(), dtype=np.uint8)
     if raw.size != _CIFAR_RECORD * _CIFAR_RECORDS_PER_FILE:
         raise DataError(
@@ -118,29 +120,42 @@ def _read_cifar_batch(path: Path) -> tuple[np.ndarray, np.ndarray]:
     labels = records[:, 0].astype(np.int64)
     if labels.max() > 9:
         raise DataError(f"cifar10: {path} contains a label byte > 9")
+    return records, labels
+
+
+def _cifar_pixels(records: np.ndarray) -> np.ndarray:
+    """(M, 32, 32, 3) float32 pixels in [0, 1] of M records."""
     # channel-planar R,G,B planes, each 32x32 row-major
     pixels = (records[:, 1:].reshape(-1, 3, CIFAR10_IMAGE, CIFAR10_IMAGE)
               .transpose(0, 2, 3, 1).astype(np.float32))
     pixels /= 255.0
-    return pixels, labels
+    return pixels
 
 
 def load_cifar10(directory, image: int = CIFAR10_IMAGE) -> tuple[Dataset, Dataset]:
     """Load the standard binary batches: 50,000 train / 10,000 test images,
-    each file's images resized to `image` as it is read, so only one file is
-    ever held at 32x32."""
+    resized to `image`. Each file's records are converted and resized
+    `_CIFAR_CHUNK` at a time into the split's one preallocated array, so no
+    more than a chunk is ever held at 32x32 float32."""
     directory = Path(directory)
     if not directory.is_dir():
         raise DataError(f"cifar10: directory not found: {directory}")
 
-    def read(stem):
-        img, lab = _read_cifar_batch(_cifar_file(directory, stem))
-        return resize_images(img, image), lab
+    def read(stems):
+        n = _CIFAR_RECORDS_PER_FILE * len(stems)
+        images = np.empty((n, image, image, 3), dtype=np.float32)
+        labels = np.empty(n, dtype=np.int64)
+        for i, stem in enumerate(stems):
+            records, rows = _read_cifar_batch(_cifar_file(directory, stem))
+            first = i * _CIFAR_RECORDS_PER_FILE
+            labels[first:first + _CIFAR_RECORDS_PER_FILE] = rows
+            for lo in range(0, _CIFAR_RECORDS_PER_FILE, _CIFAR_CHUNK):
+                chunk = records[lo:lo + _CIFAR_CHUNK]
+                images[first + lo:first + lo + len(chunk)] = resize_images(
+                    _cifar_pixels(chunk), image)
+        return Dataset(images, labels, classes=10)
 
-    images, labels = zip(*map(read, _CIFAR_TRAIN_FILES))
-    train = Dataset(np.concatenate(images), np.concatenate(labels), classes=10)
-    test = Dataset(*read(_CIFAR_TEST_FILE), classes=10)
-    return train, test
+    return read(_CIFAR_TRAIN_FILES), read((_CIFAR_TEST_FILE,))
 
 
 # -- resizing --------------------------------------------------------------------
@@ -175,9 +190,10 @@ def resize_images(images: np.ndarray, size: int) -> np.ndarray:
 
 
 def normalize(images: np.ndarray, mean, std) -> np.ndarray:
-    mean = np.asarray(mean, dtype=images.dtype)
-    std = np.asarray(std, dtype=images.dtype)
-    return (images - mean) / std
+    """``(images - mean) / std`` per channel, in one fresh buffer."""
+    out = images - np.asarray(mean, dtype=images.dtype)
+    out /= np.asarray(std, dtype=images.dtype)
+    return out
 
 
 # -- splits and batching --------------------------------------------------------

@@ -1,8 +1,9 @@
 """Candidate operations of the search space plus patch embedding and head.
 
 All candidate ops are shape-preserving maps (B, N, D) -> (B, N, D) of a
-`CellValue`; Zero and Identity read its tensor, MSA and MLP apply their own
-norm affine to its one shared normalization:
+`CellValue`; Zero and Identity read its tensor, MSA and MLP its one shared
+normalization, to which each applies its own norm's scale and shift inside
+its one autodiff node:
 
 * Zero       -- all-zero output, no parameters
 * Identity   -- passes the input through, no parameters
@@ -281,8 +282,8 @@ class MsaOp(Module):
     def forward(self, v: CellValue) -> Tensor:
         if v.x.shape[-1] != self.dim:
             raise ShapeError(f"MsaOp: expected last dim {self.dim}, got {v.x.shape}")
-        z = ad.affine(v.normed, self.norm_g, self.norm_b)
-        return ad.self_attention(z, self.wq, self.wk, self.wv, self.wo, self.bo, self.heads)
+        return ad.self_attention(v.normed, self.norm_g, self.norm_b, self.wq, self.wk,
+                                 self.wv, self.wo, self.bo, self.heads)
 
 
 class MlpOp(Module):
@@ -302,8 +303,8 @@ class MlpOp(Module):
         self.norm_b = ad.parameter(np.zeros(dim, dtype=dt), "norm_b")
 
     def forward(self, v: CellValue) -> Tensor:
-        z = ad.affine(v.normed, self.norm_g, self.norm_b)
-        return ad.feed_forward(z, self.w1, self.b1, self.w2, self.b2)
+        return ad.feed_forward(v.normed, self.norm_g, self.norm_b, self.w1, self.b1,
+                               self.w2, self.b2)
 
 
 _OP_CLASSES = {"zero": ZeroOp, "identity": IdentityOp, "msa": MsaOp, "mlp": MlpOp}

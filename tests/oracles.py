@@ -4,9 +4,11 @@ Everything here is implemented with plain numpy loops and stays independent
 of the code paths it verifies: central finite differences for gradients,
 explicit per-head attention, double-loop token scores, a full-sort top-k, a
 generic DAG walker, direct layer math, the whole-expression forms of the
-primitives that run in place, a per-tensor AdamW step, and the
-per-kind gather-and-hinge chain of the fairness terms. It also holds the Hypothesis strategy for arbitrary JSON values that fuzzes the input
-documents, and a checkpoint-manifest editor for damaging checkpoints.
+primitives that run in place, a per-tensor AdamW step, the per-kind
+gather-and-hinge chain of the fairness terms, and a walk of the arrays a
+recorded graph holds. It also holds the Hypothesis strategy for arbitrary
+JSON values that fuzzes the input documents, and a checkpoint-manifest
+editor for damaging checkpoints.
 """
 
 import json
@@ -107,6 +109,52 @@ def check_grads(f, wrt, tol=1e-5, h=1e-5):
     err = max_rel_err(analytic_grads(f, wrt), numerical_grads(f, wrt, h=h))
     assert err < tol, f"gradient mismatch: max rel err {err:.3e} >= {tol}"
     return err
+
+
+# -- graph memory ------------------------------------------------------------------
+
+
+def _base(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def kept_buffers(node):
+    """The buffers of the arrays a node's backward closure reads, nested
+    closures included, other than its parents' data; 0-d scalars aside."""
+    parents = {id(_base(p.data)) for p in node._parents}
+    kept, todo, seen = {}, [node._backward], set()
+    while todo:
+        fn = todo.pop()
+        for cell in fn.__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, np.ndarray) and value.ndim:
+                base = _base(value)
+                if id(base) not in parents:
+                    kept[id(base)] = base
+            elif callable(value) and getattr(value, "__closure__", None) \
+                    and id(value) not in seen:
+                seen.add(id(value))
+                todo.append(value)
+    return list(kept.values())
+
+
+def graph_bytes(loss):
+    """Bytes of the distinct buffers the graph recorded behind `loss` holds
+    until its backward: every interior node's output and every array its
+    closure keeps. Buffers of leaves (parameters, inputs, constants) are not
+    the graph's and are left out. Taken before the backward, which consumes
+    the graph."""
+    nodes = graph_nodes(loss)
+    leaves = {id(_base(node.data)) for node, interior in nodes if not interior}
+    held = {}
+    for node, interior in nodes:
+        if interior:
+            for base in [_base(node.data)] + kept_buffers(node):
+                if id(base) not in leaves:
+                    held[id(base)] = base
+    return sum(b.nbytes for b in held.values())
 
 
 # -- plain-numpy layer math ------------------------------------------------------------

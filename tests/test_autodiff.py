@@ -11,7 +11,7 @@ from dasvit import Tensor, backward, dtype_scope
 from dasvit import autodiff as ad
 from dasvit.errors import DasvitError, NonFiniteError, ShapeError
 from dasvit.ops import CellValue, MlpOp, OpSpec
-from oracles import (check_grads, gelu_expression, gelu_grad_expression,
+from oracles import (check_grads, gelu_expression, gelu_grad_expression, kept_buffers,
                      layer_norm_expression, normalize_grad_expression)
 
 
@@ -288,17 +288,15 @@ def test_primitive_gradients_match_finite_differences(case, rng):
             p = _proj(rng, (2, 5))
             check_grads(lambda: (ad.softmax(a) * p).sum(), [a])
         elif case == "self_attention":
-            z, wq, wk, wv, wo = (t64(rng, *shape) for shape in ((2, 3, 6),) + ((6, 6),) * 4)
-            bo = t64(rng, 6)
+            ops = [t64(rng, *shape) for shape in ((2, 3, 6), (6,), (6,)) + ((6, 6),) * 4
+                   + ((6,),)]
             p = _proj(rng, (2, 3, 6))
-            check_grads(lambda: (ad.self_attention(z, wq, wk, wv, wo, bo, 2) * p).sum(),
-                        [z, wq, wk, wv, wo, bo])
+            check_grads(lambda: (ad.self_attention(*ops, 2) * p).sum(), ops)
         elif case == "feed_forward":
-            z, w1, b1, w2, b2 = (t64(rng, *shape)
-                                 for shape in ((2, 3, 4), (4, 5), (5,), (5, 4), (4,)))
+            ops = [t64(rng, *shape)
+                   for shape in ((2, 3, 4), (4,), (4,), (4, 5), (5,), (5, 4), (4,))]
             p = _proj(rng, (2, 3, 4))
-            check_grads(lambda: (ad.feed_forward(z, w1, b1, w2, b2) * p).sum(),
-                        [z, w1, b1, w2, b2])
+            check_grads(lambda: (ad.feed_forward(*ops) * p).sum(), ops)
         elif case == "normalize":
             a = t64(rng, 2, 6)
             p = _proj(rng, (2, 6))
@@ -389,21 +387,27 @@ def test_fused_nodes_refuse_mismatched_operands():
                                              Tensor(np.ones((3, 2)))], [0, 1])
     z, w, b = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 4))), Tensor(np.ones(4))
     with pytest.raises(ShapeError, match=r"self_attention: input \(3, 4\) is not \(B, N, D\)"):
-        ad.self_attention(Tensor(np.ones((3, 4))), w, w, w, w, b, 2)
+        ad.self_attention(Tensor(np.ones((3, 4))), b, b, w, w, w, w, b, 2)
+    with pytest.raises(ShapeError, match=r"self_attention: gamma \(5,\) and beta \(4,\) do "
+                                         r"not fit input \(2, 3, 4\)"):
+        ad.self_attention(z, Tensor(np.ones(5)), b, w, w, w, w, b, 2)
     with pytest.raises(ShapeError, match=r"self_attention: weight \(4, 5\) does not fit "
                                          r"input \(2, 3, 4\)"):
-        ad.self_attention(z, w, w, Tensor(np.ones((4, 5))), w, b, 2)
+        ad.self_attention(z, b, b, w, w, Tensor(np.ones((4, 5))), w, b, 2)
     with pytest.raises(ShapeError, match=r"self_attention: bias \(5,\) does not fit"):
-        ad.self_attention(z, w, w, w, w, Tensor(np.ones(5)), 2)
+        ad.self_attention(z, b, b, w, w, w, w, Tensor(np.ones(5)), 2)
     with pytest.raises(ShapeError, match=r"self_attention: width of \(2, 3, 4\) is not "
                                          r"divisible by 3 heads"):
-        ad.self_attention(z, w, w, w, w, b, 3)
+        ad.self_attention(z, b, b, w, w, w, w, b, 3)
     with pytest.raises(ShapeError, match=r"feed_forward: input \(2, 3, 4\), w1 \(4, 6\), "
                                          r"b1 \(6,\), w2 \(5, 4\) and b2 \(4,\) do not chain"):
-        ad.feed_forward(z, Tensor(np.ones((4, 6))), Tensor(np.ones(6)),
+        ad.feed_forward(z, b, b, Tensor(np.ones((4, 6))), Tensor(np.ones(6)),
                         Tensor(np.ones((5, 4))), b)
+    with pytest.raises(ShapeError, match=r"feed_forward: gamma \(4,\) and beta \(4, 1\) do "
+                                         r"not fit input \(2, 3, 4\)"):
+        ad.feed_forward(z, b, Tensor(np.ones((4, 1))), w, b, w, b)
     with pytest.raises(ShapeError, match=r"feed_forward: input \(4,\)"):
-        ad.feed_forward(b, w, b, w, b)
+        ad.feed_forward(b, b, b, w, b, w, b)
 
 
 def test_first_gradient_write_takes_the_tensor_layout():
@@ -508,18 +512,23 @@ def _attention_chain(q, k, v, heads):
 
 
 def _candidate_arrays(rng, node):
-    """float32 operands of a candidate node: z (4, 9, 32), then its weights."""
+    """float32 operands of a candidate node: the normalized input (4, 9, 32),
+    its scale and shift, then its weights."""
     shapes = {"self_attention": ((32, 32),) * 4 + ((32,),),
               "feed_forward": ((32, 48), (48,), (48, 32), (32,))}[node]
-    z = rng.standard_normal((4, 9, 32)).astype(np.float32)
-    return (z,) + tuple((0.2 * rng.standard_normal(s)).astype(np.float32) for s in shapes)
+    normed = rng.standard_normal((4, 9, 32)).astype(np.float32)
+    gamma = (1.0 + 0.2 * rng.standard_normal(32)).astype(np.float32)
+    return (normed, gamma) + tuple((0.2 * rng.standard_normal(s)).astype(np.float32)
+                                   for s in ((32,),) + shapes)
 
 
-def _self_attention_chain(z, wq, wk, wv, wo, bo):
+def _self_attention_chain(normed, gamma, beta, wq, wk, wv, wo, bo):
+    z = ad.affine(normed, gamma, beta)
     return ad.matmul(_attention_chain(z @ wq, z @ wk, z @ wv, 4), wo, bias=bo)
 
 
-def _feed_forward_chain(z, w1, b1, w2, b2):
+def _feed_forward_chain(normed, gamma, beta, w1, b1, w2, b2):
+    z = ad.affine(normed, gamma, beta)
     return ad.matmul(ad.gelu(ad.matmul(z, w1, bias=b1)), w2, bias=b2)
 
 
@@ -573,10 +582,11 @@ def _grads_with_frozen(node, arrays, frozen, upstream):
     return [t.grad for t in leaves]
 
 
-#: Operand groups of the two candidate nodes: the input, then the weights
-#: that read the input, then the output projection.
-FROZEN_GROUPS = {"self_attention": ((0,), (1, 2, 3), (4, 5)),
-                 "feed_forward": ((0,), (1, 2), (3, 4))}
+#: Operand groups of the two candidate nodes: the normalized input, its
+#: scale and shift, then the weights that read the input, then the output
+#: projection.
+FROZEN_GROUPS = {"self_attention": ((0,), (1, 2), (3, 4, 5), (6, 7)),
+                 "feed_forward": ((0,), (1, 2), (3, 4), (5, 6))}
 
 
 def _check_frozen_group(node, group, rng):
@@ -595,54 +605,35 @@ def _check_frozen_group(node, group, rng):
             np.testing.assert_array_equal(g, w)
 
 
-@pytest.mark.parametrize("frozen_input", [0, 1, 2])
+@pytest.mark.parametrize("frozen_input", [0, 1, 2, 3])
 def test_attention_frozen_input_gets_no_gradient(frozen_input, rng):
-    """``self_attention`` with z, then wq/wk/wv, then wo/bo frozen."""
+    """``self_attention`` with the normalized input, then gamma/beta, then
+    wq/wk/wv, then wo/bo frozen."""
     _check_frozen_group("self_attention", frozen_input, rng)
 
 
-@pytest.mark.parametrize("frozen_input", [0, 1, 2])
+@pytest.mark.parametrize("frozen_input", [0, 1, 2, 3])
 def test_feed_forward_frozen_input_gets_no_gradient(frozen_input, rng):
-    """``feed_forward`` with z, then w1/b1, then w2/b2 frozen."""
+    """``feed_forward`` with the normalized input, then gamma/beta, then
+    w1/b1, then w2/b2 frozen."""
     _check_frozen_group("feed_forward", frozen_input, rng)
-
-
-def _kept_buffers(node):
-    """The buffers of the arrays a node's backward closure reads, nested
-    closures included, other than its parents' data; 0-d scalars aside."""
-    def root(a):
-        while a.base is not None:
-            a = a.base
-        return a
-
-    parents = {id(root(p.data)) for p in node._parents}
-    kept, todo, seen = {}, [node._backward], set()
-    while todo:
-        fn = todo.pop()
-        for cell in fn.__closure__ or ():
-            value = cell.cell_contents
-            if isinstance(value, np.ndarray) and value.ndim:
-                base = root(value)
-                if id(base) not in parents:
-                    kept[id(base)] = base
-            elif callable(value) and getattr(value, "__closure__", None) \
-                    and id(value) not in seen:
-                seen.add(id(value))
-                todo.append(value)
-    return list(kept.values())
 
 
 def test_candidate_nodes_keep_only_what_their_backward_cannot_rebuild(rng):
     """``feed_forward`` keeps the hidden pre-activation alone;
-    ``self_attention`` keeps q, k, v and the softmax output."""
+    ``self_attention`` keeps q, k, v and the softmax output. Neither keeps
+    its scaled and shifted input."""
     arrays = _candidate_arrays(rng, "feed_forward")
-    z, w1, b1, w2, b2 = (Tensor(x, requires_grad=True) for x in arrays)
-    (kept,) = _kept_buffers(ad.feed_forward(z, w1, b1, w2, b2))
-    np.testing.assert_array_equal(kept.ravel(), ad.matmul(z, w1, bias=b1).data.ravel())
+    normed, gamma, beta, w1, b1, w2, b2 = (Tensor(x, requires_grad=True) for x in arrays)
+    z = ad.affine(normed, gamma, beta)
+    kept = kept_buffers(ad.feed_forward(normed, gamma, beta, w1, b1, w2, b2))
+    assert len(kept) == 1
+    np.testing.assert_array_equal(kept[0].ravel(), ad.matmul(z, w1, bias=b1).data.ravel())
 
     arrays = _candidate_arrays(rng, "self_attention")
-    z, wq, wk, wv, wo, bo = (Tensor(x, requires_grad=True) for x in arrays)
-    kept = _kept_buffers(ad.self_attention(z, wq, wk, wv, wo, bo, 4))
+    normed, gamma, beta, wq, wk, wv, wo, bo = (Tensor(x, requires_grad=True) for x in arrays)
+    z = ad.affine(normed, gamma, beta)
+    kept = kept_buffers(ad.self_attention(normed, gamma, beta, wq, wk, wv, wo, bo, 4))
     split = (4, 9, 4, 8)
     qh = ad.transpose(ad.reshape(z @ wq, split), (0, 2, 1, 3))
     kt = ad.transpose(ad.reshape(z @ wk, split), (0, 2, 3, 1))
@@ -651,6 +642,28 @@ def test_candidate_nodes_keep_only_what_their_backward_cannot_rebuild(rng):
     assert len(kept) == len(want)
     for w in want:
         assert sum(np.array_equal(k.ravel(), w.ravel()) for k in kept) == 1
+    assert not any(np.array_equal(k.ravel(), z.data.ravel()) for k in kept)
+
+
+@pytest.mark.parametrize("node", sorted(CANDIDATE_NODES))
+def test_candidate_backward_rebuilds_the_scaled_input_only_for_a_projection(node, rng,
+                                                                             monkeypatch):
+    """The backward rebuilds ``normed * gamma + beta`` only when a weight
+    that reads it takes a gradient: a pass with every weight frozen, as in
+    the α phase, rebuilds nothing."""
+    calls = []
+    scale_shift = ad._scale_shift
+    monkeypatch.setattr(ad, "_scale_shift", lambda *a: calls.append(1) or scale_shift(*a))
+    arrays = _candidate_arrays(rng, node)
+    reading = FROZEN_GROUPS[node][2]
+    for trainable, rebuilt in (((0,), 0), ((0,) + reading, 1)):
+        leaves = [Tensor(x, requires_grad=True) for x in arrays]
+        with ad.frozen([t for i, t in enumerate(leaves) if i not in trainable]):
+            out = CANDIDATE_NODES[node](*leaves)
+            calls.clear()
+            backward(out.sum())
+        assert len(calls) == rebuilt
+        assert leaves[0].grad is not None
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")

@@ -144,6 +144,25 @@ def test_cifar_datasets_never_hold_half_the_images_at_full_size(cifar_dir):
     assert peak <= full_bytes / 2, f"peak {peak} for {full_bytes} full-size bytes"
 
 
+def test_cifar_datasets_peak_below_one_full_size_batch_file(cifar_dir):
+    """Each file's records are converted and resized a chunk at a time into
+    one preallocated array per split, and normalization makes one fresh
+    buffer: building the desk-size datasets peaks below one batch file of
+    10,000 float32 images at 32x32."""
+    cfg = desk_config()
+    cfg.model.classes = 10
+    cfg.data.source, cfg.data.dir = "cifar10", str(cifar_dir)
+    cfg = cfg.validate()
+    file_bytes = 10000 * 32 * 32 * 3 * np.dtype(np.float32).itemsize
+    tracemalloc.start()
+    try:
+        build_datasets(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < file_bytes, f"peak {peak} for {file_bytes} bytes of one file"
+
+
 def test_synthetic_source_is_never_normalized():
     cfg = desk_config()
     train, _ = build_datasets(cfg, 0)

@@ -173,15 +173,15 @@ def test_cost_report_flops_are_the_forward_matmul_macs(monkeypatch):
         macs.append(out.data.size * a.shape[-1])
         return out
 
-    def counting_attention(z, wq, wk, wv, wo, bo, heads):
-        out = self_attention(z, wq, wk, wv, wo, bo, heads)
-        bsz, n, dim = z.shape
+    def counting_attention(normed, gamma, beta, wq, wk, wv, wo, bo, heads):
+        out = self_attention(normed, gamma, beta, wq, wk, wv, wo, bo, heads)
+        bsz, n, dim = normed.shape
         macs.append(4 * bsz * n * dim * dim + 2 * bsz * n * n * dim)
         return out
 
-    def counting_feed_forward(z, w1, b1, w2, b2):
-        out = feed_forward(z, w1, b1, w2, b2)
-        macs.append(2 * (z.data.size // z.shape[-1]) * w1.shape[0] * w1.shape[1])
+    def counting_feed_forward(normed, gamma, beta, w1, b1, w2, b2):
+        out = feed_forward(normed, gamma, beta, w1, b1, w2, b2)
+        macs.append(2 * (normed.data.size // normed.shape[-1]) * w1.shape[0] * w1.shape[1])
         return out
 
     monkeypatch.setattr(ad, "matmul", counting)

@@ -16,7 +16,7 @@ from dasvit.data import Batch, make_synthetic
 from dasvit.fairness import skip_fairness
 from dasvit.optim import AdamW
 from dasvit.search import SearchState, _grad_pass
-from oracles import check_grads, softmax_np, walk_dag
+from oracles import check_grads, graph_bytes, softmax_np, walk_dag
 
 DESK8 = [
     OpSpec("zero"), OpSpec("identity"),
@@ -326,16 +326,22 @@ def test_mixed_edge_and_cell_gradients(rng):
         check_grads(loss, wrt)
 
 
-def test_desk_weight_pass_records_a_pinned_node_count(monkeypatch):
-    """One weight pass of the 2-layer desk supernet. A biased projection, a
-    norm's affine, an MSA or MLP candidate after its norm and a mixed edge
-    are one node each; each value a pre-norm op reads is normalized once and
-    the α table takes one softmax. A node's output lives as long as the
-    graph, so the count is pinned: it may move only with a change that means
-    to move it."""
+def _desk_weight_pass():
+    """A 2-layer desk supernet and a batch of 16 desk images."""
     cfg = desk_config()
     net = Supernet.from_config(cfg, list(cfg.candidates), 2, np.random.default_rng(0))
     images = np.random.default_rng(1).standard_normal((16, 8, 8, 3)).astype(np.float32)
+    return net, images
+
+
+def test_desk_weight_pass_records_a_pinned_node_count(monkeypatch):
+    """One weight pass of the 2-layer desk supernet. A biased projection, an
+    MSA or MLP candidate with its norm's scale and shift, and a mixed edge
+    are one node each; each value a pre-norm op reads is normalized once, the
+    α table takes one softmax, and only the final norm records an
+    ``affine``. A node's output lives as long as the graph, so the count is
+    pinned: it may move only with a change that means to move it."""
+    net, images = _desk_weight_pass()
     recorded = collections.Counter()
     from_op = Tensor._from_op
 
@@ -347,23 +353,36 @@ def test_desk_weight_pass_records_a_pinned_node_count(monkeypatch):
     with ad.frozen(net.alpha_parameters().values()):
         backward(ad.cross_entropy(net.forward(images), np.arange(16) % 2))
     assert recorded == {
-        "matmul": 5, "normalize": 5, "affine": 61, "self_attention": 30,
+        "matmul": 5, "normalize": 5, "affine": 1, "self_attention": 30,
         "feed_forward": 30, "index": 10, "softmax": 1, "weighted_sum": 10, "add": 9,
         "reshape": 4, "transpose": 2, "concat": 2, "mul": 2, "broadcast_to": 1,
         "mean": 1, "sigmoid": 1, "cross_entropy": 1}
-    assert sum(recorded.values()) == 175
+    assert sum(recorded.values()) == 115
+
+
+def test_desk_weight_pass_holds_a_pinned_graph_size():
+    """The bytes the graph of the weight pass above holds until its
+    backward: every interior node's output plus what the closures keep
+    (`oracles.graph_bytes`). Pinned like the node count, so that a node that
+    starts holding one more array fails here and not only in the benchmark:
+    a scaled and shifted input kept by each of the 60 MSA/MLP candidates
+    would add 60 (16, 3, 32) float32 arrays, 368,640 bytes."""
+    net, images = _desk_weight_pass()
+    with ad.frozen(net.alpha_parameters().values()):
+        loss = ad.cross_entropy(net.forward(images), np.arange(16) % 2)
+        assert graph_bytes(loss) == 1_673_956
+        backward(loss)
 
 
 def test_desk_alpha_pass_records_a_pinned_node_count(monkeypatch):
     """One fairness-regularized α pass of the 2-layer desk supernet, weights
-    frozen: the 175 nodes of the weight pass above, 14 for the two fairness
+    frozen: the 115 nodes of the weight pass above, 14 for the two fairness
     terms and 4 that weight and add them to the cross-entropy. Each term
     reads one (edge, kind) mass table, a softmax times a constant membership
     matrix: then a mean for the skip term, and a two-sided hinge and two sums
     for the type term."""
     cfg = desk_config()
-    net = Supernet.from_config(cfg, list(cfg.candidates), 2, np.random.default_rng(0))
-    images = np.random.default_rng(1).standard_normal((16, 8, 8, 3)).astype(np.float32)
+    net, images = _desk_weight_pass()
     batch = Batch(images=images, labels=np.arange(16) % 2, indices=np.arange(16),
                   split="val")
     state = SearchState(model=net, alpha=net.alpha,
@@ -380,11 +399,11 @@ def test_desk_alpha_pass_records_a_pinned_node_count(monkeypatch):
     monkeypatch.setattr(Tensor, "_from_op", staticmethod(spy))
     _grad_pass(state, batch, freeze=state.w_opt, fair=True)
     assert recorded == {
-        "matmul": 7, "normalize": 5, "affine": 61, "self_attention": 30,
+        "matmul": 7, "normalize": 5, "affine": 1, "self_attention": 30,
         "feed_forward": 30, "index": 10, "softmax": 3, "weighted_sum": 10, "add": 12,
         "reshape": 4, "transpose": 2, "concat": 2, "mul": 6, "broadcast_to": 1,
         "mean": 2, "sigmoid": 1, "cross_entropy": 1, "sub": 2, "relu": 2, "sum": 2}
-    assert sum(recorded.values()) == 193
+    assert sum(recorded.values()) == 133
 
 
 def _desk_models():
