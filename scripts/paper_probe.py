@@ -30,9 +30,9 @@ import time
 
 import numpy as np
 
-from dasvit import AdamW, Supernet, bilevel_epoch, desk_config, paper_defaults, schedule_preview
+from dasvit import Supernet, bilevel_epoch, desk_config, paper_defaults, schedule_preview
 from dasvit.data import RNG_STAGE, Batch, rng_for
-from dasvit.search import SearchState
+from dasvit.search import SearchState, _build_optimizers
 
 GEOMETRIES = {"paper": paper_defaults, "desk": desk_config}
 
@@ -52,13 +52,7 @@ def probe(geometry: str, stage: int, batch: int, steps: int, seed: int) -> dict:
 
     start = time.perf_counter()
     net = Supernet.from_config(cfg, candidates, layers, rng_for(seed, RNG_STAGE, stage))
-    state = SearchState(
-        model=net, alpha=net.alpha,
-        w_opt=AdamW(net.weight_parameters(), lr=cfg.search.lr,
-                    weight_decay=cfg.search.weight_decay),
-        a_opt=AdamW(net.alpha_parameters(), lr=cfg.search.arch_lr,
-                    weight_decay=cfg.search.arch_weight_decay),
-        fairness=cfg.fairness)
+    state = SearchState(net, net.alpha, *_build_optimizers(net, cfg), fairness=cfg.fairness)
     build_s = time.perf_counter() - start
     rss_after_build = peak_rss_mb()
 

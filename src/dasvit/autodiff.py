@@ -143,22 +143,17 @@ def default_dtype() -> np.dtype:
     return _DEFAULT_DTYPE
 
 
-def set_default_dtype(dtype) -> None:
+@contextmanager
+def dtype_scope(dtype):
     global _DEFAULT_DTYPE
     dt = np.dtype(dtype)
     if dt not in _FLOAT_DTYPES:
         raise ShapeError(f"default dtype must be float32 or float64, got {dt}")
-    _DEFAULT_DTYPE = dt
-
-
-@contextmanager
-def dtype_scope(dtype):
-    old = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
+    old, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dt
     try:
         yield
     finally:
-        set_default_dtype(old)
+        _DEFAULT_DTYPE = old
 
 
 _CHECK_PRIMITIVES = True

@@ -463,14 +463,16 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
 
 def load_parameters(params: dict, arrays: dict[str, np.ndarray], source,
                     opt_state: dict[str, np.ndarray] | None = None) -> None:
-    """Copy ``arrays[name]`` into each tensor ``params[name]``, cast to its dtype.
+    """Copy ``arrays[name]`` into each tensor ``params[name]``, cast to its
+    dtype, and into each array ``opt_state[name]`` in place.
 
     Strict, all or nothing: each parameter and each `opt_state` entry (the
-    optimizer state the caller restores) needs an array of its shape, and an
-    array that is neither nor named ``opt.*`` is surplus. A violation raises
-    DataError naming the array and `source`."""
+    optimizer state the caller restores, ``AdamW.state_arrays()``) needs an
+    array of its shape, and an array that is neither nor named ``opt.*`` is
+    surplus. A violation raises DataError naming the array and `source`."""
+    opt_state = opt_state or {}
     expected = {name: p.data.shape for name, p in params.items()}
-    expected.update((name, a.shape) for name, a in (opt_state or {}).items())
+    expected.update((name, a.shape) for name, a in opt_state.items())
     for name, shape in expected.items():
         if name not in arrays:
             raise DataError(f"{source}: no array {name!r}")
@@ -484,3 +486,5 @@ def load_parameters(params: dict, arrays: dict[str, np.ndarray], source,
                         f"({len(surplus)} surplus arrays)")
     for name, p in params.items():
         p.data = arrays[name].astype(p.data.dtype)
+    for name, state in opt_state.items():
+        state[...] = arrays[name]

@@ -64,13 +64,17 @@ class AdamW:
 
     The moments of all parameters live in one flat `m` and one flat `v`
     buffer; ``m[name]`` and ``v[name]`` are views into them in the
-    parameter's shape. A step runs over blocks of at most `CHUNK` elements:
-    a run of consecutive parameters whose gradients are gathered into one
-    buffer, or a `CHUNK`-sized slice of a larger parameter. Every element
-    sees the same operations, in the same order, as a per-tensor update.
+    parameter's shape. A step cuts that flat order into windows of `CHUNK`
+    elements and runs one block of vector operations per window. A block is
+    a list of segments ``(name, tensor, lo, hi, update)``: flat elements
+    ``lo:hi`` of one tensor, and that segment's view of the update buffer,
+    in the tensor's shape when the segment covers the whole tensor. Every
+    element sees the same operations, in the same order, as a per-tensor
+    update.
 
-    That state is one ``np.zeros`` array from the heap whose freed pages the
-    process keeps (see `autodiff`): a rebuilt optimizer reuses the old one's pages.
+    That state, the step count aside, is one ``np.zeros`` array from the heap
+    whose freed pages the process keeps (see `autodiff`): a rebuilt
+    optimizer reuses the old one's pages.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0):
@@ -79,7 +83,7 @@ class AdamW:
         self.params = dict(params)
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
-        self.step_count = 0
+        self._step = np.zeros(1, np.int64)
         (first, p0), *rest = self.params.items()
         dtype = p0.data.dtype
         for name, p in rest:
@@ -87,68 +91,46 @@ class AdamW:
                 raise OptimizerError(
                     f"AdamW: parameter {name!r} is {p.data.dtype}, but {first!r} "
                     f"is {dtype}; one optimizer steps one dtype")
-        sizes = [p.data.size for p in self.params.values()]
-        total, width = sum(sizes), min(CHUNK, sum(sizes))
+        total = sum(p.data.size for p in self.params.values())
+        width = min(CHUNK, total)
         # the moments, then the gather, scratch and update buffers of a block
         state = np.zeros(2 * total + 3 * width, dtype)
         self._m, self._v = state[:total], state[total:2 * total]
         self._grad, self._tmp, self._upd = state[2 * total:].reshape(3, width)
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
-        # groups: runs of consecutive parameters of at most CHUNK elements in
-        # total; a larger parameter is a group of its own
-        groups: list[list[str]] = []
-        filled = offset = 0
-        for (name, p), size in zip(self.params.items(), sizes):
+        windows: list[list[tuple]] = [[] for _ in range(0, total, CHUNK)]
+        offset = 0
+        for name, p in self.params.items():
+            size = p.data.size
             self.m[name] = self._m[offset:offset + size].reshape(p.data.shape)
             self.v[name] = self._v[offset:offset + size].reshape(p.data.shape)
+            lo = 0
+            while lo < size:
+                at = (offset + lo) % CHUNK
+                hi = min(size, lo + CHUNK - at)
+                update = self._upd[at:at + hi - lo]
+                if hi - lo == size:
+                    update = update.reshape(p.data.shape)
+                windows[(offset + lo) // CHUNK].append((name, p, lo, hi, update))
+                lo = hi
             offset += size
-            if not groups or filled + size > CHUNK:
-                groups.append([])
-                filled = 0
-            groups[-1].append(name)
-            filled += size
-        # blocks: (names, tensors, part, m, v, updates); `part` is None for a
-        # gathered run, whose `updates` are views of the update buffer in each
-        # tensor's shape, or the slice of one larger tensor's flat elements
-        self._blocks: list[tuple] = []
-        offset = 0
-        for names in groups:
-            tensors = [self.params[n] for n in names]
-            size = sum(t.data.size for t in tensors)
-            if size > CHUNK:
-                for lo in range(0, size, CHUNK):
-                    hi = min(lo + CHUNK, size)
-                    self._add_block(names, tensors, slice(lo, hi), offset + lo,
-                                    [self._upd[:hi - lo]])
-            else:
-                updates, at = [], 0
-                for t in tensors:
-                    updates.append(self._upd[at:at + t.data.size].reshape(t.data.shape))
-                    at += t.data.size
-                self._add_block(names, tensors, None, offset, updates)
-            offset += size
+        # blocks: (segments, m, v) of each window
+        self._blocks = [(segments, self._m[at:at + CHUNK], self._v[at:at + CHUNK])
+                        for at, segments in zip(range(0, total, CHUNK), windows)]
 
-    def _add_block(self, names, tensors, part, offset, updates) -> None:
-        size = sum(u.size for u in updates)
-        self._blocks.append((names, tensors, part, self._m[offset:offset + size],
-                             self._v[offset:offset + size], updates))
-
-    def set_lr(self, lr: float) -> None:
-        self.lr = float(lr)
+    @property
+    def step_count(self) -> int:
+        return int(self._step[0])
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
 
-    def _gather(self, tensors, part) -> np.ndarray:
-        """The block's gradients as one flat array."""
-        if part is not None:
-            return tensors[0].grad.reshape(-1)[part]
-        if len(tensors) == 1:
-            return tensors[0].grad.reshape(-1)
-        grads = [t.grad for t in tensors]
-        size = sum(g.size for g in grads)
+    def _gather(self, segments, size: int) -> np.ndarray:
+        """The block's `size` gradient elements as one flat array."""
+        grads = [t.grad if hi - lo == t.data.size else t.grad.reshape(-1)[lo:hi]
+                 for _, t, lo, hi, _ in segments]
         return np.concatenate(grads, axis=None, out=self._grad[:size])
 
     def step(self) -> None:
@@ -157,18 +139,17 @@ class AdamW:
                 raise OptimizerError(f"AdamW: parameter {name!r} has no gradient")
         # every block is checked before any is updated; the gather buffer is
         # shared, so the update gathers each block again
-        for names, tensors, part, _, _, _ in self._blocks:
-            g = self._gather(tensors, part)
-            if not np.isfinite(g).all():
-                bad = next(n for n, t in zip(names, tensors) if not np.isfinite(t.grad).all())
+        for segments, m, _ in self._blocks:
+            if not np.isfinite(self._gather(segments, m.size)).all():
+                bad = next(name for name, t, *_ in segments if not np.isfinite(t.grad).all())
                 raise NonFiniteError(f"AdamW: gradient of {bad!r} is non-finite")
-        self.step_count += 1
+        self._step += 1
         b1, b2 = BETAS
         bc1 = 1.0 - b1**self.step_count
         bc2 = 1.0 - b2**self.step_count
         decay = 1.0 - self.lr * self.weight_decay
-        for _, tensors, part, m, v, updates in self._blocks:
-            g = self._gather(tensors, part)
+        for segments, m, v in self._blocks:
+            g = self._gather(segments, m.size)
             tmp = self._tmp[:g.size]
             upd = self._upd[:g.size]
             # m*b1 + (1-b1)*g;  v*b2 + ((1-b2)*g)*g;  (m/bc1) / (sqrt(v/bc2) + eps)
@@ -183,13 +164,13 @@ class AdamW:
             np.divide(m, bc1, out=upd)
             upd /= tmp
             upd *= self.lr
-            for t, u in zip(tensors, updates):
-                if part is not None:
+            for _, t, lo, hi, u in segments:
+                if hi - lo == t.data.size:
+                    d = t.data
+                else:
                     if not t.data.flags.c_contiguous:
                         t.data = np.ascontiguousarray(t.data)
-                    d = t.data.reshape(-1)[part]
-                else:
-                    d = t.data
+                    d = t.data.reshape(-1)[lo:hi]
                 if self.weight_decay:
                     d *= decay
                 d -= u
@@ -197,30 +178,13 @@ class AdamW:
     # -- checkpoint support -------------------------------------------------------
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """The moments and step count, keyed ``opt.m.<name>``, ``opt.v.<name>``
-        and ``opt.step``."""
+        """The moments, keyed ``opt.m.<name>`` and ``opt.v.<name>``, and the
+        one-element step count ``opt.step``: the optimizer's own arrays, so
+        ``data.load_parameters(..., opt_state=opt.state_arrays())`` restores
+        them in place."""
         out: dict[str, np.ndarray] = {}
         for name in self.params:
             out[f"opt.m.{name}"] = self.m[name]
             out[f"opt.v.{name}"] = self.v[name]
-        out["opt.step"] = np.array([self.step_count], dtype=np.int64)
+        out["opt.step"] = self._step
         return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy saved moments into the flat buffers; a missing or misshapen
-        array is refused by key before anything is copied."""
-        if "opt.step" not in arrays:
-            raise OptimizerError("AdamW: no array 'opt.step'")
-        pairs = []
-        for name in self.params:
-            for kind, dest in (("m", self.m[name]), ("v", self.v[name])):
-                key = f"opt.{kind}.{name}"
-                if key not in arrays:
-                    raise OptimizerError(f"AdamW: no array {key!r}")
-                if arrays[key].shape != dest.shape:
-                    raise OptimizerError(f"AdamW: array {key!r} has shape "
-                                         f"{arrays[key].shape}, expected {dest.shape}")
-                pairs.append((dest, arrays[key]))
-        for dest, src in pairs:
-            dest[...] = src
-        self.step_count = int(arrays["opt.step"][0])

@@ -240,7 +240,7 @@ def bilevel_epoch(state: SearchState, train_batches: list[Batch],
                   val_batches: list[Batch], lr: float | None = None) -> None:
     """One epoch of alternating updates over paired (val, train) batches."""
     if lr is not None:
-        state.w_opt.set_lr(lr)
+        state.w_opt.lr = lr
     for step, (tb, vb) in enumerate(zip(train_batches, val_batches)):
         if tb.split != "train" or vb.split != "val":
             raise DataError(
@@ -268,22 +268,22 @@ def bilevel_epoch(state: SearchState, train_batches: list[Batch],
 
 
 def build_datasets(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
-    """(train, held-out) datasets per the data config, resized to
-    ``model.image``; cifar10 is then normalized by its train-split
-    statistics, synthetic data never."""
+    """(train, held-out) datasets per the data config, at ``model.image``:
+    synthetic data resized and never normalized, cifar10 loaded at that size
+    and normalized by its train-split statistics."""
     if cfg.data.source == "synthetic":
         syn, channels = cfg.data.synthetic, cfg.model.channels
         train = make_synthetic(syn.classes, syn.per_class, syn.image, seed,
                                channels=channels, noise=syn.noise)
         test = make_synthetic(syn.classes, max(1, syn.per_class // 4), syn.image,
                               seed + 1, channels=channels, noise=syn.noise)
+        for ds in (train, test):
+            ds.images = resize_images(ds.images, cfg.model.image)
     else:
         if cfg.data.dir is None:
             raise DataError("data.dir: required for cifar10")
         train, test = load_cifar10(cfg.data.dir, cfg.model.image)
-    for ds in (train, test):
-        ds.images = resize_images(ds.images, cfg.model.image)
-        if cfg.data.source == "cifar10":
+        for ds in (train, test):
             ds.images = normalize(ds.images, CIFAR10_MEAN, CIFAR10_STD)
     return train, test
 
@@ -560,7 +560,6 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
     plan = BatchPlan(batch_size=cfg.retrain.batch_size, seed=seed)
     if resume is not None:
         load_parameters(params, arrays, resume, opt_state=opt.state_arrays())
-        opt.load_state_arrays(arrays)
     metrics = RunLog(out / "metrics.csv", start_epoch,
                      header=("epoch", "split", "loss", "top1", "top5"))
     _remove_stale(out, resume, "epoch", start_epoch, ("model.ckpt", "abort.ckpt"))
@@ -584,7 +583,7 @@ def retrain(genotype: Genotype, cfg: RunConfig, out_dir,
 
     history: list[dict] = []
     def run_epoch(epoch: int):
-        opt.set_lr(sched.lr_at(epoch))
+        opt.lr = sched.lr_at(epoch)
         loss_sum, t1_sum, t5_sum, count = 0.0, 0.0, 0.0, 0
         try:
             for batch in epoch_batches(train_ds, np.arange(len(train_ds)),

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from dasvit import AdamW, LrSchedule, Tensor, backward, desk_config, dtype_scope
 from dasvit import autodiff as ad
 from dasvit.config import paper_defaults
-from dasvit.errors import ConfigError, NonFiniteError, OptimizerError
+from dasvit.data import load_parameters
+from dasvit.errors import ConfigError, DataError, NonFiniteError, OptimizerError
 from dasvit.optim import CHUNK
 from oracles import adamw_step_oracle
 
@@ -58,9 +59,10 @@ def test_missing_gradient_names_the_parameter():
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_nonfinite_gradient_behind_a_finite_loss_is_refused_before_any_update():
     """(a*b)*c at a=1e30, b=1e-30, c=1e10 has the finite float32 loss 1e10,
-    but d/db = a*c overflows; the step names b and changes nothing. b sits in
-    the middle of a run of small tensors that follows a tensor larger than
-    CHUNK, so the refusal comes from a gathered block after a sliced one."""
+    but d/db = a*c overflows; the step names b and changes nothing. b sits
+    among small tensors after a tensor larger than CHUNK, so the refusal
+    comes from the second window, which holds the big tensor's last 5
+    elements ahead of a, b, c and tail, after a clean first window."""
     values = {"big": 0.0, "a": 1e30, "b": 1e-30, "c": 1e10, "tail": 0.0}
     sizes = {"big": CHUNK + 5, "tail": 7}
     params = {name: Tensor(np.zeros(sizes.get(name, 1), dtype=np.float32),
@@ -116,21 +118,27 @@ def test_parameters_of_mixed_dtypes_are_refused_by_name():
     ("opt.step", None, "no array 'opt.step'"),
 ])
 def test_load_state_arrays_refuses_a_missing_or_misshapen_moment(key, value, match):
+    """Optimizer state loads through `load_parameters`, which refuses a
+    missing or misshapen moment or step count by name before it copies
+    anything, weights included."""
     params = {"w": _param(np.zeros((2, 3))), "b": _param(np.zeros(3))}
     saved = AdamW(params, lr=0.1)
     for p in params.values():
         p.grad = np.ones_like(p.data)
     saved.step()
     arrays = {k: v.copy() for k, v in saved.state_arrays().items()}
+    arrays.update((n, p.data.copy()) for n, p in params.items())
     if value is None:
         del arrays[key]
     else:
         arrays[key] = value
-    fresh = AdamW(params, lr=0.1)
-    with pytest.raises(OptimizerError, match=match):
-        fresh.load_state_arrays(arrays)
+    fresh_params = {"w": _param(np.zeros((2, 3))), "b": _param(np.zeros(3))}
+    fresh = AdamW(fresh_params, lr=0.1)
+    with pytest.raises(DataError, match=f"saved.ckpt: .*{match}"):
+        load_parameters(fresh_params, arrays, "saved.ckpt", opt_state=fresh.state_arrays())
     assert fresh.step_count == 0
     assert not fresh.m["b"].any() and not fresh.v["w"].any()
+    assert not any(p.data.any() for p in fresh_params.values())
 
 
 _SIZES = st.lists(st.integers(1, 40) | st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1]),
@@ -167,6 +175,47 @@ def test_flat_step_matches_the_per_tensor_oracle_bitwise(sizes, decay, dtype, se
         np.testing.assert_array_equal(opt.v[name], v[name])
 
 
+def test_blocks_are_the_chunk_windows_of_the_flat_order():
+    sizes = [3] * 30 + [2 * CHUNK + 5, 7, CHUNK - 20, 30]
+    params = {f"p{i}": Tensor(np.zeros(n, np.float32), requires_grad=True)
+              for i, n in enumerate(sizes)}
+    blocks = AdamW(params, lr=0.1)._blocks
+    assert len(blocks) == math.ceil(sum(sizes) / CHUNK)
+    assert [sum(hi - lo for _, _, lo, hi, _ in segments) for segments, _, _ in blocks] \
+        == [m.size for _, m, _ in blocks]
+
+
+@pytest.mark.parametrize("shape, split", [((40, 30), False), ((300, 250), True)],
+                         ids=["whole", "split"])
+def test_a_non_contiguous_parameter_steps_like_the_oracle(shape, split):
+    """A transposed view steps bit for bit like the per-tensor oracle, and
+    the update lands in its tensor's data: in place when one window holds
+    it, in a C-contiguous copy when it is split across windows."""
+    rng = np.random.default_rng(5)
+    init = rng.standard_normal(shape).astype(np.float32)
+    assert (init.size > CHUNK) == split
+    flat = {"lead": Tensor(np.zeros(11, np.float32), requires_grad=True),
+            "w": Tensor(init.copy().T, requires_grad=True)}
+    ref = {"lead": Tensor(np.zeros(11, np.float32)), "w": Tensor(init.copy().T)}
+    view = flat["w"].data
+    assert not view.flags.c_contiguous
+    opt = AdamW(flat, lr=1e-2, weight_decay=0.05)
+    m = {n: np.zeros_like(p.data) for n, p in ref.items()}
+    v = {n: np.zeros_like(p.data) for n, p in ref.items()}
+    for step in (1, 2, 3):
+        for name, p in flat.items():
+            g = rng.standard_normal(p.data.shape).astype(np.float32)
+            p.grad, ref[name].grad = g, g.copy()
+        opt.step()
+        adamw_step_oracle(ref, m, v, step, lr=1e-2, weight_decay=0.05)
+    for name in flat:
+        np.testing.assert_array_equal(flat[name].data, ref[name].data)
+        np.testing.assert_array_equal(opt.m[name], m[name])
+        np.testing.assert_array_equal(opt.v[name], v[name])
+    assert (flat["w"].data is view) != split
+    assert not np.array_equal(flat["w"].data, init.T)
+
+
 def test_step_count_and_moment_shapes():
     w = _param([[1.0, 2.0], [3.0, 4.0]])
     opt = AdamW({"w": w}, lr=0.1)
@@ -194,10 +243,12 @@ def test_state_arrays_roundtrip_resumes_identically():
             w_a.grad = g.copy()
             part.step()
         snapshot = {k: v.copy() for k, v in part.state_arrays().items()}
+        snapshot["w"] = w_a.data.copy()
 
-        w_b = Tensor(w_a.data.copy(), requires_grad=True)
+        w_b = Tensor(np.ones(4), requires_grad=True)
         resumed = AdamW({"w": w_b}, lr=0.05, weight_decay=0.01)
-        resumed.load_state_arrays(snapshot)
+        load_parameters({"w": w_b}, snapshot, "snapshot", opt_state=resumed.state_arrays())
+        assert resumed.step_count == 3
         for g in grads[3:]:
             w_b.grad = g.copy()
             resumed.step()

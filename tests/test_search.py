@@ -415,7 +415,7 @@ def test_frozen_architecture_reduces_to_plain_training():
         plan = BatchPlan(batch_size=16, seed=0)
 
         _, engine_model, state = _toy_setup(seed=3)
-        state.a_opt.set_lr(0.0)
+        state.a_opt.lr = 0.0
         for epoch in range(3):
             state.epoch = epoch
             tb = epoch_batches(ds, split.train_indices, plan, epoch, "train")
