@@ -10,11 +10,10 @@ requires no gradient would discard.
 
 A graph is consumed by its backward. Once a node's closure has run, the
 node lets go of its parents and its closure, so the arrays the closure
-saved, and interior outputs nothing else holds, are freed while the pass
-goes on, not when the caller drops the loss. A second ``backward`` through a
-consumed node raises ``DasvitError``. Leaf gradients still accumulate
-across separate graphs: a forward and backward per micro-batch, without
-zeroing in between, sums their gradients.
+saved are freed while the pass goes on, not when the caller drops the
+loss. A second ``backward`` through a consumed node raises ``DasvitError``.
+Leaf gradients still accumulate across separate graphs: a forward and
+backward per micro-batch, without zeroing in between, sums their gradients.
 
 Gradient arrays are never written in place. The first write to a tensor's
 ``.grad`` assigns the incoming array instead of adding it to zeros (copying
@@ -30,15 +29,30 @@ over the flattened leading dimensions, forward and backward; the weight
 gradient is ``a2ᵀ @ g2`` over all rows at once, with no per-batch
 temporary to sum away.
 
-A node's output array lives as long as its graph, whether or not a backward
-closure reads it. So the hot compositions are single nodes: ``matmul`` takes
-a ``bias``, ``weighted_sum`` is a mixed edge's whole weighted sum, and each
-MSA and MLP candidate, with its norm's scale and shift, is one node. Each
-computes the same floats in the same order as the chain of primitives it
-replaces, forward and backward, without holding that chain's intermediate
-arrays, and keeps only what its backward cannot cheaply rebuild. A candidate
-node reads the shared normalized input, which its ``normalize`` node holds
-anyway, and does not keep its scaled and shifted input
+A graph node does not hold its op's output. A leaf (a parameter or an
+input), and an op output no gradient flows through, is its own node. An op
+output that takes a gradient is a ``Tensor`` whose node is a separate
+``Node``: its parents' nodes, its backward closure, its gradient, and its
+output's shape, dtype and strides, by which ``_accumulate`` lays out a first
+gradient. A closure captures its parents' nodes and only the arrays it
+reads: ``mul`` both operands, ``matmul`` its rows and its weight, ``affine``
+and the candidate nodes the normalized input, ``weighted_sum`` its terms
+only when its weights take a gradient (the α phase). An op's output so
+lives only while Python code, or a closure that reads it, holds it: in the
+weight phase and in retraining every candidate output, edge, node and cell
+sum is freed once the op that consumes it has run. This is the rule of Chen
+et al. (arXiv 1604.06174), free what the backward will not read, applied
+with no recomputation.
+
+The hot compositions are single nodes: ``matmul`` takes a ``bias``,
+``weighted_sum`` is a mixed edge's whole weighted sum, and each MSA and MLP
+candidate, with its norm's scale and shift, is one node. As a chain of
+primitives, each link's closure would keep what it reads: the scaled and
+shifted input ``z`` for every projection, the GELU output for the second
+one. A single node computes the same floats in the same order as the chain
+it replaces, forward and backward, and keeps only what its backward cannot
+cheaply rebuild. A candidate node reads the shared normalized input, which
+its ``normalize`` node keeps anyway, and does not keep
 ``z = normed * gamma + beta``. What each keeps:
 
 * ``self_attention`` (the q/k/v projections of ``z``, multi-head
@@ -195,8 +209,30 @@ def finite_pass(forward: Callable[[], tuple["Tensor", ...]]) -> tuple["Tensor", 
                          "per-primitive checks found no primitive that produced one")
 
 
+class Node:
+    """A recorded op's place in the graph, without its output: the parents'
+    nodes, the backward closure, the gradient, and the output's shape, dtype
+    and strides, which `_accumulate` lays a first gradient out by."""
+
+    __slots__ = ("grad", "_parents", "_backward", "shape", "dtype", "strides")
+    requires_grad = True
+
+    def empty(self) -> np.ndarray:
+        """An uninitialised array laid out as ``np.empty_like`` lays out one
+        of the output's: axes ordered by decreasing stride, ties in axis order."""
+        order = sorted(range(len(self.shape)), key=lambda ax: -abs(self.strides[ax]))
+        out = np.empty([self.shape[ax] for ax in order], self.dtype)
+        return out if order == sorted(order) else out.transpose(np.argsort(order))
+
+
 class Tensor:
-    """Dense n-dimensional array with optional gradient accumulation."""
+    """Dense n-dimensional array with optional gradient accumulation.
+
+    A leaf, and an op output no gradient flows through, is its own graph
+    node. An op output that takes a gradient is an ``_Output``, whose
+    ``_node`` is a separate `Node` that does not hold the output; either
+    way ``t._node or t`` is the node of ``t``.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
 
@@ -208,30 +244,46 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.name = name
-        self._parents: tuple[Tensor, ...] = ()
+        self._parents: tuple = ()
         self._backward: Callable[[np.ndarray], None] | None = None
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def _from_op(data: np.ndarray, parents: Sequence["Tensor"],
-                 backward: Callable[[np.ndarray], None], op: str) -> "Tensor":
+    def _from_op(data: np.ndarray, parents: Sequence, backward: Callable[[np.ndarray], None],
+                 op: str) -> "Tensor":
+        """The output `data` of the primitive `op`, recorded over `parents`,
+        its operands' nodes, when one of them takes a gradient."""
         if _CHECK_PRIMITIVES:
             _check_finite(data, op)
-        out = Tensor.__new__(Tensor)
-        out.data = data
-        out.grad = None
-        out.name = ""
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
         for p in parents:
             if p.requires_grad:
-                out.requires_grad = True
-                out._parents = tuple(parents)
-                out._backward = backward
                 break
+        else:
+            out = Tensor.__new__(Tensor)
+            out.data = data
+            out.grad = None
+            out.name = ""
+            out.requires_grad = False
+            out._parents = ()
+            out._backward = None
+            return out
+        node = Node.__new__(Node)
+        node.grad = None
+        node._parents = tuple(parents)
+        node._backward = backward
+        node.shape, node.dtype, node.strides = data.shape, data.dtype, data.strides
+        out = _Output.__new__(_Output)
+        out.data = data
+        out.name = ""
+        out.requires_grad = True
+        out._node = node
         return out
+
+    _node = None  # its own node
+
+    def empty(self) -> np.ndarray:
+        return np.empty_like(self.data)
 
     # -- basic properties ------------------------------------------------------
 
@@ -251,6 +303,7 @@ class Tensor:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
+
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{tag})"
@@ -260,9 +313,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(_lift(other, self), self)
-
     def __sub__(self, other):
         return sub(self, other)
 
@@ -271,9 +321,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(_lift(other, self), self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -294,6 +341,22 @@ class Tensor:
         return transpose(self, axes)
 
 
+def _on_node(attr: str) -> property:
+    return property(lambda t: getattr(t._node, attr),
+                    lambda t, value: setattr(t._node, attr, value))
+
+
+class _Output(Tensor):
+    """An op output that takes a gradient: the value, and its `Node`, which
+    holds the gradient, the parents and the closure this tensor shows."""
+
+    __slots__ = ("_node",)
+
+    grad = _on_node("grad")
+    _parents = _on_node("_parents")
+    _backward = _on_node("_backward")
+
+
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -308,24 +371,27 @@ def _lift(x, like: Tensor) -> Tensor:
     return Tensor(np.asarray(x, dtype=like.dtype))
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add `g` to ``t.grad``; never writes into an existing array (see module doc).
+def _accumulate(t, g: np.ndarray) -> None:
+    """Add `g` to the gradient of the node `t`; never writes into an
+    existing array (see module doc).
 
-    ``t.grad`` always has ``t.data``'s dtype and memory layout: a first `g`
-    laid out otherwise is copied. Closures reduce and multiply their incoming
-    gradient, and numpy's summation order follows the layout, so this keeps
-    every gradient bitwise what adding into ``zeros_like(t.data)`` gave
-    (except that a lone -0.0 stays -0.0).
+    ``t.grad`` always has the dtype and memory layout of `t`'s value: a
+    first `g` laid out otherwise is copied. Closures reduce and multiply
+    their incoming gradient, and numpy's summation order follows the layout,
+    so this keeps every gradient bitwise what adding into ``zeros_like`` of
+    the value gave (except that a lone -0.0 stays -0.0).
     """
     if not t.requires_grad:
         return
     if t.grad is not None:
         t.grad = np.add(t.grad, g, out=np.empty_like(t.grad))
-    elif (type(g) is np.ndarray and g.dtype == t.data.dtype
-          and g.strides == t.data.strides and g.shape == t.data.shape):
+        return
+    like = t if type(t) is Node else t.data  # a node keeps its value's layout
+    if (type(g) is np.ndarray and g.dtype == like.dtype and g.strides == like.strides
+            and g.shape == like.shape):
         t.grad = g
     else:
-        t.grad = np.empty_like(t.data)
+        t.grad = t.empty()
         t.grad[...] = g
 
 
@@ -380,20 +446,21 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
-    topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    root = loss._node or loss
+    topo: list = []
+    visited: set = set()  # nodes hash by identity
+    stack: list[tuple] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
             topo.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in visited:
+            if parent not in visited:
                 stack.append((parent, False))
     # non-leaf grads are per-pass scratch; only leaves accumulate across calls
     for node in topo:
@@ -401,7 +468,7 @@ def backward(loss: Tensor) -> None:
             _consumed(node.grad)  # refused before any gradient moves
         if node._backward is not None:
             node.grad = None
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     leaves: list[Tensor] = []
     # popping, not iterating, so the list drops each node as the pass leaves it
     while topo:
@@ -446,14 +513,15 @@ def add(a, b) -> Tensor:
         out = a.data + b.data
     except ValueError:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
+    an, bn = a._node or a, b._node or b
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
+        if an.requires_grad:
+            _accumulate(an, _unbroadcast(g, an.shape))
+        if bn.requires_grad:
+            _accumulate(bn, _unbroadcast(g, bn.shape))
 
-    return Tensor._from_op(out, (a, b), bw, "add")
+    return Tensor._from_op(out, (an, bn), bw, "add")
 
 
 def sub(a, b) -> Tensor:
@@ -463,14 +531,15 @@ def sub(a, b) -> Tensor:
         out = a.data - b.data
     except ValueError:
         raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast") from None
+    an, bn = a._node or a, b._node or b
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.shape))
+        if an.requires_grad:
+            _accumulate(an, _unbroadcast(g, an.shape))
+        if bn.requires_grad:
+            _accumulate(bn, _unbroadcast(-g, bn.shape))
 
-    return Tensor._from_op(out, (a, b), bw, "sub")
+    return Tensor._from_op(out, (an, bn), bw, "sub")
 
 
 def mul(a, b) -> Tensor:
@@ -480,14 +549,15 @@ def mul(a, b) -> Tensor:
         out = a.data * b.data
     except ValueError:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
+    an, bn, x, y = a._node or a, b._node or b, a.data, b.data
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if an.requires_grad:
+            _accumulate(an, _unbroadcast(g * y, an.shape))
+        if bn.requires_grad:
+            _accumulate(bn, _unbroadcast(g * x, bn.shape))
 
-    return Tensor._from_op(out, (a, b), bw, "mul")
+    return Tensor._from_op(out, (an, bn), bw, "mul")
 
 
 # -- linear algebra ----------------------------------------------------------------
@@ -506,14 +576,15 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         out = a.data @ b.data
     except ValueError:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} are incompatible") from None
+    an, bn, x, y = a._node or a, b._node or b, a.data, b.data
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+        if an.requires_grad:
+            _accumulate(an, _unbroadcast(g @ y.swapaxes(-1, -2), an.shape))
+        if bn.requires_grad:
+            _accumulate(bn, _unbroadcast(x.swapaxes(-1, -2) @ g, bn.shape))
 
-    return Tensor._from_op(out, (a, b), bw, "matmul")
+    return Tensor._from_op(out, (an, bn), bw, "matmul")
 
 
 def _matmul_rows(a: Tensor, b: Tensor, bias: Tensor | None) -> Tensor:
@@ -530,18 +601,19 @@ def _matmul_rows(a: Tensor, b: Tensor, bias: Tensor | None) -> Tensor:
     if bias is not None:
         out += bias.data
     out = out.reshape(a.shape[:-1] + b.shape[1:])
+    an, bn, w = a._node or a, b._node or b, b.data
+    cn = None if bias is None else bias._node or bias
 
     def bw(g):
         g2 = g.reshape(-1, g.shape[-1])
-        if a.requires_grad:
-            _accumulate(a, (g2 @ b.data.T).reshape(a.shape))
-        if b.requires_grad:
-            _accumulate(b, a2.T @ g2)
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, _unbroadcast(g, bias.shape))
+        if an.requires_grad:
+            _accumulate(an, (g2 @ w.T).reshape(an.shape))
+        if bn.requires_grad:
+            _accumulate(bn, a2.T @ g2)
+        if cn is not None and cn.requires_grad:
+            _accumulate(cn, _unbroadcast(g, cn.shape))
 
-    parents = (a, b) if bias is None else (a, b, bias)
-    return Tensor._from_op(out, parents, bw, "matmul")
+    return Tensor._from_op(out, (an, bn) if cn is None else (an, bn, cn), bw, "matmul")
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -552,11 +624,12 @@ def transpose(a: Tensor, axes) -> Tensor:
     inverse = [0] * len(axes)
     for i, ax in enumerate(axes):
         inverse[ax] = i
+    an = a._node or a
 
     def bw(g):
-        _accumulate(a, g.transpose(inverse))
+        _accumulate(an, g.transpose(inverse))
 
-    return Tensor._from_op(a.data.transpose(axes), (a,), bw, "transpose")
+    return Tensor._from_op(a.data.transpose(axes), (an,), bw, "transpose")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -566,11 +639,12 @@ def reshape(a: Tensor, shape) -> Tensor:
         out = a.data.reshape(shape)
     except ValueError:
         raise ShapeError(f"reshape: cannot view shape {a.shape} as {shape}") from None
+    an = a._node or a
 
     def bw(g):
-        _accumulate(a, g.reshape(a.shape))
+        _accumulate(an, g.reshape(an.shape))
 
-    return Tensor._from_op(out, (a,), bw, "reshape")
+    return Tensor._from_op(out, (an,), bw, "reshape")
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
@@ -580,11 +654,12 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
         out = np.broadcast_to(a.data, shape).copy()
     except ValueError:
         raise ShapeError(f"broadcast_to: cannot broadcast {a.shape} to {shape}") from None
+    an = a._node or a
 
     def bw(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
+        _accumulate(an, _unbroadcast(g, an.shape))
 
-    return Tensor._from_op(out, (a,), bw, "broadcast_to")
+    return Tensor._from_op(out, (an,), bw, "broadcast_to")
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -598,12 +673,13 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         raise ShapeError(f"concat: shapes {shapes} do not align on axis {axis}") from None
     sizes = [p.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
+    nodes = [p._node or p for p in parts]
 
     def bw(g):
-        for p, piece in zip(parts, np.split(g, splits, axis=axis)):
+        for p, piece in zip(nodes, np.split(g, splits, axis=axis)):
             _accumulate(p, piece)
 
-    return Tensor._from_op(out, tuple(parts), bw, "concat")
+    return Tensor._from_op(out, nodes, bw, "concat")
 
 
 def index(a: Tensor, key) -> Tensor:
@@ -618,16 +694,17 @@ def index(a: Tensor, key) -> Tensor:
         raise ShapeError(f"index: key {key!r} invalid for shape {a.shape}") from None
     if not gather:
         out = np.array(out)  # detach the view from the base buffer
+    an = a._node or a
 
     def bw(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(an.shape, an.dtype)
         if gather:
             np.add.at(full, key, g)
         else:
             full[key] += g  # basic keys address each element once
-        _accumulate(a, full)
+        _accumulate(an, full)
 
-    return Tensor._from_op(out, (a,), bw, "index")
+    return Tensor._from_op(out, (an,), bw, "index")
 
 
 # -- reductions ---------------------------------------------------------------------
@@ -636,14 +713,15 @@ def index(a: Tensor, key) -> Tensor:
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    an = a._node or a
 
     def bw(g):
         if axis is not None and not keepdims:
             axes = (axis,) if isinstance(axis, int) else tuple(axis)
             g = np.expand_dims(g, axes)
-        _accumulate(a, np.broadcast_to(g, a.shape).copy())
+        _accumulate(an, np.broadcast_to(g, an.shape).copy())
 
-    return Tensor._from_op(np.asarray(out), (a,), bw, "sum")
+    return Tensor._from_op(np.asarray(out), (an,), bw, "sum")
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -652,14 +730,15 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     # a Python int: an np.int64 divisor would promote a float32 gradient to float64
     count = a.data.size if axis is None else math.prod(
         a.shape[ax] for ax in ((axis,) if isinstance(axis, int) else tuple(axis)))
+    an = a._node or a
 
     def bw(g):
         if axis is not None and not keepdims:
             axes = (axis,) if isinstance(axis, int) else tuple(axis)
             g = np.expand_dims(g, axes)
-        _accumulate(a, np.broadcast_to(g, a.shape).copy() / count)
+        _accumulate(an, np.broadcast_to(g, an.shape).copy() / count)
 
-    return Tensor._from_op(np.asarray(out), (a,), bw, "mean")
+    return Tensor._from_op(np.asarray(out), (an,), bw, "mean")
 
 
 # -- nonlinearities ---------------------------------------------------------------
@@ -667,12 +746,13 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    out = np.maximum(a.data, 0)
+    an, x = a._node or a, a.data
+    out = np.maximum(x, 0)
 
     def bw(g):
-        _accumulate(a, g * (a.data > 0))
+        _accumulate(an, g * (x > 0))
 
-    return Tensor._from_op(out, (a,), bw, "relu")
+    return Tensor._from_op(out, (an,), bw, "relu")
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -681,11 +761,12 @@ def sigmoid(a: Tensor) -> Tensor:
     e = np.exp(-np.abs(x))
     out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = out.astype(x.dtype)
+    an = a._node or a
 
     def bw(g):
-        _accumulate(a, g * out * (1.0 - out))
+        _accumulate(an, g * out * (1.0 - out))
 
-    return Tensor._from_op(out, (a,), bw, "sigmoid")
+    return Tensor._from_op(out, (an,), bw, "sigmoid")
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -747,11 +828,12 @@ def gelu(a: Tensor) -> Tensor:
     x = a.data
     t = _gelu_tanh(x)
     out = _gelu_from_tanh(x, t)
+    an = a._node or a
 
     def bw(g):
-        _accumulate(a, _gelu_grad(x, t, g))
+        _accumulate(an, _gelu_grad(x, t, g))
 
-    return Tensor._from_op(out, (a,), bw, "gelu")
+    return Tensor._from_op(out, (an,), bw, "gelu")
 
 
 def feed_forward(normed: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
@@ -765,48 +847,51 @@ def feed_forward(normed: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Te
     ``h``, the GELU output only when `w2` takes a gradient, and ``z`` only
     when `w1` takes one.
     """
-    normed, gamma, beta, w1, b1, w2, b2 = (
-        as_tensor(p) for p in (normed, gamma, beta, w1, b1, w2, b2))
-    if (normed.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or w1.shape[0] != normed.shape[-1]
-            or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1]
-            or b2.shape != w2.shape[1:]):
-        raise ShapeError(f"feed_forward: input {normed.shape}, w1 {w1.shape}, b1 {b1.shape}, "
-                         f"w2 {w2.shape} and b2 {b2.shape} do not chain")
-    _check_scale_shift("feed_forward", normed, gamma, beta)
-    dim, width = w1.shape
+    normed, gamma, beta, w1, b1, w2, b2 = map(as_tensor, (normed, gamma, beta, w1, b1, w2, b2))
+    x, scale, shift, w1d, b1d, w2d, b2d = (
+        normed.data, gamma.data, beta.data, w1.data, b1.data, w2.data, b2.data)
+    if (x.ndim < 2 or w1d.ndim != 2 or w2d.ndim != 2 or w1d.shape[0] != x.shape[-1]
+            or b1d.shape != w1d.shape[1:] or w2d.shape[0] != w1d.shape[1]
+            or b2d.shape != w2d.shape[1:]):
+        raise ShapeError(f"feed_forward: input {x.shape}, w1 {w1d.shape}, b1 {b1d.shape}, "
+                         f"w2 {w2d.shape} and b2 {b2d.shape} do not chain")
+    _check_scale_shift("feed_forward", x, scale, shift)
+    dim, width = w1d.shape
+    parents = xn, gn, bn, w1n, b1n, w2n, b2n = (
+        normed._node or normed, gamma._node or gamma, beta._node or beta, w1._node or w1,
+        b1._node or b1, w2._node or w2, b2._node or b2)
 
     def z_rows():
-        return _scale_shift(normed.data, gamma.data, beta.data).reshape(-1, dim)
+        return _scale_shift(x, scale, shift).reshape(-1, dim)
 
-    h = z_rows() @ w1.data
-    h += b1.data
-    h = h.reshape(normed.shape[:-1] + (width,))
-    out = _gelu_from_tanh(h, _gelu_tanh(h)).reshape(-1, width) @ w2.data
-    out += b2.data
-    out = out.reshape(normed.shape[:-1] + w2.shape[1:])
+    h = z_rows() @ w1d
+    h += b1d
+    h = h.reshape(x.shape[:-1] + (width,))
+    out = _gelu_from_tanh(h, _gelu_tanh(h)).reshape(-1, width) @ w2d
+    out += b2d
+    out = out.reshape(x.shape[:-1] + w2d.shape[1:])
 
     def bw(g):
         g2 = g.reshape(-1, g.shape[-1])
-        z_grad = normed.requires_grad or gamma.requires_grad or beta.requires_grad
-        hidden_grad = z_grad or w1.requires_grad or b1.requires_grad
-        t = _gelu_tanh(h) if hidden_grad or w2.requires_grad else None
-        if w2.requires_grad:
-            _accumulate(w2, _gelu_from_tanh(h, t).reshape(-1, width).T @ g2)
-        if b2.requires_grad:
-            _accumulate(b2, _unbroadcast(g, b2.shape))
+        z_grad = xn.requires_grad or gn.requires_grad or bn.requires_grad
+        hidden_grad = z_grad or w1n.requires_grad or b1n.requires_grad
+        t = _gelu_tanh(h) if hidden_grad or w2n.requires_grad else None
+        if w2n.requires_grad:
+            _accumulate(w2n, _gelu_from_tanh(h, t).reshape(-1, width).T @ g2)
+        if b2n.requires_grad:
+            _accumulate(b2n, _unbroadcast(g, b2n.shape))
         if hidden_grad:
-            gh = _gelu_grad(h, t, (g2 @ w2.data.T).reshape(h.shape))
+            gh = _gelu_grad(h, t, (g2 @ w2d.T).reshape(h.shape))
             del t
             gh2 = gh.reshape(-1, width)
             if z_grad:
-                _scale_shift_backward(normed, gamma, beta,
-                                      (gh2 @ w1.data.T).reshape(normed.shape))
-            if w1.requires_grad:
-                _accumulate(w1, z_rows().T @ gh2)
-            if b1.requires_grad:
-                _accumulate(b1, _unbroadcast(gh, b1.shape))
+                _scale_shift_backward(xn, gn, bn, x, scale, (gh2 @ w1d.T).reshape(x.shape))
+            if w1n.requires_grad:
+                _accumulate(w1n, z_rows().T @ gh2)
+            if b1n.requires_grad:
+                _accumulate(b1n, _unbroadcast(gh, b1n.shape))
 
-    return Tensor._from_op(out, (normed, gamma, beta, w1, b1, w2, b2), bw, "feed_forward")
+    return Tensor._from_op(out, parents, bw, "feed_forward")
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -817,12 +902,13 @@ def softmax(a: Tensor) -> Tensor:
     out = x - x.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
+    an = a._node or a
 
     def bw(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
-        _accumulate(a, out * (g - dot))
+        _accumulate(an, out * (g - dot))
 
-    return Tensor._from_op(out, (a,), bw, "softmax")
+    return Tensor._from_op(out, (an,), bw, "softmax")
 
 
 def self_attention(normed: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: Tensor,
@@ -845,31 +931,37 @@ def self_attention(normed: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: 
     in the q, k, v order in which the chain's backward reached them, then
     hands the sum to the scale and shift as ``affine``'s backward does.
     """
-    normed, gamma, beta, wq, wk, wv, wo, bo = (
-        as_tensor(p) for p in (normed, gamma, beta, wq, wk, wv, wo, bo))
-    if normed.ndim != 3:
-        raise ShapeError(f"self_attention: input {normed.shape} is not (B, N, D)")
-    bsz, n, dim = shape = normed.shape
-    _check_scale_shift("self_attention", normed, gamma, beta)
-    for w in (wq, wk, wv, wo):
+    normed, gamma, beta, wq, wk, wv, wo, bo = map(
+        as_tensor, (normed, gamma, beta, wq, wk, wv, wo, bo))
+    x, scale, shift, wq_d, wk_d, wv_d, wo_d, bo_d = (
+        normed.data, gamma.data, beta.data, wq.data, wk.data, wv.data, wo.data, bo.data)
+    if x.ndim != 3:
+        raise ShapeError(f"self_attention: input {x.shape} is not (B, N, D)")
+    bsz, n, dim = shape = x.shape
+    _check_scale_shift("self_attention", x, scale, shift)
+    for w in (wq_d, wk_d, wv_d, wo_d):
         if w.shape != (dim, dim):
             raise ShapeError(f"self_attention: weight {w.shape} does not fit input {shape}")
-    if bo.shape != (dim,):
-        raise ShapeError(f"self_attention: bias {bo.shape} does not fit input {shape}")
+    if bo_d.shape != (dim,):
+        raise ShapeError(f"self_attention: bias {bo_d.shape} does not fit input {shape}")
     if heads < 1 or dim % heads:
         raise ShapeError(f"self_attention: width of {shape} is not divisible by "
                          f"{heads} heads")
+    parents = xn, gn, bn, wqn, wkn, wvn, won, bon = (
+        normed._node or normed, gamma._node or gamma, beta._node or beta, wq._node or wq,
+        wk._node or wk, wv._node or wv, wo._node or wo, bo._node or bo)
+    projections = [(wqn, wq_d), (wkn, wk_d), (wvn, wv_d)]
 
     def z_rows():
-        return _scale_shift(normed.data, gamma.data, beta.data).reshape(-1, dim)
+        return _scale_shift(x, scale, shift).reshape(-1, dim)
 
     z2 = z_rows()
-    q, k, v = ((z2 @ w.data).reshape(shape) for w in (wq, wk, wv))
+    q, k, v = ((z2 @ w).reshape(shape) for _, w in projections)
     split = (bsz, n, heads, dim // heads)
     qh = q.reshape(split).transpose(0, 2, 1, 3)  # (B, H, N, d)
     kt = k.reshape(split).transpose(0, 2, 3, 1)  # (B, H, d, N)
     vh = v.reshape(split).transpose(0, 2, 1, 3)
-    s = np.asarray(1.0 / math.sqrt(dim // heads), dtype=normed.dtype)
+    s = np.asarray(1.0 / math.sqrt(dim // heads), dtype=x.dtype)
     # the scores become the softmax output in place: one (B, H, N, N) buffer
     attn = qh @ kt
     attn *= s
@@ -880,22 +972,22 @@ def self_attention(normed: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: 
     def merged():
         return (attn @ vh).transpose(0, 2, 1, 3).reshape(-1, dim)
 
-    out = merged() @ wo.data
-    out += bo.data
+    out = merged() @ wo_d
+    out += bo_d
     out = out.reshape(shape)
 
     def bw(g):
         g2 = g.reshape(-1, dim)
-        if wo.requires_grad:
-            _accumulate(wo, merged().T @ g2)
-        if bo.requires_grad:
-            _accumulate(bo, _unbroadcast(g, bo.shape))
-        z_grad = normed.requires_grad or gamma.requires_grad or beta.requires_grad
-        need = [z_grad or w.requires_grad for w in (wq, wk, wv)]
+        if won.requires_grad:
+            _accumulate(won, merged().T @ g2)
+        if bon.requires_grad:
+            _accumulate(bon, _unbroadcast(g, bon.shape))
+        z_grad = xn.requires_grad or gn.requires_grad or bn.requires_grad
+        need = [z_grad or wn.requires_grad for wn, _ in projections]
         if not any(need):
             return
         # the chain copied the merged-head gradient into (B, H, N, d) order
-        gh = (g2 @ wo.data.T).reshape(split).transpose(0, 2, 1, 3).copy()
+        gh = (g2 @ wo_d.T).reshape(split).transpose(0, 2, 1, 3).copy()
         parts = [None, None, None]  # the gradients reaching q, k and v
         if need[2]:
             gv = attn.swapaxes(-1, -2) @ gh
@@ -914,20 +1006,19 @@ def self_attention(normed: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: 
                 parts[1] = gk.transpose(0, 3, 1, 2).reshape(-1, dim)
             del gs
         del gh
-        rows = z_rows() if wq.requires_grad or wk.requires_grad or wv.requires_grad else None
+        rows = z_rows() if any(wn.requires_grad for wn, _ in projections) else None
         gz = None  # the gradient reaching z
-        for w, gp in zip((wq, wk, wv), parts):
-            if w.requires_grad:
-                _accumulate(w, rows.T @ gp)
+        for (wn, w), gp in zip(projections, parts):
+            if wn.requires_grad:
+                _accumulate(wn, rows.T @ gp)
             if z_grad:
-                gp = gp @ w.data.T
+                gp = gp @ w.T
                 gz = gp if gz is None else np.add(gz, gp, out=gz)
         del rows
         if z_grad:
-            _scale_shift_backward(normed, gamma, beta, gz.reshape(shape))
+            _scale_shift_backward(xn, gn, bn, x, scale, gz.reshape(shape))
 
-    return Tensor._from_op(out, (normed, gamma, beta, wq, wk, wv, wo, bo), bw,
-                           "self_attention")
+    return Tensor._from_op(out, parents, bw, "self_attention")
 
 
 _LN_EPS = 1e-6  # added to the variance
@@ -948,7 +1039,7 @@ def normalize(a: Tensor) -> Tensor:
     """`a` centered and scaled to unit variance over its last axis (eps keeps
     zero variance finite); one backward over what every reader summed in."""
     a = as_tensor(a)
-    n = a.shape[-1]
+    n, an = a.shape[-1], a._node or a
     normed, inv = _normalize(a.data)
 
     def bw(g):
@@ -959,15 +1050,15 @@ def normalize(a: Tensor) -> Tensor:
         ga = g - gm
         ga -= np.multiply(normed, gy, out=tmp)
         ga *= inv
-        _accumulate(a, ga)
+        _accumulate(an, ga)
 
-    return Tensor._from_op(normed, (a,), bw, "normalize")
+    return Tensor._from_op(normed, (an,), bw, "normalize")
 
 
-def _check_scale_shift(op: str, a: Tensor, gamma: Tensor, beta: Tensor) -> None:
-    if gamma.shape != a.shape[-1:] or beta.shape != gamma.shape:
+def _check_scale_shift(op: str, x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> None:
+    if gamma.shape != x.shape[-1:] or beta.shape != gamma.shape:
         raise ShapeError(f"{op}: gamma {gamma.shape} and beta {beta.shape} do not fit "
-                         f"input {a.shape}")
+                         f"input {x.shape}")
 
 
 def _scale_shift(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -977,27 +1068,30 @@ def _scale_shift(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarr
     return out
 
 
-def _scale_shift_backward(a: Tensor, gamma: Tensor, beta: Tensor, g: np.ndarray) -> None:
-    """Hand the gradient `g` of ``a * gamma + beta`` to `beta`, `gamma` and `a`."""
-    if beta.requires_grad:
-        _accumulate(beta, _unbroadcast(g, beta.shape))
-    if gamma.requires_grad:
-        _accumulate(gamma, _unbroadcast(g * a.data, gamma.shape))
-    if a.requires_grad:
-        _accumulate(a, g * gamma.data)
+def _scale_shift_backward(an, gn, bn, x: np.ndarray, scale: np.ndarray,
+                          g: np.ndarray) -> None:
+    """Hand the gradient `g` of ``x * scale + shift`` to the nodes of the
+    shift `bn`, the scale `gn` and `x` (`an`)."""
+    if bn.requires_grad:
+        _accumulate(bn, _unbroadcast(g, bn.shape))
+    if gn.requires_grad:
+        _accumulate(gn, _unbroadcast(g * x, gn.shape))
+    if an.requires_grad:
+        _accumulate(an, g * scale)
 
 
 def affine(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """``a * gamma + beta`` over the last axis of `a`, as one node that keeps
-    nothing beyond its operands."""
+    only `a` and `gamma`, the arrays its backward reads."""
     a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
-    _check_scale_shift("affine", a, gamma, beta)
+    x, scale, shift = a.data, gamma.data, beta.data
+    _check_scale_shift("affine", x, scale, shift)
+    nodes = (a._node or a, gamma._node or gamma, beta._node or beta)
 
     def bw(g):
-        _scale_shift_backward(a, gamma, beta, g)
+        _scale_shift_backward(*nodes, x, scale, g)
 
-    return Tensor._from_op(_scale_shift(a.data, gamma.data, beta.data), (a, gamma, beta), bw,
-                           "affine")
+    return Tensor._from_op(_scale_shift(x, scale, shift), nodes, bw, "affine")
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -1010,16 +1104,18 @@ def weighted_sum(weights: Tensor, terms: Sequence[Tensor], slots: Sequence[int])
     added left to right, as one node: a mixed edge's output.
 
     `weights` is 1-D and every term has one shape. Weight ``k`` gets the
-    gradient ``sum(g * term)`` of its term; slots no term uses get 0.
+    gradient ``sum(g * term)`` of its term; slots no term uses get 0. The
+    node keeps the terms only when `weights` takes a gradient, as in the α
+    phase; otherwise its backward reads only the weights.
     """
     weights = as_tensor(weights)
     terms = [as_tensor(t) for t in terms]
     if not terms or len(terms) != len(slots) or weights.ndim != 1:
         raise ShapeError(f"weighted_sum: {len(terms)} terms for slots {list(slots)} "
                          f"of weights {weights.shape}")
-    shape = terms[0].shape
+    shape = terms[0].data.shape
     for t in terms:
-        if t.shape != shape:
+        if t.data.shape != shape:
             raise ShapeError(f"weighted_sum: term shapes {shape} and {t.shape} differ")
     w = weights.data
     out = w[slots[0]] * terms[0].data
@@ -1028,17 +1124,20 @@ def weighted_sum(weights: Tensor, terms: Sequence[Tensor], slots: Sequence[int])
         scratch = np.multiply(w[k], t.data, out=scratch)
         out += scratch
 
+    wn, nodes = weights._node or weights, [t._node or t for t in terms]
+    values = [t.data for t in terms] if weights.requires_grad else None
+
     def bw(g):
-        if weights.requires_grad:
+        if values is not None:
             gw = np.zeros_like(w)
-            for k, t in zip(slots, terms):
-                gw[k] = _unbroadcast(g * t.data, ())
-            _accumulate(weights, gw)
-        for k, t in zip(slots, terms):
+            for k, x in zip(slots, values):
+                gw[k] = _unbroadcast(g * x, ())
+            _accumulate(wn, gw)
+        for k, t in zip(slots, nodes):
             if t.requires_grad:
                 _accumulate(t, g * w[k])
 
-    return Tensor._from_op(out, (weights, *terms), bw, "weighted_sum")
+    return Tensor._from_op(out, (wn, *nodes), bw, "weighted_sum")
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -1057,10 +1156,11 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     nll = np.log(total[:, 0]) - shifted[np.arange(bsz), y]
     out = np.asarray(nll.mean(), dtype=logits.dtype)
     probs = e / total
+    ln = logits._node or logits
 
     def bw(g):
         grad = probs.copy()
         grad[np.arange(bsz), y] -= 1.0
-        _accumulate(logits, g * grad / bsz)
+        _accumulate(ln, g * grad / bsz)
 
-    return Tensor._from_op(out, (logits,), bw, "cross_entropy")
+    return Tensor._from_op(out, (ln,), bw, "cross_entropy")

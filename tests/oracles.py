@@ -5,10 +5,10 @@ of the code paths it verifies: central finite differences for gradients,
 explicit per-head attention, double-loop token scores, a full-sort top-k, a
 generic DAG walker, direct layer math, the whole-expression forms of the
 primitives that run in place, a per-tensor AdamW step, the per-kind
-gather-and-hinge chain of the fairness terms, and a walk of the arrays a
-recorded graph holds. It also holds the Hypothesis strategy for arbitrary
-JSON values that fuzzes the input documents, and a checkpoint-manifest
-editor for damaging checkpoints.
+gather-and-hinge chain of the fairness terms, and a walk of the arrays the
+closures of a recorded graph hold. It also holds the Hypothesis strategy
+for arbitrary JSON values that fuzzes the input documents, and a
+checkpoint-manifest editor for damaging checkpoints.
 """
 
 import json
@@ -37,10 +37,12 @@ def analytic_grads(f, wrt):
 
 
 def graph_nodes(loss):
-    """Every tensor `loss` was computed from, itself included, and whether
-    each is interior (recorded by a primitive) rather than a leaf. Taken
-    before the backward pass, which consumes the graph."""
-    seen, stack, nodes = set(), [loss], []
+    """Every node of the graph recorded behind `loss`, its own included, and
+    whether each is interior (recorded by a primitive) rather than a leaf.
+    A leaf, or an op output no gradient flows through, is its own node and
+    holds its value; an interior node holds none. Taken before the backward
+    pass, which consumes the graph."""
+    seen, stack, nodes = set(), [loss._node or loss], []
     while stack:
         node = stack.pop()
         if id(node) in seen:
@@ -120,38 +122,54 @@ def _base(a):
     return a
 
 
-def kept_buffers(node):
-    """The buffers of the arrays a node's backward closure reads, nested
-    closures included, other than its parents' data; 0-d scalars aside."""
-    parents = {id(_base(p.data)) for p in node._parents}
+def _held_arrays(value):
+    """The arrays a closure's cell value holds: itself, the items of a list
+    or tuple, or a tensor's value."""
+    if isinstance(value, ad.Tensor):
+        value = value.data
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _held_arrays(item)
+
+
+def closure_buffers(node):
+    """The buffers of the arrays a node's backward closure holds, nested
+    closures included; 0-d scalars aside."""
     kept, todo, seen = {}, [node._backward], set()
     while todo:
         fn = todo.pop()
         for cell in fn.__closure__ or ():
             value = cell.cell_contents
-            if isinstance(value, np.ndarray) and value.ndim:
-                base = _base(value)
-                if id(base) not in parents:
-                    kept[id(base)] = base
-            elif callable(value) and getattr(value, "__closure__", None) \
+            for array in _held_arrays(value):
+                if array.ndim:
+                    kept[id(_base(array))] = _base(array)
+            if callable(value) and getattr(value, "__closure__", None) \
                     and id(value) not in seen:
                 seen.add(id(value))
                 todo.append(value)
     return list(kept.values())
 
 
+def kept_buffers(node):
+    """`closure_buffers` of a node other than its leaf parents' values."""
+    parents = {id(_base(p.data)) for p in node._parents if not p._parents}
+    return [b for b in closure_buffers(node) if id(b) not in parents]
+
+
 def graph_bytes(loss):
-    """Bytes of the distinct buffers the graph recorded behind `loss` holds
-    until its backward: every interior node's output and every array its
-    closure keeps. Buffers of leaves (parameters, inputs, constants) are not
-    the graph's and are left out. Taken before the backward, which consumes
-    the graph."""
+    """Bytes of the distinct buffers the closures of the graph recorded
+    behind `loss` hold until its backward: no node holds its own output,
+    so these are all the graph keeps. Buffers of leaves (parameters, inputs,
+    constants) are not the graph's and are left out. Taken before the
+    backward, which consumes the graph."""
     nodes = graph_nodes(loss)
     leaves = {id(_base(node.data)) for node, interior in nodes if not interior}
     held = {}
     for node, interior in nodes:
         if interior:
-            for base in [_base(node.data)] + kept_buffers(node):
+            for base in closure_buffers(node):
                 if id(base) not in leaves:
                     held[id(base)] = base
     return sum(b.nbytes for b in held.values())

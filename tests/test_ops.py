@@ -145,7 +145,7 @@ def test_zero_op_output_shape_and_gradient(rng):
     out = op.forward(CellValue(x))
     assert out.shape == (2, 5, 8)
     np.testing.assert_array_equal(out.data, 0.0)
-    backward((out * 1.0).sum() + 0.0 * x.sum())
+    backward((out * 1.0).sum() + x.sum() * 0.0)
     np.testing.assert_array_equal(x.grad, 0.0)
 
 

@@ -55,11 +55,9 @@ def test_traced_instrument_hooks_resolve_and_close_restores_originals(monkeypatc
     assert not moved
 
 
-def test_timed_instrument_counts_two_bilevel_steps_and_every_updated_element(monkeypatch):
-    """Two bilevel steps under the timing hooks end exactly two steps, and the
-    elements counted as updated are both optimizers' parameters, once per step."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    instrument = importlib.import_module("instrument")
+def _two_desk_bilevel_steps(instrument, **kwargs):
+    """The instrument, and both optimizers, after two desk bilevel steps
+    from seed 2 under an ``instrument.Instrument(**kwargs)``."""
     cfg = desk_config(seed=2).validate()
     train, _ = search.build_datasets(cfg, cfg.seed)
     split = split_dataset(len(train), cfg.search.val_fraction, cfg.seed)
@@ -71,14 +69,42 @@ def test_timed_instrument_counts_two_bilevel_steps_and_every_updated_element(mon
                                a_opt=a_opt, fairness=cfg.fairness)
     train_b = epoch_batches(train, split.train_indices, plan, 0, "train")[:2]
     val_b = epoch_batches(train, split.val_indices, plan, 0, "val")[:2]
-    ins = instrument.Instrument().install()
+    ins = instrument.Instrument(**kwargs).install()
     try:
         search.bilevel_epoch(state, train_b, val_b)
     finally:
         ins.close()
+    return ins, w_opt, a_opt
+
+
+def test_timed_instrument_counts_two_bilevel_steps_and_every_updated_element(monkeypatch):
+    """Two bilevel steps under the timing hooks end exactly two steps, and the
+    elements counted as updated are both optimizers' parameters, once per step."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    instrument = importlib.import_module("instrument")
+    ins, w_opt, a_opt = _two_desk_bilevel_steps(instrument)
     assert len(ins.steps) == 2
     sizes = sum(p.data.size for opt in (w_opt, a_opt) for p in opt.params.values())
     assert ins.counts["optim.updated_elements"] == 2 * sizes
+
+
+def test_traced_instrument_runs_two_bilevel_steps_and_repeats_its_counts(monkeypatch):
+    """Under the span and memory hooks, which wrap ``Tensor._from_op`` and
+    walk the graph's ``_parents``, ``_backward`` and ``grad`` from the loss,
+    two bilevel steps complete, and every exact counter repeats in a second
+    run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    instrument = importlib.import_module("instrument")
+    runs = [_two_desk_bilevel_steps(instrument, spans=True, memory=True)[0]
+            for _ in range(2)]
+    for ins in runs:
+        assert len(ins.steps) == 2
+        assert ins.counts["primitives"] == sum(ins.primitive_ops.values()) > 0
+        assert ins.mem["weight_phase_peak"] > 0 and ins.mem["alpha_phase_peak"] > 0
+    first, second = runs
+    assert first.counts == second.counts
+    assert first.primitive_ops == second.primitive_ops
+    assert first.grad_bytes == second.grad_bytes
 
 
 def test_workloads_config_and_stage_supernet_match_the_program(tmp_path, monkeypatch):

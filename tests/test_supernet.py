@@ -1,5 +1,6 @@
 import collections
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from dasvit import autodiff as ad
 from dasvit.config import desk_config
 from dasvit.errors import ConfigError, DataError, ShapeError
 from dasvit.genotype import make_genotype, searched_encoder_genotype
-from dasvit.ops import CellValue, ModelDims, build_op
+from dasvit.ops import DEFAULT_CANDIDATES, CellValue, ModelDims, build_op
 from dasvit.supernet import CELL_EDGES, MixedEdge
 from dasvit.data import Batch, make_synthetic
 from dasvit.fairness import skip_fairness
 from dasvit.optim import AdamW
 from dasvit.search import SearchState, _grad_pass
-from oracles import check_grads, graph_bytes, softmax_np, walk_dag
+from oracles import (_base, check_grads, closure_buffers, graph_bytes, graph_nodes, softmax_np,
+                     walk_dag)
 
 DESK8 = [
     OpSpec("zero"), OpSpec("identity"),
@@ -339,8 +341,8 @@ def test_desk_weight_pass_records_a_pinned_node_count(monkeypatch):
     MSA or MLP candidate with its norm's scale and shift, and a mixed edge
     are one node each; each value a pre-norm op reads is normalized once, the
     α table takes one softmax, and only the final norm records an
-    ``affine``. A node's output lives as long as the graph, so the count is
-    pinned: it may move only with a change that means to move it."""
+    ``affine``. The count is pinned: it may move only with a change that
+    means to move it."""
     net, images = _desk_weight_pass()
     recorded = collections.Counter()
     from_op = Tensor._from_op
@@ -362,16 +364,100 @@ def test_desk_weight_pass_records_a_pinned_node_count(monkeypatch):
 
 def test_desk_weight_pass_holds_a_pinned_graph_size():
     """The bytes the graph of the weight pass above holds until its
-    backward: every interior node's output plus what the closures keep
-    (`oracles.graph_bytes`). Pinned like the node count, so that a node that
+    backward: what its closures keep (`oracles.graph_bytes`), as no node
+    holds its own output. Pinned like the node count, so that a node that
     starts holding one more array fails here and not only in the benchmark:
     a scaled and shifted input kept by each of the 60 MSA/MLP candidates
     would add 60 (16, 3, 32) float32 arrays, 368,640 bytes."""
     net, images = _desk_weight_pass()
     with ad.frozen(net.alpha_parameters().values()):
         loss = ad.cross_entropy(net.forward(images), np.arange(16) % 2)
-        assert graph_bytes(loss) == 1_673_956
+        assert graph_bytes(loss) == 1_149_792
         backward(loss)
+
+
+def test_mid_weight_pass_holds_a_pinned_graph_size():
+    """The same pin at the benchmark's mid geometry: a 2-layer supernet of
+    the eight-op registry at D=192 over 16 images of 32x32 (64 patches)."""
+    dims = ModelDims(dim=192, patch=4, image=32, classes=10)
+    net = Supernet(dims, list(DEFAULT_CANDIDATES), 2, np.random.default_rng(0))
+    images = np.random.default_rng(1).standard_normal((16, 32, 32, 3)).astype(np.float32)
+    with ad.frozen(net.alpha_parameters().values()):
+        loss = ad.cross_entropy(net.forward(images), np.arange(16) % 10)
+        assert graph_bytes(loss) == 95_659_744
+        backward(loss)
+
+
+def _recorded_outputs(monkeypatch):
+    """(op, weak reference to the output's buffer) of every node recorded
+    from here on."""
+    recorded = []
+    from_op = Tensor._from_op
+
+    def spy(data, parents, backward_fn, op):
+        out = from_op(data, parents, backward_fn, op)
+        if out.requires_grad:
+            recorded.append((op, weakref.ref(_base(data))))
+        return out
+
+    monkeypatch.setattr(Tensor, "_from_op", staticmethod(spy))
+    return recorded
+
+
+def _read_buffers(loss):
+    """Ids of the buffers the closures of the graph behind `loss` read."""
+    return {id(b) for node, interior in graph_nodes(loss) if interior
+            for b in closure_buffers(node)}
+
+
+def test_weight_pass_outputs_live_only_while_a_closure_reads_them(monkeypatch):
+    """Holding only the loss of a desk weight pass, an op output is alive
+    exactly when some backward closure reads it: every candidate output,
+    edge, node and cell sum has been freed."""
+    net, images = _desk_weight_pass()
+    recorded = _recorded_outputs(monkeypatch)
+    with ad.frozen(net.alpha_parameters().values()):
+        loss = ad.cross_entropy(net.forward(images), np.arange(16) % 2)
+        read = _read_buffers(loss) | {id(loss.data)}
+        alive = [(op, ref()) for op, ref in recorded if ref() is not None]
+        assert all(id(buf) in read for _, buf in alive), \
+            sorted({op for op, buf in alive if id(buf) not in read})
+        freed = collections.Counter(op for op, ref in recorded if ref() is None)
+        assert [freed[op] for op in ("self_attention", "feed_forward", "weighted_sum", "add")] \
+            == [30, 30, 10, 9]
+        backward(loss)
+
+
+def test_alpha_pass_keeps_every_weighted_sum_term(monkeypatch):
+    """With α taking a gradient, each mixed edge's backward reads its terms,
+    so every term outlives the forward while only the loss is held."""
+    net, images = _desk_weight_pass()
+    terms = []
+    weighted_sum = ad.weighted_sum
+
+    def spy(weights, parts, slots):
+        terms.extend(weakref.ref(_base(t.data)) for t in parts)
+        return weighted_sum(weights, parts, slots)
+
+    monkeypatch.setattr(ad, "weighted_sum", spy)
+    with ad.frozen(net.weight_parameters().values()):
+        loss = ad.cross_entropy(net.forward(images), np.arange(16) % 2)
+    assert len(terms) == 10 * 7  # every edge's candidates but Zero
+    assert all(ref() is not None for ref in terms)
+    backward(loss)
+
+
+def test_derived_training_pass_frees_candidate_outputs_and_sums(monkeypatch):
+    """Holding only the loss of a derived model's training forward, no
+    candidate output and no node or cell sum is alive."""
+    model = _desk_models()["derived"]
+    images = np.random.default_rng(2).standard_normal((4, 8, 8, 3)).astype(np.float32)
+    recorded = _recorded_outputs(monkeypatch)
+    loss = ad.cross_entropy(model.forward(images), np.arange(4) % 2)
+    outputs = [ref for op, ref in recorded if op in ("self_attention", "feed_forward", "add")]
+    assert len(outputs) == 2 + 6 + 7  # the embedding's add and two cells' node and cell sums
+    assert all(ref() is None for ref in outputs)
+    backward(loss)
 
 
 def test_desk_alpha_pass_records_a_pinned_node_count(monkeypatch):
