@@ -219,10 +219,20 @@ class Node:
 
     def empty(self) -> np.ndarray:
         """An uninitialised array laid out as ``np.empty_like`` lays out one
-        of the output's: axes ordered by decreasing stride, ties in axis order."""
-        order = sorted(range(len(self.shape)), key=lambda ax: -abs(self.strides[ax]))
-        out = np.empty([self.shape[ax] for ax in order], self.dtype)
-        return out if order == sorted(order) else out.transpose(np.argsort(order))
+        of the output's: in C, else Fortran order when the output is
+        contiguous in it, else with its axes in decreasing stride order."""
+        shape, strides, n = self.shape, self.strides, len(self.shape)
+        for order, axes in (("C", range(n - 1, -1, -1)), ("F", range(n))):
+            step = self.dtype.itemsize
+            for ax in axes:
+                if shape[ax] != 1:
+                    if strides[ax] != step:
+                        break
+                    step *= shape[ax]
+            else:
+                return np.empty(shape, self.dtype, order=order)
+        axes = sorted(range(n), key=lambda ax: -abs(strides[ax]))  # stable: ties keep axis order
+        return np.empty([shape[ax] for ax in axes], self.dtype).transpose(np.argsort(axes))
 
 
 class Tensor:

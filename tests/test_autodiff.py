@@ -420,6 +420,25 @@ def test_first_gradient_write_takes_the_tensor_layout():
     np.testing.assert_array_equal(x.grad, np.full((3, 2), 2.0))
 
 
+def test_an_interior_first_gradient_takes_the_layout_of_the_value_it_does_not_hold():
+    x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+    t = ad.transpose(x * 2.0, (2, 0, 1))
+    seen, inner = [], t._backward
+    t._backward = lambda g: seen.append(g) or inner(g)
+    backward((t * Tensor(np.ones(t.shape))).sum())
+    assert seen[0].strides == t.data.strides != np.ones(t.shape).strides
+    np.testing.assert_array_equal(x.grad, np.full((2, 3, 4), 2.0))
+
+
+@pytest.mark.parametrize("view", [
+    lambda a: a, lambda a: a.T, lambda a: a.transpose(1, 0, 2), lambda a: a[:, ::2],
+    lambda a: a[:, ::-1], lambda a: a[:, :1].transpose(0, 2, 1), np.asfortranarray])
+def test_node_empty_is_laid_out_as_empty_like_of_the_value(view):
+    value = view(np.zeros((2, 3, 4)))
+    out = Tensor._from_op(value, (Tensor(np.ones(1), requires_grad=True),), None, "probe")
+    assert out._node.empty().strides == np.empty_like(value).strides
+
+
 def test_add_of_two_leaves_gives_unaliased_gradients():
     a = Tensor(np.ones((2, 3)), requires_grad=True)
     b = Tensor(np.ones((2, 3)), requires_grad=True)
