@@ -41,8 +41,8 @@ only when its weights take a gradient (the α phase). An op's output so
 lives only while Python code, or a closure that reads it, holds it: in the
 weight phase and in retraining every candidate output, edge, node and cell
 sum is freed once the op that consumes it has run. This is the rule of Chen
-et al. (arXiv 1604.06174), free what the backward will not read, applied
-with no recomputation.
+et al. (arXiv 1604.06174), free what the backward will not read; the
+candidate nodes below also apply its recomputation.
 
 The hot compositions are single nodes: ``matmul`` takes a ``bias``,
 ``weighted_sum`` is a mixed edge's whole weighted sum, and each MSA and MLP
@@ -50,25 +50,30 @@ candidate, with its norm's scale and shift, is one node. As a chain of
 primitives, each link's closure would keep what it reads: the scaled and
 shifted input ``z`` for every projection, the GELU output for the second
 one. A single node computes the same floats in the same order as the chain
-it replaces, forward and backward, and keeps only what its backward cannot
-cheaply rebuild. A candidate node reads the shared normalized input, which
-its ``normalize`` node keeps anyway, and does not keep
-``z = normed * gamma + beta``. What each keeps:
+it replaces, forward and backward. A candidate node keeps at most its
+softmax output: every other array its backward reads is one GEMM or less
+away from ``z = normed * gamma + beta``, and ``normed`` is shared with its
+``normalize`` node, which keeps it anyway. What each keeps:
 
 * ``self_attention`` (the q/k/v projections of ``z``, multi-head
   scaled-softmax attention, the head merge and the biased output
-  projection): q, k, v and the (B, H, N, N) softmax output. Its backward
-  rebuilds the merged ``attn @ v`` product only when the output weight
-  takes a gradient.
+  projection): the (B, H, N, N) softmax output alone. Its backward rebuilds
+  v for the output weight's gradient or the scores', q and k for the
+  scores' gradient, each with the forward's ``z @ w`` product and views.
 * ``feed_forward`` (biased projection of ``z``, GELU, biased projection):
-  the hidden pre-activation ``h``. Its backward rebuilds the GELU's tanh
-  term from ``h``, and the GELU output only when the second weight takes a
-  gradient.
+  nothing beyond its operands. Its backward rebuilds the hidden
+  pre-activation ``h = z @ w1 + b1`` and its tanh term, and the GELU output
+  only when the second weight takes a gradient. Both directions run the
+  GELU chain over row blocks of about ``GELU_BLOCK`` elements in place, so
+  no tanh term or GELU temporary is ever hidden-sized.
 
-Either backward rebuilds ``z`` only when a weight that reads it takes a
-gradient, so a pass with frozen weights, such as the α phase, rebuilds
-nothing. A rebuilt array comes from the same operations, in the same order,
-as the forward's, so it holds the forward's bits.
+Either backward rebuilds ``z`` once, unless only its output bias takes a
+gradient, when it rebuilds nothing; the α phase, whose gradient reaches the
+normalized input through the scores and the hidden layer, rebuilds ``z``,
+q, k, v and ``h``. A rebuilt array comes from the same operations, in the
+same order, as the forward's, so it holds the forward's bits. The cost is
+one GEMM per rebuilt projection: a weight-phase step runs three more D×D
+products per MSA and one more D×hidden product per MLP candidate.
 
 ``gelu`` keeps its input and ``t = tanh(c·(x + k·x³))``, the ``normalize``
 backward its output and the (..., 1) reciprocal deviation; each does the
@@ -800,16 +805,19 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(t, out=t)
 
 
-def _gelu_from_tanh(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The GELU output ``0.5·x·(1 + t)`` of `x` and its tanh term."""
-    out = np.multiply(x, 0.5)
+def _gelu_from_tanh(x: np.ndarray, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The GELU output ``0.5·x·(1 + t)`` of `x` and its tanh term, in `out`
+    (which may be `x`) or a fresh buffer."""
+    out = np.multiply(x, 0.5, out=out)
     out *= np.add(t, 1.0)
     return out
 
 
-def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
     """``g·(0.5·(1 + t) + 0.5·x·(1 - t²)·c·(1 + 3k·x²))``, the gradient at
-    `x` under `g`, in three x-sized buffers; `g` is only read."""
+    `x` under `g`, in `out` (which may be `g`) or the third of three
+    x-sized buffers."""
     # d_inner = c·(1 + 3k·x²)
     d_inner = x * x
     d_inner *= 3.0 * _GELU_K
@@ -824,8 +832,28 @@ def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
     local = np.add(t, 1.0, out=d_inner)
     local *= 0.5
     local += slope
-    local *= g
-    return local
+    return np.multiply(local, g, out=local if out is None else out)
+
+
+#: Most elements one step of the GELU chain touches in `feed_forward`.
+GELU_BLOCK = 1 << 15
+
+
+def _gelu_rows(h: np.ndarray, g: np.ndarray | None = None, output: bool = True) -> None:
+    """The GELU chain over the rows of the 2-D `h`, a block of about
+    `GELU_BLOCK` elements at a time, in place: `g`, when given, becomes the
+    gradient at `h` under it, then `h` becomes the GELU output when
+    `output`. Each element sees the operations of the whole-array chain, so
+    the bits are its; the tanh term and the temporaries are block-sized."""
+    step = max(1, GELU_BLOCK // max(1, h.shape[1]))
+    for lo in range(0, h.shape[0], step):
+        hb = h[lo:lo + step]
+        t = _gelu_tanh(hb)
+        if g is not None:
+            gb = g[lo:lo + step]
+            _gelu_grad(hb, t, gb, out=gb)
+        if output:
+            _gelu_from_tanh(hb, t, out=hb)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -852,10 +880,11 @@ def feed_forward(normed: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Te
     the last axis of `normed`, as one node.
 
     It computes the floats of the ``affine``, biased ``matmul``, ``gelu``,
-    biased ``matmul`` chain in its order, forward and backward, and keeps only
-    the hidden pre-activation ``h``. The backward rebuilds the tanh term from
-    ``h``, the GELU output only when `w2` takes a gradient, and ``z`` only
-    when `w1` takes one.
+    biased ``matmul`` chain in its order, forward and backward, and keeps no
+    array beyond its operands'. The backward rebuilds ``z`` and the hidden
+    pre-activation ``h = z @ w1 + b1`` with the forward's operations unless
+    only `b2` takes a gradient, and the GELU output only when `w2` takes
+    one. Both directions run the GELU chain over row blocks (`_gelu_rows`).
     """
     normed, gamma, beta, w1, b1, w2, b2 = map(as_tensor, (normed, gamma, beta, w1, b1, w2, b2))
     x, scale, shift, w1d, b1d, w2d, b2d = (
@@ -871,35 +900,40 @@ def feed_forward(normed: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Te
         normed._node or normed, gamma._node or gamma, beta._node or beta, w1._node or w1,
         b1._node or b1, w2._node or w2, b2._node or b2)
 
-    def z_rows():
-        return _scale_shift(x, scale, shift).reshape(-1, dim)
+    def hidden(rows):
+        h = rows @ w1d
+        h += b1d
+        return h
 
-    h = z_rows() @ w1d
-    h += b1d
-    h = h.reshape(x.shape[:-1] + (width,))
-    out = _gelu_from_tanh(h, _gelu_tanh(h)).reshape(-1, width) @ w2d
+    act = hidden(_scale_shift(x, scale, shift).reshape(-1, dim))
+    _gelu_rows(act)
+    out = act @ w2d
     out += b2d
     out = out.reshape(x.shape[:-1] + w2d.shape[1:])
 
     def bw(g):
         g2 = g.reshape(-1, g.shape[-1])
-        z_grad = xn.requires_grad or gn.requires_grad or bn.requires_grad
-        hidden_grad = z_grad or w1n.requires_grad or b1n.requires_grad
-        t = _gelu_tanh(h) if hidden_grad or w2n.requires_grad else None
-        if w2n.requires_grad:
-            _accumulate(w2n, _gelu_from_tanh(h, t).reshape(-1, width).T @ g2)
         if b2n.requires_grad:
             _accumulate(b2n, _unbroadcast(g, b2n.shape))
+        z_grad = xn.requires_grad or gn.requires_grad or bn.requires_grad
+        hidden_grad = z_grad or w1n.requires_grad or b1n.requires_grad
+        if not (hidden_grad or w2n.requires_grad):
+            return
+        rows = _scale_shift(x, scale, shift).reshape(-1, dim)
+        act = hidden(rows)
+        gh2 = g2 @ w2d.T if hidden_grad else None
+        _gelu_rows(act, gh2, output=w2n.requires_grad)
+        if w2n.requires_grad:
+            _accumulate(w2n, act.T @ g2)
+        del act
         if hidden_grad:
-            gh = _gelu_grad(h, t, (g2 @ w2d.T).reshape(h.shape))
-            del t
-            gh2 = gh.reshape(-1, width)
             if z_grad:
                 _scale_shift_backward(xn, gn, bn, x, scale, (gh2 @ w1d.T).reshape(x.shape))
             if w1n.requires_grad:
-                _accumulate(w1n, z_rows().T @ gh2)
+                _accumulate(w1n, rows.T @ gh2)
             if b1n.requires_grad:
-                _accumulate(b1n, _unbroadcast(gh, b1n.shape))
+                _accumulate(b1n, _unbroadcast(gh2.reshape(x.shape[:-1] + (width,)),
+                                              b1n.shape))
 
     return Tensor._from_op(out, parents, bw, "feed_forward")
 
@@ -921,6 +955,11 @@ def softmax(a: Tensor) -> Tensor:
     return Tensor._from_op(out, (an,), bw, "softmax")
 
 
+# (B, N, H, d) to (B, H, N, d), and to (B, H, d, N) for the keys
+_HEADS = (0, 2, 1, 3)
+_HEADS_T = (0, 2, 3, 1)
+
+
 def self_attention(normed: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: Tensor,
                    wv: Tensor, wo: Tensor, bo: Tensor, heads: int) -> Tensor:
     """Multi-head self-attention of the (B, N, D) tokens
@@ -933,13 +972,15 @@ def self_attention(normed: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: 
     ``matmul``s, the reshape/transpose/matmul/scaled-softmax/matmul/
     transpose/reshape core and a biased ``matmul``) in its order, forward and
     backward, and each product gets the operand layouts that chain gave it.
-    It keeps q, k, v and the (B, H, N, N) softmax output; ``z``, the
+    It keeps only the (B, H, N, N) softmax output; ``z``, q, k, v, the
     pre-softmax scores, the per-head ``attn @ v`` product and its head merge
-    are temporaries. The backward rebuilds the merged product only when `wo`
-    takes a gradient and ``z`` only when `wq`, `wk` or `wv` takes one. It
-    sums the three projections' parts of the gradient of ``z`` one by one,
-    in the q, k, v order in which the chain's backward reached them, then
-    hands the sum to the scale and shift as ``affine``'s backward does.
+    are temporaries. Unless only `bo` takes a gradient, the backward rebuilds
+    ``z`` once and, with the forward's products and views, the projections
+    the products it runs read: v for `wo`'s gradient or the scores', q and
+    k for the scores' gradient. It sums the three projections' parts of the
+    gradient of ``z`` one by one, in the q, k, v order in which the chain's
+    backward reached them, then hands the sum to the scale and shift as
+    ``affine``'s backward does.
     """
     normed, gamma, beta, wq, wk, wv, wo, bo = map(
         as_tensor, (normed, gamma, beta, wq, wk, wv, wo, bo))
@@ -961,62 +1002,65 @@ def self_attention(normed: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: 
         normed._node or normed, gamma._node or gamma, beta._node or beta, wq._node or wq,
         wk._node or wk, wv._node or wv, wo._node or wo, bo._node or bo)
     projections = [(wqn, wq_d), (wkn, wk_d), (wvn, wv_d)]
-
-    def z_rows():
-        return _scale_shift(x, scale, shift).reshape(-1, dim)
-
-    z2 = z_rows()
-    q, k, v = ((z2 @ w).reshape(shape) for _, w in projections)
     split = (bsz, n, heads, dim // heads)
-    qh = q.reshape(split).transpose(0, 2, 1, 3)  # (B, H, N, d)
-    kt = k.reshape(split).transpose(0, 2, 3, 1)  # (B, H, d, N)
-    vh = v.reshape(split).transpose(0, 2, 1, 3)
+
+    def project(rows, w, axes):
+        """``rows @ w`` split into heads: (B, H, N, d), or (B, H, d, N) for k."""
+        return (rows @ w).reshape(split).transpose(axes)
+
+    rows = _scale_shift(x, scale, shift).reshape(-1, dim)
+    qh = project(rows, wq_d, _HEADS)
+    kt = project(rows, wk_d, _HEADS_T)
+    vh = project(rows, wv_d, _HEADS)
+    del rows
     s = np.asarray(1.0 / math.sqrt(dim // heads), dtype=x.dtype)
     # the scores become the softmax output in place: one (B, H, N, N) buffer
     attn = qh @ kt
+    del qh, kt
     attn *= s
     attn -= attn.max(axis=-1, keepdims=True)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=-1, keepdims=True)
-
-    def merged():
-        return (attn @ vh).transpose(0, 2, 1, 3).reshape(-1, dim)
-
-    out = merged() @ wo_d
+    out = (attn @ vh).transpose(_HEADS).reshape(-1, dim) @ wo_d
     out += bo_d
     out = out.reshape(shape)
 
     def bw(g):
         g2 = g.reshape(-1, dim)
-        if won.requires_grad:
-            _accumulate(won, merged().T @ g2)
         if bon.requires_grad:
             _accumulate(bon, _unbroadcast(g, bon.shape))
         z_grad = xn.requires_grad or gn.requires_grad or bn.requires_grad
         need = [z_grad or wn.requires_grad for wn, _ in projections]
+        scores = need[0] or need[1]  # the gradient passes through the scores
+        if not (won.requires_grad or any(need)):
+            return
+        rows = _scale_shift(x, scale, shift).reshape(-1, dim)
+        vh = project(rows, wv_d, _HEADS) if won.requires_grad or scores else None
+        if won.requires_grad:
+            _accumulate(won, (attn @ vh).transpose(_HEADS).reshape(-1, dim).T @ g2)
         if not any(need):
             return
         # the chain copied the merged-head gradient into (B, H, N, d) order
-        gh = (g2 @ wo_d.T).reshape(split).transpose(0, 2, 1, 3).copy()
+        gh = (g2 @ wo_d.T).reshape(split).transpose(_HEADS).copy()
         parts = [None, None, None]  # the gradients reaching q, k and v
         if need[2]:
             gv = attn.swapaxes(-1, -2) @ gh
-            parts[2] = gv.transpose(0, 2, 1, 3).reshape(-1, dim)
-        if need[0] or need[1]:
+            parts[2] = gv.transpose(_HEADS).reshape(-1, dim)
+        if scores:
             gs = gh @ vh.swapaxes(-1, -2)
+            del vh
             dot = (gs * attn).sum(axis=-1, keepdims=True)
             gs -= dot
             gs *= attn
             gs *= s
             if need[0]:
-                gq = gs @ kt.swapaxes(-1, -2)
-                parts[0] = gq.transpose(0, 2, 1, 3).reshape(-1, dim)
+                gq = gs @ project(rows, wk_d, _HEADS_T).swapaxes(-1, -2)
+                parts[0] = gq.transpose(_HEADS).reshape(-1, dim)
             if need[1]:
-                gk = qh.swapaxes(-1, -2) @ gs  # (B, H, d, N)
+                gk = project(rows, wq_d, _HEADS).swapaxes(-1, -2) @ gs  # (B, H, d, N)
                 parts[1] = gk.transpose(0, 3, 1, 2).reshape(-1, dim)
             del gs
         del gh
-        rows = z_rows() if any(wn.requires_grad for wn, _ in projections) else None
         gz = None  # the gradient reaching z
         for (wn, w), gp in zip(projections, parts):
             if wn.requires_grad:

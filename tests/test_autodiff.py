@@ -639,50 +639,44 @@ def test_feed_forward_frozen_input_gets_no_gradient(frozen_input, rng):
 
 
 def test_candidate_nodes_keep_only_what_their_backward_cannot_rebuild(rng):
-    """``feed_forward`` keeps the hidden pre-activation alone;
-    ``self_attention`` keeps q, k, v and the softmax output. Neither keeps
-    its scaled and shifted input."""
+    """``feed_forward`` keeps no array beyond its operands'; ``self_attention``
+    keeps one, the softmax output. Both rebuild their scaled and shifted
+    input, its projections and the hidden pre-activation in the backward."""
     arrays = _candidate_arrays(rng, "feed_forward")
-    normed, gamma, beta, w1, b1, w2, b2 = (Tensor(x, requires_grad=True) for x in arrays)
-    z = ad.affine(normed, gamma, beta)
-    kept = kept_buffers(ad.feed_forward(normed, gamma, beta, w1, b1, w2, b2))
-    assert len(kept) == 1
-    np.testing.assert_array_equal(kept[0].ravel(), ad.matmul(z, w1, bias=b1).data.ravel())
+    leaves = [Tensor(x, requires_grad=True) for x in arrays]
+    assert kept_buffers(ad.feed_forward(*leaves)) == []
 
     arrays = _candidate_arrays(rng, "self_attention")
     normed, gamma, beta, wq, wk, wv, wo, bo = (Tensor(x, requires_grad=True) for x in arrays)
     z = ad.affine(normed, gamma, beta)
-    kept = kept_buffers(ad.self_attention(normed, gamma, beta, wq, wk, wv, wo, bo, 4))
+    (kept,) = kept_buffers(ad.self_attention(normed, gamma, beta, wq, wk, wv, wo, bo, 4))
     split = (4, 9, 4, 8)
     qh = ad.transpose(ad.reshape(z @ wq, split), (0, 2, 1, 3))
     kt = ad.transpose(ad.reshape(z @ wk, split), (0, 2, 3, 1))
-    want = [(z @ w).data for w in (wq, wk, wv)]
-    want.append(ad.softmax((qh @ kt) * (1.0 / np.sqrt(8))).data)
-    assert len(kept) == len(want)
-    for w in want:
-        assert sum(np.array_equal(k.ravel(), w.ravel()) for k in kept) == 1
-    assert not any(np.array_equal(k.ravel(), z.data.ravel()) for k in kept)
+    want = ad.softmax((qh @ kt) * (1.0 / np.sqrt(8))).data
+    np.testing.assert_array_equal(kept.ravel(), want.ravel())
 
 
 @pytest.mark.parametrize("node", sorted(CANDIDATE_NODES))
 def test_candidate_backward_rebuilds_the_scaled_input_only_for_a_projection(node, rng,
                                                                              monkeypatch):
-    """The backward rebuilds ``normed * gamma + beta`` only when a weight
-    that reads it takes a gradient: a pass with every weight frozen, as in
-    the α phase, rebuilds nothing."""
+    """The backward rebuilds ``normed * gamma + beta`` at most once, for every
+    group of trainable operands alone and all together, and not at all when
+    only the output bias takes a gradient."""
     calls = []
     scale_shift = ad._scale_shift
     monkeypatch.setattr(ad, "_scale_shift", lambda *a: calls.append(1) or scale_shift(*a))
     arrays = _candidate_arrays(rng, node)
-    reading = FROZEN_GROUPS[node][2]
-    for trainable, rebuilt in (((0,), 0), ((0,) + reading, 1)):
+    groups = FROZEN_GROUPS[node]
+    bias = len(arrays) - 1
+    for trainable in [*groups, (bias,), tuple(range(len(arrays)))]:
         leaves = [Tensor(x, requires_grad=True) for x in arrays]
         with ad.frozen([t for i, t in enumerate(leaves) if i not in trainable]):
             out = CANDIDATE_NODES[node](*leaves)
             calls.clear()
             backward(out.sum())
-        assert len(calls) == rebuilt
-        assert leaves[0].grad is not None
+        assert len(calls) == (0 if trainable == (bias,) else 1), trainable
+        assert all((t.grad is not None) == (i in trainable) for i, t in enumerate(leaves))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")
@@ -721,6 +715,28 @@ def test_gelu_forward_and_backward_equal_the_plain_expression(dtype, rng):
     assert out.dtype == grad.dtype == dtype
     np.testing.assert_array_equal(out.data, want)
     np.testing.assert_array_equal(grad, gelu_grad_expression(x, t, g))
+
+
+@pytest.mark.parametrize("width", [1, 96, 768])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_row_blocks_equal_the_plain_expression(dtype, width, rng):
+    """`_gelu_rows` over a row count that leaves a partial last block: the
+    output alone, the gradient alone, and both, bit for bit the whole-array
+    expressions."""
+    rows = 2 * max(1, ad.GELU_BLOCK // width) + 3
+    # at width 1 the planted values fall in turn into consecutive rows
+    h = _edge_values(rng, dtype, (rows, max(width, 5))).ravel()[:rows * width]
+    h = h.reshape(rows, width)
+    g = rng.standard_normal(h.shape).astype(dtype)
+    want, t = gelu_expression(h)
+    want_grad = gelu_grad_expression(h, t, g)
+    for grad, output in ((False, True), (True, False), (True, True)):
+        hb, gb = h.copy(), g.copy() if grad else None
+        ad._gelu_rows(hb, gb, output=output)
+        np.testing.assert_array_equal(hb, want if output else h)
+        if grad:
+            assert gb.dtype == dtype
+            np.testing.assert_array_equal(gb, want_grad)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

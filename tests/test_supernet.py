@@ -1,4 +1,5 @@
 import collections
+import gc
 import re
 import weakref
 
@@ -367,25 +368,39 @@ def test_desk_weight_pass_holds_a_pinned_graph_size():
     backward: what its closures keep (`oracles.graph_bytes`), as no node
     holds its own output. Pinned like the node count, so that a node that
     starts holding one more array fails here and not only in the benchmark:
-    a scaled and shifted input kept by each of the 60 MSA/MLP candidates
-    would add 60 (16, 3, 32) float32 arrays, 368,640 bytes."""
+    q, k and v kept by each of the 30 MSA candidates would add 90
+    (16, 3, 32) float32 arrays, 552,960 bytes."""
     net, images = _desk_weight_pass()
     with ad.frozen(net.alpha_parameters().values()):
         loss = ad.cross_entropy(net.forward(images), np.arange(16) % 2)
-        assert graph_bytes(loss) == 1_149_792
+        assert graph_bytes(loss) == 136_032
         backward(loss)
 
 
-def test_mid_weight_pass_holds_a_pinned_graph_size():
-    """The same pin at the benchmark's mid geometry: a 2-layer supernet of
-    the eight-op registry at D=192 over 16 images of 32x32 (64 patches)."""
+def _mid_pass_graph_bytes(phase):
+    """`graph_bytes` of one pass of a 2-layer supernet of the eight-op
+    registry at the benchmark's mid geometry, D=192 over 16 images of 32x32
+    (64 patches), with `phase`'s other side frozen; then its backward."""
     dims = ModelDims(dim=192, patch=4, image=32, classes=10)
     net = Supernet(dims, list(DEFAULT_CANDIDATES), 2, np.random.default_rng(0))
     images = np.random.default_rng(1).standard_normal((16, 32, 32, 3)).astype(np.float32)
-    with ad.frozen(net.alpha_parameters().values()):
+    other = net.alpha_parameters() if phase == "weight" else net.weight_parameters()
+    with ad.frozen(other.values()):
         loss = ad.cross_entropy(net.forward(images), np.arange(16) % 10)
-        assert graph_bytes(loss) == 95_659_744
+        held = graph_bytes(loss)
         backward(loss)
+    return held
+
+
+def test_mid_weight_pass_holds_a_pinned_graph_size():
+    """The same pin at the benchmark's mid geometry."""
+    assert _mid_pass_graph_bytes("weight") == 28_751_584
+
+
+def test_mid_alpha_pass_holds_a_pinned_graph_size():
+    """The α pass at the mid geometry, every weight frozen: each mixed edge
+    also keeps its candidates' outputs, for α's gradient."""
+    assert _mid_pass_graph_bytes("alpha") == 22_233_408
 
 
 def _recorded_outputs(monkeypatch):
@@ -460,6 +475,19 @@ def test_derived_training_pass_frees_candidate_outputs_and_sums(monkeypatch):
     backward(loss)
 
 
+def _desk_search_state():
+    """The desk supernet above in a search state, and its batch as a
+    validation batch."""
+    net, images = _desk_weight_pass()
+    batch = Batch(images=images, labels=np.arange(16) % 2, indices=np.arange(16),
+                  split="val")
+    state = SearchState(model=net, alpha=net.alpha,
+                        w_opt=AdamW(net.weight_parameters(), lr=0.01),
+                        a_opt=AdamW(net.alpha_parameters(), lr=0.01),
+                        fairness=desk_config().fairness)
+    return state, batch
+
+
 def test_desk_alpha_pass_records_a_pinned_node_count(monkeypatch):
     """One fairness-regularized α pass of the 2-layer desk supernet, weights
     frozen: the 115 nodes of the weight pass above, 14 for the two fairness
@@ -467,14 +495,7 @@ def test_desk_alpha_pass_records_a_pinned_node_count(monkeypatch):
     reads one (edge, kind) mass table, a softmax times a constant membership
     matrix: then a mean for the skip term, and a two-sided hinge and two sums
     for the type term."""
-    cfg = desk_config()
-    net, images = _desk_weight_pass()
-    batch = Batch(images=images, labels=np.arange(16) % 2, indices=np.arange(16),
-                  split="val")
-    state = SearchState(model=net, alpha=net.alpha,
-                        w_opt=AdamW(net.weight_parameters(), lr=0.01),
-                        a_opt=AdamW(net.alpha_parameters(), lr=0.01),
-                        fairness=cfg.fairness)
+    state, batch = _desk_search_state()
     recorded = collections.Counter()
     from_op = Tensor._from_op
 
@@ -490,6 +511,22 @@ def test_desk_alpha_pass_records_a_pinned_node_count(monkeypatch):
         "reshape": 4, "transpose": 2, "concat": 2, "mul": 6, "broadcast_to": 1,
         "mean": 2, "sigmoid": 1, "cross_entropy": 1, "sub": 2, "relu": 2, "sum": 2}
     assert sum(recorded.values()) == 133
+
+
+def test_desk_passes_leave_no_cycle_for_the_collector():
+    """One desk weight pass and one fairness-regularized α pass, each with
+    its backward, under a disabled cyclic collector: a full collection
+    afterwards finds nothing, so every graph they built was freed by
+    reference counting alone."""
+    state, batch = _desk_search_state()
+    gc.collect()
+    gc.disable()
+    try:
+        _grad_pass(state, batch, freeze=state.a_opt)
+        _grad_pass(state, batch, freeze=state.w_opt, fair=True)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _desk_models():
