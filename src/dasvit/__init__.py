@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _SOURCES = {
     "autodiff": ("Tensor", "backward", "dtype_scope"),
     "config": ("RunConfig", "desk_config", "load_config", "paper_defaults",
-               "save_config"),
+               "save_config", "schedule_preview"),
     "errors": ("DasvitError",),
     "fairness": ("FairnessConfig", "skip_fairness", "type_fairness"),
     "genotype": ("CostReport", "DerivedModel", "Genotype", "classic_encoder_genotype",
@@ -26,7 +26,7 @@ _SOURCES = {
     "ops": ("DEFAULT_CANDIDATES", "ModelDims", "OpSpec"),
     "optim": ("AdamW", "LrSchedule"),
     "search": ("SearchResult", "bilevel_epoch", "derive_genotype", "evaluate",
-               "retrain", "run_search", "schedule_preview", "score_candidates"),
+               "retrain", "run_search", "score_candidates"),
     "selector": ("Selector",),
     "supernet": ("AlphaTable", "MixedEdge", "Supernet", "mixed_edge_forward"),
 }

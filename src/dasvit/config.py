@@ -7,12 +7,12 @@ its artifacts alone.
 
 from __future__ import annotations
 
-import json
 import math
+import operator
 from dataclasses import dataclass, field
-from pathlib import Path
+from itertools import accumulate
 
-from .data import write_json
+from .data import load_json, write_json
 from .errors import ConfigError
 from .fairness import FairnessConfig
 from .ops import DEFAULT_CANDIDATES, ModelDims, OpSpec, as_json, read_json
@@ -45,11 +45,11 @@ class SelectorConfig:
 
 @dataclass
 class SearchConfig:
-    stages: int = 3
     epochs_per_stage: int = 30
     first_layers: int = 2
     layer_increment: int = 2
-    prune_per_stage: list[int] = field(default_factory=lambda: [3, 2, 0])
+    # one entry per stage boundary: the run has one stage more than entries
+    prune_per_stage: list[int] = field(default_factory=lambda: [3, 2])
     batch_size: int = 64
     lr: float = 1e-3
     weight_decay: float = 5e-2
@@ -126,28 +126,22 @@ class RunConfig:
                 raise ConfigError(f"candidates[{i}]: {spec.name} duplicates "
                                   f"candidates[{names.index(spec.name)}]")
         s = self.search
-        if s.stages < 1 or s.epochs_per_stage < 1:
-            raise ConfigError("search: stages and epochs_per_stage must be >= 1")
-        if len(s.prune_per_stage) < s.stages:
-            raise ConfigError(
-                f"search.prune_per_stage: need at least {s.stages} entries")
         for i, count in enumerate(s.prune_per_stage):
             if count < 0:
                 raise ConfigError(f"search.prune_per_stage[{i}]: must be >= 0, got {count}")
-        left = len(self.candidates)
-        for i, count in enumerate(s.prune_per_stage[:s.stages - 1]):
-            left -= count
+        schedule = schedule_preview(self)
+        for i, (left, _) in enumerate(schedule[1:]):
             if left < 2:
                 raise ConfigError(
-                    f"search.prune_per_stage[{i}]: pruning {count} leaves {left} "
-                    f"candidates for stage {i + 2}; a stage needs at least 2")
+                    f"search.prune_per_stage[{i}]: pruning {s.prune_per_stage[i]} leaves "
+                    f"{left} candidates for stage {i + 2}; a stage needs at least 2")
         if s.first_layers < 1:
             raise ConfigError(f"search.first_layers: must be >= 1, got {s.first_layers}")
-        last_depth = s.first_layers + (s.stages - 1) * s.layer_increment
+        last_depth = schedule[-1][1]
         if last_depth < 1:
             raise ConfigError(
                 f"search.layer_increment: {s.layer_increment} leaves {last_depth} "
-                f"layers for stage {s.stages}; a stage needs at least 1")
+                f"layers for stage {len(schedule)}; a stage needs at least 1")
         if s.xi < 0:
             raise ConfigError(f"search.xi: must be >= 0, got {s.xi}")
         if not 0 < s.val_fraction < 1:
@@ -155,6 +149,7 @@ class RunConfig:
         r, syn = self.retrain, self.data.synthetic
         for key, value, least in (
                 ("seed", self.seed, 0),
+                ("search.epochs_per_stage", s.epochs_per_stage, 1),
                 ("search.batch_size", s.batch_size, 1), ("retrain.batch_size", r.batch_size, 1),
                 ("search.lr", s.lr, 0), ("search.weight_decay", s.weight_decay, 0),
                 ("search.arch_lr", s.arch_lr, 0),
@@ -185,6 +180,16 @@ class RunConfig:
         return self
 
 
+def schedule_preview(cfg: RunConfig) -> list[tuple[int, int]]:
+    """The (candidate count, depth) of each search stage: stage 1 has every
+    candidate, and each later stage the count before it less the
+    `search.prune_per_stage` entry of the boundary leading into it."""
+    s = cfg.search
+    counts = accumulate(s.prune_per_stage, operator.sub, initial=len(cfg.candidates))
+    return [(count, s.first_layers + i * s.layer_increment)
+            for i, count in enumerate(counts)]
+
+
 # -- json round trip -----------------------------------------------------------------
 
 def config_to_json(cfg: RunConfig) -> dict:
@@ -196,14 +201,7 @@ def config_from_json(doc: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config: file not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: invalid JSON in {p}: {exc}") from None
-    return config_from_json(doc)
+    return config_from_json(load_json(path, ConfigError, "config"))
 
 
 def save_config(cfg: RunConfig, path) -> None:
@@ -238,7 +236,7 @@ def desk_config(seed: int = 0) -> RunConfig:
             OpSpec("mlp", ratio=3.0),
             OpSpec("mlp", ratio=4.0),
         ],
-        search=SearchConfig(stages=3, epochs_per_stage=3, batch_size=16),
+        search=SearchConfig(epochs_per_stage=3, batch_size=16),
         retrain=RetrainConfig(epochs=100, warmup_epochs=5, batch_size=16),
         data=DataConfig(source="synthetic",
                         synthetic=SyntheticConfig(classes=2, per_class=128, image=8)),

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DasvitError, DataError
 
 # purpose tags for rng_for (0 is retired; the numbering of the rest is fixed)
 RNG_SYNTH = 1
@@ -301,7 +301,7 @@ class RunLog:
         try:
             epoch = (int(line.split(b",", 1)[0]) if self.header
                      else json.loads(line)[self.epoch_key])
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, RecursionError):
             epoch = None
         if not isinstance(epoch, int) or isinstance(epoch, bool):
             raise DataError(f"log: {self.path}: line {number} has no readable epoch: "
@@ -358,6 +358,24 @@ def _replace_file(path, *chunks) -> None:
 def write_json(path, doc) -> None:
     """Write `doc` to `path` as indented, key-sorted JSON, atomically."""
     _replace_file(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
+
+
+def parse_json(raw: bytes, error: type[DasvitError], where: str):
+    """`raw` read as UTF-8 JSON; bytes that are not, or a document nested
+    past the parser's depth, raise `error` prefixed `where`."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise error(f"{where}: {exc}") from None
+
+
+def load_json(path, error: type[DasvitError], what: str):
+    """The JSON document in the file at `path`; a missing file or one that
+    is not JSON raises `error` prefixed `what`, naming the file."""
+    p = Path(path)
+    if not p.is_file():
+        raise error(f"{what}: file not found: {p}")
+    return parse_json(p.read_bytes(), error, f"{what}: invalid JSON in {p}")
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], extras: dict | None = None):
@@ -426,10 +444,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         head = line[:-1] if line.endswith(b"\n") else line  # the manifest is line 1
         if head == b"{":  # line 1 of a version-1 manifest, indented JSON
             raise DataError(f"checkpoint: {path} is a version-1 manifest+blob pair, not read")
-        try:
-            manifest = json.loads(head)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DataError(f"checkpoint: {path}: invalid JSON manifest: {exc}") from None
+        manifest = parse_json(head, DataError, f"checkpoint: {path}: invalid JSON manifest")
         if not (isinstance(manifest, dict) and manifest.get("format") == _CKPT_FORMAT
                 and manifest.get("version") == _CKPT_VERSION):
             raise DataError(f"checkpoint: {path} is not a {_CKPT_FORMAT} "

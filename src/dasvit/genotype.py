@@ -15,14 +15,12 @@ and softmax are charged 5 ops per element.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor
-from .data import load_parameters, write_json
+from .data import load_json, load_parameters, write_json
 from .errors import DasvitError, GenotypeError
 from .ops import (CELL_EDGES, CellValue, EmbedParams, ModelDims, Module, OpSpec,
                   as_json, build_op, mlp_hidden_dim, read_json, stack_cells, walk_cell)
@@ -159,14 +157,7 @@ def save_genotype(g: Genotype, path) -> None:
 
 
 def load_genotype(path) -> Genotype:
-    p = Path(path)
-    if not p.exists():
-        raise GenotypeError(f"genotype: file not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise GenotypeError(f"genotype: invalid JSON in {p}: {exc}") from None
-    return genotype_from_json(doc)
+    return genotype_from_json(load_json(path, GenotypeError, "genotype"))
 
 
 # -- the derived model ----------------------------------------------------------

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import backward, cross_entropy, finite_pass, frozen
-from .config import RunConfig, save_config
+from .config import RunConfig, save_config, schedule_preview
 from .data import (Batch, BatchPlan, CIFAR10_MEAN, CIFAR10_STD, Dataset, RNG_RETRAIN,
                    RNG_STAGE, RunLog, epoch_batches, load_checkpoint, load_parameters,
                    make_synthetic, load_cifar10, manifest_value, normalize, resize_images,
@@ -36,17 +36,6 @@ from .genotype import (DerivedModel, Genotype, genotype_to_json, make_genotype,
 from .ops import CELL_EDGES, INTERMEDIATE_NODES, NUM_EDGES, ModelDims, OpSpec
 from .optim import AdamW, LrSchedule
 from .supernet import AlphaTable, Supernet
-
-
-def schedule_preview(cfg: RunConfig, stages: int | None = None) -> list[tuple[int, int]]:
-    """The (candidate count, depth) sequence the search will emit."""
-    n = stages if stages is not None else cfg.search.stages
-    out = []
-    count = len(cfg.candidates)
-    for s in range(n):
-        out.append((count, cfg.search.first_layers + s * cfg.search.layer_increment))
-        count -= cfg.search.prune_per_stage[s]
-    return out
 
 
 # -- candidate scoring and pruning -----------------------------------------------
@@ -400,12 +389,13 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
     """
     cfg = cfg.validate()
     seed = cfg.seed
-    n_stages = cfg.search.stages if stages is None else min(stages, cfg.search.stages)
-    if n_stages < 1:
+    if stages is not None and stages < 1:
         raise ConfigError("search: need at least one stage")
     out = Path(out_dir)
 
-    depths = [layers for _, layers in schedule_preview(cfg, n_stages)]
+    planned = schedule_preview(cfg)
+    depths = [layers for _, layers in planned[:stages]]
+    n_stages = len(depths)
     start_stage, global_epoch = 1, 0
     candidates, layers, built_at = list(cfg.candidates), depths[0], 1
     if resume is not None:
@@ -432,7 +422,7 @@ def run_search(cfg: RunConfig, out_dir, stages: int | None = None,
 
     # spans every configured stage: a run capped by `stages` is a prefix
     w_sched = LrSchedule(cfg.search.lr, warmup_epochs=0,
-                         total_epochs=cfg.search.stages * cfg.search.epochs_per_stage)
+                         total_epochs=len(planned) * cfg.search.epochs_per_stage)
 
     model = Supernet.from_config(cfg, candidates, layers, rng_for(seed, RNG_STAGE, built_at))
     if resume is not None:

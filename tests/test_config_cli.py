@@ -15,7 +15,8 @@ import dasvit
 from dasvit import desk_config, load_config, save_config, searched_encoder_genotype, \
     save_genotype
 from dasvit.cli import main
-from dasvit.config import config_from_json, config_to_json, paper_defaults
+from dasvit.config import (config_from_json, config_to_json, paper_defaults,
+                           schedule_preview)
 from dasvit.errors import ConfigError
 from dasvit.data import Dataset, load_checkpoint, make_synthetic, save_checkpoint
 from dasvit.genotype import DerivedModel, genotype_to_json
@@ -62,7 +63,7 @@ def test_paper_scale_defaults_hold_reference_hyperparameters():
     assert (cfg.search.batch_size, cfg.retrain.batch_size) == (64, 128)
     assert cfg.search.lr == cfg.retrain.lr == 1e-3
     assert cfg.search.weight_decay == cfg.retrain.weight_decay == 5e-2
-    assert (cfg.search.stages, cfg.search.epochs_per_stage) == (3, 30)
+    assert (len(schedule_preview(cfg)), cfg.search.epochs_per_stage) == (3, 30)
     assert (cfg.retrain.epochs, cfg.retrain.warmup_epochs) == (500, 20)
     assert optim.WARMUP_START_LR == 1e-6
     assert len(cfg.candidates) == 8
@@ -164,7 +165,7 @@ def test_the_config_has_these_leaves():
         "selector.lambda",
         "fairness.a", "fairness.b", "fairness.zeta1", "fairness.zeta2",
         "fairness.gamma_min", "fairness.gamma_max",
-        "search.stages", "search.epochs_per_stage", "search.first_layers",
+        "search.epochs_per_stage", "search.first_layers",
         "search.layer_increment", "search.prune_per_stage", "search.batch_size",
         "search.lr", "search.weight_decay", "search.arch_lr",
         "search.arch_weight_decay", "search.xi", "search.val_fraction",
@@ -240,6 +241,27 @@ def test_cli_search_stages_flag_caps_the_schedule(tmp_path, capsys):
     assert not (out / "stage_2.ckpt").exists()
 
 
+@pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"[" * 100_000], ids=["utf16-bom", "deep"])
+@pytest.mark.parametrize("command, option, what", [
+    ("search", "--config", "config"), ("analyze", "--genotype", "genotype")])
+def test_cli_refuses_a_file_that_is_not_json_with_one_error_line(tmp_path, capsys, command,
+                                                                 option, what, raw):
+    """Bytes that are not UTF-8, or a document nested past the parser's depth,
+    are refused as invalid JSON naming the file, not with a traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    if command == "search":
+        with pytest.raises(ConfigError, match=f"^config: invalid JSON in {bad}: "):
+            load_config(bad)
+    out = tmp_path / "out"
+    code = main([command, option, str(bad), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.startswith(f"error: {what}: invalid JSON in {bad}: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
     cfg = desk_config()
     cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, classes=10),
@@ -263,7 +285,7 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
     ("search", {"model": {"patch": 3}},
      "model: ModelDims: image size 8 not divisible by patch 3"),
     ("retrain", {"model": {"dim": 0}}, "model: ModelDims: all dimensions must be positive"),
-    ("search", {"candidates": [{"kind": "zero"}], "search": {"stages": 1}},
+    ("search", {"candidates": [{"kind": "zero"}], "search": {"prune_per_stage": []}},
      "candidates: every candidate is zero; nothing would train"),
     ("search", {"search": {"batch_size": 0}}, "search.batch_size: must be >= 1, got 0"),
     ("retrain", {"retrain": {"batch_size": 0}}, "retrain.batch_size: must be >= 1, got 0"),
@@ -326,6 +348,7 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
     ("search", {"model": {"pre_norm": True}}, "config.model.pre_norm: unknown key"),
     ("retrain", {"model": {"final_norm": False}}, "config.model.final_norm: unknown key"),
     ("search", {"search": {"shared_alpha": True}}, "config.search.shared_alpha: unknown key"),
+    ("search", {"search": {"stages": 3}}, "config.search.stages: unknown key"),
     ("search", {"selector": {"grad_mode": "gather_only"}},
      "config.selector.grad_mode: unknown key"),
     ("search", {"data": {"synthetic": {"classes": 3}}},
@@ -351,7 +374,7 @@ def test_cli_search_missing_data_dir_fails_cleanly(tmp_path, capsys):
         "alpha-init-std-negative", "synthetic-noise-negative",
         "score-mode", "search-drop-last", "unrolled", "retrain-drop-last", "resize-method",
         "resize-image", "synthetic-channels", "precision", "pre-norm", "final-norm",
-        "shared-alpha", "grad-mode", "synthetic-classes",
+        "shared-alpha", "search-stages", "grad-mode", "synthetic-classes",
         "synthetic-one-class", "cifar-classes", "cifar-channels"])
 def test_cli_refuses_a_config_the_run_cannot_use(tmp_path, capsys, command, changes,
                                                  message):
@@ -558,15 +581,17 @@ def test_cli_resume_refuses_a_malformed_log_line_and_changes_nothing(tmp_path, c
     log = out / "search_log.jsonl"
     lines = log.read_bytes().splitlines(keepends=True)
     assert len(lines) >= 3
-    log.write_bytes(lines[0] + b'{"step": 1}\n' + b"".join(lines[2:]))
-    before = {p.name: p.read_bytes() for p in out.iterdir()}
-    code = main(["search", "--config", str(cfg_path), "--out", str(out),
-                 "--resume", str(out / "stage_1.ckpt")])
-    captured = capsys.readouterr()
-    assert code == 1 and not captured.out
-    assert captured.err.startswith(f"error: log: {log}: line 2 has no readable epoch")
-    assert captured.err.count("\n") == 1
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # a line with no epoch key; a line nested past the JSON parser's depth
+    for bad_line in (b'{"step": 1}\n', b"[" * 100_000 + b"\n"):
+        log.write_bytes(lines[0] + bad_line + b"".join(lines[2:]))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        code = main(["search", "--config", str(cfg_path), "--out", str(out),
+                     "--resume", str(out / "stage_1.ckpt")])
+        captured = capsys.readouterr()
+        assert code == 1 and not captured.out
+        assert captured.err.startswith(f"error: log: {log}: line 2 has no readable epoch")
+        assert captured.err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_cli_retrain_rejects_dim_mismatch(tmp_path, capsys):

@@ -477,9 +477,10 @@ def test_a_load_holds_one_copy_of_the_data(tmp_path):
 
 @pytest.mark.parametrize("damage, message", [
     ("truncated", r"state.ckpt: invalid JSON manifest"),
+    ("deep", r"state.ckpt: invalid JSON manifest"),
     ("arrays", r"state.ckpt: manifest has no key 'arrays'"),
     ("offset", r"state.ckpt: array 'w' has no key 'offset'"),
-], ids=["truncated", "arrays", "offset"])
+], ids=["truncated", "deep", "arrays", "offset"])
 def test_malformed_manifest_raises_data_error_naming_the_key(tmp_path, damage,
                                                              message):
     path = tmp_path / "state.ckpt"
@@ -487,6 +488,9 @@ def test_malformed_manifest_raises_data_error_naming_the_key(tmp_path, damage,
     if damage == "truncated":  # cut inside the manifest line
         raw = path.read_bytes()
         path.write_bytes(raw[:raw.index(b"\n") // 2])
+    elif damage == "deep":  # a manifest nested past the parser's depth
+        raw = path.read_bytes()
+        path.write_bytes(b"[" * 100_000 + raw[raw.index(b"\n"):])
     else:
         edit_manifest(path, lambda manifest: (
             manifest["arrays"]["w"] if damage == "offset" else manifest).pop(damage))

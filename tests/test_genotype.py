@@ -317,6 +317,8 @@ def test_load_genotype_missing_file(tmp_path):
     with pytest.raises(GenotypeError, match="not found"):
         load_genotype(tmp_path / "nope.json")
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(GenotypeError, match="invalid JSON"):
-        load_genotype(bad)
+    # not JSON; not UTF-8 (a UTF-16 byte order mark); nested past the parser's depth
+    for raw in (b"{not json", b"\xff\xfe{}", b"[" * 100_000):
+        bad.write_bytes(raw)
+        with pytest.raises(GenotypeError, match=f"^genotype: invalid JSON in {bad}: "):
+            load_genotype(bad)

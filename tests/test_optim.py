@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dasvit import AdamW, LrSchedule, Tensor, backward, desk_config, dtype_scope
 from dasvit import autodiff as ad
-from dasvit.config import paper_defaults
+from dasvit.config import paper_defaults, schedule_preview
 from dasvit.data import load_parameters
 from dasvit.errors import ConfigError, DataError, NonFiniteError, OptimizerError
 from dasvit.optim import CHUNK
@@ -322,7 +322,8 @@ def test_lr_of_each_preset_is_the_general_formula_at_its_former_defaults(preset)
 
     cfg = preset()
     s, r = cfg.search, cfg.retrain
-    for base_lr, warmup, total in ((s.lr, 0, s.stages * s.epochs_per_stage),
+    search_epochs = len(schedule_preview(cfg)) * s.epochs_per_stage
+    for base_lr, warmup, total in ((s.lr, 0, search_epochs),
                                    (r.lr, r.warmup_epochs, r.epochs)):
         sched = LrSchedule(base_lr, warmup, total)
         for epoch in range(total):

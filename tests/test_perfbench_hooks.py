@@ -116,8 +116,8 @@ def test_workloads_config_and_stage_supernet_match_the_program(tmp_path, monkeyp
 
     cfg = desk_config(seed=1)
     cfg = dataclasses.replace(
-        cfg, search=dataclasses.replace(cfg.search, stages=1, epochs_per_stage=1,
-                                        batch_size=8),
+        cfg, search=dataclasses.replace(cfg.search, epochs_per_stage=1, batch_size=8,
+                                        prune_per_stage=[]),
         data=dataclasses.replace(cfg.data, synthetic=SyntheticConfig(
             classes=2, per_class=16, image=8)))
     run_search(cfg, tmp_path / "run")

@@ -14,8 +14,8 @@ import pytest
 
 import dasvit
 from dasvit import (AdamW, AlphaTable, DerivedModel, FairnessConfig, OpSpec, Supernet,
-                    derive_genotype, desk_config, dtype_scope, run_search, retrain,
-                    schedule_preview, score_candidates, searched_encoder_genotype)
+                    derive_genotype, desk_config, dtype_scope, paper_defaults, run_search,
+                    retrain, schedule_preview, score_candidates, searched_encoder_genotype)
 from dasvit import autodiff as ad
 from dasvit.config import SyntheticConfig
 from dasvit.data import (RNG_STAGE, BatchPlan, epoch_batches, load_checkpoint,
@@ -51,6 +51,7 @@ def _small_cfg(seed=0, **search_overrides):
 
 def test_schedule_preview_matches_default_plan():
     assert schedule_preview(desk_config()) == [(8, 2), (5, 4), (3, 6)]
+    assert schedule_preview(paper_defaults()) == [(8, 2), (5, 4), (3, 6)]
 
 
 # -- candidate scoring / pruning -------------------------------------------------------
@@ -369,8 +370,7 @@ def test_search_runs_with_unrolled_flag(tmp_path, monkeypatch):
         return unrolled(state, tb, vb)
 
     monkeypatch.setattr(search_mod, "_unrolled_alpha_pass", counting)
-    cfg = _small_cfg(seed=5, stages=1, epochs_per_stage=1, xi=1e-3,
-                     prune_per_stage=[0, 0, 0])
+    cfg = _small_cfg(seed=5, epochs_per_stage=1, xi=1e-3, prune_per_stage=[])
     result = run_search(cfg, tmp_path / "unrolled")
     assert result.schedule == [(8, 2)]
     assert result.state.log and passes == [1e-3] * len(result.state.log)
@@ -499,7 +499,7 @@ def test_alpha_and_weight_batches_stay_disjoint(tmp_path, monkeypatch):
         return grad_pass(state, batch, freeze, fair)
 
     monkeypatch.setattr(search_mod, "_grad_pass", spy)
-    cfg = _small_cfg(seed=2, stages=1, epochs_per_stage=2, prune_per_stage=[0, 0, 0])
+    cfg = _small_cfg(seed=2, epochs_per_stage=2, prune_per_stage=[])
     run_search(cfg, tmp_path / "run")
     split = split_dataset(64, cfg.search.val_fraction, cfg.seed)
     assert seen["alpha"] and seen["alpha"] <= set(split.val_indices.tolist())
@@ -600,6 +600,14 @@ def test_search_log_carries_loss_components(desk_run):
         assert entry["l_fair"] == pytest.approx(0.5 * entry["l1"] + 0.5 * entry["l2"])
 
 
+@pytest.mark.parametrize("stages", [0, -1])
+def test_a_stage_cap_below_one_is_refused_before_anything_is_written(tmp_path, stages):
+    """A negative cap would slice stages off the end of the schedule."""
+    with pytest.raises(ConfigError, match="^search: need at least one stage$"):
+        run_search(_small_cfg(seed=1), tmp_path / "run", stages=stages)
+    assert not (tmp_path / "run").exists()
+
+
 def test_resume_from_stage_checkpoint_matches_uninterrupted(tmp_path):
     # two epochs a stage: the capped run's lr at epoch 1 is that of the full
     # schedule only if it is built over every configured stage
@@ -644,7 +652,7 @@ def test_resume_from_stage_checkpoint_matches_uninterrupted(tmp_path):
 
 
 def test_search_resume_refuses_a_checkpoint_missing_an_array(tmp_path):
-    cfg = _small_cfg(seed=5, stages=1, epochs_per_stage=1, prune_per_stage=[0])
+    cfg = _small_cfg(seed=5, epochs_per_stage=1, prune_per_stage=[])
     run_search(cfg, tmp_path / "run")
     manifest = tmp_path / "run" / "stage_1.ckpt"
     # an earlier version's stage checkpoint holds a (1, edges, candidates) table
@@ -654,7 +662,7 @@ def test_search_resume_refuses_a_checkpoint_missing_an_array(tmp_path):
     save_checkpoint(older, arrays, extras)
     edit_manifest(manifest, lambda doc: doc["arrays"].pop("selector.wq"))
     cfg = dataclasses.replace(cfg, search=dataclasses.replace(
-        cfg.search, stages=2, prune_per_stage=[0, 0]))
+        cfg.search, prune_per_stage=[0]))
     with pytest.raises(DataError, match=f"{manifest}: no array 'selector.wq'"):
         run_search(cfg, tmp_path / "resumed", resume=manifest)
     with pytest.raises(DataError, match=re.escape(
@@ -664,8 +672,7 @@ def test_search_resume_refuses_a_checkpoint_missing_an_array(tmp_path):
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_nonfinite_loss_aborts_with_diagnostics(tmp_path):
-    cfg = _small_cfg(seed=0, stages=1, epochs_per_stage=2, lr=1e30,
-                     prune_per_stage=[0, 0, 0])
+    cfg = _small_cfg(seed=0, epochs_per_stage=2, lr=1e30, prune_per_stage=[])
     with pytest.raises(SearchAbort, match="non-finite") as excinfo:
         run_search(cfg, tmp_path / "blowup")
     # the replay names the primitive where per-primitive checks stop the run
@@ -681,7 +688,7 @@ def test_failed_search_closes_its_logs(tmp_path, monkeypatch):
         raise ConfigError("prune refused")
 
     monkeypatch.setattr(search_mod, "prune_candidates", refuse)
-    cfg = _small_cfg(seed=0, stages=2, epochs_per_stage=1)
+    cfg = _small_cfg(seed=0, epochs_per_stage=1, prune_per_stage=[3])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         try:
@@ -718,8 +725,8 @@ def test_first_order_search_regression_trajectory(tmp_path):
         candidates=[OpSpec("zero"), OpSpec("identity"), OpSpec("msa", heads=2),
                     OpSpec("mlp", ratio=0.5)],
         fairness=FairnessConfig(a=0.0, b=0.0),
-        search=dataclasses.replace(cfg.search, stages=1, epochs_per_stage=2,
-                                   batch_size=8, prune_per_stage=[0]),
+        search=dataclasses.replace(cfg.search, epochs_per_stage=2, batch_size=8,
+                                   prune_per_stage=[]),
         data=dataclasses.replace(
             cfg.data, synthetic=SyntheticConfig(classes=2, per_class=16, image=8)))
     with dtype_scope("float64"):
@@ -946,7 +953,7 @@ def test_a_refused_resume_leaves_no_run_directory(tmp_path, monkeypatch, entry):
         out = tmp_path / "fresh" / "run"
         with pytest.raises(ConfigError, match=f"^resume: {ckpt} {message}"):
             if entry == "search":
-                run_search(_small_cfg(seed=7, stages=1, epochs_per_stage=1), out,
+                run_search(_small_cfg(seed=7, epochs_per_stage=1, prune_per_stage=[]), out,
                            resume=ckpt)
             else:
                 retrain(g, _retrain_cfg(2, seed=7), out, resume=ckpt)
@@ -1006,7 +1013,7 @@ def test_every_artifact_a_run_writes_is_in_the_readme_tables(tmp_path):
     readme = (Path(dasvit.__file__).resolve().parents[2] / "README.md").read_text()
     artifacts = readme[readme.index("\n## Artifacts\n"):]
     artifacts = artifacts[:artifacts.index("\n## ", 1)]
-    run_search(_small_cfg(seed=5, stages=1, epochs_per_stage=1, prune_per_stage=[0]),
+    run_search(_small_cfg(seed=5, epochs_per_stage=1, prune_per_stage=[]),
                tmp_path / "search")
     g = searched_encoder_genotype(desk_config().model.dims(), depth=1, heads=4)
     retrain(g, _retrain_cfg(1, checkpoint_every=1), tmp_path / "retrain")

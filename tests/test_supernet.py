@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import gc
 import re
 import weakref
@@ -17,7 +18,7 @@ from dasvit.supernet import CELL_EDGES, MixedEdge
 from dasvit.data import Batch, make_synthetic
 from dasvit.fairness import skip_fairness
 from dasvit.optim import AdamW
-from dasvit.search import SearchState, _grad_pass
+from dasvit.search import SearchState, _grad_pass, _logits_and_loss, bilevel_epoch
 from oracles import (_base, check_grads, closure_buffers, graph_bytes, graph_nodes, softmax_np,
                      walk_dag)
 
@@ -524,6 +525,28 @@ def test_desk_passes_leave_no_cycle_for_the_collector():
     try:
         _grad_pass(state, batch, freeze=state.a_opt)
         _grad_pass(state, batch, freeze=state.w_opt, fair=True)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_desk_bilevel_step_and_a_derived_training_step_leave_no_cycle():
+    """One desk bilevel step, both passes with their optimizer steps, and one
+    training step of a derived model as `retrain` takes it, under a disabled
+    cyclic collector: a full collection afterwards finds nothing, so every
+    graph they built was freed by reference counting alone."""
+    state, val = _desk_search_state()
+    train = dataclasses.replace(val, split="train")
+    model = _desk_models()["derived"]
+    opt = AdamW(model.named_parameters(), lr=0.01)
+    gc.collect()
+    gc.disable()
+    try:
+        bilevel_epoch(state, [train], [val])
+        _, loss = ad.finite_pass(lambda: _logits_and_loss(model, train))
+        opt.zero_grad()
+        backward(loss)
+        opt.step()
         assert gc.collect() == 0
     finally:
         gc.enable()
