@@ -51,15 +51,16 @@ primitives, each link's closure would keep what it reads: the scaled and
 shifted input ``z`` for every projection, the GELU output for the second
 one. A single node computes the same floats in the same order as the chain
 it replaces, forward and backward. A candidate node keeps at most its
-softmax output: every other array its backward reads is one GEMM or less
-away from ``z = normed * gamma + beta``, and ``normed`` is shared with its
-``normalize`` node, which keeps it anyway. What each keeps:
+softmax's row statistics: every other array its backward reads is rebuilt
+from them and ``z = normed * gamma + beta``, and ``normed`` is shared
+with its ``normalize`` node, which keeps it anyway. What each keeps:
 
 * ``self_attention`` (the q/k/v projections of ``z``, multi-head
   scaled-softmax attention, the head merge and the biased output
-  projection): the (B, H, N, N) softmax output alone. Its backward rebuilds
-  v for the output weight's gradient or the scores', q and k for the
-  scores' gradient, each with the forward's ``z @ w`` product and views.
+  projection): the (B, H, N, 1) row max and row sum of its softmax. Its
+  backward rebuilds q, k, the softmax output from them and those two, and
+  v, with the forward's operations and views (as FlashAttention, arXiv
+  2205.14135).
 * ``feed_forward`` (biased projection of ``z``, GELU, biased projection):
   nothing beyond its operands. Its backward rebuilds the hidden
   pre-activation ``h = z @ w1 + b1`` and its tanh term, and the GELU output
@@ -70,10 +71,11 @@ away from ``z = normed * gamma + beta``, and ``normed`` is shared with its
 Either backward rebuilds ``z`` once, unless only its output bias takes a
 gradient, when it rebuilds nothing; the α phase, whose gradient reaches the
 normalized input through the scores and the hidden layer, rebuilds ``z``,
-q, k, v and ``h``. A rebuilt array comes from the same operations, in the
-same order, as the forward's, so it holds the forward's bits. The cost is
-one GEMM per rebuilt projection: a weight-phase step runs three more D×D
-products per MSA and one more D×hidden product per MLP candidate.
+q, k, v, the softmax output and ``h``. A rebuilt array comes from the same
+operations, in the same order, as the forward's, so it holds the forward's
+bits. The cost is one GEMM per rebuilt projection, and per MSA the scores
+and their exponentials once more: a weight-phase step runs three more D×D
+products and one more q kᵀ per MSA and one more D×hidden product per MLP.
 
 ``gelu`` keeps its input and ``t = tanh(c·(x + k·x³))``, the ``normalize``
 backward its output and the (..., 1) reciprocal deviation; each does the
@@ -972,15 +974,17 @@ def self_attention(normed: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: 
     ``matmul``s, the reshape/transpose/matmul/scaled-softmax/matmul/
     transpose/reshape core and a biased ``matmul``) in its order, forward and
     backward, and each product gets the operand layouts that chain gave it.
-    It keeps only the (B, H, N, N) softmax output; ``z``, q, k, v, the
-    pre-softmax scores, the per-head ``attn @ v`` product and its head merge
-    are temporaries. Unless only `bo` takes a gradient, the backward rebuilds
-    ``z`` once and, with the forward's products and views, the projections
-    the products it runs read: v for `wo`'s gradient or the scores', q and
-    k for the scores' gradient. It sums the three projections' parts of the
-    gradient of ``z`` one by one, in the q, k, v order in which the chain's
-    backward reached them, then hands the sum to the scale and shift as
-    ``affine``'s backward does.
+    It keeps only two (B, H, N, 1) arrays: the scaled scores' row max and
+    the row sum of their exponentials. ``z``, q, k, v, the scores, the
+    softmax output, the per-head ``attn @ v`` product and its head merge are
+    temporaries. Unless only `bo` takes a gradient, the backward rebuilds
+    ``z`` once, q and k with the forward's products and views, the softmax
+    output from them with the forward's operations, the kept max and sum
+    standing in for its reductions, and v for `wo`'s gradient or the
+    scores'. It sums the three projections' parts of the gradient of ``z``
+    one by one, in the q, k, v order in which the chain's backward reached
+    them, then hands the sum to the scale and shift as ``affine``'s
+    backward does.
     """
     normed, gamma, beta, wq, wk, wv, wo, bo = map(
         as_tensor, (normed, gamma, beta, wq, wk, wv, wo, bo))
@@ -1014,13 +1018,16 @@ def self_attention(normed: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: 
     vh = project(rows, wv_d, _HEADS)
     del rows
     s = np.asarray(1.0 / math.sqrt(dim // heads), dtype=x.dtype)
-    # the scores become the softmax output in place: one (B, H, N, N) buffer
+    # the scores become the softmax output in place: one (B, H, N, N) buffer;
+    # only its row max `top` and row sum `total` outlive the forward
     attn = qh @ kt
     del qh, kt
     attn *= s
-    attn -= attn.max(axis=-1, keepdims=True)
+    top = attn.max(axis=-1, keepdims=True)
+    attn -= top
     np.exp(attn, out=attn)
-    attn /= attn.sum(axis=-1, keepdims=True)
+    total = attn.sum(axis=-1, keepdims=True)
+    attn /= total
     out = (attn @ vh).transpose(_HEADS).reshape(-1, dim) @ wo_d
     out += bo_d
     out = out.reshape(shape)
@@ -1035,6 +1042,13 @@ def self_attention(normed: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: 
         if not (won.requires_grad or any(need)):
             return
         rows = _scale_shift(x, scale, shift).reshape(-1, dim)
+        qh = project(rows, wq_d, _HEADS)
+        kt = project(rows, wk_d, _HEADS_T)
+        attn = qh @ kt  # the forward's softmax output, from its own stored stats
+        attn *= s
+        attn -= top
+        np.exp(attn, out=attn)
+        attn /= total
         vh = project(rows, wv_d, _HEADS) if won.requires_grad or scores else None
         if won.requires_grad:
             _accumulate(won, (attn @ vh).transpose(_HEADS).reshape(-1, dim).T @ g2)
@@ -1054,13 +1068,13 @@ def self_attention(normed: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: 
             gs *= attn
             gs *= s
             if need[0]:
-                gq = gs @ project(rows, wk_d, _HEADS_T).swapaxes(-1, -2)
+                gq = gs @ kt.swapaxes(-1, -2)
                 parts[0] = gq.transpose(_HEADS).reshape(-1, dim)
             if need[1]:
-                gk = project(rows, wq_d, _HEADS).swapaxes(-1, -2) @ gs  # (B, H, d, N)
+                gk = qh.swapaxes(-1, -2) @ gs  # (B, H, d, N)
                 parts[1] = gk.transpose(0, 3, 1, 2).reshape(-1, dim)
             del gs
-        del gh
+        del gh, attn, qh, kt
         gz = None  # the gradient reaching z
         for (wn, w), gp in zip(projections, parts):
             if wn.requires_grad:

@@ -369,12 +369,13 @@ def test_desk_weight_pass_holds_a_pinned_graph_size():
     backward: what its closures keep (`oracles.graph_bytes`), as no node
     holds its own output. Pinned like the node count, so that a node that
     starts holding one more array fails here and not only in the benchmark:
-    q, k and v kept by each of the 30 MSA candidates would add 90
-    (16, 3, 32) float32 arrays, 552,960 bytes."""
+    the (16, H, 3, 3) float32 softmax output kept by each of the 30 MSA
+    candidates, 10 edges of H = 2, 4 and 8, would add 80,640 bytes to
+    their two (16, H, 3, 1) row statistics' 53,760."""
     net, images = _desk_weight_pass()
     with ad.frozen(net.alpha_parameters().values()):
         loss = ad.cross_entropy(net.forward(images), np.arange(16) % 2)
-        assert graph_bytes(loss) == 136_032
+        assert graph_bytes(loss) == 109_152
         backward(loss)
 
 
@@ -395,13 +396,13 @@ def _mid_pass_graph_bytes(phase):
 
 def test_mid_weight_pass_holds_a_pinned_graph_size():
     """The same pin at the benchmark's mid geometry."""
-    assert _mid_pass_graph_bytes("weight") == 28_751_584
+    assert _mid_pass_graph_bytes("weight") == 5_181_664
 
 
 def test_mid_alpha_pass_holds_a_pinned_graph_size():
     """The α pass at the mid geometry, every weight frozen: each mixed edge
     also keeps its candidates' outputs, for α's gradient."""
-    assert _mid_pass_graph_bytes("alpha") == 22_233_408
+    assert _mid_pass_graph_bytes("alpha") == 12_805_440
 
 
 def _recorded_outputs(monkeypatch):
